@@ -402,6 +402,8 @@ def analyze_l2_gain(plant: Plant, controller: Controller, gamma_sector: float,
     loop).  Returns a NOT_CERTIFIED report instead of raising when no
     gain in the bracket is feasible.
     """
+    if method not in (THEOREM_1, THEOREM_2):
+        raise ValueError(f"unknown method {method!r}")
     details = {}
     if mode == "bootstrap":
         cl = interconnect(plant, controller)

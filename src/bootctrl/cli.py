@@ -123,7 +123,12 @@ def cmd_analyze(args) -> int:
             plant, controller, gamma, method=method, T_BS=args.tbs,
             mode=args.mode, fir_length=args.fir_length, tol=args.tol,
         )
-    except ValueError as exc:
+        if args.report:
+            # the direct-test row; reuse the main run when it was that test
+            rep1 = report if report.method == THEOREM_1 else analyze_l2_gain(
+                plant, controller, gamma, method=THEOREM_1, mode=args.mode,
+                fir_length=args.fir_length, tol=args.tol)
+    except (ValueError, RuntimeError) as exc:
         print(f"analysis aborted: {exc}", file=sys.stderr)
         return 1
     out_path = out_dir / args.out
@@ -140,9 +145,6 @@ def cmd_analyze(args) -> int:
               f"sector slope {gamma:.4f})")
 
     if args.report:
-        rep1 = analyze_l2_gain(plant, controller, gamma, method=THEOREM_1,
-                               mode=args.mode, fir_length=args.fir_length,
-                               tol=args.tol)
         lines = [
             "| test | T_BS | sector slope | certified l2-gain |",
             "|------|------|--------------|-------------------|",

@@ -35,16 +35,6 @@ class LpResult:
     dual_residual: float
 
 
-def _solve_spd(M, rhs):
-    try:
-        cf = np.linalg.cholesky(M)
-        z = np.linalg.solve(cf, rhs)
-        return np.linalg.solve(cf.T, z)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * (1.0 + np.trace(M) / M.shape[0])
-        return np.linalg.solve(M + jitter * np.eye(M.shape[0]), rhs)
-
-
 def solve_lp(c, A_ub, b_ub, tol=1e-9, max_iter=100):
     """Minimize c^T x subject to A_ub x <= b_ub.
 

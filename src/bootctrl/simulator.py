@@ -10,8 +10,11 @@ Four modes:
 * FIR: a delay-line controller evaluated from a window of fresh
   measurement encryptions; no persistent ciphertext state, so levels
   never deplete and no refresh is needed (slope-1 sector, direct test).
-* PLAINTEXT_REFERENCE: the ideal real recursion with exact structural
-  events (exact refresh, exact reset, exact FIR window).
+* PLAINTEXT_REFERENCE: the certified ClosedLoop itself, run through
+  statespace.simulate (not a separate recursion).  An optional w_u
+  schedule replays refresh or reset errors; with fir_length set it is the
+  rewired FIR loop of analysis.fir_closed_loop closed with w_u = -z_u,
+  i.e. the exact N-tap window.
 
 Event order inside step t (matching the certified interconnection): the
 control u(t) is computed from the pre-refresh controller state, then the
@@ -21,14 +24,14 @@ x_c(t+1) = Ac (x_c(t) + w_u(t)) + Bc y(t) with w_u the refresh error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import crypto_sim as cs
-from .analysis import _validate_fir_structure
+from .analysis import fir_closed_loop
 from .bootpoly import BootstrapPolynomial
-from .statespace import ClosedLoop, Controller, Plant, interconnect
+from .statespace import ClosedLoop, Controller, Plant, interconnect, simulate
 
 __all__ = [
     "ENCRYPTED",
@@ -162,53 +165,38 @@ def run_closed_loop(plant: Plant, controller: Controller,
     if config.mode == FIR:
         if scheme is None:
             raise ValueError("FIR mode needs scheme")
-        _validate_fir_structure(controller, config.fir_length)
+        fir_closed_loop(plant, controller, config.fir_length)  # validates
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x_c_ideal = np.zeros(nc)
-
     w_p = np.hstack([w1, w2])
-    z_p = np.zeros((steps, plant.p_z))
-    u_log = np.zeros((steps, m_u))
-    y_log = np.zeros((steps, p_y))
-    x_log = np.zeros((steps + 1, n))
-    xc_log = np.zeros((steps + 1, nc))
-    x_log[0] = x
-    xc_log[0] = x_c_ideal
-
-    events = []
-    violations = 0
-    max_fid = 0.0
-
     if w_u is not None and config.mode != PLAINTEXT_REFERENCE:
         raise ValueError("w_u injection is only meaningful in PLAINTEXT_REFERENCE mode")
 
     if config.mode == PLAINTEXT_REFERENCE:
-        wu = _as_signal(w_u, steps, nc, "w_u")
-        fir_tail = None
+        cl = interconnect(plant, controller)
         if config.fir_length:
-            _validate_fir_structure(controller, config.fir_length)
-            lam, _ = _fir_params(controller, config.fir_length)
-            fir_tail = (config.fir_length, lam)
-        for t in range(steps):
-            y = plant.C @ x + plant.F1 @ w1[t]
-            u = controller.Cc @ x_c_ideal + controller.Dc @ y + controller.F2 @ w2[t]
-            z_p[t] = plant.C1 @ x + plant.D1 @ w1[t] + plant.E @ u
-            u_log[t], y_log[t] = u, y
-            x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
-            x_c_next = controller.Ac @ (x_c_ideal + wu[t]) + controller.Bc @ y \
-                + controller.B2 @ w2[t]
-            if fir_tail is not None:
-                # exact FIR: drop the departing tap from the aggregator
-                N, lam = fir_tail
-                tail = x_c_ideal[(N - 1) * p_y: N * p_y]
-                x_c_next[N * p_y:] -= (lam ** N) * tail
-            x_c_ideal = x_c_next
-            x_log[t + 1] = x
-            xc_log[t + 1] = x_c_ideal
-        gain = _empirical_gain(z_p, w_p)
+            # exact FIR: the certified rewired loop closed with w_u = -z_u;
+            # Bu stays [0; Ac], so a w_u schedule keeps its meaning
+            fir = fir_closed_loop(plant, controller, config.fir_length)
+            cl = replace(cl, Acl=fir.Acl - fir.Bu @ fir.Cu)
+        xi, z_p, _ = simulate(cl, np.concatenate([x, np.zeros(nc)]), w_p,
+                              _as_signal(w_u, steps, nc, "w_u"), steps)
+        x_log, xc_log = xi[:, :n], xi[:, n:]
+        y_log = x_log[:-1] @ plant.C.T + w1 @ plant.F1.T
+        u_log = (xc_log[:-1] @ controller.Cc.T + y_log @ controller.Dc.T
+                 + w2 @ controller.F2.T)
         return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log,
-                                xc_log, gain)
+                                xc_log, _empirical_gain(z_p, w_p))
+
+    z_p = np.zeros((steps, plant.p_z))
+    u_log = np.zeros((steps, m_u))
+    y_log = np.zeros((steps, p_y))
+    x_log = np.zeros((steps + 1, n))
+    x_log[0] = x
+
+    events = []
+    violations = 0
+    max_fid = 0.0
 
     keys = cs.keygen(scheme)
     # Re-seed the encryption stream so different trials draw different
@@ -248,19 +236,20 @@ def run_closed_loop(plant: Plant, controller: Controller,
             u_log[t], y_log[t] = u, y
             x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
             window = [enc_y] + window[:-1]
-            # debug shadow of the delay-line state (ideal FIR recursion)
-            head = x_c_ideal[: N * p_y]
-            tail_val = x_c_ideal[(N - 1) * p_y: N * p_y]
-            agg = lam * x_c_ideal[N * p_y:] + y - (lam ** N) * tail_val
-            x_c_ideal = np.concatenate([y, head[: (N - 1) * p_y], agg])
             x_log[t + 1] = x
-            xc_log[t + 1] = x_c_ideal
+        # delay-line state by definition: slot i holds y(t-i) and the
+        # aggregator holds sum_{i=1..N} lam^(i-1) y(t-i)
+        padded = np.vstack([np.zeros((N, p_y)), y_log])
+        slots = [padded[N - i: N - i + steps + 1] for i in range(1, N + 1)]
+        agg = sum(lam ** (i - 1) * slot for i, slot in enumerate(slots, 1))
+        xc_log = np.hstack(slots + [agg])
         gain = _empirical_gain(z_p, w_p)
         return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log,
                                 xc_log, gain, events, violations, max_fid)
 
     # ENCRYPTED / RESET: persistent encrypted controller state
     top = scheme.L
+    xc_log = np.zeros((steps + 1, nc))
     x_c = [cs.encrypt(keys, 0.0, level=top) for _ in range(nc)]
     for t in range(steps):
         y = plant.C @ x + plant.F1 @ w1[t]
@@ -296,17 +285,12 @@ def run_closed_loop(plant: Plant, controller: Controller,
                         raise type(exc)(
                             f"at step {t}, state component {comp}: {exc.message}"
                         ) from exc
-                    events.append(
-                        cs.BootstrapEvent(ev.r, ev.m_plus_e, ev.output,
-                                          ev.poly_error, ev.relative_error,
-                                          ev.violation, step=t)
-                    )
+                    events.append(replace(ev, step=t))
                     violations += int(ev.violation)
                     refreshed.append(fresh)
                 x_c = refreshed
             else:
                 x_c = [cs.encrypt(keys, 0.0, level=top) for _ in range(nc)]
-                x_c_ideal = np.zeros(nc)
             check(x_c)
             enc_y = [cs.encrypt(keys, float(yi), level=x_c[0].level) for yi in y]
             if use_w2:
@@ -337,35 +321,30 @@ def aligned_disturbance(cl: ClosedLoop, steps: int, columns=None,
 
     Power iteration on L*L, where L maps the disturbance sequence to the
     performance output sequence of the nominal (w_u = 0) loop from zero
-    initial state.  The adjoint is run as the reversed-time recursion
-    lam(t) = Acl^T lam(t+1) + Cp^T zeta(t).  `columns` restricts the
-    disturbance to a subset of w_p channels (e.g. the physical ones when
-    the controller-side channel is not exercised).
+    initial state.  Both passes run through statespace.simulate: the
+    forward one on the loop restricted to `columns`, the adjoint one on
+    the dual system (Acl^T, Cp^T; Bp^T, Dpp^T) over the time-reversed
+    output, i.e. lam(t) = Acl^T lam(t+1) + Cp^T zeta(t).  `columns`
+    restricts the disturbance to a subset of w_p channels (e.g. the
+    physical ones when the controller-side channel is not exercised).
     """
     cols = np.arange(cl.m_wp) if columns is None else np.asarray(columns, dtype=int)
-    Bp = cl.Bp[:, cols]
-    Dpp = cl.Dpp[:, cols]
+    fwd = replace(cl, Bp=cl.Bp[:, cols], Dpp=cl.Dpp[:, cols], Dup=cl.Dup[:, cols])
+    adj = ClosedLoop(Acl=fwd.Acl.T, Bp=fwd.Cp.T, Bu=fwd.Cu.T, Cp=fwd.Bp.T,
+                     Dpp=fwd.Dpp.T, Dpu=fwd.Dup.T, Cu=fwd.Bu.T, Dup=fwd.Dpu.T,
+                     Duu=fwd.Duu.T)
+    x0 = np.zeros(cl.n_xi)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((steps, len(cols)))
     w /= np.linalg.norm(w)
     gain_prev = 0.0
     for _ in range(iterations):
-        # forward pass z = L w
-        xi = np.zeros(cl.n_xi)
-        z = np.zeros((steps, cl.p_z))
-        for t in range(steps):
-            z[t] = cl.Cp @ xi + Dpp @ w[t]
-            xi = cl.Acl @ xi + Bp @ w[t]
-        # adjoint pass g = L* z
-        lam = np.zeros(cl.n_xi)
-        g = np.zeros_like(w)
-        for t in range(steps - 1, -1, -1):
-            g[t] = Bp.T @ lam + Dpp.T @ z[t]
-            lam = cl.Acl.T @ lam + cl.Cp.T @ z[t]
+        _, z, _ = simulate(fwd, x0, w, None, steps)  # z = L w
+        g = simulate(adj, x0, z[::-1], None, steps)[1][::-1]  # g = L* z
         norm = np.linalg.norm(g)
         if norm == 0:
             break
-        gain = np.sqrt(np.linalg.norm(z) ** 2)  # since ||w|| = 1
+        gain = np.linalg.norm(z)  # since ||w|| = 1
         if abs(gain - gain_prev) < 1e-10 * max(1.0, gain):
             w = g / norm
             break
@@ -411,11 +390,7 @@ def estimate_empirical_gain(plant: Plant, controller: Controller,
     max_fid = 0.0
     for k in range(n_random):
         w1 = rng.standard_normal((config.steps, plant.m_w1))
-        cfg = SimulationConfig(
-            mode=config.mode, steps=config.steps, T_BS=config.T_BS,
-            fir_length=config.fir_length, seed=base_seed + 1000 + k,
-            fidelity_checks=config.fidelity_checks,
-        )
+        cfg = replace(config, seed=base_seed + 1000 + k)
         res = run_closed_loop(plant, controller, cfg, scheme=scheme, poly=poly,
                               w_p1=w1)
         gains.append(res.empirical_gain)
@@ -428,11 +403,7 @@ def estimate_empirical_gain(plant: Plant, controller: Controller,
                                     iterations=align_iterations,
                                     seed=base_seed)
     scale = np.sqrt(config.steps / 4.0)  # unit-energy vector scaled up
-    cfg = SimulationConfig(
-        mode=config.mode, steps=config.steps, T_BS=config.T_BS,
-        fir_length=config.fir_length, seed=base_seed + 999_983,
-        fidelity_checks=config.fidelity_checks,
-    )
+    cfg = replace(config, seed=base_seed + 999_983)
     res_a = run_closed_loop(plant, controller, cfg, scheme=scheme, poly=poly,
                             w_p1=scale * w_aligned[:, : plant.m_w1])
     violations += res_a.violations

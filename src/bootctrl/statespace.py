@@ -364,6 +364,8 @@ def simulate(sys, x0, w_p, w_u, steps):
 
     Signals are arrays of shape (steps, dim); returns the state trajectory
     of shape (steps + 1, n_xi) together with the z_p and z_u trajectories.
+    The input terms of all three rows are formed in one product up front,
+    so each step is a single product with the stacked [Acl; Cp; Cu].
     """
     steps = int(steps)
     if steps < 0:
@@ -382,15 +384,17 @@ def simulate(sys, x0, w_p, w_u, steps):
     if w_u.shape[0] < steps:
         raise ValueError(f"w_u has {w_u.shape[0]} samples, need {steps}")
 
-    xi = np.zeros((steps + 1, sys.n_xi))
-    z_p = np.zeros((steps, sys.p_z))
-    z_u = np.zeros((steps, sys.n_zu))
+    n, p_z = sys.n_xi, sys.p_z
+    state = np.vstack([sys.Acl, sys.Cp, sys.Cu])
+    drive = (w_p[:steps] @ np.vstack([sys.Bp, sys.Dpp, sys.Dup]).T
+             + w_u[:steps] @ np.vstack([sys.Bu, sys.Dpu, sys.Duu]).T)
+    xi = np.zeros((steps + 1, n))
     xi[0] = x0
     for t in range(steps):
-        z_p[t] = sys.Cp @ xi[t] + sys.Dpp @ w_p[t] + sys.Dpu @ w_u[t]
-        z_u[t] = sys.Cu @ xi[t] + sys.Dup @ w_p[t] + sys.Duu @ w_u[t]
-        xi[t + 1] = sys.Acl @ xi[t] + sys.Bp @ w_p[t] + sys.Bu @ w_u[t]
-    return xi, z_p, z_u
+        r = drive[t]
+        r += state @ xi[t]
+        xi[t + 1] = r[:n]
+    return xi, drive[:, n:n + p_z], drive[:, n + p_z:]
 
 
 _PLANT_FIELDS = ("A", "B", "B1", "C", "F1", "C1", "E", "D1")

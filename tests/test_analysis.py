@@ -321,3 +321,8 @@ def test_report_json_roundtrip_certificate():
 def test_unknown_mode_rejected(plant, controller):
     with pytest.raises(ValueError, match="mode"):
         analyze_l2_gain(plant, controller, 0.5, mode="homomorphic")
+
+
+def test_unknown_method_rejected(plant, controller):
+    with pytest.raises(ValueError, match="method"):
+        analyze_l2_gain(plant, controller, 0.5, method="bogus")

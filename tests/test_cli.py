@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from bootctrl import cli
 from bootctrl.bootpoly import load_poly, save_poly
 from bootctrl.cli import main
 from bootctrl.crypto_sim import SchemeParams, save_scheme
@@ -83,6 +84,37 @@ def test_analyze_report_table(tmp_path, capsys):
     rows = [ln for ln in md.splitlines() if ln.startswith("| lifted")]
     gain = float(rows[0].split("|")[4].split("(")[0])
     assert abs(gain - 3.97) <= 0.1
+
+
+def test_analyze_report_reuses_direct_test(tmp_path, monkeypatch):
+    """With --theorem 1 the main run is the direct test; --report must not
+    run it a second time."""
+    calls = []
+    real = cli.analyze_l2_gain
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_l2_gain", counting)
+    code = run(["analyze", "--gamma", "0.2296", "--theorem", "1", "--report",
+                "--tol", "1", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+    assert "| direct | 1 |" in (tmp_path / "analysis_report.md").read_text()
+
+
+def test_analyze_numerical_failure_is_an_exit_code(tmp_path, monkeypatch,
+                                                   capsys):
+    def failing(*args, **kwargs):
+        raise RuntimeError("barrier solve ended in NUMERICAL_FAILURE")
+
+    monkeypatch.setattr(cli, "analyze_l2_gain", failing)
+    code = run(["analyze", "--gamma", "0.2296", "--theorem", "1",
+                "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "analysis aborted: barrier solve" in capsys.readouterr().err
+    assert not (tmp_path / "analysis_report.json").exists()
 
 
 def test_analyze_sector_from_poly(tmp_path, fitted_poly):

@@ -258,6 +258,27 @@ def test_fir_encrypted_tracks_exact_recursion(plant, scheme):
     assert np.abs(enc.z_p - ref.z_p).max() <= 1e-3
 
 
+def test_fir_encrypted_state_is_the_window_convolution(plant, scheme):
+    """The logged delay-line state of an encrypted FIR run holds the last N
+    measurements and their lam-weighted sum."""
+    N, lam = 6, 0.4
+    ctrl = make_fir_controller(N, lam, [[-0.3]])
+    steps = 60
+    rng = np.random.default_rng(9)
+    w1 = rng.standard_normal((steps, plant.m_w1))
+    cfg = SimulationConfig(mode=FIR, steps=steps, fir_length=N)
+    res = run_closed_loop(plant, ctrl, cfg, scheme=scheme, w_p1=w1)
+
+    y = res.y[:, 0]
+    assert res.x_c.shape == (steps + 1, N + 1)
+    for t in range(steps + 1):
+        acc = sum(lam ** (i - 1) * y[t - i]
+                  for i in range(1, N + 1) if t - i >= 0)
+        assert abs(res.x_c[t][N] - acc) <= 1e-10
+        for i in range(1, N + 1):
+            assert res.x_c[t][i - 1] == (y[t - i] if t - i >= 0 else 0.0)
+
+
 def test_fir_mode_needs_valid_structure(plant, controller, scheme):
     cfg = SimulationConfig(mode=FIR, steps=10, fir_length=2)
     with pytest.raises(ValueError, match="delay line"):
