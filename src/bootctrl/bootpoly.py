@@ -299,14 +299,16 @@ def poly_to_json(poly: BootstrapPolynomial) -> dict:
 
 
 def poly_from_json(data: dict) -> BootstrapPolynomial:
-    if data.get("basis") != "chebyshev":
-        raise ValueError(f"unsupported basis: {data.get('basis')!r}")
-    spec = BootstrapSpec(
-        q=data["spec"]["q"],
-        epsilon=data["spec"]["epsilon"],
-        K=data["spec"]["K"],
-        d=data["spec"]["d"],
-    )
+    spec_data = data.get("spec", {})
+    spec_fields = ("q", "epsilon", "K", "d")
+    missing = [k for k in ("basis", "coefficients", "gamma_certified")
+               if k not in data]
+    missing += [f"spec.{k}" for k in spec_fields if k not in spec_data]
+    if missing:
+        raise ValueError(f"poly JSON is missing fields: {', '.join(missing)}")
+    if data["basis"] != "chebyshev":
+        raise ValueError(f"unsupported basis: {data['basis']!r}")
+    spec = BootstrapSpec(**{k: spec_data[k] for k in spec_fields})
     poly = BootstrapPolynomial(
         spec=spec,
         coefficients=np.asarray(data["coefficients"], dtype=float),
@@ -314,7 +316,8 @@ def poly_from_json(data: dict) -> BootstrapPolynomial:
         verification_samples=int(data.get("verification_samples", 0)),
     )
     lo, hi = data.get("interval", poly.interval)
-    if not np.isclose(hi, poly.spec.half_range, rtol=1e-9):
+    if not (np.isclose(-lo, poly.spec.half_range, rtol=1e-9)
+            and np.isclose(hi, poly.spec.half_range, rtol=1e-9)):
         raise ValueError("interval in JSON is inconsistent with the spec fields")
     return poly
 

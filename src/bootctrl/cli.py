@@ -1,7 +1,8 @@
 """Command-line front end: fitting, certification, simulation, lift check.
 
 Exit-code discipline: 0 means the command ran and produced a verdict
-(including NOT_CERTIFIED); nonzero means tool or input failure.  The one
+(including NOT_CERTIFIED); nonzero means tool or input failure (2 for an
+unreadable or malformed --system, --scheme or --poly file).  The one
 quantitative exception is `lift-check`, whose job is the check itself:
 a deviation above threshold exits nonzero.
 
@@ -56,6 +57,17 @@ def _write_manifest(out_dir: Path, command: str, args, outputs):
     return path
 
 
+class _InputError(Exception):
+    """An input file that cannot be read or parsed; main exits with 2."""
+
+
+def _load(loader, flag, path):
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"cannot load {flag} {path}: {exc}") from exc
+
+
 def _load_demo_system():
     with demo_system_path() as path:
         return load_system(path)
@@ -63,7 +75,7 @@ def _load_demo_system():
 
 def _resolve_system(args):
     if args.system:
-        return load_system(args.system)
+        return _load(load_system, "--system", args.system)
     return _load_demo_system()
 
 
@@ -105,7 +117,7 @@ def cmd_analyze(args) -> int:
     out_dir = _out_dir(args)
     plant, controller = _resolve_system(args)
     if args.poly:
-        gamma = load_poly(args.poly).gamma_certified
+        gamma = _load(load_poly, "--poly", args.poly).gamma_certified
     elif args.gamma is not None:
         gamma = args.gamma
     elif args.mode in ("reset", "fir"):
@@ -169,7 +181,7 @@ def cmd_simulate(args) -> int:
     out_dir = _out_dir(args)
     plant, controller = _resolve_system(args)
     if args.scheme:
-        scheme = load_scheme(args.scheme)
+        scheme = _load(load_scheme, "--scheme", args.scheme)
     else:
         with demo_scheme_path() as path:
             scheme = load_scheme(path)
@@ -178,7 +190,7 @@ def cmd_simulate(args) -> int:
         if not args.poly:
             print("simulate --mode encrypted needs --poly", file=sys.stderr)
             return 2
-        poly = load_poly(args.poly)
+        poly = _load(load_poly, "--poly", args.poly)
         if abs(poly.spec.q - scheme.q0) > 1e-9 * scheme.q0:
             poly = poly.rescaled(float(scheme.q0))
     if args.mode == "fir" and not args.fir_length:
@@ -373,7 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,9 @@ noise bound) so tests can assert the fidelity invariant
 after every operation.  Ciphertext bodies are lists of Python ints
 (arbitrary precision), stored as centered residues in [-q/2, q/2).
 
+Homomorphic operations: add, matvec (plaintext matrix times ciphertext
+vector; a plaintext scalar product is the 1x1 case) and rescale.
+
 Modulus chain: q_level = q0 * c**level, level in 0..L.  One rescale
 consumes one level; the emulated bootstrap consumes a level-0
 ciphertext and returns a fresh level-L one whose plaintext is the
@@ -41,7 +44,6 @@ __all__ = [
     "decrypt",
     "decrypt_raw",
     "add",
-    "plain_mul",
     "matvec",
     "rescale",
     "bootstrap_emulated",
@@ -155,10 +157,6 @@ class Ciphertext:
     noise_bound: float
     debug_plaintext: float
 
-    def copy(self):
-        return Ciphertext(list(self.body), self.level, self.scale_exponent,
-                          self.noise_bound, self.debug_plaintext)
-
 
 @dataclass(frozen=True)
 class BootstrapEvent:
@@ -216,26 +214,33 @@ def _budget_check(params: SchemeParams, ct: Ciphertext):
     return ct
 
 
+def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
+           noise_bound: float, debug: float) -> Ciphertext:
+    """Encrypt the encoded integer m afresh (draws e, then a)."""
+    params = keys.params
+    q = params.modulus(level)
+    e = keys.rng.randint(-params.noise_bound, params.noise_bound)
+    a = [keys.rng.randrange(q) for _ in range(params.n)]
+    b = (m + e - sum(ai * si for ai, si in zip(a, keys.s))) % q
+    ct = Ciphertext(
+        body=[_centered(b, q)] + [_centered(ai, q) for ai in a],
+        level=level,
+        scale_exponent=scale_exponent,
+        noise_bound=noise_bound,
+        debug_plaintext=debug,
+    )
+    return _budget_check(params, ct)
+
+
 def encrypt(keys: Keys, value: float, level: int | None = None,
             scale_exponent: int = 1) -> Ciphertext:
     """Encode round(value * c**scale_exponent) and encrypt it."""
     params = keys.params
     if level is None:
         level = params.L
-    q = params.modulus(level)
     m = int(round(value * float(params.c) ** scale_exponent))
-    e = keys.rng.randint(-params.noise_bound, params.noise_bound)
-    a = [keys.rng.randrange(q) for _ in range(params.n)]
-    b = (m + e - sum(ai * si for ai, si in zip(a, keys.s))) % q
-    body = [_centered(b, q)] + [_centered(ai, q) for ai in a]
-    ct = Ciphertext(
-        body=body,
-        level=level,
-        scale_exponent=scale_exponent,
-        noise_bound=params.noise_bound + 0.5,
-        debug_plaintext=float(value),
-    )
-    return _budget_check(params, ct)
+    return _fresh(keys, m, level, scale_exponent, params.noise_bound + 0.5,
+                  float(value))
 
 
 def decrypt_raw(keys: Keys, ct: Ciphertext) -> int:
@@ -272,23 +277,6 @@ def add(params: SchemeParams, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         debug_plaintext=ct1.debug_plaintext + ct2.debug_plaintext,
     )
     return _budget_check(params, ct)
-
-
-def plain_mul(params: SchemeParams, ct: Ciphertext, factor: float) -> Ciphertext:
-    """Multiply by a real constant encoded as round(c * factor); scale +1."""
-    f_int = int(round(params.c * factor))
-    round_err = abs(f_int - params.c * factor)
-    q = params.modulus(ct.level)
-    scale_old = float(params.c) ** ct.scale_exponent
-    ct_out = Ciphertext(
-        body=[_centered(f_int * x, q) for x in ct.body],
-        level=ct.level,
-        scale_exponent=ct.scale_exponent + 1,
-        noise_bound=abs(f_int) * ct.noise_bound
-        + round_err * abs(ct.debug_plaintext) * scale_old,
-        debug_plaintext=factor * ct.debug_plaintext,
-    )
-    return _budget_check(params, ct_out)
 
 
 def matvec(params: SchemeParams, M, cts: list) -> list:
@@ -405,18 +393,8 @@ def bootstrap_emulated(keys: Keys, ct: Ciphertext,
     )
 
     scale = float(params.c) ** ct.scale_exponent
-    q_top = params.modulus(params.L)
-    e = keys.rng.randint(-params.noise_bound, params.noise_bound)
-    a = [keys.rng.randrange(q_top) for _ in range(params.n)]
-    b = (output + e - sum(ai * si for ai, si in zip(a, keys.s))) % q_top
-    fresh = Ciphertext(
-        body=[_centered(b, q_top)] + [_centered(ai, q_top) for ai in a],
-        level=params.L,
-        scale_exponent=ct.scale_exponent,
-        noise_bound=float(params.noise_bound),
-        debug_plaintext=output / scale,
-    )
-    return _budget_check(params, fresh), event
+    return _fresh(keys, output, params.L, ct.scale_exponent,
+                  float(params.noise_bound), output / scale), event
 
 
 def scheme_to_json(params: SchemeParams) -> dict:
@@ -432,7 +410,11 @@ def scheme_to_json(params: SchemeParams) -> dict:
 
 
 def scheme_from_json(data: dict) -> SchemeParams:
-    kwargs = {k: int(data[k]) for k in ("n", "q0", "c", "L", "noise_bound", "seed")}
+    required = ("n", "q0", "c", "L", "noise_bound", "seed")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ValueError(f"scheme JSON is missing fields: {', '.join(missing)}")
+    kwargs = {k: int(data[k]) for k in required}
     if "hamming_weight" in data:
         kwargs["hamming_weight"] = int(data["hamming_weight"])
     return SchemeParams(**kwargs)

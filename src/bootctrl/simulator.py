@@ -4,7 +4,10 @@ Four modes:
 
 * ENCRYPTED: the controller state lives in ciphertexts, one rescale per
   step, and every T_BS steps the state is refreshed through the fitted
-  polynomial (this is the loop the lifted LMI test certifies).
+  polynomial (this is the loop the lifted LMI test certifies).  A step is
+  the controller's two affine maps of the encrypted stack [x_c; y; w_p2]:
+  one matvec by [Cc Dc F2] gives u, one matvec by [Ac Bc B2] followed by
+  a rescale gives the next x_c.
 * RESET: instead of refreshing, the controller state is re-encrypted as
   zero every T_BS steps (slope-1 sector, lifted test).
 * FIR: a delay-line controller evaluated from a window of fresh
@@ -60,7 +63,6 @@ class SimulationConfig:
     T_BS: int = 10
     fir_length: int = 0
     seed: int = 0
-    fidelity_checks: bool = True
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -143,7 +145,6 @@ def run_closed_loop(plant: Plant, controller: Controller,
     p_y, m_u = plant.p_y, controller.m_u
     w1 = _as_signal(w_p1, steps, plant.m_w1, "w_p1")
     w2 = _as_signal(w_p2, steps, controller.m_w2, "w_p2")
-    use_w2 = w_p2 is not None
 
     if config.mode == ENCRYPTED:
         if scheme is None or poly is None:
@@ -167,7 +168,9 @@ def run_closed_loop(plant: Plant, controller: Controller,
             raise ValueError("FIR mode needs scheme")
         fir_closed_loop(plant, controller, config.fir_length)  # validates
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have plant.n = {n} entries, got shape {x.shape}")
     w_p = np.hstack([w1, w2])
     if w_u is not None and config.mode != PLAINTEXT_REFERENCE:
         raise ValueError("w_u injection is only meaningful in PLAINTEXT_REFERENCE mode")
@@ -203,10 +206,12 @@ def run_closed_loop(plant: Plant, controller: Controller,
     # randomness while the secret key stays tied to the scheme seed.
     keys.rng.seed((scheme.seed + 1) * 1_000_003 + config.seed)
 
+    def encrypt_all(values, level):
+        return [cs.encrypt(keys, float(v), level=level) for v in values]
+
     def check(cts):
+        """Ledger check; each ciphertext is checked once, when it is made."""
         nonlocal max_fid
-        if not config.fidelity_checks:
-            return
         for ct in cts:
             err = cs.fidelity_error(keys, ct)
             if ct.noise_bound > 0:
@@ -219,23 +224,22 @@ def run_closed_loop(plant: Plant, controller: Controller,
     if config.mode == FIR:
         N = config.fir_length
         lam, c_out = _fir_params(controller, N)
-        window = [
-            [cs.encrypt(keys, 0.0, level=1) for _ in range(p_y)]
-            for _ in range(N)
-        ]  # window[0] holds y(t-1), window[N-1] holds y(t-N)
-        u_row = np.hstack([c_out * lam ** i for i in range(N)] + [controller.Dc])
+        # flat window: y(t-1) first, y(t-N) last, p_y ciphertexts each
+        window = encrypt_all(np.zeros(N * p_y), 1)
+        check(window)
+        u_row = np.hstack([c_out * lam ** i for i in range(N)]
+                          + [controller.Dc]).tolist()
         for t in range(steps):
             y = plant.C @ x + plant.F1 @ w1[t]
-            enc_y = [cs.encrypt(keys, float(yi), level=1) for yi in y]
-            stacked = [ct for slot in window for ct in slot] + enc_y
-            u_cts = cs.matvec(scheme, u_row, stacked)
-            check(stacked)
+            enc_y = encrypt_all(y, 1)
+            check(enc_y)
+            u_cts = cs.matvec(scheme, u_row, window + enc_y)
             check(u_cts)
             u = np.array([cs.decrypt(keys, ct) for ct in u_cts])
             z_p[t] = plant.C1 @ x + plant.D1 @ w1[t] + plant.E @ u
             u_log[t], y_log[t] = u, y
             x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
-            window = [enc_y] + window[:-1]
+            window = enc_y + window[:len(window) - p_y]
             x_log[t + 1] = x
         # delay-line state by definition: slot i holds y(t-i) and the
         # aggregator holds sum_{i=1..N} lam^(i-1) y(t-i)
@@ -247,27 +251,26 @@ def run_closed_loop(plant: Plant, controller: Controller,
         return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log,
                                 xc_log, gain, events, violations, max_fid)
 
-    # ENCRYPTED / RESET: persistent encrypted controller state
+    # ENCRYPTED / RESET: persistent encrypted controller state.  The w_p2
+    # columns enter only when w_p2 is given: encrypting zeros would draw
+    # encryption randomness and change every seeded run.
+    k = 0 if w_p2 is None else controller.m_w2
+    out_rows = np.hstack([controller.Cc, controller.Dc,
+                          controller.F2[:, :k]]).tolist()
+    state_rows = np.hstack([controller.Ac, controller.Bc,
+                            controller.B2[:, :k]]).tolist()
+    w_enc = w2[:, :k]
     top = scheme.L
     xc_log = np.zeros((steps + 1, nc))
-    x_c = [cs.encrypt(keys, 0.0, level=top) for _ in range(nc)]
+    x_c = encrypt_all(np.zeros(nc), top)
+    check(x_c)
     for t in range(steps):
         y = plant.C @ x + plant.F1 @ w1[t]
-        level_now = x_c[0].level
-        enc_y = [cs.encrypt(keys, float(yi), level=level_now) for yi in y]
-        enc_w2 = (
-            [cs.encrypt(keys, float(wi), level=level_now) for wi in w2[t]]
-            if use_w2 else None
-        )
+        inputs = np.concatenate([y, w_enc[t]])
+        enc_in = encrypt_all(inputs, x_c[0].level)
 
         # control from the pre-refresh state
-        u_cts = cs.matvec(scheme, controller.Cc, x_c)
-        dy = cs.matvec(scheme, controller.Dc, enc_y)
-        u_cts = [cs.add(scheme, a, b) for a, b in zip(u_cts, dy)]
-        if use_w2:
-            f2 = cs.matvec(scheme, controller.F2, enc_w2)
-            u_cts = [cs.add(scheme, a, b) for a, b in zip(u_cts, f2)]
-        check(x_c)
+        u_cts = cs.matvec(scheme, out_rows, x_c + enc_in)
         check(u_cts)
         u = np.array([cs.decrypt(keys, ct) for ct in u_cts])
         z_p[t] = plant.C1 @ x + plant.D1 @ w1[t] + plant.E @ u
@@ -290,20 +293,12 @@ def run_closed_loop(plant: Plant, controller: Controller,
                     refreshed.append(fresh)
                 x_c = refreshed
             else:
-                x_c = [cs.encrypt(keys, 0.0, level=top) for _ in range(nc)]
+                x_c = encrypt_all(np.zeros(nc), top)
             check(x_c)
-            enc_y = [cs.encrypt(keys, float(yi), level=x_c[0].level) for yi in y]
-            if use_w2:
-                enc_w2 = [cs.encrypt(keys, float(wi), level=x_c[0].level)
-                          for wi in w2[t]]
+            enc_in = encrypt_all(inputs, x_c[0].level)
 
-        new_xc = cs.matvec(scheme, controller.Ac, x_c)
-        by = cs.matvec(scheme, controller.Bc, enc_y)
-        new_xc = [cs.add(scheme, a, b) for a, b in zip(new_xc, by)]
-        if use_w2:
-            b2w = cs.matvec(scheme, controller.B2, enc_w2)
-            new_xc = [cs.add(scheme, a, b) for a, b in zip(new_xc, b2w)]
-        x_c = [cs.rescale(scheme, ct) for ct in new_xc]
+        x_c = [cs.rescale(scheme, ct)
+               for ct in cs.matvec(scheme, state_rows, x_c + enc_in)]
         check(x_c)
 
         x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]

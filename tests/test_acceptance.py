@@ -215,7 +215,8 @@ def test_criterion_6_noise_ledger_soundness(scheme, fitted_poly):
             keys, cs.encrypt(keys, value, level=0), poly)
         check(fresh)
 
-    # arithmetic cases: random add/plain_mul/matvec/rescale circuits
+    # arithmetic cases: random add/scalar/matvec/rescale circuits (a
+    # scalar product is the 1x1 matvec)
     while cases < 100_000:
         level = int(rng.integers(1, scheme.L + 1))
         cts = [cs.encrypt(keys, float(rng.uniform(-40, 40)), level=level)
@@ -233,8 +234,8 @@ def test_criterion_6_noise_ledger_soundness(scheme, fitted_poly):
                         cts[i] = cs.add(scheme, cts[i], cts[j])
                 elif op == 1:
                     i = rng.integers(0, 3)
-                    cts[i] = cs.plain_mul(scheme, cts[i],
-                                          float(rng.uniform(-2, 2)))
+                    cts[i] = cs.matvec(scheme, [[float(rng.uniform(-2, 2))]],
+                                       [cts[i]])[0]
                 elif op == 2 and all(
                         c.level == cts[0].level
                         and c.scale_exponent == cts[0].scale_exponent

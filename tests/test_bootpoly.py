@@ -11,6 +11,8 @@ from bootctrl.bootpoly import (
     centered_mod,
     fit,
     load_poly,
+    poly_from_json,
+    poly_to_json,
     save_poly,
     verify,
 )
@@ -130,6 +132,22 @@ def test_poly_json_roundtrip(tmp_path, fitted_poly):
     assert np.array_equal(loaded.coefficients, fitted_poly.coefficients)
     assert loaded.gamma_certified == fitted_poly.gamma_certified
     assert loaded.verification_samples == fitted_poly.verification_samples
+
+
+def test_poly_json_missing_field(fitted_poly):
+    data = poly_to_json(fitted_poly)
+    del data["spec"]["q"]
+    del data["gamma_certified"]
+    with pytest.raises(ValueError, match="missing fields: gamma_certified, spec.q"):
+        poly_from_json(data)
+
+
+def test_poly_json_interval_checked_at_both_ends(fitted_poly):
+    data = poly_to_json(fitted_poly)
+    lo, hi = data["interval"]
+    data["interval"] = [0.5 * lo, hi]
+    with pytest.raises(ValueError, match="interval"):
+        poly_from_json(data)
 
 
 def test_coefficient_length_checked():

@@ -220,6 +220,30 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
     assert "analysis aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--system"), ("analyze", "--poly"),
+    ("simulate", "--system"), ("simulate", "--scheme"),
+    ("lift-check", "--system"),
+])
+@pytest.mark.parametrize("content", [None, "{}", "not json"],
+                         ids=["missing", "no_fields", "not_json"])
+def test_bad_input_file_is_an_exit_code(tmp_path, capsys, command, flag,
+                                        content):
+    """A missing, empty or unparsable input file gives one line on stderr
+    and exit 2, not a traceback."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code = run([command, flag, str(path), "--tbs", "3",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load {flag} {path}")
+    assert err.count("\n") == 1
+    if content == "{}":
+        assert "missing fields" in err
+
+
 # --------------------------------------------------------------------------
 # lift-check
 

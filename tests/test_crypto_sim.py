@@ -86,7 +86,7 @@ def test_roundtrip_within_noise(keys, small_scheme):
         assert fidelity_ok(keys, ct)
 
 
-def test_add_and_plain_mul(keys, small_scheme):
+def test_add_and_scalar_matvec(keys, small_scheme):
     a = cs.encrypt(keys, 2.5, level=2)
     b = cs.encrypt(keys, -1.25, level=2)
     s = cs.add(small_scheme, a, b)
@@ -94,7 +94,7 @@ def test_add_and_plain_mul(keys, small_scheme):
     assert fidelity_ok(keys, s)
     assert abs(cs.decrypt(keys, s) - 1.25) <= s.noise_bound / small_scheme.c
 
-    p = cs.plain_mul(small_scheme, a, -0.75)
+    p = cs.matvec(small_scheme, [[-0.75]], [a])[0]
     assert p.scale_exponent == 2
     assert p.debug_plaintext == pytest.approx(-1.875)
     assert fidelity_ok(keys, p)
@@ -129,13 +129,13 @@ def test_matvec_rejects_ragged_levels(keys, small_scheme):
 
 def test_rescale_drops_level_and_scale(keys, small_scheme):
     ct = cs.encrypt(keys, 7.5, level=2, scale_exponent=1)
-    ct2 = cs.plain_mul(small_scheme, ct, 1.5)  # scale 2
+    ct2 = cs.matvec(small_scheme, [[1.5]], [ct])[0]  # scale 2
     out = cs.rescale(small_scheme, ct2)
     assert out.level == 1 and out.scale_exponent == 1
     assert out.debug_plaintext == pytest.approx(11.25)
     assert fidelity_ok(keys, out)
-    level0 = cs.rescale(small_scheme, cs.plain_mul(small_scheme, cs.encrypt(
-        keys, 1.0, level=1), 1.0))
+    level0 = cs.rescale(small_scheme, cs.matvec(small_scheme, [[1.0]], [
+        cs.encrypt(keys, 1.0, level=1)])[0])
     with pytest.raises(cs.NoLevelsLeftError):
         cs.rescale(small_scheme, level0)
 
@@ -152,7 +152,7 @@ def test_budget_overflow_rejected(keys, small_scheme):
 
 def test_noise_ledger_sound_under_random_circuits(keys, small_scheme):
     """The ledger bound |Dec_raw - c**sigma * debug| <= nu must hold after
-    every operation of random add/plain_mul/matvec/rescale circuits."""
+    every operation of random add/scalar/matvec/rescale circuits."""
     rng = np.random.default_rng(2024)
     checks = 0
     for _ in range(60):
@@ -172,8 +172,9 @@ def test_noise_ledger_sound_under_random_circuits(keys, small_scheme):
                         cts[i] = cs.add(small_scheme, cts[i], cts[j])
                 elif op == 1:
                     i = rng.integers(0, len(cts))
-                    cts[i] = cs.plain_mul(small_scheme, cts[i],
-                                          float(rng.uniform(-2, 2)))
+                    cts[i] = cs.matvec(small_scheme,
+                                       [[float(rng.uniform(-2, 2))]],
+                                       [cts[i]])[0]
                 elif op == 2 and all(
                         c.level == cts[0].level
                         and c.scale_exponent == cts[0].scale_exponent
@@ -290,6 +291,13 @@ def test_scheme_json_roundtrip(tmp_path, small_scheme):
     cs.save_scheme(path, small_scheme)
     loaded = cs.load_scheme(path)
     assert loaded == small_scheme
+
+
+def test_scheme_json_missing_field(small_scheme):
+    data = cs.scheme_to_json(small_scheme)
+    del data["q0"]
+    with pytest.raises(ValueError, match="missing fields: q0"):
+        cs.scheme_from_json(data)
 
 
 def test_scheme_json_default_hamming_weight(small_scheme):

@@ -3,6 +3,8 @@ model, the encrypted loop equals the reference plus injected refresh errors,
 reset and FIR modes match their algebraic models, and the empirical gain
 stays under the certified bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,12 @@ def test_plaintext_wu_injection_matches_model(plant, controller):
     np.testing.assert_allclose(res.x_c, xi[:, plant.n:], atol=1e-10)
 
 
+def test_x0_length_checked(plant, controller):
+    for x0 in (np.zeros(plant.n + 1), np.zeros((plant.n, 1))):
+        with pytest.raises(ValueError, match=f"plant.n = {plant.n} entries"):
+            run_closed_loop(plant, controller, _plain_cfg(10), x0=x0)
+
+
 def test_w_u_rejected_outside_plaintext(plant, controller, scheme, sim_poly):
     cfg = SimulationConfig(mode=ENCRYPTED, steps=20, T_BS=scheme.L)
     with pytest.raises(ValueError, match="PLAINTEXT_REFERENCE"):
@@ -77,8 +85,19 @@ def test_w_u_rejected_outside_plaintext(plant, controller, scheme, sim_poly):
 # encrypted mode
 
 
+def _controller_noise(with_w2, rng, steps, controller):
+    """(controller, w_p2): w_p2 absent, or 0.1 * standard normal through a
+    nonzero F2 (the demo F2 is zero), so the F2 and B2 columns both act."""
+    if not with_w2:
+        return controller, None
+    return (replace(controller, F2=0.5 * np.ones_like(controller.F2)),
+            0.1 * rng.standard_normal((steps, controller.m_w2)))
+
+
+@pytest.mark.parametrize("with_w2", [False, True],
+                         ids=["w_p2_absent", "w_p2_random"])
 def test_encrypted_replay_through_ideal_model(plant, controller, scheme,
-                                              sim_poly):
+                                              sim_poly, with_w2):
     """Replaying the recorded refresh errors as w_u through the plaintext
     model reproduces the encrypted trajectories: the encrypted loop IS the
     nominal interconnection driven by the refresh-error uncertainty (plus
@@ -86,9 +105,10 @@ def test_encrypted_replay_through_ideal_model(plant, controller, scheme,
     steps = 400
     rng = np.random.default_rng(3)
     w1 = rng.standard_normal((steps, plant.m_w1))
+    controller, w2 = _controller_noise(with_w2, rng, steps, controller)
     cfg = SimulationConfig(mode=ENCRYPTED, steps=steps, T_BS=scheme.L, seed=5)
     res = run_closed_loop(plant, controller, cfg, scheme=scheme,
-                          poly=sim_poly, w_p1=w1)
+                          poly=sim_poly, w_p1=w1, w_p2=w2)
     n_refresh = (steps - 1) // scheme.L
     assert len(res.events) == controller.nc * n_refresh
     assert res.violations == 0
@@ -103,7 +123,7 @@ def test_encrypted_replay_through_ideal_model(plant, controller, scheme,
             wu[t, comp] = ev.output / scheme.c - res.x_c[t, comp]
 
     replay = run_closed_loop(plant, controller, _plain_cfg(steps), w_p1=w1,
-                             w_u=wu)
+                             w_p2=w2, w_u=wu)
     scale = max(1.0, np.abs(res.x_c).max())
     assert np.abs(replay.x_c - res.x_c).max() / scale <= 2e-3
     assert np.abs(replay.z_p - res.z_p).max() \
@@ -163,21 +183,23 @@ def test_simulation_determinism(plant, controller, scheme, sim_poly):
 # reset mode
 
 
-def _plaintext_reset_recursion(plant, controller, w1, T_reset):
+def _plaintext_reset_recursion(plant, controller, w1, T_reset, w2=None):
     """Reference recursion: u from the pre-reset state, reset before the
     state update, exactly as the encrypted loop schedules it."""
     steps = w1.shape[0]
+    if w2 is None:
+        w2 = np.zeros((steps, controller.m_w2))
     x = np.zeros(plant.n)
     xc = np.zeros(controller.nc)
     xc_log = np.zeros((steps + 1, controller.nc))
     u_log = np.zeros((steps, controller.m_u))
     for t in range(steps):
         y = plant.C @ x + plant.F1 @ w1[t]
-        u = controller.Cc @ xc + controller.Dc @ y
+        u = controller.Cc @ xc + controller.Dc @ y + controller.F2 @ w2[t]
         u_log[t] = u
         if t > 0 and t % T_reset == 0:
             xc = np.zeros(controller.nc)
-        xc = controller.Ac @ xc + controller.Bc @ y
+        xc = controller.Ac @ xc + controller.Bc @ y + controller.B2 @ w2[t]
         x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
         xc_log[t + 1] = xc
     return xc_log, u_log
@@ -200,16 +222,20 @@ def test_reset_equals_wu_injection_exactly(plant, controller):
     assert np.abs(replay.x_c - xc_log).max() <= 1e-12
 
 
-def test_encrypted_reset_tracks_plaintext(plant, controller, scheme):
+@pytest.mark.parametrize("with_w2", [False, True],
+                         ids=["w_p2_absent", "w_p2_random"])
+def test_encrypted_reset_tracks_plaintext(plant, controller, scheme, with_w2):
     steps, T_reset = 200, 10
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((steps, plant.m_w1))
+    controller, w2 = _controller_noise(with_w2, rng, steps, controller)
     cfg = SimulationConfig(mode=RESET, steps=steps, T_BS=T_reset)
-    res = run_closed_loop(plant, controller, cfg, scheme=scheme, w_p1=w1)
+    res = run_closed_loop(plant, controller, cfg, scheme=scheme, w_p1=w1,
+                          w_p2=w2)
     assert res.events == [] and res.violations == 0
 
     xc_log, u_log = _plaintext_reset_recursion(plant, controller, w1,
-                                               T_reset)
+                                               T_reset, w2)
     assert np.abs(res.x_c - xc_log).max() <= 1e-3
     assert np.abs(res.u - u_log).max() <= 1e-3
 
