@@ -15,6 +15,7 @@ a-posteriori sampling, which is the authoritative certificate.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -298,8 +299,20 @@ def poly_to_json(poly: BootstrapPolynomial) -> dict:
     }
 
 
+def _json_float(value, name):
+    """value as a float if it is a finite JSON number; ValueError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"poly JSON field {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def poly_from_json(data: dict) -> BootstrapPolynomial:
+    if not isinstance(data, dict):
+        raise ValueError(f"poly JSON must be an object, got {type(data).__name__}")
     spec_data = data.get("spec", {})
+    if not isinstance(spec_data, dict):
+        raise ValueError("poly JSON field spec must be an object")
     spec_fields = ("q", "epsilon", "K", "d")
     missing = [k for k in ("basis", "coefficients", "gamma_certified")
                if k not in data]
@@ -308,14 +321,24 @@ def poly_from_json(data: dict) -> BootstrapPolynomial:
         raise ValueError(f"poly JSON is missing fields: {', '.join(missing)}")
     if data["basis"] != "chebyshev":
         raise ValueError(f"unsupported basis: {data['basis']!r}")
-    spec = BootstrapSpec(**{k: spec_data[k] for k in spec_fields})
+    coefficients = data["coefficients"]
+    samples = data.get("verification_samples", 0)
+    if not isinstance(coefficients, list):
+        raise ValueError("poly JSON field coefficients must be a list")
+    if type(samples) is not int:
+        raise ValueError("poly JSON field verification_samples must be an integer")
+    spec = BootstrapSpec(**{k: _json_float(spec_data[k], f"spec.{k}")
+                            for k in spec_fields})
     poly = BootstrapPolynomial(
         spec=spec,
-        coefficients=np.asarray(data["coefficients"], dtype=float),
-        gamma_certified=float(data["gamma_certified"]),
-        verification_samples=int(data.get("verification_samples", 0)),
+        coefficients=np.array([_json_float(c, "coefficients") for c in coefficients]),
+        gamma_certified=_json_float(data["gamma_certified"], "gamma_certified"),
+        verification_samples=samples,
     )
-    lo, hi = data.get("interval", poly.interval)
+    interval = data.get("interval", list(poly.interval))
+    if not (isinstance(interval, list) and len(interval) == 2):
+        raise ValueError("poly JSON field interval must be a list [lo, hi]")
+    lo, hi = (_json_float(x, "interval") for x in interval)
     if not (np.isclose(-lo, poly.spec.half_range, rtol=1e-9)
             and np.isclose(hi, poly.spec.half_range, rtol=1e-9)):
         raise ValueError("interval in JSON is inconsistent with the spec fields")

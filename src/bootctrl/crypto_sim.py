@@ -410,13 +410,16 @@ def scheme_to_json(params: SchemeParams) -> dict:
 
 
 def scheme_from_json(data: dict) -> SchemeParams:
+    if not isinstance(data, dict):
+        raise ValueError(f"scheme JSON must be an object, got {type(data).__name__}")
     required = ("n", "q0", "c", "L", "noise_bound", "seed")
     missing = [k for k in required if k not in data]
     if missing:
         raise ValueError(f"scheme JSON is missing fields: {', '.join(missing)}")
-    kwargs = {k: int(data[k]) for k in required}
-    if "hamming_weight" in data:
-        kwargs["hamming_weight"] = int(data["hamming_weight"])
+    kwargs = {k: data[k] for k in required + ("hamming_weight",) if k in data}
+    bad = [k for k, value in kwargs.items() if type(value) is not int]
+    if bad:
+        raise ValueError(f"scheme JSON fields must be integers: {', '.join(bad)}")
     return SchemeParams(**kwargs)
 
 

@@ -9,9 +9,11 @@ scalar tau).  The solver runs a phase-I eigenvalue-shift minimization:
 
 driven by a log-det barrier with damped Newton steps.  The verdict is
 FEASIBLE exactly when the optimal shift satisfies s <= -delta.  Every
-certificate is re-validated by check_certificate, whose eigenvalue path
-(a cyclic Jacobi iteration implemented here) shares no code with the
-barrier machinery, so solver quality is never safety-critical.
+certificate is re-validated by check_certificate, which returns a
+Cholesky-verified lower bound (Rump 2006) on its margin: the bound holds
+for the exact real-valued constraints, whatever the rounding in forming
+them, and never depends on the barrier or on an eigensolver being
+accurate, so solver quality is never safety-critical.
 
 INFEASIBLE means the phase-I optimum stays above -delta.  The tests in
 this package are sufficient conditions, so INFEASIBLE never implies that
@@ -162,7 +164,11 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class SdpCertificate:
-    """Materialized feasible point (X, tau) plus its independently checked margin."""
+    """Materialized feasible point (X, tau) plus its checked margin.
+
+    margin_achieved is check_certificate's Cholesky-verified lower bound
+    (Rump 2006) on the minimum constraint margin at (X, tau).
+    """
 
     X: np.ndarray
     tau: float | None
@@ -208,8 +214,9 @@ class SolveOutcome:
 def jacobi_eigvals(A, tol=1e-13, max_sweeps=100):
     """Eigenvalues of a symmetric matrix by the cyclic Jacobi iteration.
 
-    Deterministic sweep order, no external eigenvalue routine; accurate to
-    far better than 1e-10 on the matrix sizes used here (<= ~50).
+    A reference solver: deterministic sweep order, no external eigenvalue
+    routine, accurate to far better than 1e-10 on the matrix sizes used
+    here (<= ~50).  The tests use it as an oracle independent of LAPACK.
     """
     A = np.asarray(A, dtype=float)
     _check_symmetric(A, "matrix")
@@ -227,10 +234,16 @@ def jacobi_eigvals(A, tol=1e-13, max_sweeps=100):
                 apq = M[p, q]
                 if abs(apq) <= 1e-300:
                     continue
-                theta = (M[q, q] - M[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
+                gap = M[q, q] - M[p, p]
+                if abs(gap) + 100.0 * abs(apq) == abs(gap):
+                    # theta = gap / (2 apq) is so large that theta**2 would
+                    # overflow; there t = 1/(2 theta) to working precision.
+                    t = apq / gap
+                else:
+                    theta = gap / (2.0 * apq)
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    if theta == 0.0:
+                        t = 1.0
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
                 rot = np.array([[c, s], [-s, c]])
@@ -242,19 +255,79 @@ def jacobi_eigvals(A, tol=1e-13, max_sweeps=100):
     return np.sort(np.diag(M))
 
 
-def check_certificate(problem: LmiProblem, cert: SdpCertificate) -> float:
-    """Substitute (X, tau) into every constraint; return the minimum margin.
+_U = 2.0 ** -53  # unit roundoff of IEEE double precision
+_ETA = 2.0 ** -1074  # smallest positive subnormal
+_TINY = 2.0 ** -1022  # smallest positive normal number
+_WIDENINGS = 4  # Cholesky attempts per constraint before giving up
 
-    Margins are extreme eigenvalues computed by the Jacobi path: lambda_min
-    for strict-positive constraints, -lambda_max for strict-negative ones.
-    This function never touches the barrier solver.
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), the relative error of k flops."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _verified_lambda_min(H):
+    """A rigorous lower bound on lambda_min of the float matrix H, or -inf.
+
+    eigvalsh proposes s just below lambda_min; a floating-point Cholesky
+    of fl(H - s I) then decides.  If it runs to completion, Demmel's bound
+    R^T R = A + dA, |dA| <= gamma_{n+1} |R^T| |R|, gives lambda_min(A) >=
+    -gamma_{n+1} / (1 - gamma_{n+1}) * trace(A) for A = fl(H - s I), and the
+    shift rounds each diagonal entry by at most u relative (Rump, BIT
+    Numer. Math. 46 (2006) 433-452, with his underflow term).  Soundness
+    therefore never depends on eigvalsh being accurate; if the Cholesky
+    keeps failing as s is lowered, no bound is claimed.
+    """
+    n = H.shape[0]
+    if not np.isfinite(H).all():
+        return -np.inf
+    g = _gamma(n + 1)
+    alpha = g / (1.0 - g)
+    lam = np.linalg.eigvalsh(H)[0]
+    slack = n * (_U * np.abs(H).sum(axis=1).max() + _TINY)
+    for _ in range(_WIDENINGS):
+        s = lam - slack
+        shifted = H - s * np.eye(n)
+        if not _strictly_positive(shifted):
+            slack *= 64.0
+            continue
+        d = np.abs(np.diag(shifted))
+        rho = (alpha * d.sum() + 2.0 * _U * d.max()
+               + 3.0 * n * (2.0 * n + d.max()) * _ETA)
+        # rho and alpha take fewer than n + 10 roundings: inflate rho by
+        # that relative error, then round the difference down.
+        return np.nextafter(s - rho * (1.0 + _gamma(n + 10)), -np.inf)
+    return -np.inf
+
+
+def check_certificate(problem: LmiProblem, cert: SdpCertificate) -> float:
+    """Substitute (X, tau) into every constraint; return a verified lower
+    bound on the minimum margin.
+
+    The margin is lambda_min(G) for strict-positive constraints and
+    -lambda_max(G) for strict-negative ones.  The result is a
+    Cholesky-verified lower bound (Rump 2006) on it for the exact real
+    constraints const + sum_k v_k coeffs[k] at the certificate's float
+    (X, tau): it allows for the rounding in forming G and in the check
+    itself, and is -inf when no bound could be verified.  This function
+    never touches the barrier solver.
     """
     v = problem.pack(cert.X, cert.tau)
+    p = problem.n_vars
     margin = np.inf
     for con in problem.constraints:
-        G = con.const + np.tensordot(v, con.coeffs, axes=(0, 0))
-        eigs = jacobi_eigvals(G)
-        margin = min(margin, eigs[0] if con.sense == "pos" else -eigs[-1])
+        n = con.dim
+        G = con.evaluate(v)
+        # |fl(G) - G| <= gamma_{p+1} B entrywise.  For a symmetric
+        # nonnegative B, ||B||_2 is at most its largest row sum, which
+        # takes no squares and so cannot underflow.
+        B = np.abs(con.const) + np.tensordot(np.abs(v), np.abs(con.coeffs), axes=(0, 0))
+        B = np.maximum(B, B.T)
+        rho_form = _gamma(p + 1) * B.sum(axis=1).max() + n * (p + 1) * _ETA
+        # B, its row sums and gamma take fewer than 2p + n + 4 roundings.
+        rho_form *= 1.0 + _gamma(2 * p + n + 4)
+        lam = _verified_lambda_min(G if con.sense == "pos" else -G)
+        margin = min(margin, np.nextafter(lam - rho_form, -np.inf))
     return float(margin)
 
 

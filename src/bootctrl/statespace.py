@@ -32,7 +32,10 @@ __all__ = [
 
 def as_matrix(value, name="matrix"):
     """Coerce scalars / nested lists into a 2-D float array."""
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
+    try:
+        arr = np.atleast_2d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise ValueError(f"{name} must be at most 2-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -413,6 +416,8 @@ def system_to_json(plant: Plant, controller: Controller) -> dict:
 
 def system_from_json(data: dict):
     """Rebuild (plant, controller) from the JSON object written by system_to_json."""
+    if not isinstance(data, dict):
+        raise ValueError(f"system JSON must be an object, got {type(data).__name__}")
     missing = [
         k for k in _PLANT_FIELDS + _CONTROLLER_FIELDS if k not in data
     ]

@@ -2,6 +2,8 @@
 independent congruence recomputation, lifted-test consistency, FIR adapter
 rewiring, and the report objects."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,30 @@ def test_theorem2_with_unit_period_equals_theorem1(plant, controller):
         assert np.array_equal(c1.const, c2.const)
         assert np.array_equal(c1.coeffs, c2.coeffs)
         assert c1.sense == c2.sense
+
+
+def test_certificate_check_at_refresh_period_50(plant, controller,
+                                                reference_slope):
+    """The T_BS=10 certificate substituted into the T_BS=50 test (a 156x156
+    LMI with the same X) is checked without any RuntimeWarning, and its
+    verified bound is finite and below the eigvalsh margin."""
+    cl = interconnect(plant, controller)
+    sector = SectorBound.symmetric(reference_slope, cl.n_zu)
+    perf = l2_gain_index(cl.m_wp, cl.p_z, 4.0 ** 2)
+    outcome = solve_feasibility(build_theorem2(cl, perf, sector, 10))
+    assert outcome.feasible
+    problem = build_theorem2(cl, perf, sector, 50)
+    assert max(con.dim for con in problem.constraints) == 156
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = check_certificate(problem, outcome.certificate)
+    assert np.isfinite(bound)
+    v = problem.pack(outcome.certificate.X, outcome.certificate.tau)
+    eig_margin = min(
+        np.linalg.eigvalsh(con.evaluate(v))[0] if con.sense == "pos"
+        else -np.linalg.eigvalsh(con.evaluate(v))[-1]
+        for con in problem.constraints)
+    assert eig_margin - 1e-9 <= bound <= eig_margin
 
 
 def test_build_rejects_dimension_mismatch(plant, controller):

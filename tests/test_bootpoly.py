@@ -135,11 +135,27 @@ def test_poly_json_roundtrip(tmp_path, fitted_poly):
 
 
 def test_poly_json_missing_field(fitted_poly):
+    """Missing, null and ill-typed fields and a top level that is not an
+    object all raise ValueError, never AttributeError or TypeError."""
     data = poly_to_json(fitted_poly)
     del data["spec"]["q"]
     del data["gamma_certified"]
     with pytest.raises(ValueError, match="missing fields: gamma_certified, spec.q"):
         poly_from_json(data)
+    for top in ([1], "abc", 3, None):
+        with pytest.raises(ValueError, match="must be an object"):
+            poly_from_json(top)
+    for path in (["spec"], ["interval"], ["coefficients"], ["gamma_certified"],
+                 ["verification_samples"], ["spec", "q"], ["spec", "K"],
+                 ["interval", 0], ["coefficients", 1]):
+        for value in (None, "abc", {}, True, float("nan")):
+            data = poly_to_json(fitted_poly)
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            with pytest.raises(ValueError, match="poly JSON|interval"):
+                poly_from_json(data)
 
 
 def test_poly_json_interval_checked_at_both_ends(fitted_poly):

@@ -225,12 +225,13 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
     ("simulate", "--system"), ("simulate", "--scheme"),
     ("lift-check", "--system"),
 ])
-@pytest.mark.parametrize("content", [None, "{}", "not json"],
-                         ids=["missing", "no_fields", "not_json"])
+@pytest.mark.parametrize("content", [None, "{}", "not json", "[1]", '"abc"', "3"],
+                         ids=["missing", "no_fields", "not_json", "array",
+                              "string", "number"])
 def test_bad_input_file_is_an_exit_code(tmp_path, capsys, command, flag,
                                         content):
-    """A missing, empty or unparsable input file gives one line on stderr
-    and exit 2, not a traceback."""
+    """A missing, empty, unparsable or non-object input file gives one
+    line on stderr and exit 2, not a traceback."""
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)

@@ -294,10 +294,21 @@ def test_scheme_json_roundtrip(tmp_path, small_scheme):
 
 
 def test_scheme_json_missing_field(small_scheme):
+    """Missing, null and ill-typed fields and a top level that is not an
+    object all raise ValueError; a string is not read as a field list."""
     data = cs.scheme_to_json(small_scheme)
     del data["q0"]
     with pytest.raises(ValueError, match="missing fields: q0"):
         cs.scheme_from_json(data)
+    for top in ([1], "abc", 3, None):
+        with pytest.raises(ValueError, match="must be an object"):
+            cs.scheme_from_json(top)
+    for key in ("n", "c", "hamming_weight"):
+        for value in (None, "16", 16.5, True, [16]):
+            data = cs.scheme_to_json(small_scheme)
+            data[key] = value
+            with pytest.raises(ValueError, match=f"must be integers: {key}"):
+                cs.scheme_from_json(data)
 
 
 def test_scheme_json_default_hamming_weight(small_scheme):

@@ -1,5 +1,8 @@
-"""Semidefinite feasibility engine: Jacobi eigenvalues, hand-checkable
-Lyapunov problems, independent certificate checking, and gain bisection."""
+"""Semidefinite feasibility engine: the Jacobi reference eigensolver,
+hand-checkable Lyapunov problems, verified certificate checking, and gain
+bisection."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +49,17 @@ def test_jacobi_handles_equal_diagonal_rotation():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     np.testing.assert_allclose(np.sort(jacobi_eigvals(A)), [1.0, 3.0],
                                atol=1e-12)
+
+
+def test_jacobi_tiny_offdiagonal_does_not_overflow():
+    # Pair (0, 1) has off-diagonal 1e-200 and diagonal gap 1, so theta =
+    # 5e199 and theta * theta would overflow; the (1, 2) coupling keeps the
+    # sweep from stopping before it reaches that pair.
+    A = np.array([[0.0, 1e-200, 0.0], [1e-200, 1.0, 0.5], [0.0, 0.5, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mine = jacobi_eigvals(A)
+    np.testing.assert_allclose(mine, np.linalg.eigvalsh(A), rtol=0, atol=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -147,6 +161,65 @@ def test_random_lyapunov_matches_spectral_radius(seed):
     unstable = solve_feasibility(lyapunov_problem(1.05 * A))
     assert stable.status == FEASIBLE
     assert unstable.status == INFEASIBLE
+
+
+def _eigvalsh_margin(prob, cert):
+    """Minimum margin by numpy.linalg.eigvalsh, and the largest ||G||_F."""
+    v = prob.pack(cert.X, cert.tau)
+    margins, norm = [], 0.0
+    for con in prob.constraints:
+        G = con.evaluate(v)
+        eigs = np.linalg.eigvalsh(G)
+        margins.append(eigs[0] if con.sense == "pos" else -eigs[-1])
+        norm = max(norm, np.linalg.norm(G))
+    return min(margins), norm
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_margin_below_rounding_allowance_is_rejected(n):
+    """G = -2^40 I + X I at X = 2^40 + 2^-12: the exact margin 2^-12 ~ 2.4e-4
+    is positive and far above delta, and here the float G even equals it,
+    but forming G may err by up to gamma_2 * 2^41 ~ 4.9e-4 in general, so
+    the verified bound stays below delta.  A margin 16 times larger clears
+    the allowance and is accepted."""
+    c = 2.0 ** 40
+    con = LmiConstraint(const=-c * np.eye(n), coeffs=np.eye(n)[None],
+                        sense="pos")
+    prob = LmiProblem(n_x=1, constraints=(con,), with_tau=False)
+    delta = 1e-7
+    for k, accepted in ((1, False), (16, True)):
+        exact = k * 2.0 ** -12
+        cert = SdpCertificate(X=np.array([[c + exact]]), tau=None,
+                              margin_achieved=0.0, solver_iterations=0)
+        np.testing.assert_array_equal(jacobi_eigvals(con.evaluate([c + exact])),
+                                      np.full(n, exact))
+        bound = check_certificate(prob, cert)
+        assert bound <= exact
+        assert (bound >= delta) == accepted
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_verified_margin_is_a_tight_lower_bound(seed):
+    """On solver certificates and on random (infeasible) points the bound
+    never exceeds the eigvalsh margin and trails it by at most the order
+    of the rounding allowance, (n+1) u trace <= (n+1) sqrt(n) u ||G||_F."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 5
+    A = rng.standard_normal((n, n))
+    A /= max(abs(np.linalg.eigvals(A)))
+    prob = lyapunov_problem(0.8 * A)
+    out = solve_feasibility(prob)
+    assert out.status == FEASIBLE
+    X = rng.standard_normal((n, n))
+    random_point = SdpCertificate(X=X + X.T, tau=None, margin_achieved=0.0,
+                                  solver_iterations=0)
+    u = 2.0 ** -53
+    for cert in (out.certificate, random_point):
+        bound = check_certificate(prob, cert)
+        margin, norm = _eigvalsh_margin(prob, cert)
+        assert bound <= margin
+        assert margin - bound <= 16 * (n + 1) * np.sqrt(n) * u * norm
+    assert out.certificate.margin_achieved == check_certificate(prob, out.certificate)
 
 
 def test_tampered_certificates_are_rejected():

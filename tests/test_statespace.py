@@ -197,7 +197,17 @@ def test_system_json_roundtrip(tmp_path, plant, controller):
 
 
 def test_system_json_missing_field(plant, controller):
+    """Missing, null and ill-typed fields and a top level that is not an
+    object all raise ValueError."""
     data = system_to_json(plant, controller)
     del data["Bc"]
     with pytest.raises(ValueError, match="Bc"):
         system_from_json(data)
+    for top in ([1], "abc", 3, None):
+        with pytest.raises(ValueError, match="must be an object"):
+            system_from_json(top)
+    for value in (None, "abc", {}, [[1.0], [2.0, 3.0]], 10 ** 400):
+        data = system_to_json(plant, controller)
+        data["Bc"] = value
+        with pytest.raises(ValueError, match="Bc"):
+            system_from_json(data)
