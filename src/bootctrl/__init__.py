@@ -15,8 +15,6 @@ from .analysis import (
     AnalysisReport,
     SectorBound,
     analyze_l2_gain,
-    build_fir_analysis,
-    build_reset_analysis,
     build_theorem1,
     build_theorem2,
     fir_closed_loop,
@@ -84,7 +82,6 @@ from .simulator import (
 from .statespace import (
     ClosedLoop,
     Controller,
-    LiftedSystem,
     PerformanceIndex,
     Plant,
     interconnect,

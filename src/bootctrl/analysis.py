@@ -3,9 +3,9 @@
 Assembles the two sufficient LMI tests for quadratic performance under
 sector-bounded refresh errors: the direct test on the closed loop
 (THEOREM_1) and the less conservative lifted test that accounts for the
-refresh happening only every T_BS steps (THEOREM_2).  Also provides the
-adapters that cast periodic state resets and FIR-style controllers into
-the same sector framework with slope gamma = 1.
+refresh happening only every T_BS steps (THEOREM_2).  analyze_l2_gain
+also casts periodic state resets and FIR-style controllers (through
+fir_closed_loop) into the same sector framework with slope gamma = 1.
 
 Assembly is done literally as congruence products
 
@@ -47,8 +47,6 @@ __all__ = [
     "l2_gain_index",
     "build_theorem1",
     "build_theorem2",
-    "build_reset_analysis",
-    "build_fir_analysis",
     "make_fir_controller",
     "fir_closed_loop",
     "analyze_l2_gain",
@@ -232,20 +230,6 @@ def build_theorem2(cl: ClosedLoop, perf: PerformanceIndex, sector: SectorBound,
     return build_theorem1(lift(cl, T_BS), lift_performance(perf, T_BS), sector)
 
 
-def build_reset_analysis(plant: Plant, controller: Controller,
-                         perf: PerformanceIndex, T_reset: int) -> LmiProblem:
-    """Test for a controller whose state is zeroed every T_reset steps.
-
-    The reset error is exactly the uncertainty w_u = -x_c, which lies in
-    the symmetric sector with slope 1, so the lifted test applies with
-    gamma = 1 and T_BS = T_reset.  Note the reset lands in the state
-    update: x_c(t+1) = Ac(x_c + w_u) + Bc y = Bc y at reset instants.
-    """
-    cl = interconnect(plant, controller)
-    sector = SectorBound.symmetric(1.0, cl.n_zu)
-    return build_theorem2(cl, perf, sector, T_reset)
-
-
 def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) -> Controller:
     """Delay-line realization of a moving-aggregation (FIR) controller.
 
@@ -296,6 +280,8 @@ def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) ->
 
 
 def _validate_fir_structure(controller: Controller, N: int):
+    if N < 1:
+        raise ValueError(f"FIR length must be at least 1, got {N}")
     p_y = controller.p_y
     nd = N * p_y
     if controller.nc < nd + 1:
@@ -349,14 +335,6 @@ def fir_closed_loop(plant: Plant, fir_controller: Controller, N: int) -> ClosedL
     )
 
 
-def build_fir_analysis(plant: Plant, fir_controller: Controller, N: int,
-                       perf: PerformanceIndex) -> LmiProblem:
-    """Direct test for the FIR adapter: gamma = 1 sector on the dropped tap."""
-    cl = fir_closed_loop(plant, fir_controller, N)
-    sector = SectorBound.symmetric(1.0, cl.n_zu)
-    return build_theorem1(cl, perf, sector)
-
-
 @dataclass(frozen=True)
 class AnalysisReport:
     """Outcome of a gain certification run."""
@@ -392,66 +370,51 @@ class AnalysisReport:
 
 def analyze_l2_gain(plant: Plant, controller: Controller, gamma_sector: float,
                     method: str = THEOREM_2, T_BS: int = 1, mode: str = "bootstrap",
-                    fir_length: int | None = None, tol: float = 1e-3,
-                    delta: float = 1e-7, hi: float = 100.0) -> AnalysisReport:
+                    fir_length: int | None = None, tol: float = 1e-3) -> AnalysisReport:
     """Bisect the smallest certifiable l2-gain for the requested mode.
 
-    mode "bootstrap" uses the given sector slope; "reset" and "fir" force
-    slope 1 per their error semantics ("reset" runs the lifted test with
-    T_BS as the reset period, "fir" runs the direct test on the rewired
-    loop).  Returns a NOT_CERTIFIED report instead of raising when no
-    gain in the bracket is feasible.
+    The mode alone fixes the loop, the sector slope and the test: "bootstrap"
+    uses the given slope on the interconnection; "reset" forces slope 1
+    and the lifted test with T_BS as the reset period; "fir" forces slope 1
+    and the direct test on the rewired loop of fir_closed_loop.  Returns a
+    NOT_CERTIFIED report instead of raising when no gain in the bracket is
+    feasible.
     """
     if method not in (THEOREM_1, THEOREM_2):
         raise ValueError(f"unknown method {method!r}")
     details = {}
     if mode == "bootstrap":
         cl = interconnect(plant, controller)
-        sector = SectorBound.symmetric(gamma_sector, cl.n_zu)
         if method == THEOREM_1:
             T_BS = 1
-        builder_cl, builder_T = cl, (T_BS if method == THEOREM_2 else 1)
     elif mode == "reset":
         cl = interconnect(plant, controller)
-        gamma_sector = 1.0
-        sector = SectorBound.symmetric(1.0, cl.n_zu)
-        method = THEOREM_2
-        builder_cl, builder_T = cl, T_BS
+        gamma_sector, method = 1.0, THEOREM_2
         details["reset_period"] = T_BS
     elif mode == "fir":
         if fir_length is None:
             raise ValueError("fir mode needs fir_length")
         cl = fir_closed_loop(plant, controller, fir_length)
-        gamma_sector = 1.0
-        sector = SectorBound.symmetric(1.0, cl.n_zu)
-        method = THEOREM_1
-        builder_T = 1
-        builder_cl = cl
+        gamma_sector, method, T_BS = 1.0, THEOREM_1, 1
         details["fir_length"] = fir_length
         details["Bu_modified"] = cl.Bu.tolist()
         details["Cu_modified"] = cl.Cu.tolist()
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    sector = SectorBound.symmetric(gamma_sector, cl.n_zu)
 
     def builder(gain_sq):
-        perf = l2_gain_index(builder_cl.m_wp, builder_cl.p_z, gain_sq)
-        return build_theorem2(builder_cl, perf, sector, builder_T)
+        perf = l2_gain_index(cl.m_wp, cl.p_z, gain_sq)
+        return build_theorem2(cl, perf, sector, T_BS)
 
     try:
-        gain, cert = bisect_gain(builder, lo=0.0, hi=hi, tol=tol, delta=delta)
+        gain, cert = bisect_gain(builder, tol=tol)
     except UncertifiableError:
-        return AnalysisReport(
-            verdict=NOT_CERTIFIED,
-            method=method,
-            T_BS=builder_T,
-            gamma_sector=gamma_sector,
-            mode=mode,
-            details=details,
-        )
+        gain = cert = None
     return AnalysisReport(
-        verdict=CERTIFIED,
+        verdict=NOT_CERTIFIED if gain is None else CERTIFIED,
         method=method,
-        T_BS=builder_T,
+        T_BS=T_BS,
         gamma_sector=gamma_sector,
         gain=gain,
         certificate=cert,

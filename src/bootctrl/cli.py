@@ -81,12 +81,16 @@ def _resolve_system(args):
 
 def cmd_fit_poly(args) -> int:
     out_dir = _out_dir(args)
-    spec = BootstrapSpec(q=args.q, epsilon=args.epsilon, K=args.K, d=args.degree)
     try:
-        poly = fit(spec, samples_per_interval=args.samples)
+        poly = fit(BootstrapSpec(q=args.q, epsilon=args.epsilon, K=args.K,
+                                 d=args.degree),
+                   samples_per_interval=args.samples)
     except FitError as exc:
         print(f"fit failed: {exc} (best gamma {exc.best_gamma:.6f})",
               file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"fit aborted: {exc}", file=sys.stderr)
         return 1
     out_path = out_dir / args.out
     save_poly(out_path, poly)
@@ -116,13 +120,11 @@ def cmd_fit_poly(args) -> int:
 def cmd_analyze(args) -> int:
     out_dir = _out_dir(args)
     plant, controller = _resolve_system(args)
+    # reset and fir mode fix their own slope inside analyze_l2_gain
+    gamma = args.gamma
     if args.poly:
         gamma = _load(load_poly, "--poly", args.poly).gamma_certified
-    elif args.gamma is not None:
-        gamma = args.gamma
-    elif args.mode in ("reset", "fir"):
-        gamma = 1.0
-    else:
+    elif gamma is None and args.mode == "bootstrap":
         print("analyze needs --gamma or --poly for bootstrap mode",
               file=sys.stderr)
         return 2
@@ -149,21 +151,21 @@ def cmd_analyze(args) -> int:
         fh.write("\n")
     outputs = [out_path]
 
+    slope = f"sector slope {report.gamma_sector:.4f}"
     if report.verdict == "CERTIFIED":
         print(f"CERTIFIED: l2-gain <= {report.gain:.4f} "
-              f"({report.method}, T_BS={report.T_BS}, sector slope {gamma:.4f})")
+              f"({report.method}, T_BS={report.T_BS}, {slope})")
     else:
-        print(f"NOT_CERTIFIED ({report.method}, T_BS={report.T_BS}, "
-              f"sector slope {gamma:.4f})")
+        print(f"NOT_CERTIFIED ({report.method}, T_BS={report.T_BS}, {slope})")
 
     if args.report:
         lines = [
             "| test | T_BS | sector slope | certified l2-gain |",
             "|------|------|--------------|-------------------|",
-            _report_row("direct", 1, gamma, rep1),
+            _report_row("direct", rep1),
         ]
-        if method == THEOREM_2 and args.tbs > 1:
-            lines.append(_report_row("lifted", args.tbs, gamma, report))
+        if report.method == THEOREM_2 and report.T_BS > 1:
+            lines.append(_report_row("lifted", report))
         md_path = out_dir / "analysis_report.md"
         md_path.write_text("\n".join(lines) + "\n")
         outputs.append(md_path)
@@ -172,9 +174,10 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _report_row(label, tbs, gamma, report):
+def _report_row(label, report):
     gain = f"{report.gain:.4f}" if report.gain is not None else "none"
-    return f"| {label} | {tbs} | {gamma:.4f} | {gain} ({report.verdict}) |"
+    return (f"| {label} | {report.T_BS} | {report.gamma_sector:.4f} | "
+            f"{gain} ({report.verdict}) |")
 
 
 def cmd_simulate(args) -> int:
@@ -196,16 +199,16 @@ def cmd_simulate(args) -> int:
     if args.mode == "fir" and not args.fir_length:
         print("simulate --mode fir needs --fir-length", file=sys.stderr)
         return 2
-    config = SimulationConfig(
-        mode=args.mode.upper() if args.mode != "plaintext" else "PLAINTEXT_REFERENCE",
-        steps=args.steps,
-        T_BS=args.tbs,
-        fir_length=args.fir_length or 0,
-        seed=args.seed,
-    )
-    rng = np.random.default_rng(args.seed)
-    w_p1 = rng.standard_normal((args.steps, plant.m_w1))
     try:
+        config = SimulationConfig(
+            mode=args.mode.upper() if args.mode != "plaintext" else "PLAINTEXT_REFERENCE",
+            steps=args.steps,
+            T_BS=args.tbs,
+            fir_length=args.fir_length or 0,
+            seed=args.seed,
+        )
+        rng = np.random.default_rng(args.seed)
+        w_p1 = rng.standard_normal((args.steps, plant.m_w1))
         res = run_closed_loop(plant, controller, config, scheme=scheme,
                               poly=poly, w_p1=w_p1)
     except (SchemeError, ValueError) as exc:
@@ -279,7 +282,11 @@ def cmd_lift_check(args) -> int:
     out_dir = _out_dir(args)
     plant, controller = _resolve_system(args)
     cl = interconnect(plant, controller)
-    lifted = lift(cl, args.tbs)
+    try:
+        lifted = lift(cl, args.tbs)
+    except ValueError as exc:
+        print(f"lift-check aborted: {exc}", file=sys.stderr)
+        return 1
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

@@ -22,7 +22,7 @@ the underlying loop is unstable; naming stays neutral on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,9 @@ __all__ = [
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
 NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
+
+_MAX_NEWTON = 200  # Newton steps per solve before NUMERICAL_FAILURE
+_RADIUS = 1e4  # compactifying bound X <= radius*I, tau <= radius
 
 
 class UncertifiableError(RuntimeError):
@@ -203,7 +206,6 @@ class SdpCertificate:
 class SolveOutcome:
     status: str
     certificate: SdpCertificate | None = None
-    best_margin: float | None = None
     iterations: int = 0
 
     @property
@@ -342,7 +344,7 @@ def _strictly_positive(M):
 class _BarrierData:
     """Constraint matrices rewritten in the phase-I variables z = (v, s)."""
 
-    def __init__(self, problem: LmiProblem, delta: float, radius: float = 1e4):
+    def __init__(self, problem: LmiProblem, delta: float):
         self.p = problem.n_vars
         self.terms = []
         self.n_barrier = 0
@@ -360,7 +362,7 @@ class _BarrierData:
                 const = con.const - delta * eye
             self.terms.append((const, basis, con.sense))
             self.n_barrier += m
-        # Compactifying bounds radius*I - X >= 0 (and radius - tau >= 0).
+        # Compactifying bounds _RADIUS*I - X >= 0 (and _RADIUS - tau >= 0).
         # The phase-I objective often has recession directions (constraint
         # margins that grow without lowering s), so without these the
         # analytic center need not exist and Newton cannot converge.  They
@@ -371,12 +373,12 @@ class _BarrierData:
         n = problem.n_x
         basis_x = np.zeros((self.p + 1, n, n))
         basis_x[: problem.n_vech] = -np.stack(sym_basis(n))
-        self.terms.append((radius * np.eye(n), basis_x, "bound"))
+        self.terms.append((_RADIUS * np.eye(n), basis_x, "bound"))
         self.n_barrier += n
         if problem.with_tau:
             basis_t = np.zeros((self.p + 1, 1, 1))
             basis_t[problem.n_vech, 0, 0] = -1.0
-            self.terms.append((np.array([[radius]]), basis_t, "bound"))
+            self.terms.append((np.array([[_RADIUS]]), basis_t, "bound"))
             self.n_barrier += 1
 
     def matrices(self, z):
@@ -411,20 +413,19 @@ class _BarrierData:
         return g, H
 
 
-def solve_feasibility(problem: LmiProblem, delta: float = 1e-7,
-                      max_newton: int = 200, radius: float = 1e4) -> SolveOutcome:
+def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
     """Phase-I barrier solve; see the module docstring for the method.
 
     Strict-negative constraints are normalized by their constant part's
     Frobenius norm, so delta acts relative to the constraint scale; the
     strict-positive constraints X > 0 and tau > 0 are kept as hard
     barrier constraints at level delta.  The search is compactified to
-    X <= radius*I, tau <= radius inside the solver, so INFEASIBLE means
+    X <= _RADIUS*I, tau <= _RADIUS inside the solver, so INFEASIBLE means
     no certificate exists within that (generous) radius.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    data = _BarrierData(problem, delta, radius)
+    data = _BarrierData(problem, delta)
 
     # Start from X = I, tau = 1, s above the largest shifted eigenvalue.
     v0 = problem.pack(np.eye(problem.n_x), 1.0 if problem.with_tau else None)
@@ -446,7 +447,7 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7,
         # Center at the current t.
         decrement = np.inf
         for _ in range(60):
-            if newton_count >= max_newton:
+            if newton_count >= _MAX_NEWTON:
                 return SolveOutcome(status=NUMERICAL_FAILURE, iterations=newton_count)
             g, H = data.grad_hess(z, t)
             try:
@@ -493,17 +494,15 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7,
                 solver_iterations=newton_count,
             )
             return SolveOutcome(status=FEASIBLE, certificate=cert,
-                                best_margin=margin, iterations=newton_count)
+                                iterations=newton_count)
         if not centered:
             # The duality-gap bound below only holds at a centered point.
             return SolveOutcome(status=NUMERICAL_FAILURE, iterations=newton_count)
         if s_cur - nu / t > -delta:
-            return SolveOutcome(status=INFEASIBLE, best_margin=-s_cur,
-                                iterations=newton_count)
+            return SolveOutcome(status=INFEASIBLE, iterations=newton_count)
         if nu / t < delta / 20:
             # Razor-thin band around the decision boundary; settle by sign.
-            return SolveOutcome(status=INFEASIBLE, best_margin=-s_cur,
-                                iterations=newton_count)
+            return SolveOutcome(status=INFEASIBLE, iterations=newton_count)
         t *= 20.0
 
 

@@ -13,6 +13,10 @@ Four modes:
 * FIR: a delay-line controller evaluated from a window of fresh
   measurement encryptions; no persistent ciphertext state, so levels
   never deplete and no refresh is needed (slope-1 sector, direct test).
+  u is one matvec by [Cc S | Dc] of the window [y(t-1); ...; y(t-N); y(t)],
+  where S = [Bc, Ac Bc, ..., Ac^(N-1) Bc] maps the window to the certified
+  FIR state x_c(t); any controller that analysis.fir_closed_loop accepts
+  runs.
 * PLAINTEXT_REFERENCE: the certified ClosedLoop itself, run through
   statespace.simulate (not a separate recursion).  An optional w_u
   schedule replays refresh or reset errors; with fir_length set it is the
@@ -115,16 +119,6 @@ def _as_signal(arr, steps, width, name):
     return arr
 
 
-def _fir_params(controller: Controller, N: int):
-    p_y = controller.p_y
-    agg = controller.Ac[N * p_y:, N * p_y:]
-    lam = float(agg[0, 0])
-    if not np.allclose(agg, lam * np.eye(agg.shape[0]), atol=1e-12):
-        raise ValueError("aggregator block must be a scalar multiple of the identity")
-    c_out = controller.Cc[:, N * p_y:]
-    return lam, c_out
-
-
 def run_closed_loop(plant: Plant, controller: Controller,
                     config: SimulationConfig, scheme: cs.SchemeParams | None = None,
                     poly: BootstrapPolynomial | None = None,
@@ -223,12 +217,16 @@ def run_closed_loop(plant: Plant, controller: Controller,
 
     if config.mode == FIR:
         N = config.fir_length
-        lam, c_out = _fir_params(controller, N)
+        # window map S = [Bc, Ac Bc, ..., Ac^(N-1) Bc]: the certified FIR
+        # state is x_c(t) = S [y(t-1); ...; y(t-N)]
+        taps = [controller.Bc]
+        for _ in range(N - 1):
+            taps.append(controller.Ac @ taps[-1])
+        S = np.hstack(taps)
         # flat window: y(t-1) first, y(t-N) last, p_y ciphertexts each
         window = encrypt_all(np.zeros(N * p_y), 1)
         check(window)
-        u_row = np.hstack([c_out * lam ** i for i in range(N)]
-                          + [controller.Dc]).tolist()
+        u_row = np.hstack([controller.Cc @ S, controller.Dc]).tolist()
         for t in range(steps):
             y = plant.C @ x + plant.F1 @ w1[t]
             enc_y = encrypt_all(y, 1)
@@ -241,12 +239,9 @@ def run_closed_loop(plant: Plant, controller: Controller,
             x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
             window = enc_y + window[:len(window) - p_y]
             x_log[t + 1] = x
-        # delay-line state by definition: slot i holds y(t-i) and the
-        # aggregator holds sum_{i=1..N} lam^(i-1) y(t-i)
         padded = np.vstack([np.zeros((N, p_y)), y_log])
-        slots = [padded[N - i: N - i + steps + 1] for i in range(1, N + 1)]
-        agg = sum(lam ** (i - 1) * slot for i, slot in enumerate(slots, 1))
-        xc_log = np.hstack(slots + [agg])
+        xc_log = np.hstack([padded[N - i: N - i + steps + 1]
+                            for i in range(1, N + 1)]) @ S.T
         gain = _empirical_gain(z_p, w_p)
         return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log,
                                 xc_log, gain, events, violations, max_fid)

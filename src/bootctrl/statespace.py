@@ -17,7 +17,6 @@ __all__ = [
     "Plant",
     "Controller",
     "ClosedLoop",
-    "LiftedSystem",
     "PerformanceIndex",
     "interconnect",
     "lift",
@@ -175,11 +174,9 @@ class ClosedLoop:
     Dup: np.ndarray
     Duu: np.ndarray
 
-    _MATRIX_FIELDS = ("Acl", "Bp", "Bu", "Cp", "Dpp", "Dpu", "Cu", "Dup", "Duu")
-
     def __post_init__(self):
-        for name in self._MATRIX_FIELDS:
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_matrix(getattr(self, f.name), f.name))
         nxi, m_wp, n_wu = self.n_xi, self.m_wp, self.n_wu
         p_z, n_zu = self.p_z, self.n_zu
         _check(self.Acl.shape == (nxi, nxi), "Acl/Acl", "state matrix must be square")
@@ -212,23 +209,6 @@ class ClosedLoop:
     @property
     def n_zu(self):
         return self.Cu.shape[0]
-
-
-@dataclass(frozen=True)
-class LiftedSystem(ClosedLoop):
-    """Closed loop sampled every T_BS base steps.
-
-    Shares the block layout of ClosedLoop; the performance channel widths
-    scale by T_BS while the uncertainty channel keeps its base dimensions.
-    """
-
-    T_BS: int = 1
-
-    def __post_init__(self):
-        if int(self.T_BS) != self.T_BS or self.T_BS < 1:
-            raise ValueError(f"T_BS must be a positive integer, got {self.T_BS}")
-        object.__setattr__(self, "T_BS", int(self.T_BS))
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -300,11 +280,12 @@ def interconnect(plant: Plant, controller: Controller) -> ClosedLoop:
     return ClosedLoop(Acl, Bp, Bu, Cp, Dpp, Dpu, Cu, Dup, Duu)
 
 
-def lift(cl: ClosedLoop, T_BS: int) -> LiftedSystem:
+def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
     """Lift the closed loop over blocks of T_BS base steps.
 
-    Matrix powers are formed by iterated multiplication; T_BS stays small
-    in every supported use.
+    The performance channel widths scale by T_BS while the uncertainty
+    channel keeps its base dimensions.  Matrix powers are formed by
+    iterated multiplication; T_BS stays small in every supported use.
     """
     if int(T_BS) != T_BS or T_BS < 1:
         raise ValueError(f"T_BS must be a positive integer, got {T_BS}")
@@ -335,7 +316,7 @@ def lift(cl: ClosedLoop, T_BS: int) -> LiftedSystem:
     )
     Dupt = np.hstack([cl.Dup] + [np.zeros((cl.n_zu, m_wp))] * (T - 1))
 
-    return LiftedSystem(
+    return ClosedLoop(
         Acl=At,
         Bp=Bpt,
         Bu=But,
@@ -345,7 +326,6 @@ def lift(cl: ClosedLoop, T_BS: int) -> LiftedSystem:
         Cu=cl.Cu,
         Dup=Dupt,
         Duu=cl.Duu,
-        T_BS=T,
     )
 
 

@@ -333,7 +333,7 @@ def test_criterion_8_unstable_and_tampered(plant, controller,
     idle_controller = Controller(Ac=[[0.5]], Bc=[[0.0]], B2=[[0.0]],
                                  Cc=[[0.0]], Dc=[[0.0]], F2=[[0.0]])
     report = analyze_l2_gain(unstable_plant, idle_controller, 0.2,
-                             method=THEOREM_1, hi=100.0)
+                             method=THEOREM_1)
     unstable_ok = report.verdict == NOT_CERTIFIED and report.gain is None
 
     direct, _ = direct_result

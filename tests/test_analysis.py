@@ -15,8 +15,6 @@ from bootctrl.analysis import (
     AnalysisReport,
     SectorBound,
     analyze_l2_gain,
-    build_fir_analysis,
-    build_reset_analysis,
     build_theorem1,
     build_theorem2,
     fir_closed_loop,
@@ -234,16 +232,6 @@ def test_reset_mode_forces_unit_slope(plant, controller):
     assert report.details["reset_period"] == 5
 
 
-def test_reset_problem_builder_matches_unit_sector(plant, controller):
-    cl = interconnect(plant, controller)
-    perf = l2_gain_index(cl.m_wp, cl.p_z, 30.0)
-    direct = build_reset_analysis(plant, controller, perf, 4)
-    via_t2 = build_theorem2(cl, perf, SectorBound.symmetric(1.0, cl.n_zu), 4)
-    for c1, c2 in zip(direct.constraints, via_t2.constraints):
-        assert np.array_equal(c1.const, c2.const)
-        assert np.array_equal(c1.coeffs, c2.coeffs)
-
-
 # --------------------------------------------------------------------------
 # FIR adapter
 
@@ -307,13 +295,21 @@ def test_fir_certification(plant):
 
     perf = l2_gain_index(interconnect(plant, ctrl).m_wp, plant.p_z,
                          report.gain ** 2)
-    problem = build_fir_analysis(plant, ctrl, 4, perf)
+    problem = build_theorem1(fir_closed_loop(plant, ctrl, 4), perf,
+                             SectorBound.symmetric(1.0, 1))
     assert solve_feasibility(problem).status == "FEASIBLE"
 
 
 def test_fir_mode_requires_length(plant, controller):
     with pytest.raises(ValueError, match="fir_length"):
         analyze_l2_gain(plant, controller, 0.5, mode="fir")
+
+
+@pytest.mark.parametrize("N", [0, -2])
+def test_fir_closed_loop_rejects_nonpositive_length(plant, N):
+    ctrl = make_fir_controller(3, 0.4, [[-0.3]])
+    with pytest.raises(ValueError, match="FIR length must be at least 1"):
+        fir_closed_loop(plant, ctrl, N)
 
 
 # --------------------------------------------------------------------------

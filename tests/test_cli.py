@@ -135,6 +135,17 @@ def test_analyze_requires_slope_for_bootstrap_mode(tmp_path, capsys):
     assert "--gamma or --poly" in capsys.readouterr().err
 
 
+def test_analyze_reset_reports_the_slope_it_used(tmp_path, capsys):
+    """Reset mode certifies with slope 1 whatever --gamma says, and the
+    printed line says so, as the JSON does."""
+    code = run(["analyze", "--mode", "reset", "--tbs", "5", "--gamma", "0.5",
+                "--tol", "1", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "sector slope 1.0000" in capsys.readouterr().out
+    report = json.loads((tmp_path / "analysis_report.json").read_text())
+    assert report["gamma_sector"] == 1.0
+
+
 def test_analyze_fir_requires_length(tmp_path, capsys):
     code = run(["analyze", "--mode", "fir", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -218,6 +229,29 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
                 "--out-dir", str(tmp_path)])
     assert code == 1
     assert "analysis aborted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, prefix", [
+    (["simulate", "--mode", "reset", "--tbs", "0"], "simulation aborted"),
+    (["simulate", "--mode", "fir", "--fir-length", "-1"], "simulation aborted"),
+    (["simulate", "--mode", "plaintext", "--steps", "-5"], "simulation aborted"),
+    (["lift-check", "--tbs", "0"], "lift-check aborted"),
+    (["fit-poly", "--degree", "0", "--K", "1", "--epsilon", "0.5"],
+     "fit aborted"),
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5",
+      "--samples", "4"], "fit aborted"),
+    (["analyze", "--mode", "fir", "--fir-length", "-2"],
+     "analysis aborted: FIR length must be at least 1"),
+], ids=["reset_tbs", "fir_length", "steps", "lift_tbs", "degree", "samples",
+        "analyze_fir_length"])
+def test_bad_parameter_is_an_exit_code(tmp_path, capsys, args, prefix):
+    """An out-of-range parameter value gives one line on stderr and exit 1,
+    not a traceback."""
+    code = run(args + ["--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, flag", [

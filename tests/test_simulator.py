@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bootctrl.crypto_sim as cs
-from bootctrl.analysis import make_fir_controller
+from bootctrl.analysis import CERTIFIED, analyze_l2_gain, make_fir_controller
 from bootctrl.simulator import (
     ENCRYPTED,
     FIR,
@@ -303,6 +303,39 @@ def test_fir_encrypted_state_is_the_window_convolution(plant, scheme):
         assert abs(res.x_c[t][N] - acc) <= 1e-10
         for i in range(1, N + 1):
             assert res.x_c[t][i - 1] == (y[t - i] if t - i >= 0 else 0.0)
+
+
+def test_fir_encrypted_runs_a_non_scalar_aggregator(plant, scheme):
+    """A delay line feeding a 2-state aggregator is certified by the FIR
+    analysis, and the encrypted FIR run follows the exact recursion; its
+    logged state is the certified window map sum_i Ac^(i-1) Bc y(t-i)."""
+    N, steps = 4, 300
+    nc = N + 2
+    Ac = np.zeros((nc, nc))
+    Ac[:N, :N] = make_fir_controller(N, 0.4, [[-0.3]]).Ac[:N, :N]
+    Ac[N:, N:] = [[0.4, 0.1], [0.0, 0.5]]
+    Bc = np.zeros((nc, 1))
+    Bc[0] = Bc[N:] = 1.0
+    Cc = np.zeros((1, nc))
+    Cc[0, N:] = [-0.2, -0.1]
+    ctrl = Controller(Ac=Ac, Bc=Bc, B2=np.zeros((nc, 1)), Cc=Cc, Dc=[[0.0]],
+                      F2=[[0.0]])
+    report = analyze_l2_gain(plant, ctrl, 1.0, mode="fir", fir_length=N,
+                             tol=0.5)
+    assert report.verdict == CERTIFIED
+
+    w1 = np.random.default_rng(11).standard_normal((steps, plant.m_w1))
+    cfg = SimulationConfig(mode=FIR, steps=steps, fir_length=N)
+    enc = run_closed_loop(plant, ctrl, cfg, scheme=scheme, w_p1=w1)
+    ref = run_closed_loop(plant, ctrl, _plain_cfg(steps, fir_length=N),
+                          w_p1=w1)
+    assert np.abs(enc.u - ref.u).max() <= 1e-3
+    assert np.abs(enc.z_p - ref.z_p).max() <= 1e-3
+
+    for t in range(steps + 1):
+        want = sum((np.linalg.matrix_power(Ac, i - 1) @ Bc @ enc.y[t - i]
+                    for i in range(1, N + 1) if t - i >= 0), np.zeros(nc))
+        np.testing.assert_allclose(enc.x_c[t], want, rtol=0, atol=1e-10)
 
 
 def test_fir_mode_needs_valid_structure(plant, controller, scheme):

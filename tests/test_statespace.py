@@ -88,7 +88,6 @@ def test_closed_loop_recursion_matches_components(plant, controller):
 def test_lift_T1_reproduces_base_loop(plant, controller):
     cl = interconnect(plant, controller)
     lifted = lift(cl, 1)
-    assert lifted.T_BS == 1
     for name in ("Acl", "Bp", "Bu", "Cp", "Dpp", "Cu", "Duu"):
         assert np.array_equal(getattr(lifted, name), getattr(cl, name)), name
     assert np.array_equal(lifted.Dpu, cl.Dpu)
