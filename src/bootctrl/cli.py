@@ -282,6 +282,9 @@ def cmd_lift_check(args) -> int:
     out_dir = _out_dir(args)
     plant, controller = _resolve_system(args)
     cl = interconnect(plant, controller)
+    if args.trials < 1:
+        print("lift-check aborted: trials must be at least 1", file=sys.stderr)
+        return 1
     try:
         lifted = lift(cl, args.tbs)
     except ValueError as exc:
@@ -298,7 +301,7 @@ def cmd_lift_check(args) -> int:
         wtil = w_p.reshape(-1)
         xi_T = lifted.Acl @ x0 + lifted.Bp @ wtil + lifted.Bu @ w_u[0]
         ztil = lifted.Cp @ x0 + lifted.Dpp @ wtil + lifted.Dpu @ w_u[0]
-        zu = lifted.Cu @ x0 + lifted.Dup @ wtil
+        zu = lifted.Cu @ x0 + lifted.Dup @ wtil + lifted.Duu @ w_u[0]
         scale = max(1.0, np.abs(xi).max(), np.abs(z_p).max())
         worst = max(
             worst,

@@ -7,7 +7,11 @@ scalar tau).  The solver runs a phase-I eigenvalue-shift minimization:
     minimize s   s.t.   G_j(v) <= s*I  (strict-negative constraints)
                         P_i(v) >= delta*I  (strict-positive constraints)
 
-driven by a log-det barrier with damped Newton steps.  The verdict is
+driven by a log-det barrier with damped Newton steps (Boyd & Vandenberghe,
+Convex Optimization, sec. 11.3-11.4).  The barrier reads each constraint's
+one coefficient stack, applying sign, scale and the s column as it forms a
+matrix; each Newton step's Hessian is one GEMM per constraint and each
+line-search trial point one Cholesky (see _BarrierData).  The verdict is
 FEASIBLE exactly when the optimal shift satisfies s <= -delta.  Every
 certificate is re-validated by check_certificate, which returns a
 Cholesky-verified lower bound (Rump 2006) on its margin: the bound holds
@@ -342,26 +346,31 @@ def _strictly_positive(M):
 
 
 class _BarrierData:
-    """Constraint matrices rewritten in the phase-I variables z = (v, s)."""
+    """The phase-I barrier in z = (v, s) over one copy of each coefficient stack.
+
+    A term (const, coeffs, first, scale, with_s) is the matrix M(z) = const
+    + scale * sum_k z[first + k] coeffs[k] (+ s I if with_s), kept positive
+    definite.  coeffs is a constraint's own read-only stack: G(v) < 0 becomes
+    s I - G(v) / ||const||_F and G(v) > 0 becomes G(v) - delta I; the bounds
+    _RADIUS I - X and _RADIUS - tau carry small stacks of their own.  Only
+    constraint terms, whose coeffs cover all of v, have the s column, so a
+    term's variables are the slice z[first:first + q + with_s].  grad_hess
+    fills U_k = W F_k (W = M^-1) by one batched matmul, so g_k = -tr(U_k) and
+    H_kl = tr(W F_k W F_l) is one GEMM of the flattened U by the flattened
+    U_k^T; barrier_value takes each log-det from one Cholesky, inf if any fails.
+    """
 
     def __init__(self, problem: LmiProblem, delta: float):
         self.p = problem.n_vars
         self.terms = []
-        self.n_barrier = 0
         for con in problem.constraints:
-            m = con.dim
-            eye = np.eye(m)
-            basis = np.zeros((self.p + 1, m, m))
             if con.sense == "neg":
-                scale = max(1.0, float(np.linalg.norm(con.const)))
-                basis[: self.p] = -con.coeffs / scale
-                basis[self.p] = eye
-                const = -con.const / scale
+                norm = max(1.0, float(np.linalg.norm(con.const)))
+                self.terms.append(
+                    (-con.const / norm, con.coeffs, 0, -1.0 / norm, True))
             else:
-                basis[: self.p] = con.coeffs
-                const = con.const - delta * eye
-            self.terms.append((const, basis, con.sense))
-            self.n_barrier += m
+                const = con.const - delta * np.eye(con.dim)
+                self.terms.append((const, con.coeffs, 0, 1.0, False))
         # Compactifying bounds _RADIUS*I - X >= 0 (and _RADIUS - tau >= 0).
         # The phase-I objective often has recession directions (constraint
         # margins that grow without lowering s), so without these the
@@ -371,45 +380,49 @@ class _BarrierData:
         # search radius", which the bounds keep far above any certificate
         # a well-scaled problem produces.
         n = problem.n_x
-        basis_x = np.zeros((self.p + 1, n, n))
-        basis_x[: problem.n_vech] = -np.stack(sym_basis(n))
-        self.terms.append((_RADIUS * np.eye(n), basis_x, "bound"))
-        self.n_barrier += n
+        self.terms.append((_RADIUS * np.eye(n), np.stack(sym_basis(n)), 0, -1.0, False))
         if problem.with_tau:
-            basis_t = np.zeros((self.p + 1, 1, 1))
-            basis_t[problem.n_vech, 0, 0] = -1.0
-            self.terms.append((np.array([[_RADIUS]]), basis_t, "bound"))
-            self.n_barrier += 1
+            self.terms.append((np.array([[_RADIUS]]), np.ones((1, 1, 1)),
+                               problem.n_vech, -1.0, False))
+        self.n_barrier = sum(term[0].shape[0] for term in self.terms)
 
-    def matrices(self, z):
-        return [
-            const + np.tensordot(z, basis, axes=(0, 0))
-            for const, basis, _ in self.terms
-        ]
-
-    def interior(self, z):
-        return all(_strictly_positive(M) for M in self.matrices(z))
+    def matrix(self, term, z):
+        const, coeffs, first, scale, with_s = term
+        q, m = coeffs.shape[0], const.shape[0]
+        M = const + scale * (z[first:first + q] @ coeffs.reshape(q, -1)).reshape(m, m)
+        if with_s:
+            M.flat[:: m + 1] += z[-1]
+        return M
 
     def barrier_value(self, z, t):
         total = t * z[-1]
-        for M in self.matrices(z):
-            sign, logdet = np.linalg.slogdet(M)
-            if sign <= 0:
+        for term in self.terms:
+            try:
+                L = np.linalg.cholesky(self.matrix(term, z))
+            except np.linalg.LinAlgError:
                 return np.inf
-            total -= logdet
-        return total
+            total -= 2.0 * np.log(np.diagonal(L)).sum()
+        # A NaN or inf in M passes the factorization but leaves a
+        # non-finite diagonal in L.
+        return total if np.isfinite(total) else np.inf
 
     def grad_hess(self, z, t):
         g = np.zeros(self.p + 1)
         H = np.zeros((self.p + 1, self.p + 1))
         g[-1] = t
-        for const, basis, _ in self.terms:
-            M = const + np.tensordot(z, basis, axes=(0, 0))
-            W = np.linalg.inv(M)
+        for term in self.terms:
+            const, coeffs, first, scale, with_s = term
+            q = coeffs.shape[0]
+            W = np.linalg.inv(self.matrix(term, z))
             W = 0.5 * (W + W.T)
-            U = np.einsum("ab,kbc->kac", W, basis)
-            g -= np.einsum("kaa->k", U)
-            H += np.einsum("kab,lba->kl", U, U)
+            U = np.empty((q + with_s,) + W.shape)
+            np.matmul(scale * W, coeffs, out=U[:q])
+            if with_s:
+                U[q] = W
+            cols = slice(first, first + len(U))
+            g[cols] -= np.trace(U, axis1=1, axis2=2)
+            Uf = U.reshape(len(U), -1)
+            H[cols, cols] += Uf @ U.transpose(0, 2, 1).reshape(Uf.shape).T
         return g, H
 
 
@@ -430,18 +443,18 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
     # Start from X = I, tau = 1, s above the largest shifted eigenvalue.
     v0 = problem.pack(np.eye(problem.n_x), 1.0 if problem.with_tau else None)
     s0 = 1.0
-    z = np.append(v0, s0)
-    for (const, basis, sense), con in zip(data.terms, problem.constraints):
-        if con.sense == "neg":
-            G = const + np.tensordot(z[:-1], basis[:-1], axes=(0, 0))
-            # G here is -Ghat; need s > lambda_max(Ghat) = -lambda_min(G)
-            s0 = max(s0, float(-np.linalg.eigvalsh(G).min()) + 1.0)
+    z = np.append(v0, 0.0)
+    for term in data.terms:
+        if term[4]:
+            # with_s: at s = 0 the term is -Ghat; need s > lambda_max(Ghat).
+            s0 = max(s0, float(-np.linalg.eigvalsh(data.matrix(term, z)).min()) + 1.0)
     z[-1] = s0
-    if not data.interior(z):
-        return SolveOutcome(status=NUMERICAL_FAILURE, iterations=0)
-
     nu = data.n_barrier
     t = 1.0
+    phi = data.barrier_value(z, t)
+    if phi == np.inf:
+        return SolveOutcome(status=NUMERICAL_FAILURE, iterations=0)
+
     newton_count = 0
     while True:
         # Center at the current t.
@@ -459,15 +472,15 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
             if decrement < 1e-9:
                 break
             step = 1.0
-            phi0 = data.barrier_value(z, t)
             while step > 1e-13:
                 cand = z + step * dz
-                if data.interior(cand) and data.barrier_value(cand, t) <= phi0 + 0.25 * step * float(g @ dz):
+                phi_cand = data.barrier_value(cand, t)
+                if phi_cand <= phi + 0.25 * step * float(g @ dz):
                     break
                 step *= 0.5
             if step <= 1e-13:
                 break
-            z = z + step * dz
+            z, phi = cand, phi_cand
             if z[-1] <= -1.5 * delta:
                 # Strict feasibility is already witnessed; no need to
                 # keep centering (the phase-I objective is unbounded
@@ -504,6 +517,7 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
             # Razor-thin band around the decision boundary; settle by sign.
             return SolveOutcome(status=INFEASIBLE, iterations=newton_count)
         t *= 20.0
+        phi = data.barrier_value(z, t)
 
 
 def bisect_gain(problem_builder, lo: float = 0.0, hi: float = 100.0,

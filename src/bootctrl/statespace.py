@@ -292,7 +292,7 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
     T = int(T_BS)
     A, Bp, Bu = cl.Acl, cl.Bp, cl.Bu
     Cp, Dpp = cl.Cp, cl.Dpp
-    p_z, m_wp, n_wu = cl.p_z, cl.m_wp, cl.n_wu
+    p_z, m_wp = cl.p_z, cl.m_wp
 
     powers = [np.eye(cl.n_xi)]
     for _ in range(T):
@@ -311,9 +311,7 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
                 Cp @ powers[i - j - 1] @ Bp
             )
 
-    Dput = np.vstack(
-        [np.zeros((p_z, n_wu))] + [Cp @ powers[i] @ Bu for i in range(T - 1)]
-    )
+    Dput = np.vstack([cl.Dpu] + [Cp @ powers[i] @ Bu for i in range(T - 1)])
     Dupt = np.hstack([cl.Dup] + [np.zeros((cl.n_zu, m_wp))] * (T - 1))
 
     return ClosedLoop(

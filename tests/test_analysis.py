@@ -222,6 +222,25 @@ def test_direct_certification_of_example_loop(plant, controller,
     assert report.certificate.margin_achieved > 0
 
 
+@pytest.mark.parametrize("kwargs, pinned", [
+    (dict(method=THEOREM_1), 5.126953125),
+    (dict(method=THEOREM_2, T_BS=10), 3.972625732421875),
+    (dict(mode="fir", fir_length=5), 2.51617431640625),
+], ids=["direct", "lifted_T10", "fir_N5"])
+def test_bundled_loop_gains_are_pinned(plant, controller, reference_slope,
+                                       kwargs, pinned):
+    """The bundled loop's certified gains stay within the bisection
+    tolerance of their recorded values (FIR with the design-sweep
+    controller N = 5, lambda = 0.45)."""
+    tol = 1e-3
+    if kwargs.get("mode") == "fir":
+        controller = make_fir_controller(5, 0.45, [[-0.3]])
+    report = analyze_l2_gain(plant, controller, reference_slope, tol=tol,
+                             **kwargs)
+    assert report.verdict == CERTIFIED
+    assert abs(report.gain - pinned) <= tol
+
+
 def test_reset_mode_forces_unit_slope(plant, controller):
     report = analyze_l2_gain(plant, controller, 0.123, method=THEOREM_1,
                              T_BS=5, mode="reset")

@@ -236,14 +236,18 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
     (["simulate", "--mode", "fir", "--fir-length", "-1"], "simulation aborted"),
     (["simulate", "--mode", "plaintext", "--steps", "-5"], "simulation aborted"),
     (["lift-check", "--tbs", "0"], "lift-check aborted"),
+    (["lift-check", "--tbs", "3", "--trials", "0"],
+     "lift-check aborted: trials must be at least 1"),
+    (["lift-check", "--tbs", "3", "--trials", "-1"],
+     "lift-check aborted: trials must be at least 1"),
     (["fit-poly", "--degree", "0", "--K", "1", "--epsilon", "0.5"],
      "fit aborted"),
     (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5",
       "--samples", "4"], "fit aborted"),
     (["analyze", "--mode", "fir", "--fir-length", "-2"],
      "analysis aborted: FIR length must be at least 1"),
-], ids=["reset_tbs", "fir_length", "steps", "lift_tbs", "degree", "samples",
-        "analyze_fir_length"])
+], ids=["reset_tbs", "fir_length", "steps", "lift_tbs", "lift_trials_0",
+        "lift_trials_-1", "degree", "samples", "analyze_fir_length"])
 def test_bad_parameter_is_an_exit_code(tmp_path, capsys, args, prefix):
     """An out-of-range parameter value gives one line on stderr and exit 1,
     not a traceback."""

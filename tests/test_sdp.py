@@ -1,19 +1,28 @@
 """Semidefinite feasibility engine: the Jacobi reference eigensolver,
-hand-checkable Lyapunov problems, verified certificate checking, and gain
-bisection."""
+hand-checkable Lyapunov problems, the barrier's Newton kernels, verified
+certificate checking, and gain bisection."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from bootctrl.analysis import (
+    SectorBound,
+    build_theorem2,
+    fir_closed_loop,
+    l2_gain_index,
+    make_fir_controller,
+)
 from bootctrl.sdp import (
+    _RADIUS,
     FEASIBLE,
     INFEASIBLE,
     LmiConstraint,
     LmiProblem,
     SdpCertificate,
     UncertifiableError,
+    _BarrierData,
     bisect_gain,
     check_certificate,
     jacobi_eigvals,
@@ -21,6 +30,7 @@ from bootctrl.sdp import (
     sym_basis,
     vech_indices,
 )
+from bootctrl.statespace import interconnect
 
 
 # --------------------------------------------------------------------------
@@ -87,6 +97,133 @@ def gain_problem(a, b, c, gain_sq):
     x_pos = LmiConstraint(const=np.zeros((1, 1)), coeffs=np.ones((1, 1, 1)),
                           sense="pos", name="X_pos")
     return LmiProblem(n_x=1, constraints=(lmi, x_pos), with_tau=False)
+
+
+# --------------------------------------------------------------------------
+# barrier Newton kernels
+
+DELTA = 1e-7
+
+
+def _reference_terms(problem, delta):
+    """Every phase-I barrier matrix as (const, basis) with an explicit
+    (p+1)-stack of coefficients in z = (v, s): strict-negative constraints
+    as s I - G(v) / max(1, ||const||_F), strict-positive ones as
+    G(v) - delta I, then _RADIUS I - X and _RADIUS - tau."""
+    p = problem.n_vars
+    terms = []
+    for con in problem.constraints:
+        m = con.dim
+        basis = np.zeros((p + 1, m, m))
+        if con.sense == "neg":
+            scale = max(1.0, float(np.linalg.norm(con.const)))
+            basis[:p] = -con.coeffs / scale
+            basis[p] = np.eye(m)
+            terms.append((-con.const / scale, basis))
+        else:
+            basis[:p] = con.coeffs
+            terms.append((con.const - delta * np.eye(m), basis))
+    n = problem.n_x
+    basis = np.zeros((p + 1, n, n))
+    basis[:problem.n_vech] = -np.stack(sym_basis(n))
+    terms.append((_RADIUS * np.eye(n), basis))
+    if problem.with_tau:
+        basis = np.zeros((p + 1, 1, 1))
+        basis[problem.n_vech] = -1.0
+        terms.append((np.array([[_RADIUS]]), basis))
+    return terms
+
+
+def _reference_grad_hess(terms, z, t):
+    """g_k = t [k = s] - sum tr(W F_k), H_kl = sum tr(W F_k W F_l) by einsum."""
+    g = np.zeros(len(z))
+    g[-1] = t
+    H = np.zeros((len(z), len(z)))
+    for const, basis in terms:
+        W = np.linalg.inv(const + np.tensordot(z, basis, axes=(0, 0)))
+        U = np.einsum("ab,kbc->kac", 0.5 * (W + W.T), basis)
+        g -= np.einsum("kaa->k", U)
+        H += np.einsum("kab,lba->kl", U, U)
+    return g, H
+
+
+def _reference_interior(terms, z):
+    return all(np.linalg.eigvalsh(const + np.tensordot(z, basis, axes=(0, 0)))[0] > 0
+               for const, basis in terms)
+
+
+@pytest.fixture(scope="module", params=["lifted_T10", "fir_N5"])
+def barrier_case(request, plant, controller, reference_slope):
+    """The demo lifted T_BS=10 LMI at gain 4 and the FIR N=5 LMI at gain
+    2.6, with an interior phase-I point near X = I, tau = 1."""
+    if request.param == "lifted_T10":
+        cl, slope, T, gain = interconnect(plant, controller), reference_slope, 10, 4.0
+    else:
+        fir = make_fir_controller(5, 0.45, [[-0.3]])
+        cl, slope, T, gain = fir_closed_loop(plant, fir, 5), 1.0, 1, 2.6
+    problem = build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, gain ** 2),
+                             SectorBound.symmetric(slope, cl.n_zu), T)
+    rng = np.random.default_rng(5)
+    E = 0.05 * rng.standard_normal((problem.n_x, problem.n_x))
+    v = problem.pack(np.eye(problem.n_x) + E + E.T, 1.0)
+    s = 0.5 + max(np.linalg.eigvalsh(con.evaluate(v))[-1]
+                  / max(1.0, np.linalg.norm(con.const))
+                  for con in problem.constraints if con.sense == "neg")
+    z = np.append(v, s)
+    terms = _reference_terms(problem, DELTA)
+    assert _reference_interior(terms, z)
+    return problem, terms, z
+
+
+def test_grad_hess_matches_einsum_reference(barrier_case):
+    problem, terms, z = barrier_case
+    t = 3.0
+    g, H = _BarrierData(problem, DELTA).grad_hess(z, t)
+    g_ref, H_ref = _reference_grad_hess(terms, z, t)
+    assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+    assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
+
+
+def test_gradient_matches_central_differences(barrier_case):
+    problem, _, z = barrier_case
+    t = 3.0
+    data = _BarrierData(problem, DELTA)
+    g, _ = data.grad_hess(z, t)
+    h = 1e-6
+    fd = np.array([(data.barrier_value(z + h * e, t)
+                    - data.barrier_value(z - h * e, t)) / (2 * h)
+                   for e in np.eye(len(z))])
+    assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_barrier_is_infinite_exactly_outside_the_domain(barrier_case):
+    """Lowering s breaks the strict-negative terms, X < 0 the positivity
+    term, X = 2 _RADIUS I and tau = 2 _RADIUS the compactifying bounds,
+    tau < 0 the tau term; random directions cross several at once."""
+    problem, terms, z = barrier_case
+    data = _BarrierData(problem, DELTA)
+    nv, p = problem.n_vech, problem.n_vars
+    points = [z]
+    for index, value in ((p, -10.0), (p, -1e-3), (nv, 2 * _RADIUS), (nv, -1.0)):
+        point = z.copy()
+        point[index] = value
+        points.append(point)
+    points.append(np.append(-z[:nv], z[nv:]))
+    points.append(np.append(2 * _RADIUS * z[:nv], z[nv:]))
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        d = rng.standard_normal(len(z))
+        points.append(z + 10.0 ** rng.uniform(-3, 1) * d / np.linalg.norm(d))
+    nan_point = z.copy()
+    nan_point[0] = np.nan
+    inside = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point in points:
+            inside.append(_reference_interior(terms, point))
+            assert np.isinf(data.barrier_value(point, 3.0)) == (not inside[-1])
+        assert data.barrier_value(nan_point, 3.0) == np.inf
+    assert any(inside) and not all(inside)
 
 
 # --------------------------------------------------------------------------

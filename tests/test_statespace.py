@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bootctrl.statespace import (
+    ClosedLoop,
     Controller,
     Plant,
     PerformanceIndex,
@@ -125,6 +126,29 @@ def test_lift_exactness_random_systems(make_random_system, T):
         assert lifted.Bp.shape == (cl.n_xi, T * cl.m_wp)
         assert lifted.Cp.shape == (T * cl.p_z, cl.n_xi)
         assert _lift_deviation(cl, lifted, T, rng) <= 1e-9
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+def test_lift_keeps_uncertainty_feedthrough(T):
+    """Interconnected loops have Dpu = Duu = 0, so build random closed loops
+    with every block nonzero: w_u enters z_p and z_u directly in the first
+    step of each period."""
+    rng = np.random.default_rng(200 + T)
+    for _ in range(10):
+        n_xi, m_wp, n_wu, p_z, n_zu = rng.integers(1, 4, size=5)
+        A = rng.standard_normal((n_xi, n_xi))
+        cl = ClosedLoop(
+            Acl=0.8 * A / max(abs(np.linalg.eigvals(A))),
+            Bp=rng.standard_normal((n_xi, m_wp)),
+            Bu=rng.standard_normal((n_xi, n_wu)),
+            Cp=rng.standard_normal((p_z, n_xi)),
+            Dpp=rng.standard_normal((p_z, m_wp)),
+            Dpu=rng.standard_normal((p_z, n_wu)),
+            Cu=rng.standard_normal((n_zu, n_xi)),
+            Dup=rng.standard_normal((n_zu, m_wp)),
+            Duu=rng.standard_normal((n_zu, n_wu)),
+        )
+        assert _lift_deviation(cl, lift(cl, T), T, rng) <= 1e-10
 
 
 def test_lift_performance_energy_sum(make_random_system):
