@@ -8,16 +8,17 @@ noise bound) so tests can assert the fidelity invariant
     |Dec(ct) - c**scale_exponent * debug_plaintext| <= noise_bound
 
 after every operation.  Ciphertext bodies are lists of Python ints
-(arbitrary precision), stored as centered residues in [-q/2, q/2).
+(arbitrary precision), stored as centered residues in [-q/2, q/2),
+always computed as (x + h) % q - h with h = q // 2.
 
 Homomorphic operations: add, matvec (plaintext matrix times ciphertext
 vector; a plaintext scalar product is the 1x1 case) and rescale.
 
-Modulus chain: q_level = q0 * c**level, level in 0..L.  One rescale
-consumes one level; the emulated bootstrap consumes a level-0
-ciphertext and returns a fresh level-L one whose plaintext is the
-rounded value of the refresh polynomial applied to the raw phase
-b + <a, s> over the integers.
+Modulus chain: q_level = q0 * c**level, level in 0..L, tabulated once
+when the SchemeParams is built.  One rescale consumes one level; the
+emulated bootstrap consumes a level-0 ciphertext and returns a fresh
+level-L one whose plaintext is the rounded value of the refresh
+polynomial applied to the raw phase b + <a, s> over the integers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
 from .bootpoly import BootstrapPolynomial
 
@@ -120,11 +122,14 @@ class SchemeParams:
             raise ValueError("hamming_weight must be in 1..n")
         if self.noise_bound < 0:
             raise ValueError("noise_bound must be nonnegative")
+        # not a field: equality, repr and JSON see only the parameters
+        object.__setattr__(self, "_moduli",
+                           tuple(self.q0 * self.c ** ell for ell in range(self.L + 1)))
 
     def modulus(self, level: int) -> int:
         if not 0 <= level <= self.L:
             raise ValueError(f"level {level} outside 0..{self.L}")
-        return self.q0 * self.c ** level
+        return self._moduli[level]
 
 
 @dataclass
@@ -172,8 +177,8 @@ class BootstrapEvent:
 
 
 def _centered(x: int, q: int) -> int:
-    x %= q
-    return x - q if x >= q - q // 2 else x
+    h = q // 2
+    return (x + h) % q - h
 
 
 def _round_half_away(num: int, den: int) -> int:
@@ -219,11 +224,12 @@ def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
     """Encrypt the encoded integer m afresh (draws e, then a)."""
     params = keys.params
     q = params.modulus(level)
+    h = q // 2
     e = keys.rng.randint(-params.noise_bound, params.noise_bound)
     a = [keys.rng.randrange(q) for _ in range(params.n)]
-    b = (m + e - sum(ai * si for ai, si in zip(a, keys.s))) % q
+    b = m + e - sum(map(mul, a, keys.s))
     ct = Ciphertext(
-        body=[_centered(b, q)] + [_centered(ai, q) for ai in a],
+        body=[(x + h) % q - h for x in [b] + a],
         level=level,
         scale_exponent=scale_exponent,
         noise_bound=noise_bound,
@@ -246,8 +252,7 @@ def encrypt(keys: Keys, value: float, level: int | None = None,
 def decrypt_raw(keys: Keys, ct: Ciphertext) -> int:
     """Noisy encoded integer m + e (centered)."""
     q = keys.params.modulus(ct.level)
-    phase = sum(bi * ki for bi, ki in zip(ct.body, keys.sk))
-    return _centered(phase, q)
+    return _centered(sum(map(mul, ct.body, keys.sk)), q)
 
 
 def decrypt(keys: Keys, ct: Ciphertext) -> float:
@@ -297,22 +302,22 @@ def matvec(params: SchemeParams, M, cts: list) -> list:
     if any(ct.level != level or ct.scale_exponent != sigma for ct in cts):
         raise ValueError("ciphertext vector entries disagree on level or scale")
     q = params.modulus(level)
+    h = q // 2
     scale_old = float(params.c) ** sigma
     out = []
     for i in range(rows):
         body = [0] * len(cts[0].body)
         noise = 0.0
         debug = 0.0
-        for j, ct in enumerate(cts):
-            f_int = int(round(params.c * float(M[i][j])))
+        for m_ij, ct in zip(map(float, M[i]), cts, strict=True):
+            f_int = int(round(params.c * m_ij))
             if f_int:
-                for k, x in enumerate(ct.body):
-                    body[k] += f_int * x
-            round_err = abs(f_int - params.c * float(M[i][j]))
+                body = [b + f_int * x for b, x in zip(body, ct.body)]
+            round_err = abs(f_int - params.c * m_ij)
             noise += abs(f_int) * ct.noise_bound
             noise += round_err * abs(ct.debug_plaintext) * scale_old
-            debug += float(M[i][j]) * ct.debug_plaintext
-        body = [_centered(x, q) for x in body]
+            debug += m_ij * ct.debug_plaintext
+        body = [(x + h) % q - h for x in body]
         out.append(
             _budget_check(
                 params,
@@ -332,7 +337,8 @@ def rescale(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
     if ct.level == 0:
         raise NoLevelsLeftError("rescale at level 0")
     q_next = params.modulus(ct.level - 1)
-    body = [_centered(_round_half_away(x, params.c), q_next) for x in ct.body]
+    h = q_next // 2
+    body = [(_round_half_away(x, params.c) + h) % q_next - h for x in ct.body]
     ct_out = Ciphertext(
         body=body,
         level=ct.level - 1,
@@ -366,7 +372,7 @@ def bootstrap_emulated(keys: Keys, ct: Ciphertext,
         raise ValueError(
             f"polynomial fitted for q = {spec.q}, scheme base modulus is {params.q0}"
         )
-    v = sum(bi * ki for bi, ki in zip(ct.body, keys.sk))
+    v = sum(map(mul, ct.body, keys.sk))
     m_plus_e = _centered(v, params.q0)
     r = (v - m_plus_e) // params.q0
     if abs(m_plus_e) > spec.epsilon * params.q0 / 2.0:

@@ -23,6 +23,11 @@ Four modes:
   rewired FIR loop of analysis.fir_closed_loop closed with w_u = -z_u,
   i.e. the exact N-tap window.
 
+aligned_disturbance takes the nominal loop's exact impulse response from
+statespace.simulate (one run per disturbance column) and then runs its
+power iteration as FFT convolutions, so statespace.simulate stays the
+only real-valued recursion.
+
 Event order inside step t (matching the certified interconnection): the
 control u(t) is computed from the pre-refresh controller state, then the
 refresh/reset happens, then both states advance.  This realizes
@@ -311,26 +316,37 @@ def aligned_disturbance(cl: ClosedLoop, steps: int, columns=None,
 
     Power iteration on L*L, where L maps the disturbance sequence to the
     performance output sequence of the nominal (w_u = 0) loop from zero
-    initial state.  Both passes run through statespace.simulate: the
-    forward one on the loop restricted to `columns`, the adjoint one on
-    the dual system (Acl^T, Cp^T; Bp^T, Dpp^T) over the time-reversed
-    output, i.e. lam(t) = Acl^T lam(t+1) + Cp^T zeta(t).  `columns`
-    restricts the disturbance to a subset of w_p channels (e.g. the
-    physical ones when the controller-side channel is not exercised).
+    initial state.  L is a causal convolution with the impulse response
+    H(t) (p_z x len(columns)), taken exactly from one statespace.simulate
+    per selected column.  Each pass is then two FFT products of length
+    next_pow2(2*steps): z = L w, and g = L* z as H^T convolved with the
+    time-reversed z, reversed back.  `columns` restricts the disturbance
+    to distinct w_p channels (e.g. the physical ones when the
+    controller-side channel is not exercised).
     """
-    cols = np.arange(cl.m_wp) if columns is None else np.asarray(columns, dtype=int)
-    fwd = replace(cl, Bp=cl.Bp[:, cols], Dpp=cl.Dpp[:, cols], Dup=cl.Dup[:, cols])
-    adj = ClosedLoop(Acl=fwd.Acl.T, Bp=fwd.Cp.T, Bu=fwd.Cu.T, Cp=fwd.Bp.T,
-                     Dpp=fwd.Dpp.T, Dpu=fwd.Dup.T, Cu=fwd.Bu.T, Dup=fwd.Dpu.T,
-                     Duu=fwd.Duu.T)
-    x0 = np.zeros(cl.n_xi)
+    cols = list(range(cl.m_wp)) if columns is None else list(columns)
+    if not cols or not all(isinstance(c, (int, np.integer)) and 0 <= c < cl.m_wp
+                           for c in cols) or len(set(cols)) < len(cols):
+        raise ValueError(f"columns must be distinct integers in 0..{cl.m_wp - 1}, "
+                         f"got {columns!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    H = np.empty((steps, cl.p_z, len(cols)))
+    for j, col in enumerate(cols):
+        pulse = np.zeros((steps, cl.m_wp))
+        pulse[0, col] = 1.0
+        H[:, :, j] = simulate(cl, np.zeros(cl.n_xi), pulse, None, steps)[1]
+    nfft = 1 << (2 * steps - 1).bit_length()
+    Hf = np.fft.rfft(H, nfft, axis=0)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((steps, len(cols)))
     w /= np.linalg.norm(w)
     gain_prev = 0.0
     for _ in range(iterations):
-        _, z, _ = simulate(fwd, x0, w, None, steps)  # z = L w
-        g = simulate(adj, x0, z[::-1], None, steps)[1][::-1]  # g = L* z
+        zf = np.einsum("fij,fj->fi", Hf, np.fft.rfft(w, nfft, axis=0))
+        z = np.fft.irfft(zf, nfft, axis=0)[:steps]  # z = L w
+        gf = np.einsum("fij,fi->fj", Hf, np.fft.rfft(z[::-1], nfft, axis=0))
+        g = np.fft.irfft(gf, nfft, axis=0)[steps - 1::-1]  # g = L* z
         norm = np.linalg.norm(g)
         if norm == 0:
             break

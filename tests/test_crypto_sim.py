@@ -2,6 +2,10 @@
 sound overapproximation under fuzzing, rescaling, the emulated refresh,
 and parameter serialization."""
 
+import json
+import random
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -45,13 +49,54 @@ def test_parameter_validation():
 
 
 def test_modulus_chain(small_scheme):
-    for level in range(small_scheme.L + 1):
-        assert small_scheme.modulus(level) \
-            == small_scheme.q0 * small_scheme.c ** level
-    with pytest.raises(ValueError):
-        small_scheme.modulus(small_scheme.L + 1)
-    with pytest.raises(ValueError):
-        small_scheme.modulus(-1)
+    for scheme in (small_scheme, replace(small_scheme, L=7, c=3)):
+        assert scheme._moduli == tuple(scheme.q0 * scheme.c ** ell
+                                       for ell in range(scheme.L + 1))
+        for level in range(scheme.L + 1):
+            assert scheme.modulus(level) == scheme.q0 * scheme.c ** level
+        with pytest.raises(ValueError):
+            scheme.modulus(scheme.L + 1)
+        with pytest.raises(ValueError):
+            scheme.modulus(-1)
+
+
+def test_moduli_table_is_not_a_field(small_scheme):
+    """The cached table leaves equality, hashing, repr and JSON as they
+    were: only the seven parameters take part."""
+    twin = cs.SchemeParams(n=16, q0=2 ** 42, c=2 ** 16, L=4, noise_bound=8,
+                           seed=3, hamming_weight=4)
+    assert twin == small_scheme and hash(twin) == hash(small_scheme)
+    assert twin != replace(small_scheme, L=5)
+    assert [f.name for f in fields(cs.SchemeParams)] == [
+        "n", "q0", "c", "L", "noise_bound", "seed", "hamming_weight"]
+    assert "_moduli" not in repr(small_scheme)
+    assert cs.scheme_to_json(small_scheme) == {
+        "n": 16, "q0": 2 ** 42, "c": 2 ** 16, "L": 4, "noise_bound": 8,
+        "seed": 3, "hamming_weight": 4}
+    loaded = cs.scheme_from_json(json.loads(json.dumps(
+        cs.scheme_to_json(small_scheme))))
+    assert loaded == small_scheme and loaded._moduli == small_scheme._moduli
+
+
+def _centered_two_line(x, q):
+    """The earlier centering, kept here as the oracle."""
+    x %= q
+    return x - q if x >= q - q // 2 else x
+
+
+@pytest.mark.parametrize("q", [2, 3, 1000003, 2 ** 42, 2 ** 202, 3 ** 130],
+                         ids=["2", "3", "1000003", "2^42", "2^202", "3^130"])
+def test_centering_formula_matches_two_line_form(q):
+    h = q // 2
+    offsets = (-h - 1, -h, -h + 1, -1, 0, 1, h - 1, h, h + 1)
+    values = [k * q + d for k in range(-3, 4) for d in offsets]
+    rnd = random.Random(q)
+    values += [rnd.randrange(-5 * q, 5 * q) for _ in range(20_000)]
+    for x in values:
+        want = _centered_two_line(x, q)
+        assert (x + h) % q - h == want
+        assert cs._centered(x, q) == want
+        assert -h <= want < q - h
 
 
 def test_keygen_deterministic_and_sparse(small_scheme):
@@ -119,6 +164,24 @@ def test_matvec_matches_plaintext(keys, small_scheme):
         assert ct.debug_plaintext == pytest.approx(w, abs=1e-12)
         assert fidelity_ok(keys, ct)
         assert abs(cs.decrypt(keys, ct) - w) <= ct.noise_bound / small_scheme.c ** 2
+
+
+def test_matvec_zero_row_gives_zero_body(keys, small_scheme):
+    cts = [cs.encrypt(keys, v, level=3) for v in (4.0, -7.5)]
+    zero, live = cs.matvec(small_scheme, [[0.0, 0.0], [1.0, 0.5]], cts)
+    assert zero.body == [0] * (small_scheme.n + 1)
+    assert zero.noise_bound == 0.0 and zero.debug_plaintext == 0.0
+    assert (zero.level, zero.scale_exponent) == (3, 2)
+    assert cs.fidelity_error(keys, zero) == 0.0
+    assert fidelity_ok(keys, live) and live.debug_plaintext == 0.25
+
+
+def test_matvec_same_for_list_and_array(keys, small_scheme):
+    rng = np.random.default_rng(2)
+    M = rng.uniform(-1.5, 1.5, (3, 4))
+    cts = [cs.encrypt(keys, float(v), level=2) for v in rng.uniform(-9, 9, 4)]
+    assert cs.matvec(small_scheme, M, cts) \
+        == cs.matvec(small_scheme, M.tolist(), cts)
 
 
 def test_matvec_rejects_ragged_levels(keys, small_scheme):

@@ -3,6 +3,8 @@ model, the encrypted loop equals the reference plus injected refresh errors,
 reset and FIR modes match their algebraic models, and the empirical gain
 stays under the certified bound."""
 
+import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,13 @@ from bootctrl.simulator import (
     estimate_empirical_gain,
     run_closed_loop,
 )
-from bootctrl.statespace import Controller, Plant, interconnect, simulate
+from bootctrl.statespace import (
+    ClosedLoop,
+    Controller,
+    Plant,
+    interconnect,
+    simulate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +185,46 @@ def test_simulation_determinism(plant, controller, scheme, sim_poly):
     r3 = run_closed_loop(plant, controller, cfg3, scheme=scheme,
                          poly=sim_poly, w_p1=w1)
     assert not np.array_equal(r1.x_c, r3.x_c)  # encryption noise re-drawn
+
+
+def _run_digest(res):
+    """sha256 of the exact u, z_p and x_c bytes and the event list."""
+    h = hashlib.sha256()
+    for arr in (res.u, res.z_p, res.x_c):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    h.update(repr(res.events).encode())
+    return h.hexdigest()
+
+
+def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly):
+    """Three short seeded runs (ENCRYPTED with w_p2 at T_BS=5, RESET, FIR
+    N=3) reproduce recorded trajectories and refresh events bit for bit,
+    so a kernel rewrite cannot move a ciphertext, a noise bound or a
+    debug value unnoticed."""
+    steps = 40
+    rng = np.random.default_rng(17)
+    w1 = rng.standard_normal((steps, plant.m_w1))
+    w2 = 0.1 * rng.standard_normal((steps, controller.m_w2))
+    ctrl_w2 = replace(controller, F2=0.5 * np.ones_like(controller.F2))
+    enc = run_closed_loop(
+        plant, ctrl_w2, SimulationConfig(mode=ENCRYPTED, steps=steps, T_BS=5,
+                                         seed=7),
+        scheme=replace(scheme, L=5), poly=sim_poly, w_p1=w1, w_p2=w2)
+    rst = run_closed_loop(
+        plant, controller, SimulationConfig(mode=RESET, steps=steps, T_BS=10,
+                                            seed=7),
+        scheme=scheme, w_p1=w1)
+    fir = run_closed_loop(
+        plant, make_fir_controller(3, 0.4, [[-0.3]]),
+        SimulationConfig(mode=FIR, steps=steps, fir_length=3, seed=7),
+        scheme=scheme, w_p1=w1)
+    assert len(enc.events) == 14 and enc.violations == 0
+    assert _run_digest(enc) == \
+        "760fa159e2b16b5c4ef97927bdfad29d94d76273923e78a40eb70907fbd77a78"
+    assert _run_digest(rst) == \
+        "81b480cb38a0a5ba2ee1bd960d3e1541958489bc49a459a570aacace392cfa9d"
+    assert _run_digest(fir) == \
+        "8b2ef42addef8475af1f53617e5e00f24a15044291979f8d4570577d7f38550e"
 
 
 # --------------------------------------------------------------------------
@@ -385,6 +433,81 @@ def test_aligned_disturbance_matches_frequency_sweep():
         peak = max(peak, np.linalg.svd(H, compute_uv=False)[0])
     assert achieved == pytest.approx(peak, rel=0.05)
     assert achieved <= peak + 1e-9  # finite horizon cannot beat the sup
+
+
+def _aligned_by_simulation(cl, steps, columns=None, iterations=30, seed=0):
+    """Reference power iteration: both passes through simulate, the
+    adjoint one on the dual system over the time-reversed output."""
+    cols = np.arange(cl.m_wp) if columns is None else np.asarray(columns)
+    fwd = replace(cl, Bp=cl.Bp[:, cols], Dpp=cl.Dpp[:, cols],
+                  Dup=cl.Dup[:, cols])
+    adj = ClosedLoop(Acl=fwd.Acl.T, Bp=fwd.Cp.T, Bu=fwd.Cu.T, Cp=fwd.Bp.T,
+                     Dpp=fwd.Dpp.T, Dpu=fwd.Dup.T, Cu=fwd.Bu.T, Dup=fwd.Dpu.T,
+                     Duu=fwd.Duu.T)
+    x0 = np.zeros(cl.n_xi)
+    w = np.random.default_rng(seed).standard_normal((steps, len(cols)))
+    w /= np.linalg.norm(w)
+    gain_prev = 0.0
+    for _ in range(iterations):
+        _, z, _ = simulate(fwd, x0, w, None, steps)
+        g = simulate(adj, x0, z[::-1], None, steps)[1][::-1]
+        norm = np.linalg.norm(g)
+        if norm == 0:
+            break
+        gain = np.linalg.norm(z)
+        w = g / norm
+        if abs(gain - gain_prev) < 1e-10 * max(1.0, gain):
+            break
+        gain_prev = gain
+    out = np.zeros((steps, cl.m_wp))
+    out[:, cols] = w
+    return out
+
+
+@pytest.mark.parametrize("steps", [1, 2, 30, 1000])
+@pytest.mark.parametrize("columns", [None, [0], [0, 2]],
+                         ids=["all", "w_p1", "w_p1_and_last"])
+def test_aligned_disturbance_fft_matches_simulation(plant, controller, steps,
+                                                    columns):
+    cl = interconnect(plant, controller)
+    got = aligned_disturbance(cl, steps, columns=columns)
+    want = _aligned_by_simulation(cl, steps, columns=columns)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+
+
+def _unit_start(steps, width, seed=0):
+    w = np.random.default_rng(seed).standard_normal((steps, width))
+    return w / np.linalg.norm(w)
+
+
+def test_aligned_disturbance_silent_loop_returns_start(plant, controller):
+    """A loop with no path to z_p (Cp = 0, Dpp = 0) stops on the zero
+    adjoint without a warning and returns the normalised random start."""
+    cl = interconnect(plant, controller)
+    silent = replace(cl, Cp=np.zeros_like(cl.Cp), Dpp=np.zeros_like(cl.Dpp))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = aligned_disturbance(silent, 50, columns=[0], seed=4)
+    assert np.array_equal(w[:, [0]], _unit_start(50, 1, seed=4))
+    assert not w[:, 1:].any()
+
+
+def test_aligned_disturbance_zero_iterations_returns_start(plant, controller):
+    cl = interconnect(plant, controller)
+    w = aligned_disturbance(cl, 25, iterations=0, seed=3)
+    assert np.array_equal(w, _unit_start(25, cl.m_wp, seed=3))
+
+
+@pytest.mark.parametrize("columns, steps", [
+    ([0, 0], 30), ([0.7], 30), ([-1], 30), ([7], 30), ([], 30), ([0], 0),
+], ids=["duplicate", "float", "negative", "out_of_range", "empty",
+        "no_steps"])
+def test_aligned_disturbance_rejects_bad_input(plant, controller, columns,
+                                               steps):
+    cl = interconnect(plant, controller)
+    with pytest.raises(ValueError, match="columns|steps"):
+        aligned_disturbance(cl, steps, columns=columns)
 
 
 # --------------------------------------------------------------------------
