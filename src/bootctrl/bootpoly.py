@@ -10,6 +10,12 @@ for all x in I.  The fit minimizes gamma over polynomials of fixed degree
 by discretizing the constraint set at Chebyshev nodes and solving the
 resulting LP in-repo; the returned gamma is then re-established by dense
 a-posteriori sampling, which is the authoritative certificate.
+
+Every evaluation of p goes through one Clenshaw kernel, numpy's chebval
+recurrence operation for operation (x2 = 2x; c0, c1 <- c[-i] - c1,
+c0 + c1 x2; then c0 + c1 x), so its values are bitwise chebval's.  Arrays
+are walked in blocks of _BLOCK doubles, so the recurrence's temporaries
+stay in cache instead of being fresh full-length arrays per coefficient.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial.chebyshev import chebvander
 
 from .lp import LpError, solve_lp
 
@@ -38,6 +44,9 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-9
+# doubles per Clenshaw block (256 KiB): a block's few live arrays stay in
+# L2, and each ufunc call of the recurrence still covers many elements
+_BLOCK = 32_768
 
 
 class FitError(RuntimeError):
@@ -143,16 +152,34 @@ def centered_mod(m, q):
     return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
 
 
+def _clenshaw(c, x):
+    """sum_k c[k] T_k(x) (len(c) >= 2) at a float x or on one block of x.
+
+    This is numpy's chebval recurrence, operation for operation, so its
+    values are bitwise chebval's.
+    """
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def evaluate(poly: BootstrapPolynomial, m):
-    """Evaluate the polynomial by the Chebyshev (Clenshaw) recurrence."""
+    """Evaluate the polynomial by the blocked Clenshaw recurrence."""
     x = np.asarray(m, dtype=float) / poly.spec.half_range
-    out = _cheb.chebval(x, poly.coefficients)
-    return float(out) if np.isscalar(m) or x.ndim == 0 else out
+    if np.isscalar(m) or x.ndim == 0:
+        return float(_clenshaw(poly.coefficients, x))
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        out[lo:lo + _BLOCK] = _clenshaw(poly.coefficients, flat[lo:lo + _BLOCK])
+    return out.reshape(x.shape)
 
 
 def _odd_chebvander(x, spec: BootstrapSpec):
     """Rows of the odd Chebyshev basis T_1, T_3, ... evaluated at x."""
-    V = _cheb.chebvander(np.asarray(x, dtype=float) / spec.half_range, spec.d)
+    V = chebvander(np.asarray(x, dtype=float) / spec.half_range, spec.d)
     return V[:, 1::2]
 
 
@@ -257,6 +284,13 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     m mod q = 0 the ratio is replaced by the root check
     |p(r q)| <= ROOT_TOL * q, since the quotient there measures only
     floating-point cancellation, not the polynomial.
+
+    The points are walked in kernel blocks: x = (m - r q) / half_range,
+    the Clenshaw kernel and |p(x) - m| / |m| run on one block, whose
+    maximum joins a running maximum, so no array of the full sample count
+    is formed past m itself.  Every value is bitwise the whole-array
+    chebval formula's.  A non-finite root or error (overflow in the
+    recurrence) returns inf, without a warning, so fit() rejects it.
     """
     if samples < 10**5:
         raise ValueError(f"verification needs at least 1e5 samples per interval, got {samples}")
@@ -267,19 +301,25 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     n_rand = samples - n_grid
 
     worst = 0.0
-    for r in spec.offsets:
-        root = abs(evaluate(poly, -r * spec.q))
-        if root > ROOT_TOL * spec.q:
-            worst = max(worst, np.inf)
-        m = np.concatenate(
-            [
-                np.linspace(-half_msg, half_msg, n_grid),
-                rng.uniform(-half_msg, half_msg, n_rand),
-            ]
-        )
-        m = m[np.abs(m) > 1e-9 * spec.q]
-        err = np.abs(evaluate(poly, m - r * spec.q) - m)
-        worst = max(worst, float(np.max(err / np.abs(m))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in spec.offsets:
+            # NaN fails the comparison too
+            if not abs(evaluate(poly, -r * spec.q)) <= ROOT_TOL * spec.q:
+                return np.inf
+            m = np.concatenate(
+                [
+                    np.linspace(-half_msg, half_msg, n_grid),
+                    rng.uniform(-half_msg, half_msg, n_rand),
+                ]
+            )
+            m = m[np.abs(m) > 1e-9 * spec.q]
+            for lo in range(0, m.size, _BLOCK):
+                mb = m[lo:lo + _BLOCK]
+                p = _clenshaw(poly.coefficients, (mb - r * spec.q) / spec.half_range)
+                block_worst = float(np.max(np.abs(p - mb) / np.abs(mb)))
+                if not block_worst < np.inf:
+                    return np.inf
+                worst = max(worst, block_worst)
     return worst
 
 

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import THEOREM_1, THEOREM_2, analyze_l2_gain
-from .bootpoly import BootstrapSpec, FitError, fit, load_poly, save_poly
+from .bootpoly import (BootstrapSpec, FitError, centered_mod, evaluate, fit,
+                       load_poly, save_poly)
 from .crypto_sim import SchemeError, load_scheme
 from .fixtures import demo_scheme_path, demo_system_path
 from .simulator import SimulationConfig, run_closed_loop
@@ -98,16 +99,16 @@ def cmd_fit_poly(args) -> int:
     if args.csv:
         csv_path = out_dir / args.csv
         grid = np.linspace(-poly.spec.half_range, poly.spec.half_range, 4001)
-        from .bootpoly import centered_mod
-
+        pm = evaluate(poly, grid)
+        target = centered_mod(grid, poly.spec.q)
+        rel = np.full_like(grid, np.nan)
+        np.divide(np.abs(pm - target), np.abs(target), out=rel, where=target != 0)
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "p_of_m", "m_mod_q", "relative_error"])
-            for m in grid:
-                pm = poly(m)
-                target = centered_mod(m, poly.spec.q)
-                rel = abs(pm - target) / abs(target) if target else float("nan")
-                writer.writerow([f"{m!r}", f"{pm!r}", f"{target!r}", f"{rel!r}"])
+            # Python floats, which csv writes by repr: round-trip text
+            writer.writerows(zip(grid.tolist(), pm.tolist(), target.tolist(),
+                                 rel.tolist()))
         outputs.append(csv_path)
     outputs.append(_write_manifest(out_dir, "fit-poly", args, outputs))
     usable = "usable" if poly.usable else "NOT usable (gamma >= 1)"

@@ -181,13 +181,6 @@ def _centered(x: int, q: int) -> int:
     return (x + h) % q - h
 
 
-def _round_half_away(num: int, den: int) -> int:
-    """round(num / den) with ties away from zero, exactly, in integers."""
-    if num >= 0:
-        return (2 * num + den) // (2 * den)
-    return -((-2 * num + den) // (2 * den))
-
-
 def required_offset_range(params: SchemeParams, epsilon: float) -> int:
     """Smallest K certain to cover the bootstrap wrap count.
 
@@ -338,7 +331,12 @@ def rescale(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
         raise NoLevelsLeftError("rescale at level 0")
     q_next = params.modulus(ct.level - 1)
     h = q_next // 2
-    body = [(_round_half_away(x, params.c) + h) % q_next - h for x in ct.body]
+    c = params.c
+    c2 = 2 * c
+    # round(x / c), ties away from zero, exactly in integers; then centered
+    body = [((2 * x + c) // c2 + h) % q_next - h if x >= 0
+            else (h - (c - 2 * x) // c2) % q_next - h
+            for x in ct.body]
     ct_out = Ciphertext(
         body=body,
         level=ct.level - 1,

@@ -2,6 +2,7 @@
 Markdown report tables."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,26 @@ def test_fit_poly_csv_profile(tmp_path):
     lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "m,p_of_m,m_mod_q,relative_error"
     assert len(lines) == 4002  # header + grid
+    poly = load_poly(tmp_path / "poly.json")
+    q, r, c = poly.spec.q, poly.spec.half_range, poly.coefficients.tolist()
+    zero_rows = 0
+    for line, grid_m in zip(lines[1:], np.linspace(-r, r, 4001).tolist()):
+        m, pm, target, rel = (float(cell) for cell in line.split(","))
+        assert m == grid_m
+        # Clenshaw's recurrence in numpy's order, on plain floats
+        x = m / r
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            c0, c1 = c[-i] - c1, c0 + c1 * (2 * x)
+        assert pm == c0 + c1 * x
+        ratio = m / q
+        assert target == m - q * math.copysign(math.floor(abs(ratio) + 0.5), ratio)
+        if target == 0:
+            zero_rows += 1
+            assert math.isnan(rel)
+        else:
+            assert rel == abs(pm - target) / abs(target)
+    assert zero_rows >= 1
 
 
 def test_fit_poly_degree_too_low_fails_with_best_gamma(tmp_path, capsys):

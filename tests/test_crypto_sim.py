@@ -190,6 +190,32 @@ def test_matvec_rejects_ragged_levels(keys, small_scheme):
         cs.matvec(small_scheme, np.ones((1, 2)), cts)
 
 
+def _round_half_away(num, den):
+    """The earlier rescale rounding helper, kept here as the oracle."""
+    if num >= 0:
+        return (2 * num + den) // (2 * den)
+    return -((-2 * num + den) // (2 * den))
+
+
+@pytest.mark.parametrize("c", [2, 3, 2 ** 16, 10 ** 9 + 7])
+def test_rescale_rounding_matches_helper(small_scheme, c):
+    scheme = replace(small_scheme, c=c)
+    q_next = scheme.modulus(0)
+    h = q_next // 2
+    # ties (x = k c + c/2 for even c) and their neighbours, both signs
+    values = [k * c + d for k in range(-4, 5)
+              for d in (-(c // 2) - 1, -(c // 2), -(c // 2) + 1, -1, 0, 1,
+                        c // 2 - 1, c // 2, c // 2 + 1)]
+    rnd = random.Random(c)
+    values += [rnd.randrange(-2 ** 200, 2 ** 200) for _ in range(20_000)]
+    values += [rnd.randrange(-scheme.modulus(1), scheme.modulus(1)) for _ in range(1_000)]
+    ct = cs.Ciphertext(body=values, level=1, scale_exponent=1, noise_bound=0.0,
+                       debug_plaintext=0.0)
+    out = cs.rescale(scheme, ct)
+    assert out.body == [(_round_half_away(x, c) + h) % q_next - h for x in values]
+    assert all(type(b) is int for b in out.body)
+
+
 def test_rescale_drops_level_and_scale(keys, small_scheme):
     ct = cs.encrypt(keys, 7.5, level=2, scale_exponent=1)
     ct2 = cs.matvec(small_scheme, [[1.5]], [ct])[0]  # scale 2

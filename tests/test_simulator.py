@@ -227,6 +227,32 @@ def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly):
         "8b2ef42addef8475af1f53617e5e00f24a15044291979f8d4570577d7f38550e"
 
 
+@pytest.mark.parametrize("mode", [ENCRYPTED, RESET, FIR])
+def test_each_ciphertext_is_decrypted_once(plant, controller, scheme, sim_poly,
+                                           monkeypatch, mode):
+    """The ledger check's phase also decodes u: no ciphertext is decrypted
+    twice, and every control output is decrypted."""
+    seen = []
+    real = cs.decrypt_raw
+
+    def spy(keys, ct):
+        seen.append(ct)
+        return real(keys, ct)
+
+    monkeypatch.setattr(cs, "decrypt_raw", spy)
+    steps = 12
+    if mode == FIR:
+        res = run_closed_loop(plant, make_fir_controller(3, 0.4, [[-0.3]]),
+                              SimulationConfig(mode=FIR, steps=steps, fir_length=3),
+                              scheme=scheme)
+    else:
+        res = run_closed_loop(plant, controller,
+                              SimulationConfig(mode=mode, steps=steps, T_BS=5),
+                              scheme=replace(scheme, L=5), poly=sim_poly)
+    assert len({id(ct) for ct in seen}) == len(seen)
+    assert len(seen) >= steps * res.u.shape[1]
+
+
 # --------------------------------------------------------------------------
 # reset mode
 
