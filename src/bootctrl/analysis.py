@@ -111,8 +111,8 @@ class SectorBound:
     @classmethod
     def symmetric(cls, gamma, n_zu):
         """Componentwise symmetric sector [-gamma, gamma]."""
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
         eye = np.eye(n_zu)
         return cls(L_lower=-gamma * eye, L_upper=gamma * eye)
 
@@ -371,13 +371,13 @@ class AnalysisReport:
 def analyze_l2_gain(plant: Plant, controller: Controller, gamma_sector: float,
                     method: str = THEOREM_2, T_BS: int = 1, mode: str = "bootstrap",
                     fir_length: int | None = None, tol: float = 1e-3) -> AnalysisReport:
-    """Bisect the smallest certifiable l2-gain for the requested mode.
+    """Smallest certified l2-gain, to within tol, by sdp.bisect_gain's EVP.
 
     The mode alone fixes the loop, the sector slope and the test: "bootstrap"
     uses the given slope on the interconnection; "reset" forces slope 1
     and the lifted test with T_BS as the reset period; "fir" forces slope 1
     and the direct test on the rewired loop of fir_closed_loop.  Returns a
-    NOT_CERTIFIED report instead of raising when no gain in the bracket is
+    NOT_CERTIFIED report instead of raising when no gain up to the cap is
     feasible.
     """
     if method not in (THEOREM_1, THEOREM_2):

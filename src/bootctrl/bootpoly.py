@@ -67,8 +67,8 @@ class BootstrapSpec:
     d: int = 25
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"q must be positive, got {self.q}")
+        if not (np.isfinite(self.q) and self.q > 0):
+            raise ValueError(f"q must be finite and positive, got {self.q}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if int(self.K) != self.K or self.K < 0:

@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="bootstrap")
     p_an.add_argument("--fir-length", type=int, default=None)
     p_an.add_argument("--tol", type=float, default=1e-3,
-                      help="bisection tolerance on the gain")
+                      help="tolerance on the certified gain")
     p_an.add_argument("--out", default="analysis_report.json")
     p_an.add_argument("--report", action="store_true",
                       help="also emit a Markdown summary table")

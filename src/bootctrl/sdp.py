@@ -1,23 +1,22 @@
-"""Small dense semidefinite feasibility engine with independent checking.
+"""Small dense semidefinite engine with independent checking.
 
-Feasibility problems come in as lists of symmetric-matrix-valued affine
-constraints in the decision variables (a symmetric matrix X, optionally a
-scalar tau).  The solver runs a phase-I eigenvalue-shift minimization:
+Problems come in as lists of symmetric-matrix-valued affine constraints in
+the decision variables (a symmetric matrix X, optionally a scalar tau).
+solve_feasibility runs a phase-I eigenvalue-shift minimization:
 
     minimize s   s.t.   G_j(v) <= s*I  (strict-negative constraints)
                         P_i(v) >= delta*I  (strict-positive constraints)
 
-driven by a log-det barrier with damped Newton steps (Boyd & Vandenberghe,
-Convex Optimization, sec. 11.3-11.4).  The barrier reads each constraint's
-one coefficient stack, applying sign, scale and the s column as it forms a
-matrix; each Newton step's Hessian is one GEMM per constraint and each
-line-search trial point one Cholesky (see _BarrierData).  The verdict is
-FEASIBLE exactly when the optimal shift satisfies s <= -delta.  Every
-certificate is re-validated by check_certificate, which returns a
-Cholesky-verified lower bound (Rump 2006) on its margin: the bound holds
-for the exact real-valued constraints, whatever the rounding in forming
-them, and never depends on the barrier or on an eigensolver being
-accurate, so solver quality is never safety-critical.
+and FEASIBLE means the optimal shift satisfies s <= -delta.  bisect_gain
+follows it with one phase-II minimization of g^2, which enters the
+strict-negative constraints affinely.  Both phases run one log-det barrier
+with damped Newton steps (Boyd & Vandenberghe, Convex Optimization, sec.
+11.3-11.4; see _BarrierData and _center).  Every certificate is
+re-validated by check_certificate, which returns a Cholesky-verified lower
+bound (Rump 2006) on its margin: the bound holds for the exact real-valued
+constraints, whatever the rounding in forming them, and never depends on
+the barrier or on an eigensolver being accurate, so solver quality is
+never safety-critical.
 
 INFEASIBLE means the phase-I optimum stays above -delta.  The tests in
 this package are sufficient conditions, so INFEASIBLE never implies that
@@ -26,7 +25,7 @@ the underlying loop is unstable; naming stays neutral on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +52,7 @@ _RADIUS = 1e4  # compactifying bound X <= radius*I, tau <= radius
 
 
 class UncertifiableError(RuntimeError):
-    """Raised when no feasible gain exists inside the bisection cap."""
+    """Raised when no feasible gain exists at or below the gain cap."""
 
 
 def vech_indices(n):
@@ -346,52 +345,53 @@ def _strictly_positive(M):
 
 
 class _BarrierData:
-    """The phase-I barrier in z = (v, s) over one copy of each coefficient stack.
+    """The barrier in z = (v, o) over one copy of each coefficient stack.
 
-    A term (const, coeffs, first, scale, with_s) is the matrix M(z) = const
-    + scale * sum_k z[first + k] coeffs[k] (+ s I if with_s), kept positive
-    definite.  coeffs is a constraint's own read-only stack: G(v) < 0 becomes
-    s I - G(v) / ||const||_F and G(v) > 0 becomes G(v) - delta I; the bounds
+    The objective o is the shift s in phase I and g^2 in phase II.  A term
+    (const, coeffs, first, scale, slope) is the matrix M(z) = const + scale
+    * sum_k z[first + k] coeffs[k] (+ o slope), kept positive definite;
+    coeffs is a constraint's own read-only stack.  G(v) > 0 becomes
+    G(v) - delta I.  G(v) < 0 becomes s I - G(v) / ||const||_F in phase I
+    and, given gain_slopes[j] = C, the g^2 coefficient of constraint j,
+    -G(v) - g^2 C - delta I in phase II: raw margin above delta.  The bounds
     _RADIUS I - X and _RADIUS - tau carry small stacks of their own.  Only
-    constraint terms, whose coeffs cover all of v, have the s column, so a
-    term's variables are the slice z[first:first + q + with_s].  grad_hess
-    fills U_k = W F_k (W = M^-1) by one batched matmul, so g_k = -tr(U_k) and
-    H_kl = tr(W F_k W F_l) is one GEMM of the flattened U by the flattened
-    U_k^T; barrier_value takes each log-det from one Cholesky, inf if any fails.
+    constraint terms, whose coeffs cover all of v, have a slope, so a
+    term's variables are a slice of z.  grad_hess fills U_k = W F_k
+    (W = M^-1) by one batched matmul, so g_k = -tr(U_k) and H_kl =
+    tr(W F_k W F_l) is one GEMM of the flattened U by the flattened U_k^T;
+    barrier_value takes each log-det from one Cholesky, inf if any fails.
     """
 
-    def __init__(self, problem: LmiProblem, delta: float):
+    def __init__(self, problem: LmiProblem, delta: float, gain_slopes=None):
         self.p = problem.n_vars
         self.terms = []
-        for con in problem.constraints:
-            if con.sense == "neg":
+        for j, con in enumerate(problem.constraints):
+            eye = np.eye(con.dim)
+            if con.sense == "pos":
+                self.terms.append((con.const - delta * eye, con.coeffs, 0, 1.0, None))
+            elif gain_slopes is None:
                 norm = max(1.0, float(np.linalg.norm(con.const)))
-                self.terms.append(
-                    (-con.const / norm, con.coeffs, 0, -1.0 / norm, True))
+                self.terms.append((-con.const / norm, con.coeffs, 0, -1.0 / norm, eye))
             else:
-                const = con.const - delta * np.eye(con.dim)
-                self.terms.append((const, con.coeffs, 0, 1.0, False))
-        # Compactifying bounds _RADIUS*I - X >= 0 (and _RADIUS - tau >= 0).
-        # The phase-I objective often has recession directions (constraint
-        # margins that grow without lowering s), so without these the
-        # analytic center need not exist and Newton cannot converge.  They
-        # are internal to the solver and never part of the certified claim;
-        # an INFEASIBLE verdict therefore means "no certificate within the
-        # search radius", which the bounds keep far above any certificate
-        # a well-scaled problem produces.
+                self.terms.append((-con.const - delta * eye, con.coeffs, 0, -1.0,
+                                   -gain_slopes[j]))
+        # Compactifying bounds: without them the phase-I objective's
+        # recession directions (margins that grow without lowering s) leave
+        # no analytic center.  They are never part of the certified claim,
+        # so INFEASIBLE means "no certificate within the search radius".
         n = problem.n_x
-        self.terms.append((_RADIUS * np.eye(n), np.stack(sym_basis(n)), 0, -1.0, False))
+        self.terms.append((_RADIUS * np.eye(n), np.stack(sym_basis(n)), 0, -1.0, None))
         if problem.with_tau:
             self.terms.append((np.array([[_RADIUS]]), np.ones((1, 1, 1)),
-                               problem.n_vech, -1.0, False))
+                               problem.n_vech, -1.0, None))
         self.n_barrier = sum(term[0].shape[0] for term in self.terms)
 
     def matrix(self, term, z):
-        const, coeffs, first, scale, with_s = term
+        const, coeffs, first, scale, slope = term
         q, m = coeffs.shape[0], const.shape[0]
         M = const + scale * (z[first:first + q] @ coeffs.reshape(q, -1)).reshape(m, m)
-        if with_s:
-            M.flat[:: m + 1] += z[-1]
+        if slope is not None:
+            M += z[-1] * slope
         return M
 
     def barrier_value(self, z, t):
@@ -411,19 +411,66 @@ class _BarrierData:
         H = np.zeros((self.p + 1, self.p + 1))
         g[-1] = t
         for term in self.terms:
-            const, coeffs, first, scale, with_s = term
+            const, coeffs, first, scale, slope = term
             q = coeffs.shape[0]
             W = np.linalg.inv(self.matrix(term, z))
             W = 0.5 * (W + W.T)
-            U = np.empty((q + with_s,) + W.shape)
+            U = np.empty((q + (slope is not None),) + W.shape)
             np.matmul(scale * W, coeffs, out=U[:q])
-            if with_s:
-                U[q] = W
+            if slope is not None:
+                np.matmul(W, slope, out=U[q])
             cols = slice(first, first + len(U))
             g[cols] -= np.trace(U, axis1=1, axis2=2)
             Uf = U.reshape(len(U), -1)
             H[cols, cols] += Uf @ U.transpose(0, 2, 1).reshape(Uf.shape).T
         return g, H
+
+
+def _center(data, z, t, steps, floor=-np.inf):
+    """Damped Newton centering of the barrier at t from the interior point z.
+
+    Armijo backtracking on each step; stops when the Newton decrement is
+    below 1e-9, the line search stalls, or the objective z[-1] reaches
+    floor.  Returns (z, decrement, steps), with decrement None when z is
+    not interior or steps reached _MAX_NEWTON first.
+    """
+    phi = data.barrier_value(z, t)
+    if phi == np.inf:
+        return z, None, steps
+    decrement = np.inf
+    for _ in range(60):
+        if steps >= _MAX_NEWTON:
+            return z, None, steps
+        g, H = data.grad_hess(z, t)
+        try:
+            dz = -np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            dz = -np.linalg.solve(H + 1e-10 * np.eye(H.shape[0]), g)
+        decrement = -0.5 * float(g @ dz)
+        steps += 1
+        if decrement < 1e-9:
+            break
+        step = 1.0
+        while step > 1e-13:
+            cand = z + step * dz
+            phi_cand = data.barrier_value(cand, t)
+            if phi_cand <= phi + 0.25 * step * float(g @ dz):
+                break
+            step *= 0.5
+        if step <= 1e-13:
+            break
+        z, phi = cand, phi_cand
+        if z[-1] <= floor:
+            break
+    return z, decrement, steps
+
+
+def _certificate(problem: LmiProblem, v, iterations: int) -> SdpCertificate:
+    """The point v as a certificate of problem, with its checked margin."""
+    X, tau = problem.unpack(v)
+    cert = SdpCertificate(X=X, tau=tau, margin_achieved=0.0,
+                          solver_iterations=iterations)
+    return replace(cert, margin_achieved=check_certificate(problem, cert))
 
 
 def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
@@ -440,128 +487,79 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
         raise ValueError("delta must be positive")
     data = _BarrierData(problem, delta)
 
-    # Start from X = I, tau = 1, s above the largest shifted eigenvalue.
+    # Start from X = I, tau = 1 and s at least 1 above every lambda_max(Ghat):
+    # a term with a slope is -Ghat at s = 0.
     v0 = problem.pack(np.eye(problem.n_x), 1.0 if problem.with_tau else None)
-    s0 = 1.0
     z = np.append(v0, 0.0)
-    for term in data.terms:
-        if term[4]:
-            # with_s: at s = 0 the term is -Ghat; need s > lambda_max(Ghat).
-            s0 = max(s0, float(-np.linalg.eigvalsh(data.matrix(term, z)).min()) + 1.0)
-    z[-1] = s0
+    z[-1] = max([1.0] + [1.0 - np.linalg.eigvalsh(data.matrix(term, z))[0]
+                         for term in data.terms if term[4] is not None])
     nu = data.n_barrier
     t = 1.0
-    phi = data.barrier_value(z, t)
-    if phi == np.inf:
-        return SolveOutcome(status=NUMERICAL_FAILURE, iterations=0)
-
-    newton_count = 0
+    steps = 0
     while True:
-        # Center at the current t.
-        decrement = np.inf
-        for _ in range(60):
-            if newton_count >= _MAX_NEWTON:
-                return SolveOutcome(status=NUMERICAL_FAILURE, iterations=newton_count)
-            g, H = data.grad_hess(z, t)
-            try:
-                dz = -np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                dz = -np.linalg.solve(H + 1e-10 * np.eye(H.shape[0]), g)
-            decrement = -0.5 * float(g @ dz)
-            newton_count += 1
-            if decrement < 1e-9:
-                break
-            step = 1.0
-            while step > 1e-13:
-                cand = z + step * dz
-                phi_cand = data.barrier_value(cand, t)
-                if phi_cand <= phi + 0.25 * step * float(g @ dz):
-                    break
-                step *= 0.5
-            if step <= 1e-13:
-                break
-            z, phi = cand, phi_cand
-            if z[-1] <= -1.5 * delta:
-                # Strict feasibility is already witnessed; no need to
-                # keep centering (the phase-I objective is unbounded
-                # below on strictly feasible homogeneous problems).
-                break
-
+        # Centering stops once s <= -1.5 delta witnesses strict feasibility
+        # (s is unbounded below on strictly feasible homogeneous problems).
+        z, decrement, steps = _center(data, z, t, steps, floor=-1.5 * delta)
+        if decrement is None:
+            return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
         s_cur = float(z[-1])
-        centered = decrement < 1e-6
         if s_cur <= -delta:
-            X, tau = problem.unpack(z[:-1])
-            cert = SdpCertificate(
-                X=0.5 * (X + X.T),
-                tau=tau,
-                margin_achieved=0.0,
-                solver_iterations=newton_count,
-            )
-            margin = check_certificate(problem, cert)
-            if margin < delta:
-                return SolveOutcome(status=NUMERICAL_FAILURE, iterations=newton_count)
-            cert = SdpCertificate(
-                X=cert.X,
-                tau=cert.tau,
-                margin_achieved=margin,
-                solver_iterations=newton_count,
-            )
-            return SolveOutcome(status=FEASIBLE, certificate=cert,
-                                iterations=newton_count)
-        if not centered:
+            cert = _certificate(problem, z[:-1], steps)
+            if cert.margin_achieved < delta:
+                return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
+            return SolveOutcome(status=FEASIBLE, certificate=cert, iterations=steps)
+        if decrement >= 1e-6:
             # The duality-gap bound below only holds at a centered point.
-            return SolveOutcome(status=NUMERICAL_FAILURE, iterations=newton_count)
-        if s_cur - nu / t > -delta:
-            return SolveOutcome(status=INFEASIBLE, iterations=newton_count)
-        if nu / t < delta / 20:
-            # Razor-thin band around the decision boundary; settle by sign.
-            return SolveOutcome(status=INFEASIBLE, iterations=newton_count)
+            return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
+        if s_cur - nu / t > -delta or nu / t < delta / 20:
+            # The optimum is above -delta, or within a razor-thin band of it.
+            return SolveOutcome(status=INFEASIBLE, iterations=steps)
         t *= 20.0
-        phi = data.barrier_value(z, t)
 
 
-def bisect_gain(problem_builder, lo: float = 0.0, hi: float = 100.0,
-                tol: float = 1e-3, delta: float = 1e-7, hi_cap: float = 1600.0):
-    """Smallest certified-feasible gain by bisection on the gain itself.
+def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
+                hi_cap: float = 1600.0):
+    """Smallest certified gain by one phase-I and one phase-II barrier solve.
 
-    problem_builder maps gain**2 to an LmiProblem (the performance index
-    is affine in the squared gain).  hi is doubled up to hi_cap until
-    feasible; failure to find any feasible gain raises UncertifiableError.
-    Returns (gain, certificate) for the smallest gain certified feasible.
+    problem_builder maps g^2 to an LmiProblem in which g^2 (Qp = -g^2 I)
+    enters only the strict-negative constants, affinely, so the smallest
+    gain is an eigenvalue problem (EVP; Boyd, El Ghaoui, Feron &
+    Balakrishnan 1994).  Phase I finds a point at hi_cap, or raises
+    UncertifiableError.  Phase II minimizes g^2 from there and stops at a
+    centered point once the gain is within tol of the duality-gap bound
+    sqrt(g^2 - nu/t).  Returns (gain, certificate): sqrt(g^2) rounded up,
+    with the margin checked at problem_builder(gain * gain).  A stalled
+    phase II or a failed check raises RuntimeError.  The name predates the
+    method; perfbench's tracer patches the function under it.
     """
-    if tol <= 0 or lo < 0 or hi <= lo:
-        raise ValueError("need tol > 0 and 0 <= lo < hi")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    outcome = solve_feasibility(problem_builder(hi_cap * hi_cap), delta=delta)
+    if outcome.status == NUMERICAL_FAILURE:
+        raise RuntimeError(f"solver failed numerically at gain {hi_cap}")
+    if not outcome.feasible:
+        raise UncertifiableError(
+            f"UNSTABLE_OR_UNCERTIFIABLE: no feasible gain at or below {hi_cap}")
 
-    def attempt(g):
-        outcome = solve_feasibility(problem_builder(g * g), delta=delta)
-        if outcome.status == NUMERICAL_FAILURE:
-            raise RuntimeError(f"solver failed numerically at gain {g}")
-        return outcome
-
-    outcome_lo = attempt(lo)
-    if outcome_lo.feasible:
-        return lo, outcome_lo.certificate
-
-    outcome_hi = attempt(hi)
-    while not outcome_hi.feasible:
-        hi *= 2.0
-        if hi > hi_cap:
-            raise UncertifiableError(
-                f"UNSTABLE_OR_UNCERTIFIABLE: no feasible gain at or below {hi_cap}"
-            )
-        outcome_hi = attempt(hi)
-
-    cert = outcome_hi.certificate
-    feasible_points = [hi]
-    infeasible_points = [lo]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        outcome = attempt(mid)
-        if outcome.feasible:
-            hi, cert = mid, outcome.certificate
-            feasible_points.append(mid)
-        else:
-            lo = mid
-            infeasible_points.append(mid)
-    assert max(infeasible_points) < min(feasible_points)
-    return hi, cert
+    base, unit = problem_builder(0.0), problem_builder(1.0)
+    slopes = [b.const - a.const for a, b in zip(base.constraints, unit.constraints)]
+    data = _BarrierData(base, delta, slopes)
+    start = outcome.certificate
+    z = np.append(base.pack(start.X, start.tau), hi_cap * hi_cap)
+    nu = data.n_barrier
+    t = nu / z[-1]  # a duality gap the size of the starting objective
+    steps = 0
+    while True:
+        z, decrement, steps = _center(data, z, t, steps)
+        if decrement is None or decrement >= 1e-6:
+            raise RuntimeError(f"phase II failed after {steps} Newton steps")
+        gain_sq = float(z[-1])
+        gain = float(np.nextafter(np.sqrt(max(gain_sq, 0.0)), np.inf))
+        if gain - np.sqrt(max(0.0, gain_sq - nu / t)) <= tol:
+            break
+        t *= 20.0
+    cert = _certificate(problem_builder(gain * gain), z[:-1],
+                        outcome.iterations + steps)
+    if cert.margin_achieved < delta:
+        raise RuntimeError(f"phase II point failed its check at gain {gain}")
+    return gain, cert

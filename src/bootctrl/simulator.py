@@ -13,10 +13,10 @@ Four modes:
 * FIR: a delay-line controller evaluated from a window of fresh
   measurement encryptions; no persistent ciphertext state, so levels
   never deplete and no refresh is needed (slope-1 sector, direct test).
-  u is one matvec by [Cc S | Dc] of the window [y(t-1); ...; y(t-N); y(t)],
+  u is one matvec by [Cc S | Dc | F2] of [y(t-1); ...; y(t-N); y(t); w_p2(t)],
   where S = [Bc, Ac Bc, ..., Ac^(N-1) Bc] maps the window to the certified
-  FIR state x_c(t); any controller that analysis.fir_closed_loop accepts
-  runs.
+  FIR state x_c(t) (w_p2 only when given; B2 must then be zero); any
+  controller that analysis.fir_closed_loop accepts runs.
 * PLAINTEXT_REFERENCE: the certified ClosedLoop itself, run through
   statespace.simulate (not a separate recursion).  An optional w_u
   schedule replays refresh or reset errors; with fir_length set it is the
@@ -232,6 +232,11 @@ def run_closed_loop(plant: Plant, controller: Controller,
 
     if config.mode == FIR:
         N = config.fir_length
+        # w_p2 enters u through F2 only, encrypted next to y when given (as
+        # in ENCRYPTED mode); the window cannot carry a B2 w_p2 state input
+        k = 0 if w_p2 is None else controller.m_w2
+        if k and np.any(controller.B2):
+            raise ValueError("FIR mode cannot carry B2 w_p2: B2 must be zero")
         # window map S = [Bc, Ac Bc, ..., Ac^(N-1) Bc]: the certified FIR
         # state is x_c(t) = S [y(t-1); ...; y(t-N)]
         taps = [controller.Bc]
@@ -241,12 +246,14 @@ def run_closed_loop(plant: Plant, controller: Controller,
         # flat window: y(t-1) first, y(t-N) last, p_y ciphertexts each
         window = encrypt_all(np.zeros(N * p_y), 1)
         check(window)
-        u_row = np.hstack([controller.Cc @ S, controller.Dc]).tolist()
+        u_row = np.hstack([controller.Cc @ S, controller.Dc,
+                           controller.F2[:, :k]]).tolist()
         for t in range(steps):
             y = plant.C @ x + plant.F1 @ w1[t]
-            enc_y = encrypt_all(y, 1)
-            check(enc_y)
-            u_cts = cs.matvec(scheme, u_row, window + enc_y)
+            enc_in = encrypt_all(np.concatenate([y, w2[t, :k]]), 1)
+            check(enc_in)
+            enc_y = enc_in[:p_y]
+            u_cts = cs.matvec(scheme, u_row, window + enc_in)
             u = np.array(check(u_cts))
             z_p[t] = plant.C1 @ x + plant.D1 @ w1[t] + plant.E @ u
             u_log[t], y_log[t] = u, y

@@ -9,7 +9,7 @@ pass/fail line each.
 5. Long encrypted simulations stay under the certified gain with zero
    sector violations, including a worst-case-aligned disturbance.
 6. Noise-ledger soundness on 100000 randomized ciphertext cases.
-7. Cross-validation: bisection vs frequency sweep, reset algebra, FIR
+7. Cross-validation: certified gain vs frequency sweep, reset algebra, FIR
    window vs convolution.
 8. An unstable loop is never certified, and tampered certificates are
    rejected by the independent checker.
@@ -320,7 +320,7 @@ def test_criterion_7_cross_validation(plant, controller):
 
     ok = sweep_ok and reset_dev <= 1e-12 and fir_dev <= 1e-10
     _check("criterion 7 (cross-validation)", ok,
-           f"bisection {report.gain:.4f} vs sweep {peak:.4f} "
+           f"certified {report.gain:.4f} vs sweep {peak:.4f} "
            f"(diff {abs(report.gain - peak) / peak:.2%} <= 1%), reset "
            f"deviation {reset_dev:.1e} (<= 1e-12), FIR deviation "
            f"{fir_dev:.1e} (<= 1e-10)")

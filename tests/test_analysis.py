@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bootctrl import sdp
 from bootctrl.analysis import (
     CERTIFIED,
     NOT_CERTIFIED,
@@ -72,8 +73,9 @@ def test_asymmetric_sector_matches_expansion():
 def test_sector_validation():
     with pytest.raises(ValueError, match="square"):
         SectorBound(L_lower=np.zeros((2, 3)), L_upper=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="nonnegative"):
-        SectorBound.symmetric(-0.1, 1)
+    for gamma in (-0.1, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SectorBound.symmetric(gamma, 1)
 
 
 def test_sector_from_bootstrap_rejects_unusable():
@@ -222,23 +224,69 @@ def test_direct_certification_of_example_loop(plant, controller,
     assert report.certificate.margin_achieved > 0
 
 
-@pytest.mark.parametrize("kwargs, pinned", [
-    (dict(method=THEOREM_1), 5.126953125),
-    (dict(method=THEOREM_2, T_BS=10), 3.972625732421875),
-    (dict(mode="fir", fir_length=5), 2.51617431640625),
-], ids=["direct", "lifted_T10", "fir_N5"])
-def test_bundled_loop_gains_are_pinned(plant, controller, reference_slope,
-                                       kwargs, pinned):
-    """The bundled loop's certified gains stay within the bisection
-    tolerance of their recorded values (FIR with the design-sweep
-    controller N = 5, lambda = 0.45)."""
-    tol = 1e-3
-    if kwargs.get("mode") == "fir":
-        controller = make_fir_controller(5, 0.45, [[-0.3]])
-    report = analyze_l2_gain(plant, controller, reference_slope, tol=tol,
-                             **kwargs)
+# analyze_l2_gain arguments and the recorded gain at tol = 1e-3; FIR runs
+# the design-sweep controller (lambda = 0.45, c_out = -0.3) of that length
+BUNDLED_CASES = {
+    "direct": (dict(method=THEOREM_1), 5.126953125),
+    "lifted_T10": (dict(method=THEOREM_2, T_BS=10), 3.972625732421875),
+    "lifted_T20": (dict(method=THEOREM_2, T_BS=20), 3.946685791015625),
+    "lifted_T50": (dict(method=THEOREM_2, T_BS=50), 3.93524169921875),
+    "reset_T5": (dict(mode="reset", T_BS=5), 4.91485595703125),
+    "fir_N5": (dict(mode="fir", fir_length=5), 2.51617431640625),
+    "fir_N8": (dict(mode="fir", fir_length=8), 2.51007080078125),
+}
+
+
+@pytest.fixture(scope="module")
+def bundled_analysis(plant, controller, reference_slope):
+    """case -> (closed loop, report, Newton steps of each solve_feasibility
+    call), each analysis run once per module."""
+    cache = {}
+
+    def get(case):
+        if case not in cache:
+            kwargs, _ = BUNDLED_CASES[case]
+            ctrl, cl = controller, interconnect(plant, controller)
+            if kwargs.get("mode") == "fir":
+                ctrl = make_fir_controller(kwargs["fir_length"], 0.45, [[-0.3]])
+                cl = fir_closed_loop(plant, ctrl, kwargs["fir_length"])
+            phase_one = []
+
+            def counting(*args, **kw):
+                outcome = solve_feasibility(*args, **kw)
+                phase_one.append(outcome.iterations)
+                return outcome
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sdp, "solve_feasibility", counting)
+                report = analyze_l2_gain(plant, ctrl, reference_slope,
+                                         tol=1e-3, **kwargs)
+            cache[case] = cl, report, phase_one
+        return cache[case]
+
+    return get
+
+
+@pytest.mark.parametrize("case", BUNDLED_CASES)
+def test_bundled_loop_gains_are_pinned(bundled_analysis, case):
+    """The bundled loop's certified gains stay within tol of their
+    recorded values, and each certificate holds at exactly gain * gain."""
+    cl, report, _ = bundled_analysis(case)
     assert report.verdict == CERTIFIED
-    assert abs(report.gain - pinned) <= tol
+    assert abs(report.gain - BUNDLED_CASES[case][1]) <= 1e-3
+    problem = build_theorem2(
+        cl, l2_gain_index(cl.m_wp, cl.p_z, report.gain * report.gain),
+        SectorBound.symmetric(report.gamma_sector, cl.n_zu), report.T_BS)
+    assert check_certificate(problem, report.certificate) >= 1e-7
+
+
+@pytest.mark.parametrize("case", BUNDLED_CASES)
+def test_gain_search_newton_budget(bundled_analysis, case):
+    """One phase-I solve, and at most 150 Newton steps in phase I and
+    phase II together (about 800 in the 19 solves of a bisection)."""
+    _, report, phase_one = bundled_analysis(case)
+    assert len(phase_one) == 1
+    assert phase_one[0] < report.certificate.solver_iterations <= 150
 
 
 def test_reset_mode_forces_unit_slope(plant, controller):

@@ -40,8 +40,9 @@ def test_centered_mod_values():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        BootstrapSpec(q=-1.0)
+    for q in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="q must be finite and positive"):
+            BootstrapSpec(q=q)
     with pytest.raises(ValueError):
         BootstrapSpec(epsilon=0.0)
     with pytest.raises(ValueError):

@@ -267,11 +267,26 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
       "--samples", "4"], "fit aborted"),
     (["analyze", "--mode", "fir", "--fir-length", "-2"],
      "analysis aborted: FIR length must be at least 1"),
+    (["analyze", "--gamma", "inf"], "analysis aborted: gamma must be finite"),
+    (["analyze", "--gamma", "nan"], "analysis aborted: gamma must be finite"),
+    (["analyze", "--gamma", "0.2296", "--tol", "nan"],
+     "analysis aborted: tol must be finite and positive"),
+    (["analyze", "--gamma", "0.2296", "--tol", "inf"],
+     "analysis aborted: tol must be finite and positive"),
+    (["analyze", "--gamma", "0.2296", "--tol", "0"],
+     "analysis aborted: tol must be finite and positive"),
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--q", "inf"],
+     "fit aborted: q must be finite and positive"),
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--q", "nan"],
+     "fit aborted: q must be finite and positive"),
 ], ids=["reset_tbs", "fir_length", "steps", "lift_tbs", "lift_trials_0",
-        "lift_trials_-1", "degree", "samples", "analyze_fir_length"])
+        "lift_trials_-1", "degree", "samples", "analyze_fir_length",
+        "gamma_inf", "gamma_nan", "tol_nan", "tol_inf", "tol_0", "q_inf",
+        "q_nan"])
 def test_bad_parameter_is_an_exit_code(tmp_path, capsys, args, prefix):
-    """An out-of-range parameter value gives one line on stderr and exit 1,
-    not a traceback."""
+    """An out-of-range or non-finite parameter value gives one line on
+    stderr and exit 1, not a traceback or a RuntimeWarning (an error
+    under pyproject.toml's filterwarnings)."""
     code = run(args + ["--out-dir", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err

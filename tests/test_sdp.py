@@ -1,12 +1,13 @@
 """Semidefinite feasibility engine: the Jacobi reference eigensolver,
 hand-checkable Lyapunov problems, the barrier's Newton kernels, verified
-certificate checking, and gain bisection."""
+certificate checking, and the gain search."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from bootctrl import sdp
 from bootctrl.analysis import (
     SectorBound,
     build_theorem2,
@@ -388,15 +389,19 @@ def test_certificate_json_roundtrip():
 
 
 # --------------------------------------------------------------------------
-# gain bisection
+# gain search: one phase-I solve at the cap, one phase-II barrier on g^2
 
 
-def test_bisection_finds_known_scalar_gain():
+def scalar_gain_builder(a):
+    return lambda gsq: gain_problem(a, 1.0, 1.0, gsq)
+
+
+def test_gain_search_finds_known_scalar_gain():
     """a = 0.5, b = c = 1: the true l2-gain is bc/(1-a) = 2."""
-    gain, cert = bisect_gain(lambda gsq: gain_problem(0.5, 1.0, 1.0, gsq),
-                             lo=0.0, hi=8.0, tol=1e-4)
+    gain, cert = bisect_gain(scalar_gain_builder(0.5), tol=1e-4)
     assert gain == pytest.approx(2.0, abs=1e-3)
-    assert cert.margin_achieved > 0
+    margin = check_certificate(gain_problem(0.5, 1.0, 1.0, gain * gain), cert)
+    assert margin == cert.margin_achieved >= DELTA
 
 
 def test_feasibility_is_monotone_in_gain():
@@ -408,11 +413,58 @@ def test_feasibility_is_monotone_in_gain():
 
 def test_unstable_loop_is_uncertifiable_at_any_gain():
     with pytest.raises(UncertifiableError, match="UNSTABLE"):
-        bisect_gain(lambda gsq: gain_problem(1.2, 1.0, 1.0, gsq),
-                    lo=0.0, hi=800.0)
+        bisect_gain(scalar_gain_builder(1.2))
 
 
-def test_bisection_validates_bracket():
-    with pytest.raises(ValueError):
-        bisect_gain(lambda gsq: gain_problem(0.5, 1.0, 1.0, gsq),
-                    lo=5.0, hi=1.0)
+def test_gain_search_rejects_bad_tol():
+    for tol in (0.0, -1e-3, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            bisect_gain(scalar_gain_builder(0.5), tol=tol)
+
+
+def test_gain_search_raises_when_phase_two_runs_out_of_steps(monkeypatch):
+    """Phase I needs 31 Newton steps here and phase II about 50: with a
+    cap of 40 per phase no gain is returned."""
+    monkeypatch.setattr(sdp, "_MAX_NEWTON", 40)
+    with pytest.raises(RuntimeError, match="phase II failed"):
+        bisect_gain(scalar_gain_builder(0.5))
+
+
+def test_gain_search_never_returns_an_unchecked_gain():
+    """A builder outside the affine family, here with an extra constraint
+    that is infeasible for 1 <= g^2 <= 100 and that phase II sees only at
+    g^2 = 0, raises rather than return a gain its check rejects."""
+    def builder(gain_sq):
+        problem = gain_problem(0.5, 1.0, 1.0, gain_sq)
+        sign = -1.0 if 1.0 <= gain_sq <= 100.0 else 1.0
+        window = LmiConstraint(const=np.array([[sign]]),
+                               coeffs=np.zeros((1, 1, 1)), sense="pos")
+        return LmiProblem(n_x=1, constraints=problem.constraints + (window,),
+                          with_tau=False)
+
+    with pytest.raises(RuntimeError, match="failed its check"):
+        bisect_gain(builder)
+
+
+@pytest.mark.parametrize("T_BS", [1, 10], ids=["direct", "lifted_T10"])
+def test_gain_certificate_holds_at_the_reported_gain(plant, controller,
+                                                     reference_slope, T_BS):
+    """At every tol the certificate passes check_certificate and an
+    eigvalsh margin of at least delta at exactly gain * gain, and a
+    smaller tol never gives a larger gain."""
+    cl = interconnect(plant, controller)
+    sector = SectorBound.symmetric(reference_slope, cl.n_zu)
+
+    def builder(gain_sq):
+        return build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, gain_sq),
+                              sector, T_BS)
+
+    gains = []
+    for tol in (10.0, 1e-3, 1e-6):
+        gain, cert = bisect_gain(builder, tol=tol, delta=DELTA)
+        problem = builder(gain * gain)
+        assert check_certificate(problem, cert) == cert.margin_achieved >= DELTA
+        assert _eigvalsh_margin(problem, cert)[0] >= DELTA
+        gains.append(gain)
+    assert gains == sorted(gains, reverse=True)
+    assert gains[0] - gains[2] <= 10.0 and gains[1] - gains[2] <= 1e-3

@@ -412,6 +412,32 @@ def test_fir_encrypted_runs_a_non_scalar_aggregator(plant, scheme):
         np.testing.assert_allclose(enc.x_c[t], want, rtol=0, atol=1e-10)
 
 
+def test_fir_encrypted_carries_w_p2_through_f2(plant, scheme):
+    """A given w_p2 reaches u through F2, as in the plaintext reference."""
+    N, steps = 3, 200
+    ctrl = replace(make_fir_controller(N, 0.45, [[-0.3]]), F2=[[0.5]])
+    rng = np.random.default_rng(12)
+    w1 = rng.standard_normal((steps, plant.m_w1))
+    w2 = rng.standard_normal((steps, ctrl.m_w2))
+    cfg = SimulationConfig(mode=FIR, steps=steps, fir_length=N)
+    enc = run_closed_loop(plant, ctrl, cfg, scheme=scheme, w_p1=w1, w_p2=w2)
+    plain = _plain_cfg(steps, fir_length=N)
+    ref = run_closed_loop(plant, ctrl, plain, w_p1=w1, w_p2=w2)
+    without_w2 = run_closed_loop(plant, ctrl, plain, w_p1=w1)
+    assert np.abs(ref.u - without_w2.u).max() > 0.1
+    assert np.abs(enc.u - ref.u).max() <= 1e-3
+    assert np.abs(enc.z_p - ref.z_p).max() <= 1e-3
+
+
+def test_fir_encrypted_rejects_w_p2_into_the_state(plant, scheme):
+    ctrl = replace(make_fir_controller(3, 0.45, [[-0.3]]),
+                   B2=np.ones((4, 1)))
+    cfg = SimulationConfig(mode=FIR, steps=10, fir_length=3)
+    with pytest.raises(ValueError, match="B2"):
+        run_closed_loop(plant, ctrl, cfg, scheme=scheme,
+                        w_p2=np.ones((10, 1)))
+
+
 def test_fir_mode_needs_valid_structure(plant, controller, scheme):
     cfg = SimulationConfig(mode=FIR, steps=10, fir_length=2)
     with pytest.raises(ValueError, match="delay line"):
