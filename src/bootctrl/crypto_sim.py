@@ -14,6 +14,15 @@ always computed as (x + h) % q - h with h = q // 2.
 Homomorphic operations: add, matvec (plaintext matrix times ciphertext
 vector; a plaintext scalar product is the 1x1 case) and rescale.
 
+The secret is sparse and ternary, so the phase <body, sk> with
+sk = (1, s) is formed in exact integers as the sum of the body over the
+h + 1 positions where sk is +1 or -1 (h = hamming_weight), each with its
+sign: no product with a zero or unit key coefficient is ever taken.
+Fresh masks are drawn by CPython's own randrange(q) algorithm
+(_randbelow_with_getrandbits: getrandbits(q.bit_length()) until the
+draw is below q) inlined, so every value and the generator state match
+keys.rng.randrange(q) call for call.
+
 Modulus chain: q_level = q0 * c**level, level in 0..L, tabulated once
 when the SchemeParams is built.  One rescale consumes one level; the
 emulated bootstrap consumes a level-0 ciphertext and returns a fresh
@@ -25,9 +34,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
-from dataclasses import dataclass, field
-from operator import mul
+from dataclasses import dataclass, field, fields
 
 from .bootpoly import BootstrapPolynomial
 
@@ -116,6 +125,11 @@ class SchemeParams:
     hamming_weight: int = 4
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
         if self.n < 1 or self.q0 < 2 or self.c < 2 or self.L < 0:
             raise ValueError("invalid scheme parameters")
         if not 0 < self.hamming_weight <= self.n:
@@ -132,13 +146,32 @@ class SchemeParams:
         return self._moduli[level]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Keys:
-    """Secret key plus the RNG stream used for encryption randomness."""
+    """Secret key plus the RNG stream used for encryption randomness.
+
+    s must hold params.n entries from {-1, 0, 1}.  The body positions
+    where sk = (1, s) is +1 and where it is -1 are tabulated once (not
+    fields; frozen so they cannot go stale), so the phase is a signed sum
+    over h + 1 coordinates.
+    """
 
     params: SchemeParams
     s: tuple
     rng: random.Random = field(repr=False)
+
+    def __post_init__(self):
+        s = tuple(self.s)
+        if len(s) != self.params.n:
+            raise ValueError(f"s must have params.n = {self.params.n} entries, "
+                             f"got {len(s)}")
+        if any(x not in (-1, 0, 1) for x in s):
+            raise ValueError("s entries must be -1, 0 or 1")
+        object.__setattr__(self, "s", tuple(int(x) for x in s))
+        object.__setattr__(self, "_plus",
+                           (0,) + tuple(i + 1 for i, x in enumerate(s) if x == 1))
+        object.__setattr__(self, "_minus",
+                           tuple(i + 1 for i, x in enumerate(s) if x == -1))
 
     @property
     def sk(self):
@@ -174,6 +207,16 @@ class BootstrapEvent:
     relative_error: float
     violation: bool
     step: int = -1
+
+
+def _phase(keys: Keys, body) -> int:
+    """<body, sk> in exact integers over the support of sk = (1, s)."""
+    v = 0
+    for i in keys._plus:
+        v += body[i]
+    for i in keys._minus:
+        v -= body[i]
+    return v
 
 
 def _centered(x: int, q: int) -> int:
@@ -214,15 +257,27 @@ def _budget_check(params: SchemeParams, ct: Ciphertext):
 
 def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
            noise_bound: float, debug: float) -> Ciphertext:
-    """Encrypt the encoded integer m afresh (draws e, then a)."""
+    """Encrypt the encoded integer m afresh (draws e, then a).
+
+    Each mask a_i is keys.rng.randrange(q) by its own algorithm: k-bit
+    draws, k = q.bit_length(), until one is below q.  b = m + e - <a, s>
+    is the phase of the body with b set to 0.
+    """
     params = keys.params
     q = params.modulus(level)
     h = q // 2
     e = keys.rng.randint(-params.noise_bound, params.noise_bound)
-    a = [keys.rng.randrange(q) for _ in range(params.n)]
-    b = m + e - sum(map(mul, a, keys.s))
+    getrandbits = keys.rng.getrandbits
+    k = q.bit_length()
+    body = [0]
+    for _ in range(params.n):
+        r = getrandbits(k)
+        while r >= q:
+            r = getrandbits(k)
+        body.append(r)
+    body[0] = m + e - _phase(keys, body)
     ct = Ciphertext(
-        body=[(x + h) % q - h for x in [b] + a],
+        body=[(x + h) % q - h for x in body],
         level=level,
         scale_exponent=scale_exponent,
         noise_bound=noise_bound,
@@ -235,6 +290,8 @@ def encrypt(keys: Keys, value: float, level: int | None = None,
             scale_exponent: int = 1) -> Ciphertext:
     """Encode round(value * c**scale_exponent) and encrypt it."""
     params = keys.params
+    if not math.isfinite(value):
+        raise ValueError(f"cannot encrypt non-finite value {value}")
     if level is None:
         level = params.L
     m = int(round(value * float(params.c) ** scale_exponent))
@@ -245,7 +302,7 @@ def encrypt(keys: Keys, value: float, level: int | None = None,
 def decrypt_raw(keys: Keys, ct: Ciphertext) -> int:
     """Noisy encoded integer m + e (centered)."""
     q = keys.params.modulus(ct.level)
-    return _centered(sum(map(mul, ct.body, keys.sk)), q)
+    return _centered(_phase(keys, ct.body), q)
 
 
 def decrypt(keys: Keys, ct: Ciphertext) -> float:
@@ -299,18 +356,20 @@ def matvec(params: SchemeParams, M, cts: list) -> list:
     scale_old = float(params.c) ** sigma
     out = []
     for i in range(rows):
-        body = [0] * len(cts[0].body)
+        body = None
         noise = 0.0
         debug = 0.0
         for m_ij, ct in zip(map(float, M[i]), cts, strict=True):
             f_int = int(round(params.c * m_ij))
             if f_int:
-                body = [b + f_int * x for b, x in zip(body, ct.body)]
+                body = ([f_int * x for x in ct.body] if body is None
+                        else [b + f_int * x for b, x in zip(body, ct.body)])
             round_err = abs(f_int - params.c * m_ij)
             noise += abs(f_int) * ct.noise_bound
             noise += round_err * abs(ct.debug_plaintext) * scale_old
             debug += m_ij * ct.debug_plaintext
-        body = [(x + h) % q - h for x in body]
+        body = ([0] * len(cts[0].body) if body is None
+                else [(x + h) % q - h for x in body])
         out.append(
             _budget_check(
                 params,
@@ -370,7 +429,7 @@ def bootstrap_emulated(keys: Keys, ct: Ciphertext,
         raise ValueError(
             f"polynomial fitted for q = {spec.q}, scheme base modulus is {params.q0}"
         )
-    v = sum(map(mul, ct.body, keys.sk))
+    v = _phase(keys, ct.body)
     m_plus_e = _centered(v, params.q0)
     r = (v - m_plus_e) // params.q0
     if abs(m_plus_e) > spec.epsilon * params.q0 / 2.0:

@@ -524,25 +524,32 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
     problem_builder maps g^2 to an LmiProblem in which g^2 (Qp = -g^2 I)
     enters only the strict-negative constants, affinely, so the smallest
     gain is an eigenvalue problem (EVP; Boyd, El Ghaoui, Feron &
-    Balakrishnan 1994).  Phase I finds a point at hi_cap, or raises
-    UncertifiableError.  Phase II minimizes g^2 from there and stops at a
-    centered point once the gain is within tol of the duality-gap bound
-    sqrt(g^2 - nu/t).  Returns (gain, certificate): sqrt(g^2) rounded up,
-    with the margin checked at problem_builder(gain * gain).  A stalled
-    phase II or a failed check raises RuntimeError.  The name predates the
-    method; perfbench's tracer patches the function under it.
+    Balakrishnan 1994).  The builder runs three times: at g^2 = 0 and 1,
+    whose difference is the g^2 slope C, and at the reported gain.  Phase
+    I finds a point of the g^2 = 0 problem with hi_cap^2 C added to its
+    strict-negative constants, or raises UncertifiableError.  Phase II
+    minimizes g^2 from there and stops at a centered point once the gain
+    is within tol of the duality-gap bound sqrt(g^2 - nu/t).  Returns
+    (gain, certificate): sqrt(g^2) rounded up, with the margin checked at
+    problem_builder(gain * gain).  A stalled phase II or a failed check
+    raises RuntimeError.  The name predates the method; perfbench's tracer
+    patches the function under it.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    outcome = solve_feasibility(problem_builder(hi_cap * hi_cap), delta=delta)
+    base, unit = problem_builder(0.0), problem_builder(1.0)
+    slopes = [b.const - a.const for a, b in zip(base.constraints, unit.constraints)]
+    capped = replace(base, constraints=[
+        replace(con, const=con.const + hi_cap * hi_cap * slope)
+        if con.sense == "neg" else con
+        for con, slope in zip(base.constraints, slopes)])
+    outcome = solve_feasibility(capped, delta=delta)
     if outcome.status == NUMERICAL_FAILURE:
         raise RuntimeError(f"solver failed numerically at gain {hi_cap}")
     if not outcome.feasible:
         raise UncertifiableError(
             f"UNSTABLE_OR_UNCERTIFIABLE: no feasible gain at or below {hi_cap}")
 
-    base, unit = problem_builder(0.0), problem_builder(1.0)
-    slopes = [b.const - a.const for a, b in zip(base.constraints, unit.constraints)]
     data = _BarrierData(base, delta, slopes)
     start = outcome.certificate
     z = np.append(base.pack(start.X, start.tau), hi_cap * hi_cap)

@@ -121,6 +121,8 @@ def _as_signal(arr, steps, width, name):
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (steps, width):
         raise ValueError(f"{name} must have shape ({steps}, {width}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
     return arr
 
 
@@ -170,6 +172,8 @@ def run_closed_loop(plant: Plant, controller: Controller,
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x0 must have plant.n = {n} entries, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 has non-finite entries")
     w_p = np.hstack([w1, w2])
     if w_u is not None and config.mode != PLAINTEXT_REFERENCE:
         raise ValueError("w_u injection is only meaningful in PLAINTEXT_REFERENCE mode")

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bootctrl import sdp
+from bootctrl import analysis, sdp
 from bootctrl.analysis import (
     CERTIFIED,
     NOT_CERTIFIED,
@@ -240,7 +240,7 @@ BUNDLED_CASES = {
 @pytest.fixture(scope="module")
 def bundled_analysis(plant, controller, reference_slope):
     """case -> (closed loop, report, Newton steps of each solve_feasibility
-    call), each analysis run once per module."""
+    call, number of LMI builds), each analysis run once per module."""
     cache = {}
 
     def get(case):
@@ -250,18 +250,23 @@ def bundled_analysis(plant, controller, reference_slope):
             if kwargs.get("mode") == "fir":
                 ctrl = make_fir_controller(kwargs["fir_length"], 0.45, [[-0.3]])
                 cl = fir_closed_loop(plant, ctrl, kwargs["fir_length"])
-            phase_one = []
+            phase_one, builds = [], []
 
             def counting(*args, **kw):
                 outcome = solve_feasibility(*args, **kw)
                 phase_one.append(outcome.iterations)
                 return outcome
 
+            def counting_build(*args, **kw):
+                builds.append(args)
+                return build_theorem2(*args, **kw)
+
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sdp, "solve_feasibility", counting)
+                mp.setattr(analysis, "build_theorem2", counting_build)
                 report = analyze_l2_gain(plant, ctrl, reference_slope,
                                          tol=1e-3, **kwargs)
-            cache[case] = cl, report, phase_one
+            cache[case] = cl, report, phase_one, len(builds)
         return cache[case]
 
     return get
@@ -271,7 +276,7 @@ def bundled_analysis(plant, controller, reference_slope):
 def test_bundled_loop_gains_are_pinned(bundled_analysis, case):
     """The bundled loop's certified gains stay within tol of their
     recorded values, and each certificate holds at exactly gain * gain."""
-    cl, report, _ = bundled_analysis(case)
+    cl, report, _, _ = bundled_analysis(case)
     assert report.verdict == CERTIFIED
     assert abs(report.gain - BUNDLED_CASES[case][1]) <= 1e-3
     problem = build_theorem2(
@@ -284,9 +289,16 @@ def test_bundled_loop_gains_are_pinned(bundled_analysis, case):
 def test_gain_search_newton_budget(bundled_analysis, case):
     """One phase-I solve, and at most 150 Newton steps in phase I and
     phase II together (about 800 in the 19 solves of a bisection)."""
-    _, report, phase_one = bundled_analysis(case)
+    _, report, phase_one, _ = bundled_analysis(case)
     assert len(phase_one) == 1
     assert phase_one[0] < report.certificate.solver_iterations <= 150
+
+
+@pytest.mark.parametrize("case", BUNDLED_CASES)
+def test_gain_search_builds_the_lmi_three_times(bundled_analysis, case):
+    """The builder runs at g^2 = 0 and 1 and at the reported gain; the
+    phase-I problem at the cap is formed from the first two."""
+    assert bundled_analysis(case)[3] == 3
 
 
 def test_reset_mode_forces_unit_slope(plant, controller):

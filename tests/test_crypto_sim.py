@@ -2,9 +2,11 @@
 sound overapproximation under fuzzing, rescaling, the emulated refresh,
 and parameter serialization."""
 
+import hashlib
 import json
 import random
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from operator import mul
 
 import numpy as np
 import pytest
@@ -46,6 +48,21 @@ def test_parameter_validation():
         cs.SchemeParams(hamming_weight=17, n=16)
     with pytest.raises(ValueError):
         cs.SchemeParams(noise_bound=-1)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(cs.SchemeParams)])
+def test_parameter_fields_must_be_integers(name):
+    """Floats (even integral ones), bools and strings are rejected for every
+    field; numpy integers are converted to int."""
+    default = getattr(cs.SchemeParams(), name)
+    for value in (float(default), default + 0.5, True, False, str(default),
+                  None):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cs.SchemeParams(**{name: value})
+    for cast in (np.int64, np.uint64):
+        params = cs.SchemeParams(**{name: cast(default)})
+        assert type(getattr(params, name)) is int
+        assert params == cs.SchemeParams()
 
 
 def test_modulus_chain(small_scheme):
@@ -106,6 +123,63 @@ def test_keygen_deterministic_and_sparse(small_scheme):
     assert sum(1 for si in k1.s if si != 0) == small_scheme.hamming_weight
     assert all(si in (-1, 0, 1) for si in k1.s)
     assert k1.sk[0] == 1
+    with pytest.raises(FrozenInstanceError):
+        k1.s = (0,) * small_scheme.n  # the support tables would go stale
+
+
+@pytest.mark.parametrize("s", [(0,) * 15, (0,) * 17, (0,) * 15 + (2,),
+                               (-2,) + (0,) * 15, (0,) * 15 + (0.5,)],
+                         ids=["short", "long", "two", "minus_two", "half"])
+def test_keys_reject_bad_secret(small_scheme, s):
+    with pytest.raises(ValueError, match="s "):
+        cs.Keys(small_scheme, s=s, rng=random.Random(0))
+
+
+def _secret(n, weight, rnd):
+    s = [0] * n
+    for pos in rnd.sample(range(n), weight):
+        s[pos] = rnd.choice((-1, 1))
+    return tuple(s)
+
+
+def test_support_phase_matches_dense_inner_product():
+    """The phase over sk's support equals the dense <body, sk> on random
+    bodies, from a weight-1 secret to full-weight, all +1 and all -1 ones."""
+    params = cs.SchemeParams(n=16, hamming_weight=1)
+    rnd = random.Random(5)
+    secrets = [_secret(16, w, rnd) for w in (1, 1, 4, 16, 16)]
+    secrets += [(1,) * 16, (-1,) * 16, (0,) * 15 + (1,), (-1,) + (0,) * 15]
+    q = params.modulus(params.L)
+    for s in secrets:
+        keys = cs.Keys(params, s=s, rng=random.Random(0))
+        for _ in range(200):
+            body = [rnd.randrange(-q // 2, q - q // 2) for _ in range(17)]
+            assert cs._phase(keys, body) == sum(map(mul, body, keys.sk))
+            ct = cs.Ciphertext(body=body, level=params.L, scale_exponent=1,
+                               noise_bound=0.0, debug_plaintext=0.0)
+            assert cs.decrypt_raw(keys, ct) == cs._centered(
+                sum(map(mul, body, keys.sk)), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 2 ** 42, 2 ** 202, 1000003 * 7 ** 5,
+                               2 ** 58 - 1, 2 ** 58 + 1],
+                         ids=["2", "3", "5", "7", "2^42", "2^202", "1000003*7^5",
+                              "2^58-1", "2^58+1"])
+def test_mask_sampler_is_randrange(q):
+    """Fresh masks are keys.rng.randrange(q) draw for draw: same values
+    (centered) and the same generator state after 8,000 draws."""
+    params = cs.SchemeParams(n=16, q0=q, c=2, L=0, noise_bound=0,
+                             hamming_weight=3)
+    keys = cs.keygen(params)
+    ref = random.Random()
+    ref.setstate(keys.rng.getstate())
+    for _ in range(500):
+        ct = cs._fresh(keys, 0, 0, 1, 0.0, 0.0)
+        e = ref.randint(0, 0)
+        a = [ref.randrange(q) for _ in range(params.n)]
+        assert ct.body[1:] == [cs._centered(x, q) for x in a]
+        assert cs.decrypt_raw(keys, ct) == cs._centered(e, q)
+    assert keys.rng.getstate() == ref.getstate()
 
 
 def test_required_offset_range(small_scheme):
@@ -129,6 +203,50 @@ def test_roundtrip_within_noise(keys, small_scheme):
         assert abs(cs.decrypt(keys, ct) - value) \
             <= ct.noise_bound / small_scheme.c
         assert fidelity_ok(keys, ct)
+
+
+def test_encrypt_rejects_non_finite(keys):
+    for value in (float("inf"), float("-inf"), float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            cs.encrypt(keys, value)
+
+
+def _kernel_digest(fitted_poly):
+    """sha256 of every ciphertext (body and ledger) and refresh event of a
+    short encrypt / matvec / rescale / bootstrap chain on q0 = 1000003,
+    c = 7, where the mask sampler rejects draws at other rates than on
+    power-of-two moduli."""
+    params = cs.SchemeParams(n=16, q0=1000003, c=7, L=3, noise_bound=8,
+                             seed=5, hamming_weight=4)
+    keys = cs.keygen(params)
+    poly = fitted_poly.rescaled(float(params.q0))
+    rnd = random.Random(11)
+    M = [[0.9, -0.2, 0.1, 1.0], [0.1, 0.8, -0.3, 0.5], [-0.2, 0.1, 0.7, -1.0]]
+    made, events = [], []
+    x = [cs.encrypt(keys, rnd.uniform(-50, 50)) for _ in range(3)]
+    made += x
+    for _ in range(2 * params.L + 1):
+        if x[0].level == 0:
+            pairs = [cs.bootstrap_emulated(keys, ct, poly) for ct in x]
+            x = [ct for ct, _ in pairs]
+            events += [ev for _, ev in pairs]
+            made += x
+        w = cs.encrypt(keys, rnd.uniform(-50, 50), level=x[0].level)
+        y = cs.matvec(params, M, x + [w])
+        x = [cs.rescale(params, ct) for ct in y]
+        made += [w] + y + x
+    assert len(made) == 58 and len(events) == 6
+    h = hashlib.sha256()
+    for ct in made:
+        h.update(repr((ct.body, ct.level, ct.scale_exponent, ct.noise_bound,
+                       ct.debug_plaintext)).encode())
+    h.update(repr(events).encode())
+    return h.hexdigest()
+
+
+def test_kernels_are_pinned_on_non_power_of_two_moduli(fitted_poly):
+    assert _kernel_digest(fitted_poly) == \
+        "80e5ee81b038d822e8afe8c8a75222d8a11f6df7c3c724470a02a914bc8d5330"
 
 
 def test_add_and_scalar_matvec(keys, small_scheme):

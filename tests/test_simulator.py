@@ -575,3 +575,37 @@ def test_config_validation():
         SimulationConfig(mode=ENCRYPTED, steps=10, T_BS=0)
     with pytest.raises(ValueError, match="fir_length"):
         SimulationConfig(mode=FIR, steps=10, fir_length=0)
+
+
+@pytest.mark.parametrize("mode", [PLAINTEXT_REFERENCE, ENCRYPTED, RESET, FIR])
+@pytest.mark.parametrize("signal", ["w_p1", "w_p2", "x0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_signal_is_rejected_by_name(plant, controller, scheme,
+                                               sim_poly, mode, signal, bad):
+    """A NaN or inf in a disturbance or in x0 is a ValueError naming the
+    signal in every mode, before any warning or encryption."""
+    steps = 12
+    if mode == FIR:
+        ctrl = make_fir_controller(3, 0.4, [[-0.3]])
+        cfg = SimulationConfig(mode=FIR, steps=steps, fir_length=3)
+    else:
+        ctrl = controller
+        cfg = SimulationConfig(mode=mode, steps=steps, T_BS=scheme.L)
+    kwargs = dict(w_p1=np.ones((steps, plant.m_w1)),
+                  w_p2=np.zeros((steps, ctrl.m_w2)), x0=np.ones(plant.n))
+    kwargs[signal][-1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{signal} has non-finite"):
+            run_closed_loop(plant, ctrl, cfg, scheme=scheme, poly=sim_poly,
+                            **kwargs)
+
+
+def test_non_finite_w_u_is_rejected(plant, controller):
+    w_u = np.zeros((10, controller.nc))
+    w_u[3, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="w_u has non-finite"):
+            run_closed_loop(plant, controller, _plain_cfg(10), w_u=w_u)
