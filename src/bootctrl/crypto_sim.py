@@ -480,9 +480,6 @@ def scheme_from_json(data: dict) -> SchemeParams:
     if missing:
         raise ValueError(f"scheme JSON is missing fields: {', '.join(missing)}")
     kwargs = {k: data[k] for k in required + ("hamming_weight",) if k in data}
-    bad = [k for k, value in kwargs.items() if type(value) is not int]
-    if bad:
-        raise ValueError(f"scheme JSON fields must be integers: {', '.join(bad)}")
     return SchemeParams(**kwargs)
 
 

@@ -11,7 +11,11 @@ and FEASIBLE means the optimal shift satisfies s <= -delta.  bisect_gain
 follows it with one phase-II minimization of g^2, which enters the
 strict-negative constraints affinely.  Both phases run one log-det barrier
 with damped Newton steps (Boyd & Vandenberghe, Convex Optimization, sec.
-11.3-11.4; see _BarrierData and _center).  Every certificate is
+11.3-11.4; see _BarrierData and _center).  Each Newton step forms its
+Hessian on the shared range of a constraint's coefficient matrices, the
+way DSDP assembles its Newton matrix from low-rank data (Benson & Ye,
+ACM TOMS 34(3), 2008): the lifted LMI's 11 coefficients span 10
+dimensions whatever its size.  Every certificate is
 re-validated by check_certificate, which returns a Cholesky-verified lower
 bound (Rump 2006) on its margin: the bound holds for the exact real-valued
 constraints, whatever the rounding in forming them, and never depends on
@@ -76,6 +80,8 @@ def sym_basis(n):
 def _check_symmetric(M, name):
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has non-finite entries")
     if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
         raise ValueError(f"{name} must be symmetric")
 
@@ -344,54 +350,84 @@ def _strictly_positive(M):
         return False
 
 
+def _range_basis(coeffs):
+    """Orthonormal basis V (m x R) of the shared range of the symmetric
+    stack coeffs, or None (V = I) when R > m/2.
+
+    The range of sum_k F_k^T F_k is the sum of the ranges of the F_k, so
+    one eigh of that m x m Gram gives it without stacking the F_k side by
+    side; eigenvalues below 1e-12 of the largest count as zero.
+    """
+    q, m, _ = coeffs.shape
+    flat = coeffs.reshape(q * m, m)
+    lam, vecs = np.linalg.eigh(flat.T @ flat)
+    keep = lam > 1e-12 * lam[-1]
+    return vecs[:, keep] if 2 * np.count_nonzero(keep) <= m else None
+
+
 class _BarrierData:
     """The barrier in z = (v, o) over one copy of each coefficient stack.
 
     The objective o is the shift s in phase I and g^2 in phase II.  A term
-    (const, coeffs, first, scale, slope) is the matrix M(z) = const + scale
-    * sum_k z[first + k] coeffs[k] (+ o slope), kept positive definite;
-    coeffs is a constraint's own read-only stack.  G(v) > 0 becomes
-    G(v) - delta I.  G(v) < 0 becomes s I - G(v) / ||const||_F in phase I
-    and, given gain_slopes[j] = C, the g^2 coefficient of constraint j,
-    -G(v) - g^2 C - delta I in phase II: raw margin above delta.  The bounds
-    _RADIUS I - X and _RADIUS - tau carry small stacks of their own.  Only
-    constraint terms, whose coeffs cover all of v, have a slope, so a
-    term's variables are a slice of z.  grad_hess fills U_k = W F_k
-    (W = M^-1) by one batched matmul, so g_k = -tr(U_k) and H_kl =
-    tr(W F_k W F_l) is one GEMM of the flattened U by the flattened U_k^T;
-    barrier_value takes each log-det from one Cholesky, inf if any fails.
+    (const, coeffs, first, scale, slope, V, G) is the matrix M(z) = const +
+    scale * sum_k z[first + k] coeffs[k] (+ o diag(slope)), kept positive
+    definite; coeffs is a constraint's own read-only stack.  G(v) > 0
+    becomes G(v) - delta I.  G(v) < 0 becomes s I - G(v) / ||const||_F in
+    phase I and, given gain_slopes[j] = diag(C), the diagonal g^2
+    coefficient of constraint j, -G(v) - g^2 C - delta I in phase II: raw
+    margin above delta.  The bounds _RADIUS I - X and _RADIUS - tau carry
+    small stacks of their own.  Only constraint terms, whose coeffs cover
+    all of v, have a slope, so a term's variables are a slice of z.
+
+    V is an orthonormal basis of the coefficients' shared range
+    (_range_basis; None means V = I) and G_k = V^T F_k V, so F_k = V G_k
+    V^T with F_k = scale * coeffs[k].  With W = M^-1 and W^ = V^T W V
+    (R x R), grad_hess takes g_k = -tr(W^ G_k) and H_kl = tr(W^ G_k W^
+    G_l): one batched matmul U_k = W^ G_k and one GEMM of the flattened U
+    by the flattened U_k^T.  The slope S = diag(slope) lies outside that
+    range and enters through its diagonal: g_o = -sum_i W_ii S_ii, H_ko =
+    tr(G_k (WV)^T S WV) and H_oo = sum_ij S_ii W_ij^2 S_jj, at O(m^2 R).
+    The lifted LMI's 11 coefficients span R = 10 at every T_BS, so there
+    only the inverse stays cubic in m.  With V = I, W S = W * slope joins
+    the stack as U_o and one GEMM gives every entry.  barrier_value takes
+    each log-det from one Cholesky, inf if any fails.
     """
 
     def __init__(self, problem: LmiProblem, delta: float, gain_slopes=None):
         self.p = problem.n_vars
         self.terms = []
         for j, con in enumerate(problem.constraints):
-            eye = np.eye(con.dim)
             if con.sense == "pos":
-                self.terms.append((con.const - delta * eye, con.coeffs, 0, 1.0, None))
+                self._add(con.const - delta * np.eye(con.dim), con.coeffs, 0, 1.0, None)
             elif gain_slopes is None:
                 norm = max(1.0, float(np.linalg.norm(con.const)))
-                self.terms.append((-con.const / norm, con.coeffs, 0, -1.0 / norm, eye))
+                self._add(-con.const / norm, con.coeffs, 0, -1.0 / norm,
+                          np.ones(con.dim))
             else:
-                self.terms.append((-con.const - delta * eye, con.coeffs, 0, -1.0,
-                                   -gain_slopes[j]))
+                self._add(-con.const - delta * np.eye(con.dim), con.coeffs, 0, -1.0,
+                          -gain_slopes[j])
         # Compactifying bounds: without them the phase-I objective's
         # recession directions (margins that grow without lowering s) leave
         # no analytic center.  They are never part of the certified claim,
         # so INFEASIBLE means "no certificate within the search radius".
         n = problem.n_x
-        self.terms.append((_RADIUS * np.eye(n), np.stack(sym_basis(n)), 0, -1.0, None))
+        self._add(_RADIUS * np.eye(n), np.stack(sym_basis(n)), 0, -1.0, None)
         if problem.with_tau:
-            self.terms.append((np.array([[_RADIUS]]), np.ones((1, 1, 1)),
-                               problem.n_vech, -1.0, None))
+            self._add(np.array([[_RADIUS]]), np.ones((1, 1, 1)), problem.n_vech,
+                      -1.0, None)
         self.n_barrier = sum(term[0].shape[0] for term in self.terms)
 
+    def _add(self, const, coeffs, first, scale, slope):
+        V = _range_basis(coeffs)
+        G = coeffs if V is None else V.T @ coeffs @ V
+        self.terms.append((const, coeffs, first, scale, slope, V, G))
+
     def matrix(self, term, z):
-        const, coeffs, first, scale, slope = term
+        const, coeffs, first, scale, slope = term[:5]
         q, m = coeffs.shape[0], const.shape[0]
         M = const + scale * (z[first:first + q] @ coeffs.reshape(q, -1)).reshape(m, m)
         if slope is not None:
-            M += z[-1] * slope
+            M.flat[::m + 1] += z[-1] * slope
         return M
 
     def barrier_value(self, z, t):
@@ -411,14 +447,25 @@ class _BarrierData:
         H = np.zeros((self.p + 1, self.p + 1))
         g[-1] = t
         for term in self.terms:
-            const, coeffs, first, scale, slope = term
-            q = coeffs.shape[0]
+            first, scale, slope, V, G = term[2:]
+            q = len(G)
             W = np.linalg.inv(self.matrix(term, z))
             W = 0.5 * (W + W.T)
-            U = np.empty((q + (slope is not None),) + W.shape)
-            np.matmul(scale * W, coeffs, out=U[:q])
-            if slope is not None:
-                np.matmul(W, slope, out=U[q])
+            if V is None:
+                U = np.empty((q + (slope is not None),) + W.shape)
+                np.matmul(scale * W, G, out=U[:q])
+                if slope is not None:
+                    np.multiply(W, slope, out=U[q])
+            else:
+                WV = W @ V
+                U = np.matmul(scale * (V.T @ WV), G)
+                if slope is not None:
+                    Z = WV.T @ (slope[:, None] * WV)
+                    cross = scale * (G.reshape(q, -1) @ Z.ravel())
+                    H[first:first + q, -1] += cross
+                    H[-1, first:first + q] += cross
+                    g[-1] -= np.diagonal(W) @ slope
+                    H[-1, -1] += slope @ (W * W) @ slope
             cols = slice(first, first + len(U))
             g[cols] -= np.trace(U, axis1=1, axis2=2)
             Uf = U.reshape(len(U), -1)
@@ -483,8 +530,8 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
     X <= _RADIUS*I, tau <= _RADIUS inside the solver, so INFEASIBLE means
     no certificate exists within that (generous) radius.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     data = _BarrierData(problem, delta)
 
     # Start from X = I, tau = 1 and s at least 1 above every lambda_max(Ghat):
@@ -531,14 +578,21 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
     minimizes g^2 from there and stops at a centered point once the gain
     is within tol of the duality-gap bound sqrt(g^2 - nu/t).  Returns
     (gain, certificate): sqrt(g^2) rounded up, with the margin checked at
-    problem_builder(gain * gain).  A stalled phase II or a failed check
-    raises RuntimeError.  The name predates the method; perfbench's tracer
-    patches the function under it.
+    problem_builder(gain * gain).  tol, delta and hi_cap must be finite
+    and positive, checked before any build, and every strict-negative C
+    diagonal, or ValueError is raised.  A stalled phase II or a failed
+    check raises RuntimeError.  The name predates the method; perfbench's
+    tracer patches the function under it.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    for name, value in (("tol", tol), ("delta", delta), ("hi_cap", hi_cap)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     base, unit = problem_builder(0.0), problem_builder(1.0)
     slopes = [b.const - a.const for a, b in zip(base.constraints, unit.constraints)]
+    for con, slope in zip(base.constraints, slopes):
+        if con.sense == "neg" and np.count_nonzero(slope - np.diag(np.diagonal(slope))):
+            raise ValueError(
+                f"the g^2 slope of constraint {con.name!r} is not diagonal")
     capped = replace(base, constraints=[
         replace(con, const=con.const + hi_cap * hi_cap * slope)
         if con.sense == "neg" else con
@@ -550,7 +604,7 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
         raise UncertifiableError(
             f"UNSTABLE_OR_UNCERTIFIABLE: no feasible gain at or below {hi_cap}")
 
-    data = _BarrierData(base, delta, slopes)
+    data = _BarrierData(base, delta, [np.diagonal(slope) for slope in slopes])
     start = outcome.certificate
     z = np.append(base.pack(start.X, start.tau), hi_cap * hi_cap)
     nu = data.n_barrier

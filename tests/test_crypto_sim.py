@@ -514,7 +514,7 @@ def test_scheme_json_missing_field(small_scheme):
         for value in (None, "16", 16.5, True, [16]):
             data = cs.scheme_to_json(small_scheme)
             data[key] = value
-            with pytest.raises(ValueError, match=f"must be integers: {key}"):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer"):
                 cs.scheme_from_json(data)
 
 

@@ -106,24 +106,29 @@ def gain_problem(a, b, c, gain_sq):
 DELTA = 1e-7
 
 
-def _reference_terms(problem, delta):
-    """Every phase-I barrier matrix as (const, basis) with an explicit
-    (p+1)-stack of coefficients in z = (v, s): strict-negative constraints
-    as s I - G(v) / max(1, ||const||_F), strict-positive ones as
+def _reference_terms(problem, delta, gain_slopes=None):
+    """Every barrier matrix as (const, basis) with an explicit (p+1)-stack
+    of coefficients in z = (v, o): strict-negative constraints as s I -
+    G(v) / max(1, ||const||_F) in phase I and as -G(v) - g^2 diag(c_j) -
+    delta I given gain_slopes[j] = c_j in phase II, strict-positive ones as
     G(v) - delta I, then _RADIUS I - X and _RADIUS - tau."""
     p = problem.n_vars
     terms = []
-    for con in problem.constraints:
+    for j, con in enumerate(problem.constraints):
         m = con.dim
         basis = np.zeros((p + 1, m, m))
-        if con.sense == "neg":
+        if con.sense == "pos":
+            basis[:p] = con.coeffs
+            terms.append((con.const - delta * np.eye(m), basis))
+        elif gain_slopes is None:
             scale = max(1.0, float(np.linalg.norm(con.const)))
             basis[:p] = -con.coeffs / scale
             basis[p] = np.eye(m)
             terms.append((-con.const / scale, basis))
         else:
-            basis[:p] = con.coeffs
-            terms.append((con.const - delta * np.eye(m), basis))
+            basis[:p] = -con.coeffs
+            basis[p] = -np.diag(gain_slopes[j])
+            terms.append((-con.const - delta * np.eye(m), basis))
     n = problem.n_x
     basis = np.zeros((p + 1, n, n))
     basis[:problem.n_vech] = -np.stack(sym_basis(n))
@@ -136,7 +141,7 @@ def _reference_terms(problem, delta):
 
 
 def _reference_grad_hess(terms, z, t):
-    """g_k = t [k = s] - sum tr(W F_k), H_kl = sum tr(W F_k W F_l) by einsum."""
+    """g_k = t [k = o] - sum tr(W F_k), H_kl = sum tr(W F_k W F_l) by einsum."""
     g = np.zeros(len(z))
     g[-1] = t
     H = np.zeros((len(z), len(z)))
@@ -153,17 +158,33 @@ def _reference_interior(terms, z):
                for const, basis in terms)
 
 
-@pytest.fixture(scope="module", params=["lifted_T10", "fir_N5"])
+# (rows, range dimension R) of each barrier term for the barrier_case
+# problems: the LMI, X > 0, tau > 0 and the two bounds; None means V = I
+RANGE_DIMS = {
+    "lifted_T10": [(36, 10), (4, None), (1, None), (4, None), (1, None)],
+    "lifted_T20": [(66, 10), (4, None), (1, None), (4, None), (1, None)],
+    "fir_N5": [(11, None), (8, None), (1, None), (8, None), (1, None)],
+}
+
+
+@pytest.fixture(scope="module", params=list(RANGE_DIMS))
 def barrier_case(request, plant, controller, reference_slope):
-    """The demo lifted T_BS=10 LMI at gain 4 and the FIR N=5 LMI at gain
-    2.6, with an interior phase-I point near X = I, tau = 1."""
-    if request.param == "lifted_T10":
-        cl, slope, T, gain = interconnect(plant, controller), reference_slope, 10, 4.0
+    """The demo lifted T_BS=10 and 20 LMIs at gain 4 and the FIR N=5 LMI
+    at gain 2.6, with an interior phase-I point near X = I, tau = 1; and
+    the phase-II barrier of the g^2 = 0 problem with its g^2 slopes, at
+    the phase-I solution and g^2 = gain^2."""
+    if request.param.startswith("lifted"):
+        cl, slope, T, gain = (interconnect(plant, controller), reference_slope,
+                              int(request.param[8:]), 4.0)
     else:
         fir = make_fir_controller(5, 0.45, [[-0.3]])
         cl, slope, T, gain = fir_closed_loop(plant, fir, 5), 1.0, 1, 2.6
-    problem = build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, gain ** 2),
-                             SectorBound.symmetric(slope, cl.n_zu), T)
+
+    def builder(gain_sq):
+        return build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, gain_sq),
+                              SectorBound.symmetric(slope, cl.n_zu), T)
+
+    problem = builder(gain ** 2)
     rng = np.random.default_rng(5)
     E = 0.05 * rng.standard_normal((problem.n_x, problem.n_x))
     v = problem.pack(np.eye(problem.n_x) + E + E.T, 1.0)
@@ -173,20 +194,35 @@ def barrier_case(request, plant, controller, reference_slope):
     z = np.append(v, s)
     terms = _reference_terms(problem, DELTA)
     assert _reference_interior(terms, z)
-    return problem, terms, z
+
+    base, unit = builder(0.0), builder(1.0)
+    slopes = [np.diagonal(b.const - a.const)
+              for a, b in zip(base.constraints, unit.constraints)]
+    start = solve_feasibility(problem, DELTA).certificate
+    z2 = np.append(base.pack(start.X, start.tau), gain ** 2)
+    terms2 = _reference_terms(base, DELTA, slopes)
+    assert _reference_interior(terms2, z2)
+    return request.param, problem, terms, z, (base, slopes, terms2, z2)
 
 
 def test_grad_hess_matches_einsum_reference(barrier_case):
-    problem, terms, z = barrier_case
+    """Phase I and phase II, with the lifted LMIs' Hessians formed on the
+    10-dimensional range of their coefficients and the FIR LMI's at full
+    size."""
+    case, problem, terms, z, (base, slopes, terms2, z2) = barrier_case
     t = 3.0
-    g, H = _BarrierData(problem, DELTA).grad_hess(z, t)
-    g_ref, H_ref = _reference_grad_hess(terms, z, t)
-    assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
-    assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
+    for data, ref, point in ((_BarrierData(problem, DELTA), terms, z),
+                             (_BarrierData(base, DELTA, slopes), terms2, z2)):
+        assert [(len(term[0]), None if term[5] is None else term[5].shape[1])
+                for term in data.terms] == RANGE_DIMS[case]
+        g, H = data.grad_hess(point, t)
+        g_ref, H_ref = _reference_grad_hess(ref, point, t)
+        assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+        assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
 
 
 def test_gradient_matches_central_differences(barrier_case):
-    problem, _, z = barrier_case
+    _, problem, _, z, _ = barrier_case
     t = 3.0
     data = _BarrierData(problem, DELTA)
     g, _ = data.grad_hess(z, t)
@@ -201,7 +237,7 @@ def test_barrier_is_infinite_exactly_outside_the_domain(barrier_case):
     """Lowering s breaks the strict-negative terms, X < 0 the positivity
     term, X = 2 _RADIUS I and tau = 2 _RADIUS the compactifying bounds,
     tau < 0 the tau term; random directions cross several at once."""
-    problem, terms, z = barrier_case
+    _, problem, terms, z, _ = barrier_case
     data = _BarrierData(problem, DELTA)
     nv, p = problem.n_vech, problem.n_vars
     points = [z]
@@ -241,6 +277,26 @@ def test_constraint_rejects_bad_sense():
     with pytest.raises(ValueError, match="sense"):
         LmiConstraint(const=np.zeros((1, 1)), coeffs=np.zeros((1, 1, 1)),
                       sense="nonneg")
+
+
+def test_non_finite_matrices_are_rejected_by_name():
+    """A NaN or inf in a constraint's const or coeffs, in pack's X or in a
+    certificate's X raises ValueError naming the matrix, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (np.nan, np.inf, -np.inf):
+            matrix = np.array([[0.0, value], [value, 0.0]])
+            with pytest.raises(ValueError, match="constraint lyap has non-finite"):
+                LmiConstraint(const=matrix, coeffs=np.zeros((1, 2, 2)),
+                              sense="neg", name="lyap")
+            with pytest.raises(ValueError, match="lyap coeff 1 has non-finite"):
+                LmiConstraint(const=np.zeros((2, 2)), sense="neg", name="lyap",
+                              coeffs=np.stack([np.eye(2), matrix]))
+            with pytest.raises(ValueError, match="^X has non-finite"):
+                lyapunov_problem(np.eye(2) * 0.5).pack(matrix)
+            with pytest.raises(ValueError, match="certificate X has non-finite"):
+                SdpCertificate(X=matrix, tau=None, margin_achieved=0.0,
+                               solver_iterations=0)
 
 
 def test_problem_rejects_wrong_coefficient_count():
@@ -420,6 +476,42 @@ def test_gain_search_rejects_bad_tol():
     for tol in (0.0, -1e-3, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="tol"):
             bisect_gain(scalar_gain_builder(0.5), tol=tol)
+
+
+def test_gain_search_checks_delta_and_hi_cap_before_any_build():
+    """0, negative, NaN and +-inf delta or hi_cap raise ValueError naming
+    it, and the builder never runs; solve_feasibility rejects a bad delta
+    too."""
+    calls = []
+
+    def builder(gain_sq):
+        calls.append(gain_sq)
+        return gain_problem(0.5, 1.0, 1.0, gain_sq)
+
+    for name in ("delta", "hi_cap"):
+        for value in (0.0, -5.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                bisect_gain(builder, **{name: value})
+            if name == "delta":
+                with pytest.raises(ValueError, match="^delta must be finite"):
+                    solve_feasibility(gain_problem(0.5, 1.0, 1.0, 4.0), delta=value)
+    assert calls == []
+
+
+def test_gain_search_rejects_an_off_diagonal_slope():
+    """The barrier reads only the diagonal of each g^2 slope, so a builder
+    whose g^2 reaches an off-diagonal entry is refused by name."""
+    def builder(gain_sq):
+        brl = gain_problem(0.5, 1.0, 1.0, gain_sq).constraints[0]
+        const = brl.const + 0.1 * gain_sq * np.array([[0.0, 1.0], [1.0, 0.0]])
+        lmi = LmiConstraint(const=const, coeffs=brl.coeffs, sense="neg",
+                            name="coupled")
+        x_pos = LmiConstraint(const=np.zeros((1, 1)), coeffs=np.ones((1, 1, 1)),
+                              sense="pos", name="X_pos")
+        return LmiProblem(n_x=1, constraints=(lmi, x_pos), with_tau=False)
+
+    with pytest.raises(ValueError, match="'coupled' is not diagonal"):
+        bisect_gain(builder)
 
 
 def test_gain_search_raises_when_phase_two_runs_out_of_steps(monkeypatch):
