@@ -14,8 +14,9 @@ with damped Newton steps (Boyd & Vandenberghe, Convex Optimization, sec.
 11.3-11.4; see _BarrierData and _center).  Each Newton step forms its
 Hessian on the shared range of a constraint's coefficient matrices, the
 way DSDP assembles its Newton matrix from low-rank data (Benson & Ye,
-ACM TOMS 34(3), 2008): the lifted LMI's 11 coefficients span 10
-dimensions whatever its size.  Every certificate is
+ACM TOMS 34(3), 2008): the lifted LMI's coefficients span at most
+2 n_xi + n_wu + n_zu dimensions, whatever T_BS (10 for the demo
+loop's 11 coefficients).  Every certificate is
 re-validated by check_certificate, which returns a Cholesky-verified lower
 bound (Rump 2006) on its margin: the bound holds for the exact real-valued
 constraints, whatever the rounding in forming them, and never depends on
@@ -351,18 +352,30 @@ def _strictly_positive(M):
 
 
 def _range_basis(coeffs):
-    """Orthonormal basis V (m x R) of the shared range of the symmetric
-    stack coeffs, or None (V = I) when R > m/2.
+    """(V, G) with V (m x R) an orthonormal basis of the shared range of the
+    symmetric stack coeffs and G_k = V^T F_k V, or (None, coeffs), meaning
+    V = I, when R > m/2 or when some V G_k V^T misses its F_k.
 
-    The range of sum_k F_k^T F_k is the sum of the ranges of the F_k, so
-    one eigh of that m x m Gram gives it without stacking the F_k side by
-    side; eigenvalues below 1e-12 of the largest count as zero.
+    The range of sum_k F_k^T F_k / ||F_k||_F^2 is the sum of the ranges of
+    the F_k, so one eigh of that m x m Gram gives it; eigenvalues below
+    1e-12 of the largest count as zero.  The unit weights keep a small
+    F_k from vanishing next to a large one, but the Gram still squares
+    singular values, so each F_k must be reproduced by V G_k V^T to
+    within 1e-13 of its own norm before V is used.
     """
     q, m, _ = coeffs.shape
-    flat = coeffs.reshape(q * m, m)
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    unit = coeffs / np.where(norms > 0, norms, 1.0)[:, None, None]
+    flat = unit.reshape(q * m, m)
     lam, vecs = np.linalg.eigh(flat.T @ flat)
-    keep = lam > 1e-12 * lam[-1]
-    return vecs[:, keep] if 2 * np.count_nonzero(keep) <= m else None
+    V = vecs[:, lam > 1e-12 * lam[-1]]
+    if 2 * V.shape[1] > m:
+        return None, coeffs
+    G = V.T @ coeffs @ V
+    for F, Gk, norm in zip(coeffs, G, norms):
+        if np.linalg.norm(F - V @ Gk @ V.T) > 1e-13 * norm:
+            return None, coeffs
+    return V, G
 
 
 class _BarrierData:
@@ -380,17 +393,19 @@ class _BarrierData:
     all of v, have a slope, so a term's variables are a slice of z.
 
     V is an orthonormal basis of the coefficients' shared range
-    (_range_basis; None means V = I) and G_k = V^T F_k V, so F_k = V G_k
-    V^T with F_k = scale * coeffs[k].  With W = M^-1 and W^ = V^T W V
-    (R x R), grad_hess takes g_k = -tr(W^ G_k) and H_kl = tr(W^ G_k W^
-    G_l): one batched matmul U_k = W^ G_k and one GEMM of the flattened U
-    by the flattened U_k^T.  The slope S = diag(slope) lies outside that
-    range and enters through its diagonal: g_o = -sum_i W_ii S_ii, H_ko =
-    tr(G_k (WV)^T S WV) and H_oo = sum_ij S_ii W_ij^2 S_jj, at O(m^2 R).
-    The lifted LMI's 11 coefficients span R = 10 at every T_BS, so there
-    only the inverse stays cubic in m.  With V = I, W S = W * slope joins
-    the stack as U_o and one GEMM gives every entry.  barrier_value takes
-    each log-det from one Cholesky, inf if any fails.
+    (_range_basis; None means V = I) and G_k = V^T F_k V, kept only where
+    F_k = V G_k V^T holds to 1e-13 of ||F_k||_F, with F_k = scale *
+    coeffs[k].  With W = M^-1 and W^ = V^T W V (R x R), grad_hess takes g_k
+    = -tr(W^ G_k) and H_kl = tr(W^ G_k W^ G_l): one batched matmul U_k = W^
+    G_k and one GEMM of the flattened U by the flattened U_k^T.  The slope S
+    = diag(slope) lies outside that range and enters through its diagonal:
+    g_o = -sum_i W_ii S_ii, H_ko = tr(G_k (WV)^T S WV) and H_oo = sum_ij
+    S_ii W_ij^2 S_jj, at O(m^2 R).  The lifted LMI's coefficients lie in the
+    ranges of T_sta^T and T_unc^T, so R <= 2 n_xi + n_wu + n_zu whatever
+    T_BS (R = 10 of 11 coefficients for the demo loop), and there only the
+    inverse stays cubic in m.  With V = I, W S = W * slope joins the stack
+    as U_o and one GEMM gives every entry.  barrier_value takes each log-det
+    from one Cholesky, inf if any fails.
     """
 
     def __init__(self, problem: LmiProblem, delta: float, gain_slopes=None):
@@ -418,8 +433,7 @@ class _BarrierData:
         self.n_barrier = sum(term[0].shape[0] for term in self.terms)
 
     def _add(self, const, coeffs, first, scale, slope):
-        V = _range_basis(coeffs)
-        G = coeffs if V is None else V.T @ coeffs @ V
+        V, G = _range_basis(coeffs)
         self.terms.append((const, coeffs, first, scale, slope, V, G))
 
     def matrix(self, term, z):

@@ -3,6 +3,7 @@ hand-checkable Lyapunov problems, the barrier's Newton kernels, verified
 certificate checking, and the gain search."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from bootctrl.sdp import (
     sym_basis,
     vech_indices,
 )
-from bootctrl.statespace import interconnect
+from bootctrl.statespace import ClosedLoop, interconnect
 
 
 # --------------------------------------------------------------------------
@@ -158,6 +159,18 @@ def _reference_interior(terms, z):
                for const, basis in terms)
 
 
+def _phase_one_point(problem, D):
+    """z = (v, s) at X = D (I + E + E^T) D with a small seeded E and tau =
+    1, s half a unit above every normalized strict-negative eigenvalue."""
+    rng = np.random.default_rng(5)
+    E = 0.05 * rng.standard_normal((problem.n_x, problem.n_x))
+    v = problem.pack(D @ (np.eye(problem.n_x) + E + E.T) @ D, 1.0)
+    s = 0.5 + max(np.linalg.eigvalsh(con.evaluate(v))[-1]
+                  / max(1.0, np.linalg.norm(con.const))
+                  for con in problem.constraints if con.sense == "neg")
+    return np.append(v, s)
+
+
 # (rows, range dimension R) of each barrier term for the barrier_case
 # problems: the LMI, X > 0, tau > 0 and the two bounds; None means V = I
 RANGE_DIMS = {
@@ -185,13 +198,7 @@ def barrier_case(request, plant, controller, reference_slope):
                               SectorBound.symmetric(slope, cl.n_zu), T)
 
     problem = builder(gain ** 2)
-    rng = np.random.default_rng(5)
-    E = 0.05 * rng.standard_normal((problem.n_x, problem.n_x))
-    v = problem.pack(np.eye(problem.n_x) + E + E.T, 1.0)
-    s = 0.5 + max(np.linalg.eigvalsh(con.evaluate(v))[-1]
-                  / max(1.0, np.linalg.norm(con.const))
-                  for con in problem.constraints if con.sense == "neg")
-    z = np.append(v, s)
+    z = _phase_one_point(problem, np.eye(problem.n_x))
     terms = _reference_terms(problem, DELTA)
     assert _reference_interior(terms, z)
 
@@ -219,6 +226,41 @@ def test_grad_hess_matches_einsum_reference(barrier_case):
         g_ref, H_ref = _reference_grad_hess(ref, point, t)
         assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
         assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
+
+
+@pytest.mark.parametrize("case", ["demo_state_x1000", "scalar_bp_1e4"])
+def test_grad_hess_on_badly_scaled_lifted_lmis(case, plant, controller,
+                                               reference_slope):
+    """The demo plant with its state scaled by 1e3 (T_BS=20) and the loop
+    x+ = 0.5 x + 1e4 w_p (T_BS=10) spread their coefficients' singular
+    values over 1e9, so a range basis from the plain Gram sum_k F_k^T F_k
+    cut at 1e-12 (R = 4 and R = 1) drops directions they need.  The first
+    reproduces its F_k only to about 1e-12 and takes V = I, the second
+    keeps its exact R = 3 of 12 rows; both match the reference at a
+    phase-I point."""
+    if case == "demo_state_x1000":
+        scaled = replace(plant, B=1e3 * plant.B, B1=1e3 * plant.B1,
+                         C=plant.C / 1e3, C1=plant.C1 / 1e3)
+        cl, slope, T, R = interconnect(scaled, controller), reference_slope, 20, None
+        D = np.diag([1e-3, 1e-3, 1.0, 1.0])
+    else:
+        cl = ClosedLoop(Acl=[[0.5]], Bp=[[1e4]], Bu=[[0.0]], Cp=[[1.0]],
+                        Dpp=[[0.0]], Dpu=[[0.0]], Cu=[[1.0]], Dup=[[0.0]],
+                        Duu=[[0.0]])
+        slope, T, R, D = 1.0, 10, 3, np.eye(1)
+    problem = build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, 16.0),
+                             SectorBound.symmetric(slope, cl.n_zu), T)
+    z = _phase_one_point(problem, D)
+    terms = _reference_terms(problem, DELTA)
+    assert _reference_interior(terms, z)
+    data = _BarrierData(problem, DELTA)
+    V = data.terms[0][5]
+    assert (None if V is None else V.shape[1]) == R
+    assert all(term[5] is None for term in data.terms[1:])
+    g, H = data.grad_hess(z, 3.0)
+    g_ref, H_ref = _reference_grad_hess(terms, z, 3.0)
+    assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+    assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
 
 
 def test_gradient_matches_central_differences(barrier_case):
