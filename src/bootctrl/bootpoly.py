@@ -13,14 +13,18 @@ a-posteriori sampling, which is the authoritative certificate.
 
 Every evaluation of p goes through one Clenshaw kernel, numpy's chebval
 recurrence operation for operation (x2 = 2x; c0, c1 <- c[-i] - c1,
-c0 + c1 x2; then c0 + c1 x), so its values are bitwise chebval's.  Arrays
-are walked in blocks of _BLOCK doubles, so the recurrence's temporaries
-stay in cache instead of being fresh full-length arrays per coefficient.
+c0 + c1 x2; then c0 + c1 x).  A scalar runs it on Python floats and is
+bitwise chebval's.  Arrays are walked in blocks of _BLOCK doubles, and
+each block runs it with ufuncs into a few work buffers allocated once per
+call, so no step allocates.  On blocks a zero coefficient's step is
+folded into the next one, exactly: values differ from chebval's only in
+the sign of an exact zero, and verify's abs makes gamma bitwise equal.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -44,9 +48,10 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-9
-# doubles per Clenshaw block (256 KiB): a block's few live arrays stay in
-# L2, and each ufunc call of the recurrence still covers many elements
-_BLOCK = 32_768
+# doubles per Clenshaw block (128 KiB): verify's six work arrays (768 KiB)
+# stay in a 2 MiB L2, and each ufunc call still covers enough elements to
+# hide its Python overhead (16k beat 4k, 8k, 12k, 24k and 32k on verify)
+_BLOCK = 16_384
 
 
 class FitError(RuntimeError):
@@ -67,6 +72,10 @@ class BootstrapSpec:
     d: int = 25
 
     def __post_init__(self):
+        for name in ("q", "K", "d"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not (np.isfinite(self.q) and self.q > 0):
             raise ValueError(f"q must be finite and positive, got {self.q}")
         if not 0 < self.epsilon < 1:
@@ -142,9 +151,12 @@ class BootstrapPolynomial:
 
 
 def centered_mod(m, q):
-    """m - q*round(m/q) with round-half-away-from-zero on exact halves."""
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    """m - q*round(m/q) with round-half-away-from-zero on exact halves.
+
+    q must be finite and positive, or ValueError is raised.
+    """
+    if not 0 < q < np.inf:
+        raise ValueError(f"q must be finite and positive, got {q}")
     m_arr = np.asarray(m, dtype=float)
     ratio = m_arr / q
     rounded = np.sign(ratio) * np.floor(np.abs(ratio) + 0.5)
@@ -152,28 +164,70 @@ def centered_mod(m, q):
     return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
 
 
-def _clenshaw(c, x):
-    """sum_k c[k] T_k(x) (len(c) >= 2) at a float x or on one block of x.
+def _check_count(value, name):
+    """ValueError naming the argument unless value is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
-    This is numpy's chebval recurrence, operation for operation, so its
-    values are bitwise chebval's.
+
+def _clenshaw(c, x, work=None):
+    """sum_k c[k] T_k(x) (len(c) >= 2) at a float x, or on one block x.
+
+    This is numpy's chebval recurrence (x2 = 2x; c0, c1 <- c[-i] - c1,
+    c0 + c1 x2; then c0 + c1 x).  At a float x (work None) it runs on
+    Python floats, operation for operation, so the value is bitwise
+    chebval's.  On a block it runs the same operations with ufuncs into
+    work, at least four arrays of x.size or more doubles, and returns a
+    view of one of them, valid until work is reused.
+
+    On a block, a zero coefficient's step c0 = 0 - c1 is folded into the
+    next step's add, which becomes c1 x2 - c1_old.  Since (-b) + y ==
+    y - b exactly in IEEE arithmetic, the values differ from chebval's
+    only in the sign of an exact zero (0 - c1 is +0 at c1 = +0, -c1 is -0).
+    The fitted polynomials are odd, so every other step makes two array
+    passes instead of three.
     """
-    x2 = 2 * x
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        c0, c1 = c[-i] - c1, c0 + c1 * x2
-    return c0 + c1 * x
+    if work is None:
+        x2 = 2 * x
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            c0, c1 = c[-i] - c1, c0 + c1 * x2
+        return c0 + c1 * x
+    n = x.size
+    x2, *free = (w[:n] for w in work)
+    np.multiply(x, 2, out=x2)
+    c0, c1, add = c[-2], c[-1], np.add
+    for ci in c[-3::-1]:
+        t = np.multiply(c1, x2, out=free.pop())
+        add(t, c0, out=t)
+        if isinstance(c0, np.ndarray):
+            free.append(c0)
+        if ci == 0:
+            c0, add = c1, np.subtract  # c0 = 0 - c1, kept as a pending sign
+        else:
+            out = c1 if isinstance(c1, np.ndarray) else None
+            c0, add = np.subtract(ci, c1, out=out), np.add
+        c1 = t
+    p = np.multiply(c1, x, out=free.pop())
+    return add(p, c0, out=p)
 
 
 def evaluate(poly: BootstrapPolynomial, m):
-    """Evaluate the polynomial by the blocked Clenshaw recurrence."""
-    x = np.asarray(m, dtype=float) / poly.spec.half_range
-    if np.isscalar(m) or x.ndim == 0:
-        return float(_clenshaw(poly.coefficients, x))
-    flat = x.reshape(-1)
+    """Evaluate the polynomial by the Clenshaw kernel, blockwise on arrays.
+
+    A scalar or 0-d m returns a float that is bitwise chebval's.  An
+    array is walked in blocks of _BLOCK doubles through one set of work
+    buffers; its values are chebval's up to the sign of an exact zero.
+    """
+    c = poly.coefficients.tolist()
+    x = np.asarray(m, dtype=float)
+    if x.ndim == 0:
+        return _clenshaw(c, float(x) / poly.spec.half_range)
+    flat = x.reshape(-1) / poly.spec.half_range
     out = np.empty_like(flat)
+    work = np.empty((4, min(flat.size, _BLOCK)))
     for lo in range(0, flat.size, _BLOCK):
-        out[lo:lo + _BLOCK] = _clenshaw(poly.coefficients, flat[lo:lo + _BLOCK])
+        out[lo:lo + _BLOCK] = _clenshaw(c, flat[lo:lo + _BLOCK], work)
     return out.reshape(x.shape)
 
 
@@ -207,8 +261,11 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
     Sampling uses Chebyshev-Lobatto nodes (an even count, so m = 0 is
     excluded; that case is enforced structurally through the root
     conditions p(r q) = 0).  The stored gamma comes from verify(), not
-    from the LP objective.
+    from the LP objective.  Both sample counts must be integers, or
+    ValueError is raised before the LP runs.
     """
+    _check_count(samples_per_interval, "samples_per_interval")
+    _check_count(verify_samples_per_interval, "verify_samples_per_interval")
     if samples_per_interval < 2 * (spec.d + 1):
         raise ValueError(
             f"samples_per_interval must be at least 2(d+1) = {2 * (spec.d + 1)}"
@@ -286,19 +343,26 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     floating-point cancellation, not the polynomial.
 
     The points are walked in kernel blocks: x = (m - r q) / half_range,
-    the Clenshaw kernel and |p(x) - m| / |m| run on one block, whose
-    maximum joins a running maximum, so no array of the full sample count
-    is formed past m itself.  Every value is bitwise the whole-array
-    chebval formula's.  A non-finite root or error (overflow in the
-    recurrence) returns inf, without a warning, so fit() rejects it.
+    the Clenshaw kernel and |p(x) - m| / |m| run on one block in a few
+    work buffers allocated once per call, and the block's maximum joins a
+    running maximum, so no array of the full sample count is formed past
+    m itself.  The uniform grid is built once and reused at every offset.
+    Every value is the whole-array chebval formula's up to the sign of an
+    exact zero, which the abs removes, so the result is bitwise that
+    formula's.  A non-finite root or error (overflow in the recurrence)
+    returns inf, without a warning, so fit() rejects it.
     """
+    _check_count(samples, "samples")
     if samples < 10**5:
         raise ValueError(f"verification needs at least 1e5 samples per interval, got {samples}")
     spec = poly.spec
     half_msg = spec.epsilon * spec.q / 2
     rng = np.random.default_rng(20_240_501)
     n_grid = samples // 2
-    n_rand = samples - n_grid
+    grid = np.linspace(-half_msg, half_msg, n_grid)
+    grid = grid[np.abs(grid) > 1e-9 * spec.q]
+    c = poly.coefficients.tolist()
+    x, abs_m, *work = np.empty((6, min(_BLOCK, samples)))
 
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,20 +370,19 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
             # NaN fails the comparison too
             if not abs(evaluate(poly, -r * spec.q)) <= ROOT_TOL * spec.q:
                 return np.inf
-            m = np.concatenate(
-                [
-                    np.linspace(-half_msg, half_msg, n_grid),
-                    rng.uniform(-half_msg, half_msg, n_rand),
-                ]
-            )
-            m = m[np.abs(m) > 1e-9 * spec.q]
-            for lo in range(0, m.size, _BLOCK):
-                mb = m[lo:lo + _BLOCK]
-                p = _clenshaw(poly.coefficients, (mb - r * spec.q) / spec.half_range)
-                block_worst = float(np.max(np.abs(p - mb) / np.abs(mb)))
-                if not block_worst < np.inf:
-                    return np.inf
-                worst = max(worst, block_worst)
+            rand = rng.uniform(-half_msg, half_msg, samples - n_grid)
+            for m in (grid, rand[np.abs(rand) > 1e-9 * spec.q]):
+                for lo in range(0, m.size, _BLOCK):
+                    mb = m[lo:lo + _BLOCK]
+                    xb, ab = x[:mb.size], abs_m[:mb.size]
+                    np.divide(np.subtract(mb, r * spec.q, out=xb), spec.half_range, out=xb)
+                    p = _clenshaw(c, xb, work)
+                    np.abs(np.subtract(p, mb, out=p), out=p)
+                    np.divide(p, np.abs(mb, out=ab), out=p)
+                    block_worst = float(p.max())
+                    if not block_worst < np.inf:
+                        return np.inf
+                    worst = max(worst, block_worst)
     return worst
 
 

@@ -593,10 +593,11 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
     is within tol of the duality-gap bound sqrt(g^2 - nu/t).  Returns
     (gain, certificate): sqrt(g^2) rounded up, with the margin checked at
     problem_builder(gain * gain).  tol, delta and hi_cap must be finite
-    and positive, checked before any build, and every strict-negative C
-    diagonal, or ValueError is raised.  A stalled phase II or a failed
-    check raises RuntimeError.  The name predates the method; perfbench's
-    tracer patches the function under it.
+    and positive, checked before any build, every strict-negative C
+    diagonal and every constant plus hi_cap^2 C finite, or ValueError is
+    raised.  A stalled phase II or a failed check raises RuntimeError.
+    The name predates the method; perfbench's tracer patches the function
+    under it.
     """
     for name, value in (("tol", tol), ("delta", delta), ("hi_cap", hi_cap)):
         if not (np.isfinite(value) and value > 0):
@@ -607,10 +608,14 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
         if con.sense == "neg" and np.count_nonzero(slope - np.diag(np.diagonal(slope))):
             raise ValueError(
                 f"the g^2 slope of constraint {con.name!r} is not diagonal")
+    with np.errstate(over="ignore", invalid="ignore"):
+        consts = [con.const + hi_cap * hi_cap * slope if con.sense == "neg" else None
+                  for con, slope in zip(base.constraints, slopes)]
+    if not all(const is None or np.isfinite(const).all() for const in consts):
+        raise ValueError(f"hi_cap = {hi_cap} overflows the capped constants")
     capped = replace(base, constraints=[
-        replace(con, const=con.const + hi_cap * hi_cap * slope)
-        if con.sense == "neg" else con
-        for con, slope in zip(base.constraints, slopes)])
+        con if const is None else replace(con, const=const)
+        for con, const in zip(base.constraints, consts)])
     outcome = solve_feasibility(capped, delta=delta)
     if outcome.status == NUMERICAL_FAILURE:
         raise RuntimeError(f"solver failed numerically at gain {hi_cap}")

@@ -1,6 +1,7 @@
 """Refresh-polynomial fitting: centered reduction, minimax fit quality,
 root constraints, dense verification, rescaling, and serialization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,16 @@ def test_centered_mod_values():
         centered_mod(1.0, 0.0)
 
 
+@pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf, 0.0, -4.0])
+def test_centered_mod_rejects_a_bad_modulus(q):
+    """A NaN, infinite or nonpositive modulus is refused by name, with no
+    nan result and no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="q must be finite and positive"):
+            centered_mod(1.0, q)
+
+
 def test_spec_validation():
     for q in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="q must be finite and positive"):
@@ -52,8 +63,37 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BootstrapSpec(d=0)
     spec = BootstrapSpec(q=2.0, epsilon=0.5, K=2, d=25)
+    assert BootstrapSpec(q=2, K=2.0, d=25.0) == spec
     assert spec.half_range == pytest.approx((2 + 0.25) * 2.0)
     assert list(spec.offsets) == [-2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("field", ["q", "K", "d"])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_spec_rejects_bools(field, flag):
+    """A bool is refused by name, not taken as the number 1."""
+    with pytest.raises(ValueError, match=f"{field} must be a number, not a bool"):
+        BootstrapSpec(**{field: flag})
+
+
+def _no_lp(*args):
+    raise AssertionError("the LP ran")
+
+
+@pytest.mark.parametrize("name, call", [
+    ("samples", lambda poly: verify(poly, 2e5)),
+    ("verify_samples_per_interval",
+     lambda poly: fit(poly.spec, verify_samples_per_interval=2e5)),
+    ("samples_per_interval", lambda poly: fit(poly.spec, samples_per_interval=512.7)),
+    ("samples_per_interval", lambda poly: fit(poly.spec, samples_per_interval=True)),
+], ids=["verify", "fit_verify_samples", "fit_samples", "fit_samples_bool"])
+def test_sample_counts_must_be_integers(monkeypatch, fitted_poly, name, call):
+    """A float or bool count is refused by name (neither a TypeError from
+    np.linspace nor a silent truncation); fit checks both counts before
+    its LP."""
+    monkeypatch.setattr(bootpoly, "solve_lp", _no_lp)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(fitted_poly)
 
 
 def test_fit_reference_configuration(fitted_poly):
@@ -181,7 +221,7 @@ def test_coefficient_length_checked():
 
 
 # --------------------------------------------------------------------------
-# blocked Clenshaw kernel
+# buffered Clenshaw kernel
 
 BLOCK = bootpoly._BLOCK
 KERNEL = bootpoly._clenshaw
@@ -225,6 +265,66 @@ def test_evaluate_scalar_zero_d_and_list_inputs(d):
     assert got.tobytes() == chebval(grid / r, poly.coefficients).tobytes()
 
 
+@pytest.mark.parametrize("d, K", [(25, 2), (15, 1), (16, 1), (2, 0)],
+                         ids=["odd-25-2", "odd-15-1", "even-16-1", "even-2-0"])
+def test_evaluate_fitted_polynomial_matches_chebval(d, K, fitted_poly):
+    """Fitted polynomials have exact zero coefficients (every even index,
+    and the leading one at even d), whose steps the block kernel folds:
+    the values are chebval's bit for bit wherever they are nonzero, and
+    equal everywhere (an exact zero may differ in sign)."""
+    spec = BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d)
+    poly = fitted_poly if spec == fitted_poly.spec else fit(spec)
+    assert np.count_nonzero(poly.coefficients == 0) >= d // 2
+    r = poly.spec.half_range
+    m = np.concatenate([
+        np.random.default_rng(d).uniform(-1.2 * r, 1.2 * r, 3 * BLOCK + 7),
+        [0.0, -0.0, r, -r],
+        np.arange(-K, K + 1) * poly.spec.q,
+    ])
+    want = chebval(m / r, poly.coefficients)
+    got = evaluate(poly, m)
+    assert np.array_equal(got, want)
+    nonzero = want != 0
+    assert nonzero.sum() >= m.size - 2 * K - 3
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+def test_scalar_evaluate_runs_on_python_floats(monkeypatch, fitted_poly):
+    """A scalar call is one kernel call on a Python float with no work
+    buffers, and returns a float bitwise equal to chebval's."""
+    calls = []
+
+    def spy(c, x, work=None):
+        calls.append((type(c), type(x), work))
+        return KERNEL(c, x, work)
+
+    monkeypatch.setattr(bootpoly, "_clenshaw", spy)
+    r = fitted_poly.spec.half_range
+    for m in (0.3, np.float64(-1.7), np.array(0.9), 2):
+        calls.clear()
+        got = evaluate(fitted_poly, m)
+        want = float(chebval(np.float64(m) / r, fitted_poly.coefficients))
+        assert calls == [(list, float, None)]
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_block_kernel_writes_only_into_its_work_buffers(fitted_poly):
+    """No step of the block kernel allocates an array (numpy reports its
+    data buffers to tracemalloc); the result is a view into work."""
+    x = np.linspace(-1.0, 1.0, BLOCK)
+    work = np.empty((4, BLOCK))
+    c = fitted_poly.coefficients.tolist()
+    want = KERNEL(c, x, work).copy()
+    tracemalloc.start()
+    try:
+        got = KERNEL(c, x, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(got, work) and np.array_equal(got, want)
+    assert peak < x.nbytes // 8
+
+
 def _verify_samples(spec, samples):
     """(r, m) per offset: verify's grid, seeded stream and exclusion."""
     half_msg = spec.epsilon * spec.q / 2
@@ -249,7 +349,7 @@ def _verify_whole_array(poly, samples):
     return worst
 
 
-@pytest.mark.parametrize("d, K", [(15, 1), (25, 2), (45, 3)])
+@pytest.mark.parametrize("d, K", [(15, 1), (25, 2), (45, 3), (16, 1), (15, 0)])
 def test_verify_matches_whole_array_formula(d, K, fitted_poly):
     spec = BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d)
     poly = fitted_poly if spec == fitted_poly.spec else fit(spec)
@@ -277,8 +377,8 @@ def _kernel_calls(monkeypatch, poly, samples, hook):
     """Run verify with every kernel value p(x) replaced by hook(index, x, p)."""
     calls = []
 
-    def spy(c, x):
-        p = hook(len(calls), x, KERNEL(c, x))
+    def spy(c, x, work=None):
+        p = hook(len(calls), x, KERNEL(c, x, work))
         calls.append(np.size(x))
         return p
 
@@ -291,7 +391,7 @@ def test_verify_walks_every_sample_once(monkeypatch, fitted_poly):
     seen = []
 
     def record(i, x, p):
-        seen.append(np.ravel(x))
+        seen.append(np.array(x, ndmin=1))  # a copy: x is a reused buffer
         return p
 
     gamma, calls = _kernel_calls(monkeypatch, fitted_poly, samples, record)

@@ -2,6 +2,7 @@
 hand-checkable Lyapunov problems, the barrier's Newton kernels, verified
 certificate checking, and the gain search."""
 
+import sys
 import warnings
 from dataclasses import replace
 
@@ -538,6 +539,24 @@ def test_gain_search_checks_delta_and_hi_cap_before_any_build():
                 with pytest.raises(ValueError, match="^delta must be finite"):
                     solve_feasibility(gain_problem(0.5, 1.0, 1.0, 4.0), delta=value)
     assert calls == []
+
+
+@pytest.mark.parametrize("hi_cap", [1e155, 1e200, sys.float_info.max])
+def test_gain_search_rejects_a_hi_cap_that_overflows(hi_cap):
+    """A hi_cap whose hi_cap^2 C is not finite (inf * 0 = nan at 1e155 and
+    above) is refused by name, with no RuntimeWarning, after the two slope
+    builds and before phase I."""
+    calls = []
+
+    def builder(gain_sq):
+        calls.append(gain_sq)
+        return gain_problem(0.5, 1.0, 1.0, gain_sq)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^hi_cap = .* overflows the capped"):
+            bisect_gain(builder, hi_cap=hi_cap)
+    assert calls == [0.0, 1.0]
 
 
 def test_gain_search_rejects_an_off_diagonal_slope():
