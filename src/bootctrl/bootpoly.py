@@ -76,7 +76,8 @@ class BootstrapSpec:
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-        if not (np.isfinite(self.q) and self.q > 0):
+        # A comparison, not np.isfinite, so an int above 2**64 is taken.
+        if not 0 < self.q <= sys.float_info.max:
             raise ValueError(f"q must be finite and positive, got {self.q}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
@@ -261,11 +262,15 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
     Sampling uses Chebyshev-Lobatto nodes (an even count, so m = 0 is
     excluded; that case is enforced structurally through the root
     conditions p(r q) = 0).  The stored gamma comes from verify(), not
-    from the LP objective.  Both sample counts must be integers, or
-    ValueError is raised before the LP runs.
+    from the LP objective.  Both sample counts must be integers, and
+    verify_samples_per_interval at least 1e5, or ValueError is raised
+    before the LP runs.
     """
     _check_count(samples_per_interval, "samples_per_interval")
     _check_count(verify_samples_per_interval, "verify_samples_per_interval")
+    if verify_samples_per_interval < 10**5:
+        raise ValueError("verify_samples_per_interval must be at least 1e5, "
+                         f"got {verify_samples_per_interval}")
     if samples_per_interval < 2 * (spec.d + 1):
         raise ValueError(
             f"samples_per_interval must be at least 2(d+1) = {2 * (spec.d + 1)}"

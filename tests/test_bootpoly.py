@@ -68,6 +68,18 @@ def test_spec_validation():
     assert list(spec.offsets) == [-2, -1, 0, 1, 2]
 
 
+def test_spec_takes_a_large_integer_modulus():
+    """A finite integer modulus of any size up to the float range is taken
+    as given, like centered_mod takes it; one beyond it is refused by
+    name."""
+    spec = BootstrapSpec(q=2**70)
+    assert spec.q == 2**70
+    assert spec.half_range == pytest.approx(2.25 * 2.0**70)
+    assert centered_mod(2.0**70 + 3.0 * 2.0**60, spec.q) == 3.0 * 2.0**60
+    with pytest.raises(ValueError, match="q must be finite and positive"):
+        BootstrapSpec(q=10**400)
+
+
 @pytest.mark.parametrize("field", ["q", "K", "d"])
 @pytest.mark.parametrize("flag", [True, np.True_])
 def test_spec_rejects_bools(field, flag):
@@ -94,6 +106,14 @@ def test_sample_counts_must_be_integers(monkeypatch, fitted_poly, name, call):
     monkeypatch.setattr(bootpoly, "solve_lp", _no_lp)
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(fitted_poly)
+
+
+def test_fit_checks_the_verify_sample_count_before_its_lp(monkeypatch, fitted_poly):
+    """Fewer than 1e5 verification samples per interval are refused by the
+    argument's name before the LP runs."""
+    monkeypatch.setattr(bootpoly, "solve_lp", _no_lp)
+    with pytest.raises(ValueError, match="^verify_samples_per_interval must be at least 1e5"):
+        fit(fitted_poly.spec, verify_samples_per_interval=99_999)
 
 
 def test_fit_reference_configuration(fitted_poly):

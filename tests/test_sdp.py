@@ -576,11 +576,92 @@ def test_gain_search_rejects_an_off_diagonal_slope():
 
 
 def test_gain_search_raises_when_phase_two_runs_out_of_steps(monkeypatch):
-    """Phase I needs 31 Newton steps here and phase II about 50: with a
-    cap of 40 per phase no gain is returned."""
-    monkeypatch.setattr(sdp, "_MAX_NEWTON", 40)
+    """Phase I needs 1 Newton step here and phase II 25: with a cap of 12
+    per phase no gain is returned."""
+    monkeypatch.setattr(sdp, "_MAX_NEWTON", 12)
     with pytest.raises(RuntimeError, match="phase II failed"):
         bisect_gain(scalar_gain_builder(0.5))
+
+
+@pytest.mark.parametrize("hi_cap", [1e3, 1e5, 1e7])
+def test_gain_search_is_independent_of_a_large_cap(hi_cap):
+    """Phase I divides by the g^2 = 0 constant's norm, not by the capped
+    one, so a cap far above the gain still finds it."""
+    gain, cert = bisect_gain(scalar_gain_builder(0.5), hi_cap=hi_cap)
+    assert gain == pytest.approx(2.0, abs=1e-3)
+    assert cert.margin_achieved >= DELTA
+
+
+def test_gain_search_at_a_huge_cap_fails_numerically_not_as_unstable():
+    """At hi_cap = 1e10 the capped constant's 1e20 entry leaves no margin
+    that check_certificate can verify: a RuntimeError naming the numerical
+    failure, not an UNSTABLE verdict for a stable loop."""
+    with pytest.raises(RuntimeError, match="failed numerically") as info:
+        bisect_gain(scalar_gain_builder(0.5), hi_cap=1e10)
+    assert not isinstance(info.value, UncertifiableError)
+
+
+def test_singular_newton_system_is_a_numerical_failure(monkeypatch):
+    """H = diag(0, -1e-10) is singular with and without its 1e-10 I shift,
+    so both solves fail: NUMERICAL_FAILURE, and RuntimeError from the gain
+    search, never a LinAlgError."""
+    def singular(self, z, t):
+        H = np.zeros((len(z), len(z)))
+        H[-1, -1] = -1e-10
+        return np.ones(len(z)), H
+
+    monkeypatch.setattr(_BarrierData, "grad_hess", singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.diag([1e-10, 0.0]), np.ones(2))
+    problem = gain_problem(0.5, 1.0, 1.0, 9.0)
+    assert solve_feasibility(problem).status == sdp.NUMERICAL_FAILURE
+    with pytest.raises(RuntimeError, match="failed numerically"):
+        bisect_gain(scalar_gain_builder(0.5))
+
+
+def test_gain_search_falls_back_to_the_cap_when_its_start_is_outside(monkeypatch):
+    """A g^2 floor that misses (here -inf, so the start g^2 = 1 lies below
+    the true gain^2 = 4) starts phase II at hi_cap^2, which phase I made
+    interior."""
+    monkeypatch.setattr(sdp, "_gain_floor", lambda data, z: -np.inf)
+    gain, _ = bisect_gain(scalar_gain_builder(0.5))
+    assert gain == pytest.approx(2.0, abs=1e-3)
+
+
+def test_gain_floor_without_a_lower_bound():
+    """A g^2 that no strict-negative row depends on gives no floor (-inf);
+    one that enters some row with a positive slope bounds g^2 from above,
+    and the floor reads +inf, so phase II starts at hi_cap^2."""
+    base = gain_problem(0.5, 1.0, 1.0, 0.0)
+    z = np.array([1.0, 0.0])
+    for c_diag, floor in (([0.0, 0.0], -np.inf), ([1.0, -1.0], np.inf)):
+        data = _BarrierData(base, DELTA, [np.array(c_diag), np.zeros(1)])
+        assert sdp._gain_floor(data, z) == floor
+
+
+def test_feasibility_scales_are_checked():
+    """One scale of at least 1 per strict-negative constraint, or
+    ValueError; scales equal to the default norms give the same solve."""
+    problem = gain_problem(0.5, 1.0, 1.0, 9.0)
+    for scales in ([], [1.0, 1.0], [0.5], [np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="^scales must be 1 finite"):
+            solve_feasibility(problem, scales=scales)
+    norm = max(1.0, np.linalg.norm(problem.constraints[0].const))
+    default, given = solve_feasibility(problem), solve_feasibility(problem, scales=[norm])
+    assert given.status == default.status == FEASIBLE
+    assert given.iterations == default.iterations
+    np.testing.assert_array_equal(given.certificate.X, default.certificate.X)
+
+
+def test_gain_floor_is_where_the_phase_two_point_turns_interior(barrier_case):
+    """Just above _gain_floor the phase-I solution is interior to every
+    phase-II term, just below it is not."""
+    _, _, _, _, (base, slopes, terms2, z2) = barrier_case
+    floor = sdp._gain_floor(_BarrierData(base, DELTA, slopes), z2)
+    assert 0.0 < floor < z2[-1]
+    for step, inside in ((1e-6, True), (-1e-6, False)):
+        point = np.append(z2[:-1], floor + step * floor)
+        assert _reference_interior(terms2, point) == inside
 
 
 def test_gain_search_never_returns_an_unchecked_gain():
