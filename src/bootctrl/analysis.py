@@ -377,8 +377,8 @@ def analyze_l2_gain(plant: Plant, controller: Controller, gamma_sector: float,
     uses the given slope on the interconnection; "reset" forces slope 1
     and the lifted test with T_BS as the reset period; "fir" forces slope 1
     and the direct test on the rewired loop of fir_closed_loop.  Returns a
-    NOT_CERTIFIED report instead of raising when no gain up to the cap is
-    feasible.
+    NOT_CERTIFIED report instead of raising when no certificate within the
+    solver's search radius exists at any gain.
     """
     if method not in (THEOREM_1, THEOREM_2):
         raise ValueError(f"unknown method {method!r}")

@@ -11,17 +11,16 @@ and FEASIBLE means the optimal shift satisfies s <= -delta.  bisect_gain
 follows it with one phase-II minimization of g^2, which enters the
 strict-negative constraints affinely.  Both phases run one log-det barrier
 with damped Newton steps (Boyd & Vandenberghe, Convex Optimization, sec.
-11.3-11.4; see _BarrierData and _center).  So that its steps go to the
-optimization rather than to scaling, bisect_gain scales phase I by the
-constants at g^2 = 0 rather than at the gain cap, starts phase II just
-above the smallest g^2 at which the phase-I point is interior, and raises
-t for its last centering only as far as the stop rule needs.  Each Newton step forms its
-Hessian on the shared range of a constraint's coefficient matrices, the
-way DSDP assembles its Newton matrix from low-rank data (Benson & Ye,
-ACM TOMS 34(3), 2008): the lifted LMI's coefficients span at most
-2 n_xi + n_wu + n_zu dimensions, whatever T_BS (10 for the demo
-loop's 11 coefficients).  Every certificate is
-re-validated by check_certificate, which returns a Cholesky-verified lower
+11.3-11.4; see _BarrierData and _center).  bisect_gain's phase I solves
+only the rows that g^2 does not move, starts phase II just above the
+smallest g^2 at which the phase-I point is interior, and raises t for its
+last centering only as far as the stop rule needs.  Each Newton step
+forms its Hessian on the shared range of a constraint's coefficient
+matrices, the way DSDP assembles its Newton matrix from low-rank data
+(Benson & Ye, ACM TOMS 34(3), 2008): the lifted LMI's coefficients span
+at most 2 n_xi + n_wu + n_zu dimensions, whatever T_BS (10 for the demo
+loop's 11 coefficients).  Every certificate is re-validated by
+check_certificate, which returns a Cholesky-verified lower
 bound (Rump 2006) on its margin: the bound holds for the exact real-valued
 constraints, whatever the rounding in forming them, and never depends on
 the barrier or on an eigensolver being accurate, so solver quality is
@@ -61,7 +60,7 @@ _RADIUS = 1e4  # compactifying bound X <= radius*I, tau <= radius
 
 
 class UncertifiableError(RuntimeError):
-    """Raised when no feasible gain exists at or below the gain cap."""
+    """Raised when no certificate within _RADIUS exists at any gain."""
 
 
 def vech_indices(n):
@@ -390,11 +389,12 @@ class _BarrierData:
     scale * sum_k z[first + k] coeffs[k] (+ o diag(slope)), kept positive
     definite; coeffs is a constraint's own read-only stack.  G(v) > 0
     becomes G(v) - delta I.  G(v) < 0 becomes s I - G(v) / norm in phase
-    I, norm the next of scales or else max(1, ||const||_F), and, given gain_slopes[j] = diag(C), the diagonal g^2
-    coefficient of constraint j, -G(v) - g^2 C - delta I in phase II: raw
-    margin above delta.  The bounds _RADIUS I - X and _RADIUS - tau carry
-    small stacks of their own.  Only constraint terms, whose coeffs cover
-    all of v, have a slope, so a term's variables are a slice of z.
+    I, norm = max(1, ||const||_F), and, given gain_slopes[j] = diag(C),
+    the diagonal g^2 coefficient of constraint j, -G(v) - g^2 C - delta I
+    in phase II: raw margin above delta.  The bounds _RADIUS I - X and
+    _RADIUS - tau carry small stacks of their own.  Only constraint terms,
+    whose coeffs cover all of v, have a slope, so a term's variables are a
+    slice of z.
 
     V is an orthonormal basis of the coefficients' shared range
     (_range_basis; None means V = I) and G_k = V^T F_k V, kept only where
@@ -412,17 +412,14 @@ class _BarrierData:
     from one Cholesky, inf if any fails.
     """
 
-    def __init__(self, problem: LmiProblem, delta: float, gain_slopes=None,
-                 scales=None):
+    def __init__(self, problem: LmiProblem, delta: float, gain_slopes=None):
         self.p = problem.n_vars
         self.terms = []
-        scales = None if scales is None else iter(scales)
         for j, con in enumerate(problem.constraints):
             if con.sense == "pos":
                 self._add(con.const - delta * np.eye(con.dim), con.coeffs, 0, 1.0, None)
             elif gain_slopes is None:
-                norm = (max(1.0, float(np.linalg.norm(con.const))) if scales is None
-                        else next(scales))
+                norm = max(1.0, float(np.linalg.norm(con.const)))
                 self._add(-con.const / norm, con.coeffs, 0, -1.0 / norm,
                           np.ones(con.dim))
             else:
@@ -499,12 +496,13 @@ def _center(data, z, t, steps, floor=-np.inf):
 
     Armijo backtracking on each step; stops when the Newton decrement is
     below 1e-9, the line search stalls, or the objective z[-1] reaches
-    floor.  Returns (z, decrement, steps), with decrement None when z is
-    not interior or steps reached _MAX_NEWTON first.
+    floor.  Returns (z, decrement, steps), with decrement None when the
+    Newton system is singular or steps reached _MAX_NEWTON first.  A start
+    z that is not interior raises RuntimeError.
     """
     phi = data.barrier_value(z, t)
     if phi == np.inf:
-        return z, None, steps
+        raise RuntimeError("the barrier's start point is not interior")
     decrement = np.inf
     for _ in range(60):
         if steps >= _MAX_NEWTON:
@@ -544,28 +542,20 @@ def _certificate(problem: LmiProblem, v, iterations: int) -> SdpCertificate:
     return replace(cert, margin_achieved=check_certificate(problem, cert))
 
 
-def solve_feasibility(problem: LmiProblem, delta: float = 1e-7, *,
-                      scales=None) -> SolveOutcome:
+def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
     """Phase-I barrier solve; see the module docstring for the method.
 
-    Strict-negative constraints are normalized by max(1, ||const||_F), or
-    by scales, one number of at least 1 per strict-negative constraint in
-    order, so delta acts relative to the constraint scale and a FEASIBLE
-    point still has margin delta; the strict-positive constraints X > 0
-    and tau > 0 are kept as hard barrier constraints at level delta.  The
-    search is compactified to X <= _RADIUS*I, tau <= _RADIUS inside the
-    solver, so INFEASIBLE means no certificate exists within that
-    (generous) radius.
+    Strict-negative constraints are normalized by max(1, ||const||_F), so
+    delta acts relative to the constraint scale and a FEASIBLE point still
+    has margin delta; the strict-positive constraints X > 0 and tau > 0
+    are kept as hard barrier constraints at level delta, and RuntimeError
+    is raised if X = I, tau = 1 violates one.  The search is compactified
+    to X <= _RADIUS*I, tau <= _RADIUS inside the solver, so INFEASIBLE
+    means no certificate exists within that (generous) radius.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and positive, got {delta}")
-    if scales is not None:
-        scales = [float(scale) for scale in scales]
-        n_neg = sum(con.sense == "neg" for con in problem.constraints)
-        if len(scales) != n_neg or not all(1.0 <= x < np.inf for x in scales):
-            raise ValueError(f"scales must be {n_neg} finite numbers of at least 1, "
-                             f"got {scales}")
-    data = _BarrierData(problem, delta, scales=scales)
+    data = _BarrierData(problem, delta)
 
     # Start from X = I, tau = 1 and s at least 1 above every lambda_max(Ghat):
     # a term with a slope is -Ghat at s = 0.
@@ -597,67 +587,64 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7, *,
         t *= 20.0
 
 
-def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
-                hi_cap: float = 1600.0):
+def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7):
     """Smallest certified gain by one phase-I and one phase-II barrier solve.
 
     problem_builder maps g^2 to an LmiProblem in which g^2 (Qp = -g^2 I)
-    enters only the strict-negative constants, affinely, so the smallest
-    gain is an eigenvalue problem (EVP; Boyd, El Ghaoui, Feron &
-    Balakrishnan 1994).  The builder runs three times: at g^2 = 0 and 1,
-    whose difference is the g^2 slope C, and at the reported gain.  Phase
-    I finds a point of the g^2 = 0 problem with hi_cap^2 C added to its
-    strict-negative constants, or raises UncertifiableError; it divides
-    each such constraint by max(1, ||const||_F) of its g^2 = 0 constant,
-    not of the capped one, so its optimal shift is not shrunk by hi_cap^2
-    and it stops after a few centerings.  Phase II minimizes g^2 from that
-    point v, starting at g^2 = 1.5 g^2_min(v) + 1 (at most hi_cap^2) with
-    t = nu / g^2, where g^2_min(v) is the smallest g^2 at which v is
-    interior (_gain_floor).  It stops at a centered point once the gain is
-    within tol of the duality-gap bound sqrt(g^2 - nu/t); between
-    centerings t grows by at most 20 and, once the bound is near, only to
-    1.5 times the t at which the gap nu/t would meet g^2 - (g - tol)^2.
-    Returns (gain, certificate): sqrt(g^2) rounded up, with the margin
-    checked at problem_builder(gain * gain).  tol, delta and hi_cap must
-    be finite and positive, checked before any build, every
-    strict-negative C diagonal and every constant plus hi_cap^2 C finite,
-    or ValueError is raised.  A stalled phase I or phase II, or a failed
+    enters only the strict-negative constants, affinely and on the
+    diagonal, never tightening a row, so the smallest gain is an
+    eigenvalue problem (EVP; Boyd, El Ghaoui, Feron & Balakrishnan 1994).
+    The builder runs three times: at g^2 = 0 and 1, whose difference is
+    the g^2 slope C, and at the reported gain.  By a Schur complement some
+    finite g^2 is feasible iff each strict-negative constraint is on its
+    rows A where diag(C) = 0, so phase I solves the g^2 = 0 problem cut to
+    those blocks (a constraint with no such rows is dropped), or raises
+    UncertifiableError: no certificate within _RADIUS at any gain.  Phase
+    II minimizes g^2 from that point v, starting at g^2 = 1.5
+    max(g^2_min(v), 0) + 1 with t = nu / g^2, where g^2_min(v) is the
+    smallest g^2 at which v is interior (_gain_floor).  It stops at a
+    centered point once the gain is within tol of the duality-gap bound
+    sqrt(g^2 - nu/t); between centerings t grows by at most 20 and, once
+    the bound is near, only to 1.5 times the t at which the gap nu/t would
+    meet g^2 - (g - tol)^2.  Returns (gain, certificate): sqrt(g^2)
+    rounded up, with the margin checked at problem_builder(gain * gain).
+    tol and delta must be finite and positive, checked before any build,
+    and every strict-negative C diagonal with no positive entry, or
+    ValueError is raised.  A stalled phase I or phase II, or a failed
     check, raises RuntimeError.  The name predates the method; perfbench's
     tracer patches the function under it.
     """
-    for name, value in (("tol", tol), ("delta", delta), ("hi_cap", hi_cap)):
+    for name, value in (("tol", tol), ("delta", delta)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     base, unit = problem_builder(0.0), problem_builder(1.0)
     slopes = [b.const - a.const for a, b in zip(base.constraints, unit.constraints)]
+    free = []
     for con, slope in zip(base.constraints, slopes):
-        if con.sense == "neg" and np.count_nonzero(slope - np.diag(np.diagonal(slope))):
+        if con.sense == "pos":
+            free.append(con)
+            continue
+        if np.count_nonzero(slope - np.diag(np.diagonal(slope))):
             raise ValueError(
                 f"the g^2 slope of constraint {con.name!r} is not diagonal")
-    cap_sq = hi_cap * hi_cap
-    with np.errstate(over="ignore", invalid="ignore"):
-        consts = [con.const + cap_sq * slope if con.sense == "neg" else None
-                  for con, slope in zip(base.constraints, slopes)]
-    if not all(const is None or np.isfinite(const).all() for const in consts):
-        raise ValueError(f"hi_cap = {hi_cap} overflows the capped constants")
-    capped = replace(base, constraints=[
-        con if const is None else replace(con, const=const)
-        for con, const in zip(base.constraints, consts)])
-    scales = [max(1.0, float(np.linalg.norm(con.const)))
-              for con in base.constraints if con.sense == "neg"]
-    outcome = solve_feasibility(capped, delta=delta, scales=scales)
+        if (np.diagonal(slope) > 0).any():
+            raise ValueError(f"the g^2 slope of constraint {con.name!r} tightens it")
+        rows = np.flatnonzero(np.diagonal(slope) == 0)
+        if len(rows):
+            free.append(replace(con, const=con.const[np.ix_(rows, rows)],
+                                coeffs=con.coeffs[:, rows[:, None], rows]))
+    outcome = solve_feasibility(replace(base, constraints=free), delta=delta)
     if outcome.status == NUMERICAL_FAILURE:
-        raise RuntimeError(f"solver failed numerically at gain {hi_cap}")
+        raise RuntimeError("solver failed numerically in phase I")
     if not outcome.feasible:
         raise UncertifiableError(
-            f"UNSTABLE_OR_UNCERTIFIABLE: no feasible gain at or below {hi_cap}")
+            "UNSTABLE_OR_UNCERTIFIABLE: no certificate within the search radius "
+            "at any gain")
 
     data = _BarrierData(base, delta, [np.diagonal(slope) for slope in slopes])
     start = outcome.certificate
     z = np.append(base.pack(start.X, start.tau), 0.0)
-    z[-1] = min(1.5 * max(_gain_floor(data, z), 0.0) + 1.0, cap_sq)
-    if data.barrier_value(z, 1.0) == np.inf:
-        z[-1] = cap_sq  # interior by phase I
+    z[-1] = 1.5 * max(_gain_floor(data, z), 0.0) + 1.0
     nu = data.n_barrier
     t = nu / z[-1]  # a duality gap the size of the starting objective
     steps = 0
@@ -680,22 +667,20 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7,
 
 def _gain_floor(data, z):
     """The smallest g^2 at which the phase-II point z = (v, .) is interior,
-    given that it is interior at some larger g^2; -inf if no term moves.
+    given that each term is on its rows with zero slope (phase I makes them
+    so); -inf if no term moves.
 
     A term M(g^2) = M_0 + g^2 diag(slope), slope >= 0, is positive definite
     iff its rows A with zero slope are (they do not move with g^2) and the
     Schur complement K = M_0,BB - M_0,BA M_0,AA^-1 M_0,AB on the others
     satisfies K + g^2 D > 0, D = diag(slope_B): g^2 > lambda_max(-D^-1/2 K
-    D^-1/2).  A negative slope entry, which bounds g^2 from above, gives
-    +inf, so the search starts at hi_cap^2.
+    D^-1/2).
     """
     floor = -np.inf
     for term in data.terms:
         slope = term[4]
         if slope is None or not slope.any():
             continue
-        if (slope < 0).any():
-            return np.inf
         M = data.matrix(term, np.append(z[:-1], 0.0))
         B = slope > 0
         A = ~B

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import crypto_sim as cs
 from .analysis import fir_closed_loop
-from .bootpoly import BootstrapPolynomial
+from .bootpoly import BootstrapPolynomial, _check_count
 from .statespace import ClosedLoop, Controller, Plant, interconnect, simulate
 
 __all__ = [
@@ -76,6 +76,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        for name in ("steps", "T_BS", "fir_length", "seed"):
+            _check_count(getattr(self, name), name)
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.mode in (ENCRYPTED, RESET) and self.T_BS < 1:

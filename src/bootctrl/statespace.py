@@ -9,6 +9,7 @@ float arrays and all types are immutable after construction.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -348,7 +349,8 @@ def simulate(sys, x0, w_p, w_u, steps):
     The input terms of all three rows are formed in one product up front,
     so each step is a single product with the stacked [Acl; Cp; Cu].
     """
-    steps = int(steps)
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     x0 = np.asarray(x0, dtype=float).reshape(-1)

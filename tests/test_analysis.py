@@ -239,8 +239,9 @@ BUNDLED_CASES = {
 
 @pytest.fixture(scope="module")
 def bundled_analysis(plant, controller, reference_slope):
-    """case -> (closed loop, report, Newton steps of each solve_feasibility
-    call, number of LMI builds), each analysis run once per module."""
+    """case -> (closed loop, report, (Newton steps, largest constraint
+    rows) of each solve_feasibility call, number of LMI builds), each
+    analysis run once per module."""
     cache = {}
 
     def get(case):
@@ -254,7 +255,8 @@ def bundled_analysis(plant, controller, reference_slope):
 
             def counting(*args, **kw):
                 outcome = solve_feasibility(*args, **kw)
-                phase_one.append(outcome.iterations)
+                rows = max(con.dim for con in args[0].constraints)
+                phase_one.append((outcome.iterations, rows))
                 return outcome
 
             def counting_build(*args, **kw):
@@ -288,17 +290,26 @@ def test_bundled_loop_gains_are_pinned(bundled_analysis, case):
 @pytest.mark.parametrize("case", BUNDLED_CASES)
 def test_gain_search_newton_budget(bundled_analysis, case):
     """One phase-I solve, and at most 80 Newton steps in phase I and
-    phase II together (46-63 with the warm start, about 800 in the 19
+    phase II together (44-63 with the warm start, about 800 in the 19
     solves of a bisection)."""
     _, report, phase_one, _ = bundled_analysis(case)
     assert len(phase_one) == 1
-    assert phase_one[0] < report.certificate.solver_iterations <= 80
+    assert phase_one[0][0] < report.certificate.solver_iterations <= 80
+
+
+@pytest.mark.parametrize("case", BUNDLED_CASES)
+def test_phase_one_solves_only_the_rows_free_of_the_gain(bundled_analysis, case):
+    """Phase I sees the LMI cut to the n_xi + n_wu rows that g^2 does not
+    move, whatever T_BS: 6 rows for the demo loop, whose full LMI has 9
+    to 156."""
+    cl, _, phase_one, _ = bundled_analysis(case)
+    assert [rows for _, rows in phase_one] == [cl.n_xi + cl.n_wu]
 
 
 @pytest.mark.parametrize("case", BUNDLED_CASES)
 def test_gain_search_builds_the_lmi_three_times(bundled_analysis, case):
     """The builder runs at g^2 = 0 and 1 and at the reported gain; the
-    phase-I problem at the cap is formed from the first two."""
+    phase-I problem is cut from the first, using the slope of the two."""
     assert bundled_analysis(case)[3] == 3
 
 

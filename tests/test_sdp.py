@@ -2,7 +2,6 @@
 hand-checkable Lyapunov problems, the barrier's Newton kernels, verified
 certificate checking, and the gain search."""
 
-import sys
 import warnings
 from dataclasses import replace
 
@@ -488,7 +487,7 @@ def test_certificate_json_roundtrip():
 
 
 # --------------------------------------------------------------------------
-# gain search: one phase-I solve at the cap, one phase-II barrier on g^2
+# gain search: one phase-I solve of the g^2-free rows, one phase-II barrier on g^2
 
 
 def scalar_gain_builder(a):
@@ -521,42 +520,21 @@ def test_gain_search_rejects_bad_tol():
             bisect_gain(scalar_gain_builder(0.5), tol=tol)
 
 
-def test_gain_search_checks_delta_and_hi_cap_before_any_build():
-    """0, negative, NaN and +-inf delta or hi_cap raise ValueError naming
-    it, and the builder never runs; solve_feasibility rejects a bad delta
-    too."""
+def test_gain_search_checks_delta_before_any_build():
+    """0, negative, NaN and +-inf delta raise ValueError naming it, and the
+    builder never runs; solve_feasibility rejects a bad delta too."""
     calls = []
 
     def builder(gain_sq):
         calls.append(gain_sq)
         return gain_problem(0.5, 1.0, 1.0, gain_sq)
 
-    for name in ("delta", "hi_cap"):
-        for value in (0.0, -5.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                bisect_gain(builder, **{name: value})
-            if name == "delta":
-                with pytest.raises(ValueError, match="^delta must be finite"):
-                    solve_feasibility(gain_problem(0.5, 1.0, 1.0, 4.0), delta=value)
+    for value in (0.0, -5.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            bisect_gain(builder, delta=value)
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            solve_feasibility(gain_problem(0.5, 1.0, 1.0, 4.0), delta=value)
     assert calls == []
-
-
-@pytest.mark.parametrize("hi_cap", [1e155, 1e200, sys.float_info.max])
-def test_gain_search_rejects_a_hi_cap_that_overflows(hi_cap):
-    """A hi_cap whose hi_cap^2 C is not finite (inf * 0 = nan at 1e155 and
-    above) is refused by name, with no RuntimeWarning, after the two slope
-    builds and before phase I."""
-    calls = []
-
-    def builder(gain_sq):
-        calls.append(gain_sq)
-        return gain_problem(0.5, 1.0, 1.0, gain_sq)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^hi_cap = .* overflows the capped"):
-            bisect_gain(builder, hi_cap=hi_cap)
-    assert calls == [0.0, 1.0]
 
 
 def test_gain_search_rejects_an_off_diagonal_slope():
@@ -583,24 +561,6 @@ def test_gain_search_raises_when_phase_two_runs_out_of_steps(monkeypatch):
         bisect_gain(scalar_gain_builder(0.5))
 
 
-@pytest.mark.parametrize("hi_cap", [1e3, 1e5, 1e7])
-def test_gain_search_is_independent_of_a_large_cap(hi_cap):
-    """Phase I divides by the g^2 = 0 constant's norm, not by the capped
-    one, so a cap far above the gain still finds it."""
-    gain, cert = bisect_gain(scalar_gain_builder(0.5), hi_cap=hi_cap)
-    assert gain == pytest.approx(2.0, abs=1e-3)
-    assert cert.margin_achieved >= DELTA
-
-
-def test_gain_search_at_a_huge_cap_fails_numerically_not_as_unstable():
-    """At hi_cap = 1e10 the capped constant's 1e20 entry leaves no margin
-    that check_certificate can verify: a RuntimeError naming the numerical
-    failure, not an UNSTABLE verdict for a stable loop."""
-    with pytest.raises(RuntimeError, match="failed numerically") as info:
-        bisect_gain(scalar_gain_builder(0.5), hi_cap=1e10)
-    assert not isinstance(info.value, UncertifiableError)
-
-
 def test_singular_newton_system_is_a_numerical_failure(monkeypatch):
     """H = diag(0, -1e-10) is singular with and without its 1e-10 I shift,
     so both solves fail: NUMERICAL_FAILURE, and RuntimeError from the gain
@@ -619,38 +579,49 @@ def test_singular_newton_system_is_a_numerical_failure(monkeypatch):
         bisect_gain(scalar_gain_builder(0.5))
 
 
-def test_gain_search_falls_back_to_the_cap_when_its_start_is_outside(monkeypatch):
+def test_gain_search_raises_when_its_start_is_outside(monkeypatch):
     """A g^2 floor that misses (here -inf, so the start g^2 = 1 lies below
-    the true gain^2 = 4) starts phase II at hi_cap^2, which phase I made
-    interior."""
+    the true gain^2 = 4) is not interior: RuntimeError, no fallback."""
     monkeypatch.setattr(sdp, "_gain_floor", lambda data, z: -np.inf)
-    gain, _ = bisect_gain(scalar_gain_builder(0.5))
-    assert gain == pytest.approx(2.0, abs=1e-3)
+    with pytest.raises(RuntimeError, match="start point is not interior"):
+        bisect_gain(scalar_gain_builder(0.5))
 
 
 def test_gain_floor_without_a_lower_bound():
     """A g^2 that no strict-negative row depends on gives no floor (-inf);
-    one that enters some row with a positive slope bounds g^2 from above,
-    and the floor reads +inf, so phase II starts at hi_cap^2."""
+    one that tightens some row, bounding g^2 from above, is refused by
+    name after the two slope builds and before phase I."""
     base = gain_problem(0.5, 1.0, 1.0, 0.0)
-    z = np.array([1.0, 0.0])
-    for c_diag, floor in (([0.0, 0.0], -np.inf), ([1.0, -1.0], np.inf)):
-        data = _BarrierData(base, DELTA, [np.array(c_diag), np.zeros(1)])
-        assert sdp._gain_floor(data, z) == floor
+    data = _BarrierData(base, DELTA, [np.zeros(2), np.zeros(1)])
+    assert sdp._gain_floor(data, np.array([1.0, 0.0])) == -np.inf
+    calls = []
+
+    def builder(gain_sq):
+        calls.append(gain_sq)
+        brl = gain_problem(0.5, 1.0, 1.0, gain_sq).constraints[0]
+        lmi = replace(brl, const=brl.const + np.diag([gain_sq, 2.0 * gain_sq]),
+                      name="tightened")
+        return LmiProblem(n_x=1, constraints=(lmi,), with_tau=False)
+
+    with pytest.raises(ValueError, match="'tightened' tightens it"):
+        bisect_gain(builder)
+    assert calls == [0.0, 1.0]
 
 
-def test_feasibility_scales_are_checked():
-    """One scale of at least 1 per strict-negative constraint, or
-    ValueError; scales equal to the default norms give the same solve."""
-    problem = gain_problem(0.5, 1.0, 1.0, 9.0)
-    for scales in ([], [1.0, 1.0], [0.5], [np.nan], [np.inf]):
-        with pytest.raises(ValueError, match="^scales must be 1 finite"):
-            solve_feasibility(problem, scales=scales)
-    norm = max(1.0, np.linalg.norm(problem.constraints[0].const))
-    default, given = solve_feasibility(problem), solve_feasibility(problem, scales=[norm])
-    assert given.status == default.status == FEASIBLE
-    assert given.iterations == default.iterations
-    np.testing.assert_array_equal(given.certificate.X, default.certificate.X)
+def test_gain_search_certifies_a_gain_far_above_the_old_cap():
+    """a = 0.9995, b = c = 1: a stable loop whose true gain is 2000."""
+    gain, cert = bisect_gain(lambda gsq: gain_problem(0.9995, 1.0, 1.0, gsq))
+    assert 2000.0 <= gain <= 2000.0 + 1e-3
+    assert cert.margin_achieved >= DELTA
+
+
+def test_gain_search_needing_a_certificate_beyond_the_radius_is_uncertifiable():
+    """a = 0.5, b = 1, c = 2500: the g^2-free row c^2 + (a^2 - 1) X < 0
+    needs X > c^2 / (1 - a^2) ~ 8.3e6, beyond _RADIUS, at any gain."""
+    assert 2500.0 ** 2 / 0.75 > _RADIUS
+    with pytest.raises(UncertifiableError,
+                       match="^UNSTABLE_OR_UNCERTIFIABLE: .* radius at any gain"):
+        bisect_gain(lambda gsq: gain_problem(0.5, 1.0, 2500.0, gsq))
 
 
 def test_gain_floor_is_where_the_phase_two_point_turns_interior(barrier_case):

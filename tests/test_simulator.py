@@ -577,6 +577,22 @@ def test_config_validation():
         SimulationConfig(mode=FIR, steps=10, fir_length=0)
 
 
+@pytest.mark.parametrize("field", ["steps", "T_BS", "fir_length", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 5.0, True, "5", None])
+def test_config_rejects_non_integer_counts(field, bad):
+    """A bool, float or other non-integer count is a ValueError naming it
+    (RESET with T_BS = 2.5 used to reset every 5 steps), in every mode;
+    numpy integers are accepted."""
+    for mode in (RESET, FIR):
+        kwargs = dict(steps=10, T_BS=5, fir_length=3, seed=0)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimulationConfig(mode=mode, **kwargs)
+    cfg = SimulationConfig(mode=RESET, **{**dict(steps=10, T_BS=5, seed=0),
+                                          field: np.int64(3)})
+    assert getattr(cfg, field) == 3
+
+
 @pytest.mark.parametrize("mode", [PLAINTEXT_REFERENCE, ENCRYPTED, RESET, FIR])
 @pytest.mark.parametrize("signal", ["w_p1", "w_p2", "x0"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],

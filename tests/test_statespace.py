@@ -202,6 +202,17 @@ def test_simulate_validates_inputs(plant, controller):
     assert xi.shape == (1, cl.n_xi) and z_p.shape == (0, cl.p_z)
 
 
+@pytest.mark.parametrize("steps", [2.7, 2.0, True, "2", None])
+def test_simulate_rejects_non_integer_steps(plant, controller, steps):
+    """steps = 2.7 used to run 2 steps and steps = True 1; a numpy integer
+    runs as given."""
+    cl = interconnect(plant, controller)
+    with pytest.raises(ValueError, match="^steps must be an integer"):
+        simulate(cl, np.zeros(cl.n_xi), None, None, steps)
+    xi, z_p, _ = simulate(cl, np.zeros(cl.n_xi), None, None, np.int64(2))
+    assert xi.shape == (3, cl.n_xi) and z_p.shape == (2, cl.p_z)
+
+
 def test_matrices_are_frozen(plant):
     assert not plant.A.flags.writeable
     with pytest.raises(ValueError):
