@@ -35,6 +35,7 @@ from .statespace import (
     Controller,
     PerformanceIndex,
     Plant,
+    check_count,
     interconnect,
     lift,
     lift_performance,
@@ -225,8 +226,6 @@ def build_theorem1(cl: ClosedLoop, perf: PerformanceIndex,
 def build_theorem2(cl: ClosedLoop, perf: PerformanceIndex, sector: SectorBound,
                    T_BS: int) -> LmiProblem:
     """Lifted robust-performance test; X keeps the base state dimension."""
-    if T_BS < 1:
-        raise ValueError("T_BS must be at least 1")
     return build_theorem1(lift(cl, T_BS), lift_performance(perf, T_BS), sector)
 
 
@@ -245,7 +244,7 @@ def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) ->
     realization stable (lam = 1, a plain running sum, is not certifiable:
     the sector must contain the error-free case).
     """
-    if N < 1:
+    if check_count(N, "N") < 1:
         raise ValueError("N must be at least 1")
     if abs(lam) >= 1:
         raise ValueError("the aggregator pole must satisfy |lam| < 1")
@@ -256,13 +255,10 @@ def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) ->
     if d_thru is None:
         d_thru = np.zeros((m_u, p_y))
 
-    shift = np.zeros((N, N))
-    for i in range(1, N):
-        shift[i, i - 1] = 1.0
     eye = np.eye(p_y)
     nc = (N + 1) * p_y
     Ac = np.zeros((nc, nc))
-    Ac[: N * p_y, : N * p_y] = np.kron(shift, eye)
+    Ac[: N * p_y, : N * p_y] = np.kron(np.eye(N, k=-1), eye)
     Ac[N * p_y:, N * p_y:] = lam * eye
     Bc = np.zeros((nc, p_y))
     Bc[:p_y, :] = eye
@@ -280,7 +276,7 @@ def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) ->
 
 
 def _validate_fir_structure(controller: Controller, N: int):
-    if N < 1:
+    if check_count(N, "FIR length") < 1:
         raise ValueError(f"FIR length must be at least 1, got {N}")
     p_y = controller.p_y
     nd = N * p_y
@@ -289,17 +285,12 @@ def _validate_fir_structure(controller: Controller, N: int):
             f"controller has {controller.nc} states; a length-{N} delay line "
             f"of {p_y}-wide measurements needs at least {nd + 1}"
         )
-    shift = np.zeros((N, N))
-    for i in range(1, N):
-        shift[i, i - 1] = 1.0
-    want_top = np.kron(shift, np.eye(p_y))
+    want_top = np.kron(np.eye(N, k=-1), np.eye(p_y))
     if not np.allclose(controller.Ac[:nd, :nd], want_top, atol=1e-12):
         raise ValueError("controller state must start with a measurement delay line")
     if not np.allclose(controller.Ac[:nd, nd:], 0.0, atol=1e-12):
         raise ValueError("delay-line states must not be driven by the aggregator")
-    want_b = np.zeros((nd, p_y))
-    want_b[:p_y] = np.eye(p_y)
-    if not np.allclose(controller.Bc[:nd], want_b, atol=1e-12):
+    if not np.allclose(controller.Bc[:nd], np.eye(nd, p_y), atol=1e-12):
         raise ValueError("delay line must load the current measurement at its head")
 
 
@@ -376,9 +367,10 @@ def analyze_l2_gain(plant: Plant, controller: Controller, gamma_sector: float,
     The mode alone fixes the loop, the sector slope and the test: "bootstrap"
     uses the given slope on the interconnection; "reset" forces slope 1
     and the lifted test with T_BS as the reset period; "fir" forces slope 1
-    and the direct test on the rewired loop of fir_closed_loop.  Returns a
-    NOT_CERTIFIED report instead of raising when no certificate within the
-    solver's search radius exists at any gain.
+    and the direct test on the rewired loop of fir_closed_loop.  The LMI is
+    built once, at g^2 = 0, and bisect_gain gets the slope of Qp = -g^2 I:
+    -1 on its T_BS * m_wp w_p rows.  Returns a NOT_CERTIFIED report instead
+    of raising when no certificate within the search radius exists at any gain.
     """
     if method not in (THEOREM_1, THEOREM_2):
         raise ValueError(f"unknown method {method!r}")
@@ -402,13 +394,11 @@ def analyze_l2_gain(plant: Plant, controller: Controller, gamma_sector: float,
     else:
         raise ValueError(f"unknown mode {mode!r}")
     sector = SectorBound.symmetric(gamma_sector, cl.n_zu)
-
-    def builder(gain_sq):
-        perf = l2_gain_index(cl.m_wp, cl.p_z, gain_sq)
-        return build_theorem2(cl, perf, sector, T_BS)
-
+    problem = build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, 0.0), sector, T_BS)
+    slope = np.zeros(problem.constraints[0].dim)  # Qp = -g^2 I on the w_p rows
+    slope[cl.n_xi:cl.n_xi + T_BS * cl.m_wp] = -1.0
     try:
-        gain, cert = bisect_gain(builder, tol=tol)
+        gain, cert = bisect_gain(problem, [slope, None, None], tol=tol)
     except UncertifiableError:
         gain = cert = None
     return AnalysisReport(

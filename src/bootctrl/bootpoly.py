@@ -24,7 +24,6 @@ the sign of an exact zero, and verify's abs makes gamma bitwise equal.
 from __future__ import annotations
 
 import json
-import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -32,6 +31,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .lp import LpError, solve_lp
+from .statespace import check_count
 
 __all__ = [
     "BootstrapSpec",
@@ -165,12 +165,6 @@ def centered_mod(m, q):
     return float(out) if np.isscalar(m) or m_arr.ndim == 0 else out
 
 
-def _check_count(value, name):
-    """ValueError naming the argument unless value is an integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _clenshaw(c, x, work=None):
     """sum_k c[k] T_k(x) (len(c) >= 2) at a float x, or on one block x.
 
@@ -266,8 +260,8 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
     verify_samples_per_interval at least 1e5, or ValueError is raised
     before the LP runs.
     """
-    _check_count(samples_per_interval, "samples_per_interval")
-    _check_count(verify_samples_per_interval, "verify_samples_per_interval")
+    check_count(samples_per_interval, "samples_per_interval")
+    check_count(verify_samples_per_interval, "verify_samples_per_interval")
     if verify_samples_per_interval < 10**5:
         raise ValueError("verify_samples_per_interval must be at least 1e5, "
                          f"got {verify_samples_per_interval}")
@@ -357,7 +351,7 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     formula's.  A non-finite root or error (overflow in the recurrence)
     returns inf, without a warning, so fit() rejects it.
     """
-    _check_count(samples, "samples")
+    check_count(samples, "samples")
     if samples < 10**5:
         raise ValueError(f"verification needs at least 1e5 samples per interval, got {samples}")
     spec = poly.spec

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import random
 from dataclasses import dataclass, field, fields
 
 from .bootpoly import BootstrapPolynomial
+from .statespace import check_count
 
 __all__ = [
     "SchemeParams",
@@ -126,10 +126,7 @@ class SchemeParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name, check_count(getattr(self, f.name), f.name))
         if self.n < 1 or self.q0 < 2 or self.c < 2 or self.L < 0:
             raise ValueError("invalid scheme parameters")
         if not 0 < self.hamming_weight <= self.n:

@@ -8,23 +8,24 @@ solve_feasibility runs a phase-I eigenvalue-shift minimization:
                         P_i(v) >= delta*I  (strict-positive constraints)
 
 and FEASIBLE means the optimal shift satisfies s <= -delta.  bisect_gain
-follows it with one phase-II minimization of g^2, which enters the
-strict-negative constraints affinely.  Both phases run one log-det barrier
-with damped Newton steps (Boyd & Vandenberghe, Convex Optimization, sec.
-11.3-11.4; see _BarrierData and _center).  bisect_gain's phase I solves
-only the rows that g^2 does not move, starts phase II just above the
-smallest g^2 at which the phase-I point is interior, and raises t for its
-last centering only as far as the stop rule needs.  Each Newton step
-forms its Hessian on the shared range of a constraint's coefficient
-matrices, the way DSDP assembles its Newton matrix from low-rank data
-(Benson & Ye, ACM TOMS 34(3), 2008): the lifted LMI's coefficients span
-at most 2 n_xi + n_wu + n_zu dimensions, whatever T_BS (10 for the demo
-loop's 11 coefficients).  Every certificate is re-validated by
-check_certificate, which returns a Cholesky-verified lower
-bound (Rump 2006) on its margin: the bound holds for the exact real-valued
-constraints, whatever the rounding in forming them, and never depends on
-the barrier or on an eigensolver being accurate, so solver quality is
-never safety-critical.
+takes the LMI at g^2 = 0 and the diagonal of g^2's coefficient in each
+strict-negative constraint, where g^2 enters affinely, and follows phase I
+with one phase-II minimization of g^2.  Both phases run one log-det
+barrier with damped Newton steps (Boyd & Vandenberghe, Convex
+Optimization, sec. 11.3-11.4; see _BarrierData and _center).
+bisect_gain's phase I solves only the rows that g^2 does not move, starts
+phase II just above the smallest g^2 at which the phase-I point is
+interior, and raises t for its last centering only as far as the stop
+rule needs.  Each Newton step forms its Hessian on the shared range of a
+constraint's coefficient matrices, the way DSDP assembles its Newton
+matrix from low-rank data (Benson & Ye, ACM TOMS 34(3), 2008): the
+lifted LMI's coefficients span at most 2 n_xi + n_wu + n_zu dimensions,
+whatever T_BS (10 for the demo loop's 11 coefficients).  Every
+certificate is re-validated by check_certificate, which returns a
+Cholesky-verified lower bound (Rump 2006) on its margin: the bound holds
+for the exact real-valued constraints, whatever the rounding in forming
+them, and never depends on the barrier or on an eigensolver being
+accurate, so solver quality is never safety-critical.
 
 INFEASIBLE means the phase-I optimum stays above -delta.  The tests in
 this package are sufficient conditions, so INFEASIBLE never implies that
@@ -587,18 +588,19 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
         t *= 20.0
 
 
-def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7):
+def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3,
+                delta: float = 1e-7):
     """Smallest certified gain by one phase-I and one phase-II barrier solve.
 
-    problem_builder maps g^2 to an LmiProblem in which g^2 (Qp = -g^2 I)
-    enters only the strict-negative constants, affinely and on the
-    diagonal, never tightening a row, so the smallest gain is an
-    eigenvalue problem (EVP; Boyd, El Ghaoui, Feron & Balakrishnan 1994).
-    The builder runs three times: at g^2 = 0 and 1, whose difference is
-    the g^2 slope C, and at the reported gain.  By a Schur complement some
-    finite g^2 is feasible iff each strict-negative constraint is on its
-    rows A where diag(C) = 0, so phase I solves the g^2 = 0 problem cut to
-    those blocks (a constraint with no such rows is dropped), or raises
+    problem is the LMI at g^2 = 0 and gain_slopes[j] the diagonal of g^2's
+    coefficient in constraint j (Qp = -g^2 I gives -1 on the w_p rows, 0
+    elsewhere), None for a strict-positive one: g^2 enters only the
+    strict-negative constants, affinely and on the diagonal, never
+    tightening a row, so the smallest gain is an eigenvalue problem (EVP;
+    Boyd, El Ghaoui, Feron & Balakrishnan 1994).  By a Schur complement
+    some finite g^2 is feasible iff each strict-negative constraint is on
+    its rows A with zero slope, so phase I solves problem cut to those
+    blocks (a constraint with no such rows is dropped), or raises
     UncertifiableError: no certificate within _RADIUS at any gain.  Phase
     II minimizes g^2 from that point v, starting at g^2 = 1.5
     max(g^2_min(v), 0) + 1 with t = nu / g^2, where g^2_min(v) is the
@@ -607,33 +609,38 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7):
     sqrt(g^2 - nu/t); between centerings t grows by at most 20 and, once
     the bound is near, only to 1.5 times the t at which the gap nu/t would
     meet g^2 - (g - tol)^2.  Returns (gain, certificate): sqrt(g^2)
-    rounded up, with the margin checked at problem_builder(gain * gain).
-    tol and delta must be finite and positive, checked before any build,
-    and every strict-negative C diagonal with no positive entry, or
-    ValueError is raised.  A stalled phase I or phase II, or a failed
-    check, raises RuntimeError.  The name predates the method; perfbench's
-    tracer patches the function under it.
+    rounded up, with the margin checked on problem with each const +
+    gain^2 diag(slope).  tol and delta must be finite and positive, and
+    there must be one slope per constraint, each strict-negative one a
+    finite vector of its constraint's size with no positive entry, or
+    ValueError is raised before phase I.  A stalled phase I or phase II,
+    or a failed check, raises RuntimeError.  The name predates the method;
+    perfbench's tracer patches the function under it.
     """
     for name, value in (("tol", tol), ("delta", delta)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    base, unit = problem_builder(0.0), problem_builder(1.0)
-    slopes = [b.const - a.const for a, b in zip(base.constraints, unit.constraints)]
+    gain_slopes = [None if slope is None else np.asarray(slope, dtype=float)
+                   for slope in gain_slopes]
+    if len(gain_slopes) != len(problem.constraints):
+        raise ValueError(f"need one g^2 slope per constraint, got {len(gain_slopes)}")
     free = []
-    for con, slope in zip(base.constraints, slopes):
-        if con.sense == "pos":
+    for con, slope in zip(problem.constraints, gain_slopes):
+        if (slope is None) != (con.sense == "pos"):
+            raise ValueError(f"constraint {con.name!r} needs a g^2 slope iff strict-negative")
+        if slope is None:
             free.append(con)
             continue
-        if np.count_nonzero(slope - np.diag(np.diagonal(slope))):
-            raise ValueError(
-                f"the g^2 slope of constraint {con.name!r} is not diagonal")
-        if (np.diagonal(slope) > 0).any():
+        if slope.shape != (con.dim,) or not np.isfinite(slope).all():
+            raise ValueError(f"the g^2 slope of constraint {con.name!r} must be "
+                             f"{con.dim} finite entries, got {slope}")
+        if (slope > 0).any():
             raise ValueError(f"the g^2 slope of constraint {con.name!r} tightens it")
-        rows = np.flatnonzero(np.diagonal(slope) == 0)
+        rows = np.flatnonzero(slope == 0)
         if len(rows):
             free.append(replace(con, const=con.const[np.ix_(rows, rows)],
                                 coeffs=con.coeffs[:, rows[:, None], rows]))
-    outcome = solve_feasibility(replace(base, constraints=free), delta=delta)
+    outcome = solve_feasibility(replace(problem, constraints=free), delta=delta)
     if outcome.status == NUMERICAL_FAILURE:
         raise RuntimeError("solver failed numerically in phase I")
     if not outcome.feasible:
@@ -641,9 +648,9 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7):
             "UNSTABLE_OR_UNCERTIFIABLE: no certificate within the search radius "
             "at any gain")
 
-    data = _BarrierData(base, delta, [np.diagonal(slope) for slope in slopes])
+    data = _BarrierData(problem, delta, gain_slopes)
     start = outcome.certificate
-    z = np.append(base.pack(start.X, start.tau), 0.0)
+    z = np.append(problem.pack(start.X, start.tau), 0.0)
     z[-1] = 1.5 * max(_gain_floor(data, z), 0.0) + 1.0
     nu = data.n_barrier
     t = nu / z[-1]  # a duality gap the size of the starting objective
@@ -658,8 +665,11 @@ def bisect_gain(problem_builder, tol: float = 1e-3, delta: float = 1e-7):
             break
         # The bound meets tol once nu/t <= g^2 - (g - tol)^2 = tol (2g - tol).
         t = min(20.0 * t, max(2.0 * t, 1.5 * nu / (tol * (2.0 * gain - tol))))
-    cert = _certificate(problem_builder(gain * gain), z[:-1],
-                        outcome.iterations + steps)
+    at_gain = replace(problem, constraints=[
+        con if slope is None
+        else replace(con, const=con.const + gain * gain * np.diag(slope))
+        for con, slope in zip(problem.constraints, gain_slopes)])
+    cert = _certificate(at_gain, z[:-1], outcome.iterations + steps)
     if cert.margin_achieved < delta:
         raise RuntimeError(f"phase II point failed its check at gain {gain}")
     return gain, cert

@@ -42,8 +42,8 @@ import numpy as np
 
 from . import crypto_sim as cs
 from .analysis import fir_closed_loop
-from .bootpoly import BootstrapPolynomial, _check_count
-from .statespace import ClosedLoop, Controller, Plant, interconnect, simulate
+from .bootpoly import BootstrapPolynomial
+from .statespace import ClosedLoop, Controller, Plant, check_count, interconnect, simulate
 
 __all__ = [
     "ENCRYPTED",
@@ -77,7 +77,7 @@ class SimulationConfig:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         for name in ("steps", "T_BS", "fir_length", "seed"):
-            _check_count(getattr(self, name), name)
+            check_count(getattr(self, name), name)
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.mode in (ENCRYPTED, RESET) and self.T_BS < 1:
@@ -350,6 +350,7 @@ def aligned_disturbance(cl: ClosedLoop, steps: int, columns=None,
                            for c in cols) or len(set(cols)) < len(cols):
         raise ValueError(f"columns must be distinct integers in 0..{cl.m_wp - 1}, "
                          f"got {columns!r}")
+    steps = check_count(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     H = np.empty((steps, cl.p_z, len(cols)))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 __all__ = [
+    "check_count",
     "Plant",
     "Controller",
     "ClosedLoop",
@@ -28,6 +29,13 @@ __all__ = [
     "load_system",
     "save_system",
 ]
+
+
+def check_count(value, name):
+    """int(value), or ValueError naming the argument unless it is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_matrix(value, name="matrix"):
@@ -288,9 +296,9 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
     channel keeps its base dimensions.  Matrix powers are formed by
     iterated multiplication; T_BS stays small in every supported use.
     """
-    if int(T_BS) != T_BS or T_BS < 1:
+    T = check_count(T_BS, "T_BS")
+    if T < 1:
         raise ValueError(f"T_BS must be a positive integer, got {T_BS}")
-    T = int(T_BS)
     A, Bp, Bu = cl.Acl, cl.Bp, cl.Bu
     Cp, Dpp = cl.Cp, cl.Dpp
     p_z, m_wp = cl.p_z, cl.m_wp
@@ -330,9 +338,9 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
 
 def lift_performance(perf: PerformanceIndex, T_BS: int) -> PerformanceIndex:
     """Lift the performance index blockwise: each block becomes I_T kron block."""
-    if int(T_BS) != T_BS or T_BS < 1:
+    T = check_count(T_BS, "T_BS")
+    if T < 1:
         raise ValueError(f"T_BS must be a positive integer, got {T_BS}")
-    T = int(T_BS)
     eye = np.eye(T)
     return PerformanceIndex(
         Qp=np.kron(eye, perf.Qp),
@@ -349,9 +357,7 @@ def simulate(sys, x0, w_p, w_u, steps):
     The input terms of all three rows are formed in one product up front,
     so each step is a single product with the stacked [Acl; Cp; Cu].
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
+    if check_count(steps, "steps") < 0:
         raise ValueError("steps must be nonnegative")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n_xi:

@@ -25,7 +25,7 @@ from bootctrl.analysis import (
 )
 from bootctrl.bootpoly import BootstrapPolynomial, BootstrapSpec
 from bootctrl.sdp import SdpCertificate, check_certificate, solve_feasibility
-from bootctrl.statespace import PerformanceIndex, interconnect
+from bootctrl.statespace import PerformanceIndex, interconnect, lift
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +240,9 @@ BUNDLED_CASES = {
 @pytest.fixture(scope="module")
 def bundled_analysis(plant, controller, reference_slope):
     """case -> (closed loop, report, (Newton steps, largest constraint
-    rows) of each solve_feasibility call, number of LMI builds), each
-    analysis run once per module."""
+    rows) of each solve_feasibility call, numbers of LMI builds and of
+    lifts, (problem, slopes) of each bisect_gain call), each analysis run
+    once per module."""
     cache = {}
 
     def get(case):
@@ -251,7 +252,7 @@ def bundled_analysis(plant, controller, reference_slope):
             if kwargs.get("mode") == "fir":
                 ctrl = make_fir_controller(kwargs["fir_length"], 0.45, [[-0.3]])
                 cl = fir_closed_loop(plant, ctrl, kwargs["fir_length"])
-            phase_one, builds = [], []
+            phase_one, builds, lifts, searches = [], [], [], []
 
             def counting(*args, **kw):
                 outcome = solve_feasibility(*args, **kw)
@@ -263,12 +264,23 @@ def bundled_analysis(plant, controller, reference_slope):
                 builds.append(args)
                 return build_theorem2(*args, **kw)
 
+            def counting_lift(*args, **kw):
+                lifts.append(args)
+                return lift(*args, **kw)
+
+            def recording_search(problem, gain_slopes, **kw):
+                searches.append((problem, gain_slopes))
+                return sdp.bisect_gain(problem, gain_slopes, **kw)
+
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sdp, "solve_feasibility", counting)
                 mp.setattr(analysis, "build_theorem2", counting_build)
+                mp.setattr(analysis, "lift", counting_lift)
+                mp.setattr(analysis, "bisect_gain", recording_search)
                 report = analyze_l2_gain(plant, ctrl, reference_slope,
                                          tol=1e-3, **kwargs)
-            cache[case] = cl, report, phase_one, len(builds)
+            cache[case] = (cl, report, phase_one, len(builds), len(lifts),
+                           searches)
         return cache[case]
 
     return get
@@ -278,9 +290,10 @@ def bundled_analysis(plant, controller, reference_slope):
 def test_bundled_loop_gains_are_pinned(bundled_analysis, case):
     """The bundled loop's certified gains stay within tol of their
     recorded values, and each certificate holds at exactly gain * gain."""
-    cl, report, _, _ = bundled_analysis(case)
+    cl, report, *_ = bundled_analysis(case)
     assert report.verdict == CERTIFIED
     assert abs(report.gain - BUNDLED_CASES[case][1]) <= 1e-3
+    assert report.certificate.margin_achieved >= 1e-7
     problem = build_theorem2(
         cl, l2_gain_index(cl.m_wp, cl.p_z, report.gain * report.gain),
         SectorBound.symmetric(report.gamma_sector, cl.n_zu), report.T_BS)
@@ -292,7 +305,7 @@ def test_gain_search_newton_budget(bundled_analysis, case):
     """One phase-I solve, and at most 80 Newton steps in phase I and
     phase II together (44-63 with the warm start, about 800 in the 19
     solves of a bisection)."""
-    _, report, phase_one, _ = bundled_analysis(case)
+    _, report, phase_one, *_ = bundled_analysis(case)
     assert len(phase_one) == 1
     assert phase_one[0][0] < report.certificate.solver_iterations <= 80
 
@@ -302,15 +315,39 @@ def test_phase_one_solves_only_the_rows_free_of_the_gain(bundled_analysis, case)
     """Phase I sees the LMI cut to the n_xi + n_wu rows that g^2 does not
     move, whatever T_BS: 6 rows for the demo loop, whose full LMI has 9
     to 156."""
-    cl, _, phase_one, _ = bundled_analysis(case)
+    cl, _, phase_one, *_ = bundled_analysis(case)
     assert [rows for _, rows in phase_one] == [cl.n_xi + cl.n_wu]
 
 
 @pytest.mark.parametrize("case", BUNDLED_CASES)
-def test_gain_search_builds_the_lmi_three_times(bundled_analysis, case):
-    """The builder runs at g^2 = 0 and 1 and at the reported gain; the
-    phase-I problem is cut from the first, using the slope of the two."""
-    assert bundled_analysis(case)[3] == 3
+def test_gain_search_builds_the_lmi_once(bundled_analysis, case):
+    """One LMI assembly and one lift per analysis, at g^2 = 0, and that
+    LMI is the one the gain search gets."""
+    _, _, _, builds, lifts, searches = bundled_analysis(case)
+    assert (builds, lifts, len(searches)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("case", BUNDLED_CASES)
+def test_gain_slope_is_the_difference_of_two_builds(bundled_analysis, case):
+    """The slope analyze_l2_gain passes for Qp = -g^2 I is the diagonal of
+    the LMI built at g^2 = 1 minus the one built at g^2 = 0, to 1e-14, the
+    off-diagonal difference is exactly zero, and the problem it passes is
+    that g^2 = 0 build."""
+    cl, report, _, _, _, [(problem, slopes)] = bundled_analysis(case)
+    sector = SectorBound.symmetric(report.gamma_sector, cl.n_zu)
+    base, unit = (build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, gain_sq),
+                                 sector, report.T_BS) for gain_sq in (0.0, 1.0))
+    assert len(slopes) == len(base.constraints)
+    for con, b, u, slope in zip(problem.constraints, base.constraints,
+                                unit.constraints, slopes):
+        assert np.array_equal(con.const, b.const)
+        assert np.array_equal(con.coeffs, b.coeffs)
+        diff = u.const - b.const
+        assert not np.count_nonzero(diff - np.diag(np.diagonal(diff)))
+        if con.sense == "pos":
+            assert slope is None and not diff.any()
+        else:
+            assert np.abs(slope - np.diagonal(diff)).max() <= 1e-14
 
 
 def test_reset_mode_forces_unit_slope(plant, controller):
@@ -389,6 +426,30 @@ def test_fir_certification(plant):
     problem = build_theorem1(fir_closed_loop(plant, ctrl, 4), perf,
                              SectorBound.symmetric(1.0, 1))
     assert solve_feasibility(problem).status == "FEASIBLE"
+
+
+@pytest.mark.parametrize("N", [2.0, 2.5, True, "2"])
+def test_fir_length_must_be_an_integer(plant, N):
+    """Each used to end in a bare TypeError (or, for True, a length-1 FIR
+    loop); a numpy integer builds the same controller as a Python one."""
+    with pytest.raises(ValueError, match="^N must be an integer"):
+        make_fir_controller(N, 0.4, [[-0.3]])
+    ctrl = make_fir_controller(3, 0.4, [[-0.3]])
+    with pytest.raises(ValueError, match="^FIR length must be an integer"):
+        fir_closed_loop(plant, ctrl, N)
+    with pytest.raises(ValueError, match="^FIR length must be an integer"):
+        analyze_l2_gain(plant, ctrl, 0.5, mode="fir", fir_length=N)
+    assert np.array_equal(make_fir_controller(np.int64(3), 0.4, [[-0.3]]).Ac, ctrl.Ac)
+
+
+@pytest.mark.parametrize("T_BS", [True, 2.0, 2.5])
+@pytest.mark.parametrize("mode", ["bootstrap", "reset"])
+def test_analysis_period_must_be_an_integer(plant, controller, reference_slope,
+                                            mode, T_BS):
+    """T_BS = True used to certify and report "T_BS": true, and 2.0 to
+    report 2.0."""
+    with pytest.raises(ValueError, match="^T_BS must be an integer"):
+        analyze_l2_gain(plant, controller, reference_slope, T_BS=T_BS, mode=mode)
 
 
 def test_fir_mode_requires_length(plant, controller):

@@ -490,13 +490,14 @@ def test_certificate_json_roundtrip():
 # gain search: one phase-I solve of the g^2-free rows, one phase-II barrier on g^2
 
 
-def scalar_gain_builder(a):
-    return lambda gsq: gain_problem(a, 1.0, 1.0, gsq)
+# g^2 moves gain_problem's second row, on its diagonal, with slope -1
+SCALAR_SLOPES = [np.array([0.0, -1.0]), None]
 
 
 def test_gain_search_finds_known_scalar_gain():
     """a = 0.5, b = c = 1: the true l2-gain is bc/(1-a) = 2."""
-    gain, cert = bisect_gain(scalar_gain_builder(0.5), tol=1e-4)
+    gain, cert = bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES,
+                             tol=1e-4)
     assert gain == pytest.approx(2.0, abs=1e-3)
     margin = check_certificate(gain_problem(0.5, 1.0, 1.0, gain * gain), cert)
     assert margin == cert.margin_achieved >= DELTA
@@ -511,46 +512,64 @@ def test_feasibility_is_monotone_in_gain():
 
 def test_unstable_loop_is_uncertifiable_at_any_gain():
     with pytest.raises(UncertifiableError, match="UNSTABLE"):
-        bisect_gain(scalar_gain_builder(1.2))
+        bisect_gain(gain_problem(1.2, 1.0, 1.0, 0.0), SCALAR_SLOPES)
 
 
 def test_gain_search_rejects_bad_tol():
     for tol in (0.0, -1e-3, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="tol"):
-            bisect_gain(scalar_gain_builder(0.5), tol=tol)
+            bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES, tol=tol)
 
 
-def test_gain_search_checks_delta_before_any_build():
-    """0, negative, NaN and +-inf delta raise ValueError naming it, and the
-    builder never runs; solve_feasibility rejects a bad delta too."""
+@pytest.fixture
+def phase_one_calls(monkeypatch):
+    """Every problem handed to sdp.solve_feasibility, which still runs."""
     calls = []
 
-    def builder(gain_sq):
-        calls.append(gain_sq)
-        return gain_problem(0.5, 1.0, 1.0, gain_sq)
+    def counting(problem, **kw):
+        calls.append(problem)
+        return solve_feasibility(problem, **kw)
 
+    monkeypatch.setattr(sdp, "solve_feasibility", counting)
+    return calls
+
+
+def test_gain_search_checks_delta_before_phase_one(phase_one_calls):
+    """0, negative, NaN and +-inf delta raise ValueError naming it before
+    phase I runs; solve_feasibility rejects a bad delta too."""
     for value in (0.0, -5.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^delta must be finite"):
-            bisect_gain(builder, delta=value)
+            bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES,
+                        delta=value)
         with pytest.raises(ValueError, match="^delta must be finite"):
             solve_feasibility(gain_problem(0.5, 1.0, 1.0, 4.0), delta=value)
-    assert calls == []
+    assert phase_one_calls == []
 
 
-def test_gain_search_rejects_an_off_diagonal_slope():
-    """The barrier reads only the diagonal of each g^2 slope, so a builder
-    whose g^2 reaches an off-diagonal entry is refused by name."""
-    def builder(gain_sq):
-        brl = gain_problem(0.5, 1.0, 1.0, gain_sq).constraints[0]
-        const = brl.const + 0.1 * gain_sq * np.array([[0.0, 1.0], [1.0, 0.0]])
-        lmi = LmiConstraint(const=const, coeffs=brl.coeffs, sense="neg",
-                            name="coupled")
-        x_pos = LmiConstraint(const=np.zeros((1, 1)), coeffs=np.ones((1, 1, 1)),
-                              sense="pos", name="X_pos")
-        return LmiProblem(n_x=1, constraints=(lmi, x_pos), with_tau=False)
-
-    with pytest.raises(ValueError, match="'coupled' is not diagonal"):
-        bisect_gain(builder)
+@pytest.mark.parametrize("slopes, match", [
+    ([np.array([-1.0]), None], "'brl' must be 2 finite entries"),
+    ([np.array([0.0, -1.0, 0.0]), None], "'brl' must be 2 finite entries"),
+    ([np.array([[0.0, -1.0]]), None], "'brl' must be 2 finite entries"),
+    ([np.array([0.0, np.nan]), None], "'brl' must be 2 finite entries"),
+    ([np.array([-np.inf, -1.0]), None], "'brl' must be 2 finite entries"),
+    ([np.array([1.0, 2.0]), None], "'brl' tightens it"),
+    ([np.array([0.5, -1.0]), None], "'brl' tightens it"),
+    ([None, None], "'brl' needs a g\\^2 slope"),
+    ([np.array([0.0, -1.0]), np.array([0.0])], "'X_pos' needs a g\\^2 slope"),
+    ([np.array([0.0, -1.0])], "one g\\^2 slope per constraint, got 1"),
+    ([np.array([0.0, -1.0]), None, None], "one g\\^2 slope per constraint, got 3"),
+], ids=["short", "long", "matrix", "nan", "inf", "tightens", "tightens_a_row",
+        "missing", "on_positive", "too_few", "too_many"])
+def test_gain_search_checks_its_slopes_before_phase_one(phase_one_calls, slopes,
+                                                        match):
+    """A slope of the wrong size, a non-finite one, a positive entry (g^2
+    would then bound the gain from above), a slope missing from the
+    strict-negative constraint or given to a strict-positive one, and a
+    slope list that does not match the constraints are all refused, by
+    constraint name where there is one, before phase I."""
+    with pytest.raises(ValueError, match=match):
+        bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), slopes)
+    assert phase_one_calls == []
 
 
 def test_gain_search_raises_when_phase_two_runs_out_of_steps(monkeypatch):
@@ -558,7 +577,7 @@ def test_gain_search_raises_when_phase_two_runs_out_of_steps(monkeypatch):
     per phase no gain is returned."""
     monkeypatch.setattr(sdp, "_MAX_NEWTON", 12)
     with pytest.raises(RuntimeError, match="phase II failed"):
-        bisect_gain(scalar_gain_builder(0.5))
+        bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES)
 
 
 def test_singular_newton_system_is_a_numerical_failure(monkeypatch):
@@ -576,7 +595,7 @@ def test_singular_newton_system_is_a_numerical_failure(monkeypatch):
     problem = gain_problem(0.5, 1.0, 1.0, 9.0)
     assert solve_feasibility(problem).status == sdp.NUMERICAL_FAILURE
     with pytest.raises(RuntimeError, match="failed numerically"):
-        bisect_gain(scalar_gain_builder(0.5))
+        bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES)
 
 
 def test_gain_search_raises_when_its_start_is_outside(monkeypatch):
@@ -584,33 +603,19 @@ def test_gain_search_raises_when_its_start_is_outside(monkeypatch):
     the true gain^2 = 4) is not interior: RuntimeError, no fallback."""
     monkeypatch.setattr(sdp, "_gain_floor", lambda data, z: -np.inf)
     with pytest.raises(RuntimeError, match="start point is not interior"):
-        bisect_gain(scalar_gain_builder(0.5))
+        bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES)
 
 
 def test_gain_floor_without_a_lower_bound():
-    """A g^2 that no strict-negative row depends on gives no floor (-inf);
-    one that tightens some row, bounding g^2 from above, is refused by
-    name after the two slope builds and before phase I."""
+    """A g^2 that no strict-negative row depends on gives no floor (-inf)."""
     base = gain_problem(0.5, 1.0, 1.0, 0.0)
-    data = _BarrierData(base, DELTA, [np.zeros(2), np.zeros(1)])
+    data = _BarrierData(base, DELTA, [np.zeros(2), None])
     assert sdp._gain_floor(data, np.array([1.0, 0.0])) == -np.inf
-    calls = []
-
-    def builder(gain_sq):
-        calls.append(gain_sq)
-        brl = gain_problem(0.5, 1.0, 1.0, gain_sq).constraints[0]
-        lmi = replace(brl, const=brl.const + np.diag([gain_sq, 2.0 * gain_sq]),
-                      name="tightened")
-        return LmiProblem(n_x=1, constraints=(lmi,), with_tau=False)
-
-    with pytest.raises(ValueError, match="'tightened' tightens it"):
-        bisect_gain(builder)
-    assert calls == [0.0, 1.0]
 
 
 def test_gain_search_certifies_a_gain_far_above_the_old_cap():
     """a = 0.9995, b = c = 1: a stable loop whose true gain is 2000."""
-    gain, cert = bisect_gain(lambda gsq: gain_problem(0.9995, 1.0, 1.0, gsq))
+    gain, cert = bisect_gain(gain_problem(0.9995, 1.0, 1.0, 0.0), SCALAR_SLOPES)
     assert 2000.0 <= gain <= 2000.0 + 1e-3
     assert cert.margin_achieved >= DELTA
 
@@ -621,7 +626,7 @@ def test_gain_search_needing_a_certificate_beyond_the_radius_is_uncertifiable():
     assert 2500.0 ** 2 / 0.75 > _RADIUS
     with pytest.raises(UncertifiableError,
                        match="^UNSTABLE_OR_UNCERTIFIABLE: .* radius at any gain"):
-        bisect_gain(lambda gsq: gain_problem(0.5, 1.0, 2500.0, gsq))
+        bisect_gain(gain_problem(0.5, 1.0, 2500.0, 0.0), SCALAR_SLOPES)
 
 
 def test_gain_floor_is_where_the_phase_two_point_turns_interior(barrier_case):
@@ -635,40 +640,49 @@ def test_gain_floor_is_where_the_phase_two_point_turns_interior(barrier_case):
         assert _reference_interior(terms2, point) == inside
 
 
-def test_gain_search_never_returns_an_unchecked_gain():
-    """A builder outside the affine family, here with an extra constraint
-    that is infeasible for 1 <= g^2 <= 100 and that phase II sees only at
-    g^2 = 0, raises rather than return a gain its check rejects."""
-    def builder(gain_sq):
-        problem = gain_problem(0.5, 1.0, 1.0, gain_sq)
-        sign = -1.0 if 1.0 <= gain_sq <= 100.0 else 1.0
-        window = LmiConstraint(const=np.array([[sign]]),
-                               coeffs=np.zeros((1, 1, 1)), sense="pos")
-        return LmiProblem(n_x=1, constraints=problem.constraints + (window,),
-                          with_tau=False)
+def test_gain_search_raises_when_the_point_fails_its_check(monkeypatch):
+    """The at-gain check is the last word: with check_certificate forced
+    below delta there (phase I's own check still passes), no gain is
+    returned."""
+    calls = []
 
-    with pytest.raises(RuntimeError, match="failed its check"):
-        bisect_gain(builder)
+    def weak_at_gain(problem, cert):
+        calls.append(problem)
+        margin = check_certificate(problem, cert)
+        return margin if len(calls) == 1 else 0.5 * DELTA
+
+    monkeypatch.setattr(sdp, "check_certificate", weak_at_gain)
+    with pytest.raises(RuntimeError, match="failed its check at gain 2.00"):
+        bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES, delta=DELTA)
+    at_gain = calls[-1].constraints[0].const
+    assert len(calls) == 2 and at_gain[0, 0] == 1.0 and -4.01 < at_gain[1, 1] < -4.0
 
 
 @pytest.mark.parametrize("T_BS", [1, 10], ids=["direct", "lifted_T10"])
 def test_gain_certificate_holds_at_the_reported_gain(plant, controller,
                                                      reference_slope, T_BS):
     """At every tol the certificate passes check_certificate and an
-    eigvalsh margin of at least delta at exactly gain * gain, and a
-    smaller tol never gives a larger gain."""
+    eigvalsh margin of at least delta on the LMI rebuilt at exactly gain *
+    gain, whose check agrees with the one bisect_gain made on the g^2 = 0
+    LMI plus gain^2 times its slope, and a smaller tol never gives a
+    larger gain."""
     cl = interconnect(plant, controller)
     sector = SectorBound.symmetric(reference_slope, cl.n_zu)
 
-    def builder(gain_sq):
+    def build(gain_sq):
         return build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, gain_sq),
                               sector, T_BS)
 
+    slope = np.zeros(build(0.0).constraints[0].dim)
+    slope[cl.n_xi:cl.n_xi + T_BS * cl.m_wp] = -1.0
     gains = []
     for tol in (10.0, 1e-3, 1e-6):
-        gain, cert = bisect_gain(builder, tol=tol, delta=DELTA)
-        problem = builder(gain * gain)
-        assert check_certificate(problem, cert) == cert.margin_achieved >= DELTA
+        gain, cert = bisect_gain(build(0.0), [slope, None, None], tol=tol,
+                                 delta=DELTA)
+        problem = build(gain * gain)
+        assert cert.margin_achieved >= DELTA
+        assert abs(check_certificate(problem, cert) - cert.margin_achieved) <= 1e-12
+        assert check_certificate(problem, cert) >= DELTA
         assert _eigvalsh_margin(problem, cert)[0] >= DELTA
         gains.append(gain)
     assert gains == sorted(gains, reverse=True)

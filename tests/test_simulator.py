@@ -562,6 +562,18 @@ def test_aligned_disturbance_rejects_bad_input(plant, controller, columns,
         aligned_disturbance(cl, steps, columns=columns)
 
 
+@pytest.mark.parametrize("steps", [8.0, 2.5, True, "8", None])
+def test_aligned_disturbance_rejects_a_non_integer_step_count(plant, controller,
+                                                              steps):
+    """8.0 and True used to fail as a bare TypeError; a numpy integer
+    gives the same disturbance as a Python one."""
+    cl = interconnect(plant, controller)
+    with pytest.raises(ValueError, match="^steps must be an integer"):
+        aligned_disturbance(cl, steps)
+    assert np.array_equal(aligned_disturbance(cl, np.int64(8)),
+                          aligned_disturbance(cl, 8))
+
+
 # --------------------------------------------------------------------------
 # config validation
 

@@ -180,14 +180,23 @@ def test_lift_performance_energy_sum(make_random_system):
     np.testing.assert_allclose(lifted_val, per_step, rtol=1e-12)
 
 
-@pytest.mark.parametrize("T", [0, -1, 2.5])
+@pytest.mark.parametrize("T", [0, -1, 2.5, True, 2.0])
 def test_lift_rejects_bad_period(plant, controller, T):
     cl = interconnect(plant, controller)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^T_BS must be"):
         lift(cl, T)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^T_BS must be"):
         lift_performance(PerformanceIndex(Qp=-np.eye(1), Sp=np.zeros((1, 1)),
                                           Rp=np.eye(1)), T)
+
+
+def test_lift_takes_a_numpy_integer_period(plant, controller):
+    cl = interconnect(plant, controller)
+    perf = PerformanceIndex(Qp=-np.eye(1), Sp=np.zeros((1, 1)), Rp=np.eye(1))
+    for got, want in ((lift(cl, np.int64(3)), lift(cl, 3)),
+                      (lift_performance(perf, np.int64(3)), lift_performance(perf, 3))):
+        for name in vars(want):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_simulate_validates_inputs(plant, controller):
