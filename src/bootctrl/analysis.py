@@ -374,6 +374,10 @@ def analyze_l2_gain(plant: Plant, controller: Controller, gamma_sector: float,
     """
     if method not in (THEOREM_1, THEOREM_2):
         raise ValueError(f"unknown method {method!r}")
+    # Python ints, so that the report's JSON carries no numpy integer.
+    T_BS = check_count(T_BS, "T_BS")
+    if fir_length is not None:
+        fir_length = check_count(fir_length, "FIR length")
     details = {}
     if mode == "bootstrap":
         cl = interconnect(plant, controller)

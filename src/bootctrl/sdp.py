@@ -20,8 +20,11 @@ rule needs.  Each Newton step forms its Hessian on the shared range of a
 constraint's coefficient matrices, the way DSDP assembles its Newton
 matrix from low-rank data (Benson & Ye, ACM TOMS 34(3), 2008): the
 lifted LMI's coefficients span at most 2 n_xi + n_wu + n_zu dimensions,
-whatever T_BS (10 for the demo loop's 11 coefficients).  Every
-certificate is re-validated by check_certificate, which returns a
+whatever T_BS (10 for the demo loop's 11 coefficients).  The slope-free
+constraints (X > 0, tau > 0 and the compactifying bounds) share one
+block-diagonal barrier term, so a Newton step forms, factors and inverts
+one matrix per strict-negative constraint and one for all the rest.
+Every certificate is re-validated by check_certificate, which returns a
 Cholesky-verified lower bound (Rump 2006) on its margin: the bound holds
 for the exact real-valued constraints, whatever the rounding in forming
 them, and never depends on the barrier or on an eigensolver being
@@ -110,8 +113,20 @@ class LmiConstraint:
             raise ValueError(
                 f"coeffs must be (p, {const.shape[0]}, {const.shape[0]}), got {coeffs.shape}"
             )
-        for k in range(coeffs.shape[0]):
-            _check_symmetric(coeffs[k], f"constraint {self.name or '?'} coeff {k}")
+        # Whole-stack checks, each coefficient against its own threshold.
+        # Only coefficients that are not exactly symmetric (the builders
+        # symmetrize exactly) are copied for the tolerance test, so every
+        # stack-sized temporary is boolean.
+        finite = np.isfinite(coeffs).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"constraint {self.name or '?'} coeff {np.argmin(finite)} "
+                             "has non-finite entries")
+        loose = np.flatnonzero((coeffs != coeffs.transpose(0, 2, 1)).any(axis=(1, 2)))
+        F = coeffs[loose]
+        asym = np.abs(F - F.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        bad = loose[asym > 1e-12 * np.maximum(1.0, np.abs(F).max(axis=(1, 2), initial=0.0))]
+        if len(bad):
+            raise ValueError(f"constraint {self.name or '?'} coeff {bad[0]} must be symmetric")
         const.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "const", const)
@@ -385,17 +400,14 @@ def _range_basis(coeffs):
 class _BarrierData:
     """The barrier in z = (v, o) over one copy of each coefficient stack.
 
-    The objective o is the shift s in phase I and g^2 in phase II.  A term
-    (const, coeffs, first, scale, slope, V, G) is the matrix M(z) = const +
-    scale * sum_k z[first + k] coeffs[k] (+ o diag(slope)), kept positive
-    definite; coeffs is a constraint's own read-only stack.  G(v) > 0
-    becomes G(v) - delta I.  G(v) < 0 becomes s I - G(v) / norm in phase
-    I, norm = max(1, ||const||_F), and, given gain_slopes[j] = diag(C),
-    the diagonal g^2 coefficient of constraint j, -G(v) - g^2 C - delta I
-    in phase II: raw margin above delta.  The bounds _RADIUS I - X and
-    _RADIUS - tau carry small stacks of their own.  Only constraint terms,
-    whose coeffs cover all of v, have a slope, so a term's variables are a
-    slice of z.
+    The objective o is the shift s in phase I and g^2 in phase II.  Each
+    strict-negative constraint is a term (const, coeffs, scale, slope, V,
+    G), the matrix M(z) = const + scale * sum_k v_k coeffs[k] + o
+    diag(slope), kept positive definite; coeffs is the constraint's own
+    read-only stack.  G(v) < 0 becomes s I - G(v) / norm in phase I, norm =
+    max(1, ||const||_F), and, given gain_slopes[j] = diag(C), the diagonal
+    g^2 coefficient of constraint j, -G(v) - g^2 C - delta I in phase II:
+    raw margin above delta.
 
     V is an orthonormal basis of the coefficients' shared range
     (_range_basis; None means V = I) and G_k = V^T F_k V, kept only where
@@ -409,51 +421,90 @@ class _BarrierData:
     ranges of T_sta^T and T_unc^T, so R <= 2 n_xi + n_wu + n_zu whatever
     T_BS (R = 10 of 11 coefficients for the demo loop), and there only the
     inverse stays cubic in m.  With V = I, W S = W * slope joins the stack
-    as U_o and one GEMM gives every entry.  barrier_value takes each log-det
-    from one Cholesky, inf if any fails.
+    as U_o and one GEMM gives every entry.
+
+    Every slope-free block shares one block-diagonal term, block_const +
+    sum_k v_k block_coeffs[k]: each strict-positive constraint as G(v) -
+    delta I, then the bounds _RADIUS I - X and _RADIUS - tau, one linear
+    block as in SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11,
+    1999).  A point so takes one formation, one Cholesky and one inverse
+    for all of them.  The inverse is block diagonal too, and only its
+    diagonal blocks W_b give nonzero products W F_k, so grad_hess stacks
+    the blocks of equal size: one batched matmul W_b F_bk and one GEMM
+    over the variables they use per size.  form gives every matrix at a
+    point, the terms' first; barrier_value (one Cholesky each, inf if any
+    fails) and grad_hess take them, so _center forms an accepted point
+    once.
     """
 
     def __init__(self, problem: LmiProblem, delta: float, gain_slopes=None):
         self.p = problem.n_vars
         self.terms = []
+        blocks = []  # (const, coeffs over all of v) of each slope-free block
         for j, con in enumerate(problem.constraints):
             if con.sense == "pos":
-                self._add(con.const - delta * np.eye(con.dim), con.coeffs, 0, 1.0, None)
+                blocks.append((con.const - delta * np.eye(con.dim), con.coeffs))
             elif gain_slopes is None:
                 norm = max(1.0, float(np.linalg.norm(con.const)))
-                self._add(-con.const / norm, con.coeffs, 0, -1.0 / norm,
-                          np.ones(con.dim))
+                self._add(-con.const / norm, con.coeffs, -1.0 / norm, np.ones(con.dim))
             else:
-                self._add(-con.const - delta * np.eye(con.dim), con.coeffs, 0, -1.0,
+                self._add(-con.const - delta * np.eye(con.dim), con.coeffs, -1.0,
                           -gain_slopes[j])
         # Compactifying bounds: without them the phase-I objective's
         # recession directions (margins that grow without lowering s) leave
         # no analytic center.  They are never part of the certified claim,
         # so INFEASIBLE means "no certificate within the search radius".
-        n = problem.n_x
-        self._add(_RADIUS * np.eye(n), np.stack(sym_basis(n)), 0, -1.0, None)
+        n, nv = problem.n_x, problem.n_vech
+        bound = np.zeros((self.p, n, n))
+        bound[:nv] = -np.stack(sym_basis(n))
+        blocks.append((_RADIUS * np.eye(n), bound))
         if problem.with_tau:
-            self._add(np.array([[_RADIUS]]), np.ones((1, 1, 1)), problem.n_vech,
-                      -1.0, None)
-        self.n_barrier = sum(term[0].shape[0] for term in self.terms)
+            bound = np.zeros((self.p, 1, 1))
+            bound[nv] = -1.0
+            blocks.append((np.array([[_RADIUS]]), bound))
+        sizes = [len(const) for const, _ in blocks]
+        starts = np.cumsum([0] + sizes)
+        m = int(starts[-1])
+        self.block_const = np.zeros((m, m))
+        coeffs = np.zeros((self.p, m, m))
+        for (const, F), a, b in zip(blocks, starts, starts[1:]):
+            self.block_const[a:b, a:b] = const
+            coeffs[:, a:b, a:b] = F
+        self.block_coeffs = coeffs.reshape(self.p, -1)
+        # (rows of each block of one size, the variables they use, their
+        # coefficients on those variables as a (q, blocks, size, size) stack)
+        self.block_groups = []
+        for size in sorted(set(sizes)):
+            same = [i for i, s in enumerate(sizes) if s == size]
+            F = np.stack([blocks[i][1] for i in same], axis=1)
+            used = np.flatnonzero(F.any(axis=(1, 2, 3)))
+            if len(used):
+                cols = slice(used[0], used[-1] + 1)
+                rows = starts[same][:, None] + np.arange(size)
+                self.block_groups.append((rows, cols, np.ascontiguousarray(F[cols])))
+        self.n_barrier = sum(term[0].shape[0] for term in self.terms) + m
 
-    def _add(self, const, coeffs, first, scale, slope):
+    def _add(self, const, coeffs, scale, slope):
         V, G = _range_basis(coeffs)
-        self.terms.append((const, coeffs, first, scale, slope, V, G))
+        self.terms.append((const, coeffs, scale, slope, V, G))
 
     def matrix(self, term, z):
-        const, coeffs, first, scale, slope = term[:5]
-        q, m = coeffs.shape[0], const.shape[0]
-        M = const + scale * (z[first:first + q] @ coeffs.reshape(q, -1)).reshape(m, m)
-        if slope is not None:
-            M.flat[::m + 1] += z[-1] * slope
+        const, coeffs, scale, slope = term[:4]
+        m = len(const)
+        M = const + scale * (z[:-1] @ coeffs.reshape(self.p, -1)).reshape(m, m)
+        M.flat[::m + 1] += z[-1] * slope
         return M
 
-    def barrier_value(self, z, t):
+    def form(self, z):
+        m = len(self.block_const)
+        return ([self.matrix(term, z) for term in self.terms]
+                + [self.block_const + (z[:-1] @ self.block_coeffs).reshape(m, m)])
+
+    def barrier_value(self, z, t, mats=None):
         total = t * z[-1]
-        for term in self.terms:
+        for M in self.form(z) if mats is None else mats:
             try:
-                L = np.linalg.cholesky(self.matrix(term, z))
+                L = np.linalg.cholesky(M)
             except np.linalg.LinAlgError:
                 return np.inf
             total -= 2.0 * np.log(np.diagonal(L)).sum()
@@ -461,34 +512,39 @@ class _BarrierData:
         # non-finite diagonal in L.
         return total if np.isfinite(total) else np.inf
 
-    def grad_hess(self, z, t):
-        g = np.zeros(self.p + 1)
-        H = np.zeros((self.p + 1, self.p + 1))
+    def grad_hess(self, z, t, mats=None):
+        *mats, block = self.form(z) if mats is None else mats
+        p = self.p
+        g = np.zeros(p + 1)
+        H = np.zeros((p + 1, p + 1))
         g[-1] = t
-        for term in self.terms:
-            first, scale, slope, V, G = term[2:]
-            q = len(G)
-            W = np.linalg.inv(self.matrix(term, z))
+        for (_, _, scale, slope, V, G), M in zip(self.terms, mats):
+            W = np.linalg.inv(M)
             W = 0.5 * (W + W.T)
             if V is None:
-                U = np.empty((q + (slope is not None),) + W.shape)
-                np.matmul(scale * W, G, out=U[:q])
-                if slope is not None:
-                    np.multiply(W, slope, out=U[q])
+                U = np.empty((p + 1,) + W.shape)
+                np.matmul(scale * W, G, out=U[:p])
+                np.multiply(W, slope, out=U[p])
             else:
                 WV = W @ V
                 U = np.matmul(scale * (V.T @ WV), G)
-                if slope is not None:
-                    Z = WV.T @ (slope[:, None] * WV)
-                    cross = scale * (G.reshape(q, -1) @ Z.ravel())
-                    H[first:first + q, -1] += cross
-                    H[-1, first:first + q] += cross
-                    g[-1] -= np.diagonal(W) @ slope
-                    H[-1, -1] += slope @ (W * W) @ slope
-            cols = slice(first, first + len(U))
-            g[cols] -= np.trace(U, axis1=1, axis2=2)
+                Z = WV.T @ (slope[:, None] * WV)
+                cross = scale * (G.reshape(p, -1) @ Z.ravel())
+                H[:p, -1] += cross
+                H[-1, :p] += cross
+                g[-1] -= np.diagonal(W) @ slope
+                H[-1, -1] += slope @ (W * W) @ slope
+            k = len(U)
+            g[:k] -= np.trace(U, axis1=1, axis2=2)
+            Uf = U.reshape(k, -1)
+            H[:k, :k] += Uf @ U.transpose(0, 2, 1).reshape(Uf.shape).T
+        W = np.linalg.inv(block)
+        W = 0.5 * (W + W.T)
+        for rows, cols, F in self.block_groups:
+            U = np.matmul(W[rows[:, :, None], rows[:, None, :]], F)
+            g[cols] -= np.trace(U, axis1=2, axis2=3).sum(axis=1)
             Uf = U.reshape(len(U), -1)
-            H[cols, cols] += Uf @ U.transpose(0, 2, 1).reshape(Uf.shape).T
+            H[cols, cols] += Uf @ U.transpose(0, 1, 3, 2).reshape(Uf.shape).T
         return g, H
 
 
@@ -501,14 +557,15 @@ def _center(data, z, t, steps, floor=-np.inf):
     Newton system is singular or steps reached _MAX_NEWTON first.  A start
     z that is not interior raises RuntimeError.
     """
-    phi = data.barrier_value(z, t)
+    mats = data.form(z)
+    phi = data.barrier_value(z, t, mats)
     if phi == np.inf:
         raise RuntimeError("the barrier's start point is not interior")
     decrement = np.inf
     for _ in range(60):
         if steps >= _MAX_NEWTON:
             return z, None, steps
-        g, H = data.grad_hess(z, t)
+        g, H = data.grad_hess(z, t, mats)
         try:
             dz = -np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
@@ -523,13 +580,14 @@ def _center(data, z, t, steps, floor=-np.inf):
         step = 1.0
         while step > 1e-13:
             cand = z + step * dz
-            phi_cand = data.barrier_value(cand, t)
+            cand_mats = data.form(cand)
+            phi_cand = data.barrier_value(cand, t, cand_mats)
             if phi_cand <= phi + 0.25 * step * float(g @ dz):
                 break
             step *= 0.5
         if step <= 1e-13:
             break
-        z, phi = cand, phi_cand
+        z, phi, mats = cand, phi_cand, cand_mats
         if z[-1] <= floor:
             break
     return z, decrement, steps
@@ -559,11 +617,11 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
     data = _BarrierData(problem, delta)
 
     # Start from X = I, tau = 1 and s at least 1 above every lambda_max(Ghat):
-    # a term with a slope is -Ghat at s = 0.
+    # each term is -Ghat at s = 0.
     v0 = problem.pack(np.eye(problem.n_x), 1.0 if problem.with_tau else None)
     z = np.append(v0, 0.0)
     z[-1] = max([1.0] + [1.0 - np.linalg.eigvalsh(data.matrix(term, z))[0]
-                         for term in data.terms if term[4] is not None])
+                         for term in data.terms])
     nu = data.n_barrier
     t = 1.0
     steps = 0
@@ -688,8 +746,8 @@ def _gain_floor(data, z):
     """
     floor = -np.inf
     for term in data.terms:
-        slope = term[4]
-        if slope is None or not slope.any():
+        slope = term[3]
+        if not slope.any():
             continue
         M = data.matrix(term, np.append(z[:-1], 0.0))
         B = slope > 0

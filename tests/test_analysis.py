@@ -2,6 +2,7 @@
 independent congruence recomputation, lifted-test consistency, FIR adapter
 rewiring, and the report objects."""
 
+import json
 import warnings
 
 import numpy as np
@@ -450,6 +451,27 @@ def test_analysis_period_must_be_an_integer(plant, controller, reference_slope,
     report 2.0."""
     with pytest.raises(ValueError, match="^T_BS must be an integer"):
         analyze_l2_gain(plant, controller, reference_slope, T_BS=T_BS, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["bootstrap", "reset", "fir"])
+def test_numpy_integer_counts_give_a_json_report(plant, controller,
+                                                 reference_slope, mode):
+    """np.int64 counts are taken as Python ints, so json.dumps of the
+    report works; it used to raise TypeError on T_BS or on
+    details["fir_length"]."""
+    counts = dict(T_BS=np.int64(5))
+    if mode == "fir":
+        controller = make_fir_controller(4, 0.45, [[-0.3]])
+        counts = dict(fir_length=np.int64(4))
+    report = analyze_l2_gain(plant, controller, reference_slope, mode=mode,
+                             tol=10.0, **counts)
+    assert report.verdict == CERTIFIED
+    data = json.loads(json.dumps(report.to_json()))
+    assert type(report.T_BS) is int and data["T_BS"] == (1 if mode == "fir" else 5)
+    for key in ("reset_period", "fir_length"):
+        if key in report.details:
+            assert type(report.details[key]) is int
+            assert data["details"][key] == (4 if mode == "fir" else 5)
 
 
 def test_fir_mode_requires_length(plant, controller):

@@ -172,26 +172,29 @@ def _phase_one_point(problem, D):
 
 
 # (rows, range dimension R) of each barrier term for the barrier_case
-# problems: the LMI, X > 0, tau > 0 and the two bounds; None means V = I
+# problems: the LMI, then the block-diagonal term of X > 0, tau > 0 and the
+# two bounds; None means V = I
 RANGE_DIMS = {
-    "lifted_T10": [(36, 10), (4, None), (1, None), (4, None), (1, None)],
-    "lifted_T20": [(66, 10), (4, None), (1, None), (4, None), (1, None)],
-    "fir_N5": [(11, None), (8, None), (1, None), (8, None), (1, None)],
+    "lifted_T10": [(36, 10), (10, None)],
+    "lifted_T20": [(66, 10), (10, None)],
+    "fir_N5": [(11, None), (18, None)],
+    "fir_N8": [(14, None), (24, None)],
 }
 
 
 @pytest.fixture(scope="module", params=list(RANGE_DIMS))
 def barrier_case(request, plant, controller, reference_slope):
-    """The demo lifted T_BS=10 and 20 LMIs at gain 4 and the FIR N=5 LMI
-    at gain 2.6, with an interior phase-I point near X = I, tau = 1; and
-    the phase-II barrier of the g^2 = 0 problem with its g^2 slopes, at
-    the phase-I solution and g^2 = gain^2."""
+    """The demo lifted T_BS=10 and 20 LMIs at gain 4 and the FIR N=5 and
+    N=8 LMIs (37 and 67 variables) at gain 2.6, with an interior phase-I
+    point near X = I, tau = 1; and the phase-II barrier of the g^2 = 0
+    problem with its g^2 slopes, at the phase-I solution and g^2 = gain^2."""
     if request.param.startswith("lifted"):
         cl, slope, T, gain = (interconnect(plant, controller), reference_slope,
                               int(request.param[8:]), 4.0)
     else:
-        fir = make_fir_controller(5, 0.45, [[-0.3]])
-        cl, slope, T, gain = fir_closed_loop(plant, fir, 5), 1.0, 1, 2.6
+        N = int(request.param[5:])
+        fir = make_fir_controller(N, 0.45, [[-0.3]])
+        cl, slope, T, gain = fir_closed_loop(plant, fir, N), 1.0, 1, 2.6
 
     def builder(gain_sq):
         return build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, gain_sq),
@@ -214,14 +217,15 @@ def barrier_case(request, plant, controller, reference_slope):
 
 def test_grad_hess_matches_einsum_reference(barrier_case):
     """Phase I and phase II, with the lifted LMIs' Hessians formed on the
-    10-dimensional range of their coefficients and the FIR LMI's at full
-    size."""
+    10-dimensional range of their coefficients, the FIR LMIs' at full size,
+    and every slope-free constraint in one block-diagonal term."""
     case, problem, terms, z, (base, slopes, terms2, z2) = barrier_case
     t = 3.0
     for data, ref, point in ((_BarrierData(problem, DELTA), terms, z),
                              (_BarrierData(base, DELTA, slopes), terms2, z2)):
-        assert [(len(term[0]), None if term[5] is None else term[5].shape[1])
-                for term in data.terms] == RANGE_DIMS[case]
+        layout = [(len(term[0]), None if term[4] is None else term[4].shape[1])
+                  for term in data.terms] + [(len(data.block_const), None)]
+        assert layout == RANGE_DIMS[case]
         g, H = data.grad_hess(point, t)
         g_ref, H_ref = _reference_grad_hess(ref, point, t)
         assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
@@ -254,9 +258,8 @@ def test_grad_hess_on_badly_scaled_lifted_lmis(case, plant, controller,
     terms = _reference_terms(problem, DELTA)
     assert _reference_interior(terms, z)
     data = _BarrierData(problem, DELTA)
-    V = data.terms[0][5]
+    [(_, _, _, _, V, _)] = data.terms
     assert (None if V is None else V.shape[1]) == R
-    assert all(term[5] is None for term in data.terms[1:])
     g, H = data.grad_hess(z, 3.0)
     g_ref, H_ref = _reference_grad_hess(terms, z, 3.0)
     assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
@@ -305,6 +308,63 @@ def test_barrier_is_infinite_exactly_outside_the_domain(barrier_case):
     assert any(inside) and not all(inside)
 
 
+def _point_at(problem, X, tau):
+    """z = (v, s) at (X, tau), s a unit above every normalized
+    strict-negative eigenvalue."""
+    v = problem.pack(X, tau)
+    s = 1.0 + max(np.linalg.eigvalsh(con.evaluate(v))[-1]
+                  / max(1.0, np.linalg.norm(con.const))
+                  for con in problem.constraints if con.sense == "neg")
+    return np.append(v, s)
+
+
+@pytest.mark.parametrize("block, outside", [("tau_below_delta", 2),
+                                            ("X_above_radius", 3)])
+def test_one_non_definite_block_makes_the_barrier_infinite(barrier_case, block,
+                                                           outside):
+    """tau = delta / 2 breaks only the tau > 0 block of the block-diagonal
+    term, X = 1.001 _RADIUS I only its _RADIUS I - X block: every other
+    reference term stays interior, and barrier_value is inf, with no
+    exception or warning."""
+    _, problem, terms, _, _ = barrier_case
+    n = problem.n_x
+    X, tau = ((np.eye(n), 0.5 * DELTA) if block == "tau_below_delta"
+              else (1.001 * _RADIUS * np.eye(n), 1.0))
+    z = _point_at(problem, X, tau)
+    assert [not _reference_interior([term], z) for term in terms] == \
+        [j == outside for j in range(len(terms))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _BarrierData(problem, DELTA).barrier_value(z, 3.0) == np.inf
+
+
+def test_handed_over_matrices_give_bitwise_the_same_step(barrier_case):
+    """grad_hess and barrier_value on the matrices form made at a point
+    return bitwise what they return when they form them, in phase I and
+    phase II, and a solve hands every grad_hess the matrices of its own
+    point."""
+    _, problem, _, z, (base, slopes, _, z2) = barrier_case
+    for data, point in ((_BarrierData(problem, DELTA), z),
+                        (_BarrierData(base, DELTA, slopes), z2)):
+        mats = data.form(point)
+        g, H = data.grad_hess(point, 3.0, mats)
+        g0, H0 = data.grad_hess(point, 3.0)
+        assert np.array_equal(g, g0) and np.array_equal(H, H0)
+        assert data.barrier_value(point, 3.0, mats) == data.barrier_value(point, 3.0)
+
+    handed = []
+    grad_hess = _BarrierData.grad_hess
+
+    def checking(self, z, t, mats=None):
+        handed.append(all(np.array_equal(a, b) for a, b in zip(mats, self.form(z))))
+        return grad_hess(self, z, t, mats)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BarrierData, "grad_hess", checking)
+        assert solve_feasibility(problem, DELTA).status == FEASIBLE
+    assert len(handed) > 1 and all(handed)
+
+
 # --------------------------------------------------------------------------
 # constraint and problem validation
 
@@ -339,6 +399,23 @@ def test_non_finite_matrices_are_rejected_by_name():
             with pytest.raises(ValueError, match="certificate X has non-finite"):
                 SdpCertificate(X=matrix, tau=None, margin_achieved=0.0,
                                solver_iterations=0)
+
+
+@pytest.mark.parametrize("index, value, match", [
+    (5, np.nan, "has non-finite entries"), (3, 1e-9, "must be symmetric")])
+def test_constraint_names_the_first_bad_coefficient(index, value, match):
+    """The stack is checked in one pass, each coefficient against its own
+    threshold 1e-12 max(1, max|F_k|): a NaN in coeff 5, or an asymmetry of
+    1e-9 in coeff 3 beside a coefficient of size 1e4, is named by its
+    index, though coeff 7 is bad the same way; the same asymmetry in the
+    coefficient of size 1e4 passes."""
+    coeffs = np.zeros((8, 3, 3))
+    coeffs[6] = 1e4 * np.eye(3)
+    coeffs[index, 0, 1] = coeffs[7, 1, 0] = value
+    with pytest.raises(ValueError, match=f"^constraint lyap coeff {index} {match}$"):
+        LmiConstraint(const=np.zeros((3, 3)), coeffs=coeffs, sense="neg", name="lyap")
+    coeffs[6, 0, 1] = 1e-9
+    LmiConstraint(const=np.zeros((3, 3)), coeffs=coeffs[6:7], sense="neg")
 
 
 def test_problem_rejects_wrong_coefficient_count():
@@ -584,7 +661,7 @@ def test_singular_newton_system_is_a_numerical_failure(monkeypatch):
     """H = diag(0, -1e-10) is singular with and without its 1e-10 I shift,
     so both solves fail: NUMERICAL_FAILURE, and RuntimeError from the gain
     search, never a LinAlgError."""
-    def singular(self, z, t):
+    def singular(self, z, t, mats=None):
         H = np.zeros((len(z), len(z)))
         H[-1, -1] = -1e-10
         return np.ones(len(z)), H
