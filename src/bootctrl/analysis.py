@@ -199,11 +199,14 @@ def build_theorem1(cl: ClosedLoop, perf: PerformanceIndex,
         )
         coeffs[k] = T_sta.T @ middle @ T_sta
     coeffs[n_vech] = T_unc.T @ sector.P_u @ T_unc
+    for F in coeffs:  # symmetrize in place: no second p x m x m stack
+        F += F.T
+        F *= 0.5
     const = T_perf.T @ perf.Pp @ T_perf
 
     lmi = LmiConstraint(
         const=0.5 * (const + const.T),
-        coeffs=0.5 * (coeffs + np.transpose(coeffs, (0, 2, 1))),
+        coeffs=coeffs,
         sense="neg",
         name="performance_lmi",
     )

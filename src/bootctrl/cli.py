@@ -37,7 +37,10 @@ __all__ = ["main"]
 def _out_dir(args) -> Path:
     raw = args.out_dir or os.environ.get("BOOTCTRL_OUTPUT_DIR") or "."
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _InputError(f"cannot use output directory {path}: {exc}") from exc
     return path
 
 
@@ -59,7 +62,8 @@ def _write_manifest(out_dir: Path, command: str, args, outputs):
 
 
 class _InputError(Exception):
-    """An input file that cannot be read or parsed; main exits with 2."""
+    """An input file that cannot be read or parsed, or an output directory
+    that cannot be made; main exits with 2."""
 
 
 def _load(loader, flag, path):

@@ -2,17 +2,19 @@
 
 Problems come in as lists of symmetric-matrix-valued affine constraints in
 the decision variables (a symmetric matrix X, optionally a scalar tau).
-solve_feasibility runs a phase-I eigenvalue-shift minimization:
+solve_feasibility runs the phase-I shift minimization (Boyd & Vandenberghe,
+Convex Optimization, sec. 11.4.1) with one absolute margin delta = _DELTA:
 
-    minimize s   s.t.   G_j(v) <= s*I  (strict-negative constraints)
-                        P_i(v) >= delta*I  (strict-positive constraints)
+    minimize s   s.t.   G_j(v) + delta*I <= s*I  (strict-negative constraints)
+                        P_i(v) >= delta*I        (strict-positive constraints)
 
-and FEASIBLE means the optimal shift satisfies s <= -delta.  bisect_gain
-takes the LMI at g^2 = 0 and the diagonal of g^2's coefficient in each
-strict-negative constraint, where g^2 enters affinely, and follows phase I
-with one phase-II minimization of g^2.  Both phases run one log-det
-barrier with damped Newton steps (Boyd & Vandenberghe, Convex
-Optimization, sec. 11.3-11.4; see _BarrierData and _center).
+and FEASIBLE means the optimal shift satisfies s <= 0.  bisect_gain
+takes the LMI at g^2 = 0 and the diagonal c_j of g^2's coefficient in
+each strict-negative constraint, where g^2 enters affinely, and follows
+phase I with one phase-II minimization of g^2 over G_j(v) + g^2 diag(c_j)
++ delta*I <= 0.  Both phases run one log-det barrier with damped Newton
+steps (sec. 11.3) on one term per G_j, -G_j(v) - delta*I + o diag(slope)
+> 0: o = s and slope 1 in phase I, o = g^2 and slope -c_j in phase II.
 bisect_gain's phase I solves only the rows that g^2 does not move, starts
 phase II just above the smallest g^2 at which the phase-I point is
 interior, and raises t for its last centering only as far as the stop
@@ -30,9 +32,9 @@ for the exact real-valued constraints, whatever the rounding in forming
 them, and never depends on the barrier or on an eigensolver being
 accurate, so solver quality is never safety-critical.
 
-INFEASIBLE means the phase-I optimum stays above -delta.  The tests in
-this package are sufficient conditions, so INFEASIBLE never implies that
-the underlying loop is unstable; naming stays neutral on purpose.
+INFEASIBLE means the phase-I optimum stays above 0.  The tests in this
+package are sufficient conditions, so INFEASIBLE never implies that the
+underlying loop is unstable; naming stays neutral on purpose.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 
 _MAX_NEWTON = 200  # Newton steps per solve before NUMERICAL_FAILURE
 _RADIUS = 1e4  # compactifying bound X <= radius*I, tau <= radius
+_DELTA = 1e-7  # every certified margin, absolute
 
 
 class UncertifiableError(RuntimeError):
@@ -401,23 +404,23 @@ class _BarrierData:
     """The barrier in z = (v, o) over one copy of each coefficient stack.
 
     The objective o is the shift s in phase I and g^2 in phase II.  Each
-    strict-negative constraint is a term (const, coeffs, scale, slope, V,
-    G), the matrix M(z) = const + scale * sum_k v_k coeffs[k] + o
-    diag(slope), kept positive definite; coeffs is the constraint's own
-    read-only stack.  G(v) < 0 becomes s I - G(v) / norm in phase I, norm =
-    max(1, ||const||_F), and, given gain_slopes[j] = diag(C), the diagonal
-    g^2 coefficient of constraint j, -G(v) - g^2 C - delta I in phase II:
-    raw margin above delta.
+    strict-negative constraint G(v) < 0 is one term (const, coeffs, slope,
+    V, G), the matrix M(z) = const - sum_k v_k coeffs[k] + o diag(slope)
+    with const = -G(0) - _DELTA I, kept positive definite; coeffs is the
+    constraint's own read-only stack.  slope is 1 in phase I, so M = s I -
+    G(v) - _DELTA I, and -gain_slopes[j] in phase II, gain_slopes[j] =
+    diag(C) being the diagonal g^2 coefficient of constraint j, so M =
+    -G(v) - g^2 C - _DELTA I: in both, the raw margin above _DELTA.
 
     V is an orthonormal basis of the coefficients' shared range
-    (_range_basis; None means V = I) and G_k = V^T F_k V, kept only where
-    F_k = V G_k V^T holds to 1e-13 of ||F_k||_F, with F_k = scale *
-    coeffs[k].  With W = M^-1 and W^ = V^T W V (R x R), grad_hess takes g_k
-    = -tr(W^ G_k) and H_kl = tr(W^ G_k W^ G_l): one batched matmul U_k = W^
-    G_k and one GEMM of the flattened U by the flattened U_k^T.  The slope S
-    = diag(slope) lies outside that range and enters through its diagonal:
-    g_o = -sum_i W_ii S_ii, H_ko = tr(G_k (WV)^T S WV) and H_oo = sum_ij
-    S_ii W_ij^2 S_jj, at O(m^2 R).  The lifted LMI's coefficients lie in the
+    (_range_basis; None means V = I) and G_k = V^T F_k V, F_k = coeffs[k],
+    kept only where F_k = V G_k V^T holds to 1e-13 of ||F_k||_F.  With W =
+    M^-1 and W^ = V^T W V (R x R), grad_hess takes g_k = tr(W^ G_k) and
+    H_kl = tr(W^ G_k W^ G_l): one batched matmul U_k = -W^ G_k and one GEMM
+    of the flattened U by the flattened U_k^T.  The slope S = diag(slope)
+    lies outside that range and enters through its diagonal: g_o = -sum_i
+    W_ii S_ii, H_ko = -tr(G_k (WV)^T S WV) and H_oo = sum_ij S_ii W_ij^2
+    S_jj, at O(m^2 R).  The lifted LMI's coefficients lie in the
     ranges of T_sta^T and T_unc^T, so R <= 2 n_xi + n_wu + n_zu whatever
     T_BS (R = 10 of 11 coefficients for the demo loop), and there only the
     inverse stays cubic in m.  With V = I, W S = W * slope joins the stack
@@ -425,7 +428,7 @@ class _BarrierData:
 
     Every slope-free block shares one block-diagonal term, block_const +
     sum_k v_k block_coeffs[k]: each strict-positive constraint as G(v) -
-    delta I, then the bounds _RADIUS I - X and _RADIUS - tau, one linear
+    _DELTA I, then the bounds _RADIUS I - X and _RADIUS - tau, one linear
     block as in SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11,
     1999).  A point so takes one formation, one Cholesky and one inverse
     for all of them.  The inverse is block diagonal too, and only its
@@ -437,19 +440,17 @@ class _BarrierData:
     once.
     """
 
-    def __init__(self, problem: LmiProblem, delta: float, gain_slopes=None):
+    def __init__(self, problem: LmiProblem, gain_slopes=None):
         self.p = problem.n_vars
         self.terms = []
         blocks = []  # (const, coeffs over all of v) of each slope-free block
         for j, con in enumerate(problem.constraints):
             if con.sense == "pos":
-                blocks.append((con.const - delta * np.eye(con.dim), con.coeffs))
-            elif gain_slopes is None:
-                norm = max(1.0, float(np.linalg.norm(con.const)))
-                self._add(-con.const / norm, con.coeffs, -1.0 / norm, np.ones(con.dim))
-            else:
-                self._add(-con.const - delta * np.eye(con.dim), con.coeffs, -1.0,
-                          -gain_slopes[j])
+                blocks.append((con.const - _DELTA * np.eye(con.dim), con.coeffs))
+                continue
+            slope = np.ones(con.dim) if gain_slopes is None else -gain_slopes[j]
+            self.terms.append((-con.const - _DELTA * np.eye(con.dim), con.coeffs, slope,
+                               *_range_basis(con.coeffs)))
         # Compactifying bounds: without them the phase-I objective's
         # recession directions (margins that grow without lowering s) leave
         # no analytic center.  They are never part of the certified claim,
@@ -484,14 +485,10 @@ class _BarrierData:
                 self.block_groups.append((rows, cols, np.ascontiguousarray(F[cols])))
         self.n_barrier = sum(term[0].shape[0] for term in self.terms) + m
 
-    def _add(self, const, coeffs, scale, slope):
-        V, G = _range_basis(coeffs)
-        self.terms.append((const, coeffs, scale, slope, V, G))
-
     def matrix(self, term, z):
-        const, coeffs, scale, slope = term[:4]
+        const, coeffs, slope = term[:3]
         m = len(const)
-        M = const + scale * (z[:-1] @ coeffs.reshape(self.p, -1)).reshape(m, m)
+        M = const - (z[:-1] @ coeffs.reshape(self.p, -1)).reshape(m, m)
         M.flat[::m + 1] += z[-1] * slope
         return M
 
@@ -518,20 +515,20 @@ class _BarrierData:
         g = np.zeros(p + 1)
         H = np.zeros((p + 1, p + 1))
         g[-1] = t
-        for (_, _, scale, slope, V, G), M in zip(self.terms, mats):
+        for (_, _, slope, V, G), M in zip(self.terms, mats):
             W = np.linalg.inv(M)
             W = 0.5 * (W + W.T)
             if V is None:
                 U = np.empty((p + 1,) + W.shape)
-                np.matmul(scale * W, G, out=U[:p])
+                np.matmul(-W, G, out=U[:p])
                 np.multiply(W, slope, out=U[p])
             else:
                 WV = W @ V
-                U = np.matmul(scale * (V.T @ WV), G)
+                U = np.matmul(-(V.T @ WV), G)
                 Z = WV.T @ (slope[:, None] * WV)
-                cross = scale * (G.reshape(p, -1) @ Z.ravel())
-                H[:p, -1] += cross
-                H[-1, :p] += cross
+                cross = G.reshape(p, -1) @ Z.ravel()
+                H[:p, -1] -= cross
+                H[-1, :p] -= cross
                 g[-1] -= np.diagonal(W) @ slope
                 H[-1, -1] += slope @ (W * W) @ slope
             k = len(U)
@@ -601,23 +598,22 @@ def _certificate(problem: LmiProblem, v, iterations: int) -> SdpCertificate:
     return replace(cert, margin_achieved=check_certificate(problem, cert))
 
 
-def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
+def solve_feasibility(problem: LmiProblem) -> SolveOutcome:
     """Phase-I barrier solve; see the module docstring for the method.
 
-    Strict-negative constraints are normalized by max(1, ||const||_F), so
-    delta acts relative to the constraint scale and a FEASIBLE point still
-    has margin delta; the strict-positive constraints X > 0 and tau > 0
-    are kept as hard barrier constraints at level delta, and RuntimeError
-    is raised if X = I, tau = 1 violates one.  The search is compactified
-    to X <= _RADIUS*I, tau <= _RADIUS inside the solver, so INFEASIBLE
-    means no certificate exists within that (generous) radius.
+    Each strict-negative constraint G(v) < 0 is the barrier term s I -
+    G(v) - _DELTA I, so at s <= 0 every margin is at least _DELTA, the
+    absolute margin check_certificate and bisect_gain certify.  The
+    strict-positive constraints X > 0 and tau > 0 are kept as hard barrier
+    constraints at level _DELTA, and RuntimeError is raised if X = I, tau =
+    1 violates one.  The search is compactified to X <=
+    _RADIUS*I, tau <= _RADIUS inside the solver, so INFEASIBLE means no
+    certificate exists within that (generous) radius.
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and positive, got {delta}")
-    data = _BarrierData(problem, delta)
+    data = _BarrierData(problem)
 
-    # Start from X = I, tau = 1 and s at least 1 above every lambda_max(Ghat):
-    # each term is -Ghat at s = 0.
+    # Start from X = I, tau = 1 and s at least 1 above every lambda_max(G) +
+    # _DELTA: each term is -G - _DELTA I at s = 0.
     v0 = problem.pack(np.eye(problem.n_x), 1.0 if problem.with_tau else None)
     z = np.append(v0, 0.0)
     z[-1] = max([1.0] + [1.0 - np.linalg.eigvalsh(data.matrix(term, z))[0]
@@ -626,28 +622,27 @@ def solve_feasibility(problem: LmiProblem, delta: float = 1e-7) -> SolveOutcome:
     t = 1.0
     steps = 0
     while True:
-        # Centering stops once s <= -1.5 delta witnesses strict feasibility
-        # (s is unbounded below on strictly feasible homogeneous problems).
-        z, decrement, steps = _center(data, z, t, steps, floor=-1.5 * delta)
+        # Centering stops once s <= -0.5 _DELTA (G <= -1.5 _DELTA I) witnesses
+        # strict feasibility: s is unbounded below on homogeneous problems.
+        z, decrement, steps = _center(data, z, t, steps, floor=-0.5 * _DELTA)
         if decrement is None:
             return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
         s_cur = float(z[-1])
-        if s_cur <= -delta:
+        if s_cur <= 0.0:
             cert = _certificate(problem, z[:-1], steps)
-            if cert.margin_achieved < delta:
+            if cert.margin_achieved < _DELTA:
                 return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
             return SolveOutcome(status=FEASIBLE, certificate=cert, iterations=steps)
         if decrement >= 1e-6:
             # The duality-gap bound below only holds at a centered point.
             return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
-        if s_cur - nu / t > -delta or nu / t < delta / 20:
-            # The optimum is above -delta, or within a razor-thin band of it.
+        if s_cur - nu / t > 0.0 or nu / t < _DELTA / 20:
+            # The optimum is above 0, or within a razor-thin band of it.
             return SolveOutcome(status=INFEASIBLE, iterations=steps)
         t *= 20.0
 
 
-def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3,
-                delta: float = 1e-7):
+def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
     """Smallest certified gain by one phase-I and one phase-II barrier solve.
 
     problem is the LMI at g^2 = 0 and gain_slopes[j] the diagonal of g^2's
@@ -660,24 +655,24 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3,
     its rows A with zero slope, so phase I solves problem cut to those
     blocks (a constraint with no such rows is dropped), or raises
     UncertifiableError: no certificate within _RADIUS at any gain.  Phase
-    II minimizes g^2 from that point v, starting at g^2 = 1.5
+    II minimizes g^2 on phase I's barrier terms with slope -gain_slopes[j]
+    in place of 1, from that point v, starting at g^2 = 1.5
     max(g^2_min(v), 0) + 1 with t = nu / g^2, where g^2_min(v) is the
     smallest g^2 at which v is interior (_gain_floor).  It stops at a
     centered point once the gain is within tol of the duality-gap bound
     sqrt(g^2 - nu/t); between centerings t grows by at most 20 and, once
     the bound is near, only to 1.5 times the t at which the gap nu/t would
     meet g^2 - (g - tol)^2.  Returns (gain, certificate): sqrt(g^2)
-    rounded up, with the margin checked on problem with each const +
-    gain^2 diag(slope).  tol and delta must be finite and positive, and
+    rounded up, with a margin of at least _DELTA checked on problem with
+    each const + gain^2 diag(slope).  tol must be finite and positive, and
     there must be one slope per constraint, each strict-negative one a
     finite vector of its constraint's size with no positive entry, or
     ValueError is raised before phase I.  A stalled phase I or phase II,
     or a failed check, raises RuntimeError.  The name predates the method;
     perfbench's tracer patches the function under it.
     """
-    for name, value in (("tol", tol), ("delta", delta)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     gain_slopes = [None if slope is None else np.asarray(slope, dtype=float)
                    for slope in gain_slopes]
     if len(gain_slopes) != len(problem.constraints):
@@ -698,7 +693,7 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3,
         if len(rows):
             free.append(replace(con, const=con.const[np.ix_(rows, rows)],
                                 coeffs=con.coeffs[:, rows[:, None], rows]))
-    outcome = solve_feasibility(replace(problem, constraints=free), delta=delta)
+    outcome = solve_feasibility(replace(problem, constraints=free))
     if outcome.status == NUMERICAL_FAILURE:
         raise RuntimeError("solver failed numerically in phase I")
     if not outcome.feasible:
@@ -706,7 +701,7 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3,
             "UNSTABLE_OR_UNCERTIFIABLE: no certificate within the search radius "
             "at any gain")
 
-    data = _BarrierData(problem, delta, gain_slopes)
+    data = _BarrierData(problem, gain_slopes)
     start = outcome.certificate
     z = np.append(problem.pack(start.X, start.tau), 0.0)
     z[-1] = 1.5 * max(_gain_floor(data, z), 0.0) + 1.0
@@ -728,7 +723,7 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3,
         else replace(con, const=con.const + gain * gain * np.diag(slope))
         for con, slope in zip(problem.constraints, gain_slopes)])
     cert = _certificate(at_gain, z[:-1], outcome.iterations + steps)
-    if cert.margin_achieved < delta:
+    if cert.margin_achieved < _DELTA:
         raise RuntimeError(f"phase II point failed its check at gain {gain}")
     return gain, cert
 
@@ -746,7 +741,7 @@ def _gain_floor(data, z):
     """
     floor = -np.inf
     for term in data.terms:
-        slope = term[3]
+        slope = term[2]
         if not slope.any():
             continue
         M = data.matrix(term, np.append(z[:-1], 0.0))

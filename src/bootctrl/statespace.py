@@ -293,8 +293,9 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
     """Lift the closed loop over blocks of T_BS base steps.
 
     The performance channel widths scale by T_BS while the uncertainty
-    channel keeps its base dimensions.  Matrix powers are formed by
-    iterated multiplication; T_BS stays small in every supported use.
+    channel keeps its base dimensions.  Powers A^k are formed by iterated
+    multiplication and each Cp A^k once, for Cpt and the blocks (Cp A^k) Bp
+    of Dppt and (Cp A^k) Bu of Dput: O(T_BS) products, not O(T_BS^2).
     """
     T = check_count(T_BS, "T_BS")
     if T < 1:
@@ -310,17 +311,17 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
     At = powers[T]
     But = powers[T - 1] @ Bu
     Bpt = np.hstack([powers[T - 1 - j] @ Bp for j in range(T)])
-    Cpt = np.vstack([Cp @ powers[i] for i in range(T)])
+    CpA = [Cp @ P for P in powers[:T]]  # Cp A^k, k < T
+    Cpt = np.vstack(CpA)
 
+    CpAB = [C @ Bp for C in CpA[:T - 1]]
     Dppt = np.zeros((T * p_z, T * m_wp))
     for i in range(T):
         Dppt[i * p_z:(i + 1) * p_z, i * m_wp:(i + 1) * m_wp] = Dpp
         for j in range(i):
-            Dppt[i * p_z:(i + 1) * p_z, j * m_wp:(j + 1) * m_wp] = (
-                Cp @ powers[i - j - 1] @ Bp
-            )
+            Dppt[i * p_z:(i + 1) * p_z, j * m_wp:(j + 1) * m_wp] = CpAB[i - j - 1]
 
-    Dput = np.vstack([cl.Dpu] + [Cp @ powers[i] @ Bu for i in range(T - 1)])
+    Dput = np.vstack([cl.Dpu] + [C @ Bu for C in CpA[:T - 1]])
     Dupt = np.hstack([cl.Dup] + [np.zeros((cl.n_zu, m_wp))] * (T - 1))
 
     return ClosedLoop(

@@ -3,6 +3,7 @@ independent congruence recomputation, lifted-test consistency, FIR adapter
 rewiring, and the report objects."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from bootctrl.analysis import (
     sector_from_bootstrap,
 )
 from bootctrl.bootpoly import BootstrapPolynomial, BootstrapSpec
-from bootctrl.sdp import SdpCertificate, check_certificate, solve_feasibility
+from bootctrl.sdp import FEASIBLE, SdpCertificate, check_certificate, solve_feasibility
 from bootctrl.statespace import PerformanceIndex, interconnect, lift
 
 
@@ -132,6 +133,26 @@ def test_direct_lmi_matches_independent_congruence(plant, controller):
         np.testing.assert_allclose(problem.constraints[1].evaluate(v), X,
                                    atol=1e-12)
         assert problem.constraints[2].evaluate(v)[0, 0] == pytest.approx(tau)
+
+
+def test_lmi_assembly_keeps_one_coefficient_stack(plant, controller,
+                                                  reference_slope):
+    """build_theorem2 symmetrizes the coefficient stack slab by slab in
+    place, so at T_BS=50 its traced peak stays below twice the p x m x m
+    stack's bytes (2.76 times when the raw stack, their sum and the result
+    were alive at once)."""
+    cl = interconnect(plant, controller)
+    args = (cl, l2_gain_index(cl.m_wp, cl.p_z, 16.0),
+            SectorBound.symmetric(reference_slope, cl.n_zu), 50)
+    build_theorem2(*args)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        problem = build_theorem2(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * problem.constraints[0].coeffs.nbytes
 
 
 def test_lifted_lmi_matches_independent_congruence(plant, controller):
@@ -290,7 +311,9 @@ def bundled_analysis(plant, controller, reference_slope):
 @pytest.mark.parametrize("case", BUNDLED_CASES)
 def test_bundled_loop_gains_are_pinned(bundled_analysis, case):
     """The bundled loop's certified gains stay within tol of their
-    recorded values, and each certificate holds at exactly gain * gain."""
+    recorded values, each certificate holds at exactly gain * gain, and
+    phase I on that rebuilt LMI finds it feasible too: both ask for the
+    same absolute margin."""
     cl, report, *_ = bundled_analysis(case)
     assert report.verdict == CERTIFIED
     assert abs(report.gain - BUNDLED_CASES[case][1]) <= 1e-3
@@ -299,12 +322,13 @@ def test_bundled_loop_gains_are_pinned(bundled_analysis, case):
         cl, l2_gain_index(cl.m_wp, cl.p_z, report.gain * report.gain),
         SectorBound.symmetric(report.gamma_sector, cl.n_zu), report.T_BS)
     assert check_certificate(problem, report.certificate) >= 1e-7
+    assert solve_feasibility(problem).status == FEASIBLE
 
 
 @pytest.mark.parametrize("case", BUNDLED_CASES)
 def test_gain_search_newton_budget(bundled_analysis, case):
     """One phase-I solve, and at most 80 Newton steps in phase I and
-    phase II together (44-63 with the warm start, about 800 in the 19
+    phase II together (40-55 with the warm start, about 800 in the 19
     solves of a bisection)."""
     _, report, phase_one, *_ = bundled_analysis(case)
     assert len(phase_one) == 1

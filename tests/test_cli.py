@@ -319,6 +319,31 @@ def test_bad_input_file_is_an_exit_code(tmp_path, capsys, command, flag,
         assert "missing fields" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5"],
+    ["analyze"], ["simulate"], ["lift-check", "--tbs", "3"],
+], ids=["fit-poly", "analyze", "simulate", "lift-check"])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_unusable_output_directory_is_an_exit_code(tmp_path, monkeypatch, capsys,
+                                                   command, source):
+    """An output directory that is a file, or lies under one, given by
+    --out-dir or BOOTCTRL_OUTPUT_DIR, gives one line naming it on stderr
+    and exit 2, not a FileExistsError or NotADirectoryError traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for path in (blocker, blocker / "sub"):
+        if source == "flag":
+            code = run(command + ["--out-dir", str(path)])
+        else:
+            monkeypatch.setenv("BOOTCTRL_OUTPUT_DIR", str(path))
+            code = run(command)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot use output directory {path}: ")
+        assert err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 # --------------------------------------------------------------------------
 # lift-check
 

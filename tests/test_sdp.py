@@ -107,12 +107,12 @@ def gain_problem(a, b, c, gain_sq):
 DELTA = 1e-7
 
 
-def _reference_terms(problem, delta, gain_slopes=None):
+def _reference_terms(problem, gain_slopes=None):
     """Every barrier matrix as (const, basis) with an explicit (p+1)-stack
-    of coefficients in z = (v, o): strict-negative constraints as s I -
-    G(v) / max(1, ||const||_F) in phase I and as -G(v) - g^2 diag(c_j) -
-    delta I given gain_slopes[j] = c_j in phase II, strict-positive ones as
-    G(v) - delta I, then _RADIUS I - X and _RADIUS - tau."""
+    of coefficients in z = (v, o): strict-negative constraints as -G(v) -
+    delta I + s I in phase I and as -G(v) - delta I - g^2 diag(c_j) given
+    gain_slopes[j] = c_j in phase II, strict-positive ones as G(v) - delta
+    I, then _RADIUS I - X and _RADIUS - tau."""
     p = problem.n_vars
     terms = []
     for j, con in enumerate(problem.constraints):
@@ -120,16 +120,11 @@ def _reference_terms(problem, delta, gain_slopes=None):
         basis = np.zeros((p + 1, m, m))
         if con.sense == "pos":
             basis[:p] = con.coeffs
-            terms.append((con.const - delta * np.eye(m), basis))
-        elif gain_slopes is None:
-            scale = max(1.0, float(np.linalg.norm(con.const)))
-            basis[:p] = -con.coeffs / scale
-            basis[p] = np.eye(m)
-            terms.append((-con.const / scale, basis))
+            terms.append((con.const - DELTA * np.eye(m), basis))
         else:
             basis[:p] = -con.coeffs
-            basis[p] = -np.diag(gain_slopes[j])
-            terms.append((-con.const - delta * np.eye(m), basis))
+            basis[p] = np.eye(m) if gain_slopes is None else -np.diag(gain_slopes[j])
+            terms.append((-con.const - DELTA * np.eye(m), basis))
     n = problem.n_x
     basis = np.zeros((p + 1, n, n))
     basis[:problem.n_vech] = -np.stack(sym_basis(n))
@@ -159,16 +154,23 @@ def _reference_interior(terms, z):
                for const, basis in terms)
 
 
+def _shift_at(problem, v, above):
+    """The phase-I shift s at v for the one strict-negative constraint G:
+    s I - G(v) - delta I is norm = max(1, ||const||_F) times the matrix
+    (lambda_max(G(v)) / norm + above) I - G(v) / norm of a phase I that
+    divides G by its norm, so s = norm * that one's shift + delta."""
+    [con] = [con for con in problem.constraints if con.sense == "neg"]
+    norm = max(1.0, np.linalg.norm(con.const))
+    return norm * (above + np.linalg.eigvalsh(con.evaluate(v))[-1] / norm) + DELTA
+
+
 def _phase_one_point(problem, D):
     """z = (v, s) at X = D (I + E + E^T) D with a small seeded E and tau =
-    1, s half a unit above every normalized strict-negative eigenvalue."""
+    1, s half a normalized unit above the strict-negative eigenvalues."""
     rng = np.random.default_rng(5)
     E = 0.05 * rng.standard_normal((problem.n_x, problem.n_x))
     v = problem.pack(D @ (np.eye(problem.n_x) + E + E.T) @ D, 1.0)
-    s = 0.5 + max(np.linalg.eigvalsh(con.evaluate(v))[-1]
-                  / max(1.0, np.linalg.norm(con.const))
-                  for con in problem.constraints if con.sense == "neg")
-    return np.append(v, s)
+    return np.append(v, _shift_at(problem, v, 0.5))
 
 
 # (rows, range dimension R) of each barrier term for the barrier_case
@@ -202,15 +204,15 @@ def barrier_case(request, plant, controller, reference_slope):
 
     problem = builder(gain ** 2)
     z = _phase_one_point(problem, np.eye(problem.n_x))
-    terms = _reference_terms(problem, DELTA)
+    terms = _reference_terms(problem)
     assert _reference_interior(terms, z)
 
     base, unit = builder(0.0), builder(1.0)
     slopes = [np.diagonal(b.const - a.const)
               for a, b in zip(base.constraints, unit.constraints)]
-    start = solve_feasibility(problem, DELTA).certificate
+    start = solve_feasibility(problem).certificate
     z2 = np.append(base.pack(start.X, start.tau), gain ** 2)
-    terms2 = _reference_terms(base, DELTA, slopes)
+    terms2 = _reference_terms(base, slopes)
     assert _reference_interior(terms2, z2)
     return request.param, problem, terms, z, (base, slopes, terms2, z2)
 
@@ -221,9 +223,9 @@ def test_grad_hess_matches_einsum_reference(barrier_case):
     and every slope-free constraint in one block-diagonal term."""
     case, problem, terms, z, (base, slopes, terms2, z2) = barrier_case
     t = 3.0
-    for data, ref, point in ((_BarrierData(problem, DELTA), terms, z),
-                             (_BarrierData(base, DELTA, slopes), terms2, z2)):
-        layout = [(len(term[0]), None if term[4] is None else term[4].shape[1])
+    for data, ref, point in ((_BarrierData(problem), terms, z),
+                             (_BarrierData(base, slopes), terms2, z2)):
+        layout = [(len(term[0]), None if term[3] is None else term[3].shape[1])
                   for term in data.terms] + [(len(data.block_const), None)]
         assert layout == RANGE_DIMS[case]
         g, H = data.grad_hess(point, t)
@@ -255,10 +257,10 @@ def test_grad_hess_on_badly_scaled_lifted_lmis(case, plant, controller,
     problem = build_theorem2(cl, l2_gain_index(cl.m_wp, cl.p_z, 16.0),
                              SectorBound.symmetric(slope, cl.n_zu), T)
     z = _phase_one_point(problem, D)
-    terms = _reference_terms(problem, DELTA)
+    terms = _reference_terms(problem)
     assert _reference_interior(terms, z)
-    data = _BarrierData(problem, DELTA)
-    [(_, _, _, _, V, _)] = data.terms
+    data = _BarrierData(problem)
+    [(_, _, _, V, _)] = data.terms
     assert (None if V is None else V.shape[1]) == R
     g, H = data.grad_hess(z, 3.0)
     g_ref, H_ref = _reference_grad_hess(terms, z, 3.0)
@@ -269,7 +271,7 @@ def test_grad_hess_on_badly_scaled_lifted_lmis(case, plant, controller,
 def test_gradient_matches_central_differences(barrier_case):
     _, problem, _, z, _ = barrier_case
     t = 3.0
-    data = _BarrierData(problem, DELTA)
+    data = _BarrierData(problem)
     g, _ = data.grad_hess(z, t)
     h = 1e-6
     fd = np.array([(data.barrier_value(z + h * e, t)
@@ -283,7 +285,7 @@ def test_barrier_is_infinite_exactly_outside_the_domain(barrier_case):
     term, X = 2 _RADIUS I and tau = 2 _RADIUS the compactifying bounds,
     tau < 0 the tau term; random directions cross several at once."""
     _, problem, terms, z, _ = barrier_case
-    data = _BarrierData(problem, DELTA)
+    data = _BarrierData(problem)
     nv, p = problem.n_vech, problem.n_vars
     points = [z]
     for index, value in ((p, -10.0), (p, -1e-3), (nv, 2 * _RADIUS), (nv, -1.0)):
@@ -309,13 +311,10 @@ def test_barrier_is_infinite_exactly_outside_the_domain(barrier_case):
 
 
 def _point_at(problem, X, tau):
-    """z = (v, s) at (X, tau), s a unit above every normalized
-    strict-negative eigenvalue."""
+    """z = (v, s) at (X, tau), s a normalized unit above the
+    strict-negative eigenvalues."""
     v = problem.pack(X, tau)
-    s = 1.0 + max(np.linalg.eigvalsh(con.evaluate(v))[-1]
-                  / max(1.0, np.linalg.norm(con.const))
-                  for con in problem.constraints if con.sense == "neg")
-    return np.append(v, s)
+    return np.append(v, _shift_at(problem, v, 1.0))
 
 
 @pytest.mark.parametrize("block, outside", [("tau_below_delta", 2),
@@ -335,7 +334,7 @@ def test_one_non_definite_block_makes_the_barrier_infinite(barrier_case, block,
         [j == outside for j in range(len(terms))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _BarrierData(problem, DELTA).barrier_value(z, 3.0) == np.inf
+        assert _BarrierData(problem).barrier_value(z, 3.0) == np.inf
 
 
 def test_handed_over_matrices_give_bitwise_the_same_step(barrier_case):
@@ -344,8 +343,8 @@ def test_handed_over_matrices_give_bitwise_the_same_step(barrier_case):
     phase II, and a solve hands every grad_hess the matrices of its own
     point."""
     _, problem, _, z, (base, slopes, _, z2) = barrier_case
-    for data, point in ((_BarrierData(problem, DELTA), z),
-                        (_BarrierData(base, DELTA, slopes), z2)):
+    for data, point in ((_BarrierData(problem), z),
+                        (_BarrierData(base, slopes), z2)):
         mats = data.form(point)
         g, H = data.grad_hess(point, 3.0, mats)
         g0, H0 = data.grad_hess(point, 3.0)
@@ -361,7 +360,7 @@ def test_handed_over_matrices_give_bitwise_the_same_step(barrier_case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_BarrierData, "grad_hess", checking)
-        assert solve_feasibility(problem, DELTA).status == FEASIBLE
+        assert solve_feasibility(problem).status == FEASIBLE
     assert len(handed) > 1 and all(handed)
 
 
@@ -448,6 +447,24 @@ def test_scalar_stable_system_is_feasible():
     # independent recheck of the returned point
     assert check_certificate(lyapunov_problem(np.array([[0.5]])),
                              out.certificate) > 0
+
+
+@pytest.mark.parametrize("a, band", [(10.0, 1e-6), (1000.0, 1e-6), (1000.0, 4e-6)])
+def test_thin_band_is_feasible_at_the_absolute_margin(a, band):
+    """G(X) = diag(a - X, X - a - band) < 0 with X > 0 holds on (a, a +
+    band), with the best margin band / 2 at X = a + band / 2, below delta
+    ||const||_F (1.4e-6 to 1.4e-4): phase I asks for the absolute margin
+    delta that check_certificate certifies, whatever the constraint's
+    size."""
+    lmi = LmiConstraint(const=np.diag([a, -a - band]),
+                        coeffs=np.diag([-1.0, 1.0])[None], sense="neg", name="band")
+    x_pos = LmiConstraint(const=np.zeros((1, 1)), coeffs=np.ones((1, 1, 1)),
+                          sense="pos", name="X_pos")
+    assert sdp._DELTA * np.hypot(a, a + band) > band / 2
+    out = solve_feasibility(LmiProblem(n_x=1, constraints=(lmi, x_pos), with_tau=False))
+    assert out.status == FEASIBLE
+    assert out.certificate.margin_achieved >= sdp._DELTA
+    assert abs(out.certificate.X[0, 0] - (a + band / 2)) <= band / 2 - sdp._DELTA
 
 
 def test_scalar_unstable_system_is_infeasible():
@@ -611,18 +628,6 @@ def phase_one_calls(monkeypatch):
     return calls
 
 
-def test_gain_search_checks_delta_before_phase_one(phase_one_calls):
-    """0, negative, NaN and +-inf delta raise ValueError naming it before
-    phase I runs; solve_feasibility rejects a bad delta too."""
-    for value in (0.0, -5.0, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="^delta must be finite"):
-            bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES,
-                        delta=value)
-        with pytest.raises(ValueError, match="^delta must be finite"):
-            solve_feasibility(gain_problem(0.5, 1.0, 1.0, 4.0), delta=value)
-    assert phase_one_calls == []
-
-
 @pytest.mark.parametrize("slopes, match", [
     ([np.array([-1.0]), None], "'brl' must be 2 finite entries"),
     ([np.array([0.0, -1.0, 0.0]), None], "'brl' must be 2 finite entries"),
@@ -686,7 +691,7 @@ def test_gain_search_raises_when_its_start_is_outside(monkeypatch):
 def test_gain_floor_without_a_lower_bound():
     """A g^2 that no strict-negative row depends on gives no floor (-inf)."""
     base = gain_problem(0.5, 1.0, 1.0, 0.0)
-    data = _BarrierData(base, DELTA, [np.zeros(2), None])
+    data = _BarrierData(base, [np.zeros(2), None])
     assert sdp._gain_floor(data, np.array([1.0, 0.0])) == -np.inf
 
 
@@ -710,7 +715,7 @@ def test_gain_floor_is_where_the_phase_two_point_turns_interior(barrier_case):
     """Just above _gain_floor the phase-I solution is interior to every
     phase-II term, just below it is not."""
     _, _, _, _, (base, slopes, terms2, z2) = barrier_case
-    floor = sdp._gain_floor(_BarrierData(base, DELTA, slopes), z2)
+    floor = sdp._gain_floor(_BarrierData(base, slopes), z2)
     assert 0.0 < floor < z2[-1]
     for step, inside in ((1e-6, True), (-1e-6, False)):
         point = np.append(z2[:-1], floor + step * floor)
@@ -730,7 +735,7 @@ def test_gain_search_raises_when_the_point_fails_its_check(monkeypatch):
 
     monkeypatch.setattr(sdp, "check_certificate", weak_at_gain)
     with pytest.raises(RuntimeError, match="failed its check at gain 2.00"):
-        bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES, delta=DELTA)
+        bisect_gain(gain_problem(0.5, 1.0, 1.0, 0.0), SCALAR_SLOPES)
     at_gain = calls[-1].constraints[0].const
     assert len(calls) == 2 and at_gain[0, 0] == 1.0 and -4.01 < at_gain[1, 1] < -4.0
 
@@ -754,8 +759,7 @@ def test_gain_certificate_holds_at_the_reported_gain(plant, controller,
     slope[cl.n_xi:cl.n_xi + T_BS * cl.m_wp] = -1.0
     gains = []
     for tol in (10.0, 1e-3, 1e-6):
-        gain, cert = bisect_gain(build(0.0), [slope, None, None], tol=tol,
-                                 delta=DELTA)
+        gain, cert = bisect_gain(build(0.0), [slope, None, None], tol=tol)
         problem = build(gain * gain)
         assert cert.margin_achieved >= DELTA
         assert abs(check_certificate(problem, cert) - cert.margin_achieved) <= 1e-12
