@@ -613,11 +613,10 @@ def solve_feasibility(problem: LmiProblem) -> SolveOutcome:
     data = _BarrierData(problem)
 
     # Start from X = I, tau = 1 and s at least 1 above every lambda_max(G) +
-    # _DELTA: each term is -G - _DELTA I at s = 0.
+    # _DELTA: each term is -G - _DELTA I at s = 0, with slope 1 on every row.
     v0 = problem.pack(np.eye(problem.n_x), 1.0 if problem.with_tau else None)
     z = np.append(v0, 0.0)
-    z[-1] = max([1.0] + [1.0 - np.linalg.eigvalsh(data.matrix(term, z))[0]
-                         for term in data.terms])
+    z[-1] = max(_gain_floor(data, z), 0.0) + 1.0
     nu = data.n_barrier
     t = 1.0
     steps = 0
@@ -729,9 +728,9 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
 
 
 def _gain_floor(data, z):
-    """The smallest g^2 at which the phase-II point z = (v, .) is interior,
-    given that each term is on its rows with zero slope (phase I makes them
-    so); -inf if no term moves.
+    """The smallest objective (g^2, or phase I's s) at which z = (v, .) is
+    interior, given that each term is on its rows with zero slope (phase
+    I's have none, so K = M); -inf if no term moves.
 
     A term M(g^2) = M_0 + g^2 diag(slope), slope >= 0, is positive definite
     iff its rows A with zero slope are (they do not move with g^2) and the

@@ -2,36 +2,44 @@
 
 Four modes:
 
-* ENCRYPTED: the controller state lives in ciphertexts, one rescale per
-  step, and every T_BS steps the state is refreshed through the fitted
-  polynomial (this is the loop the lifted LMI test certifies).  A step is
-  the controller's two affine maps of the encrypted stack [x_c; y; w_p2]:
-  one matvec by [Cc Dc F2] gives u, one matvec by [Ac Bc B2] followed by
-  a rescale gives the next x_c.
-* RESET: instead of refreshing, the controller state is re-encrypted as
-  zero every T_BS steps (slope-1 sector, lifted test).
-* FIR: a delay-line controller evaluated from a window of fresh
-  measurement encryptions; no persistent ciphertext state, so levels
-  never deplete and no refresh is needed (slope-1 sector, direct test).
-  u is one matvec by [Cc S | Dc | F2] of [y(t-1); ...; y(t-N); y(t); w_p2(t)],
-  where S = [Bc, Ac Bc, ..., Ac^(N-1) Bc] maps the window to the certified
-  FIR state x_c(t) (w_p2 only when given; B2 must then be zero); any
-  controller that analysis.fir_closed_loop accepts runs.
+* ENCRYPTED: the controller state x_c lives in ciphertexts at level L, one
+  rescale per step, and every T_BS steps it is refreshed through the
+  fitted polynomial (this is the loop the lifted LMI test certifies).
+* RESET: instead of refreshing, x_c is re-encrypted as zero every T_BS
+  steps (slope-1 sector, lifted test).
+* FIR: a delay-line controller whose state is the window of the last N
+  measurement encryptions [y(t-1); ...; y(t-N)] at level 1, so levels never
+  deplete and no refresh is needed (slope-1 sector, direct test).
+  S = [Bc, Ac Bc, ..., Ac^(N-1) Bc] maps the window to the certified FIR
+  state x_c(t); any controller that analysis.fir_closed_loop accepts runs
+  (w_p2 only through F2: B2 must be zero when w_p2 is given).
 * PLAINTEXT_REFERENCE: the certified ClosedLoop itself, run through
   statespace.simulate (not a separate recursion).  An optional w_u
   schedule replays refresh or reset errors; with fir_length set it is the
   rewired FIR loop of analysis.fir_closed_loop closed with w_u = -z_u,
   i.e. the exact N-tap window.
 
+The three encrypted modes run one loop over a state that is a list of
+ciphertexts, read through [Cc | Dc | F2] (FIR: [Cc S | Dc | F2]).  Step t,
+in the order of the certified interconnection:
+
+1. y(t) in the clear, and [y(t); w_p2(t)] encrypted at the state's level
+   (w_p2 only when given);
+2. u(t) from one matvec of the pre-refresh state and those inputs,
+   decrypted by the ledger check; then z_p(t) in the clear;
+3. the state update: FIR shifts y(t) into the window.  ENCRYPTED and RESET
+   first refresh or reset x_c when t > 0 and t % T_BS == 0 (re-encrypting
+   the inputs at the new level), then take one matvec by [Ac Bc B2] and a
+   rescale;
+4. the plant state advances.
+
+This realizes x_c(t+1) = Ac (x_c(t) + w_u(t)) + Bc y(t) with w_u the
+refresh error.
+
 aligned_disturbance takes the nominal loop's exact impulse response from
 statespace.simulate (one run per disturbance column) and then runs its
 power iteration as FFT convolutions, so statespace.simulate stays the
 only real-valued recursion.
-
-Event order inside step t (matching the certified interconnection): the
-control u(t) is computed from the pre-refresh controller state, then the
-refresh/reset happens, then both states advance.  This realizes
-x_c(t+1) = Ac (x_c(t) + w_u(t)) + Bc y(t) with w_u the refresh error.
 """
 
 from __future__ import annotations
@@ -117,6 +125,13 @@ def _empirical_gain(z_p, w_p):
     return np.sqrt(num / den)
 
 
+def _at_least(value, name, low):
+    value = check_count(value, name)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def _as_signal(arr, steps, width, name):
     if arr is None:
         return np.zeros((steps, width))
@@ -149,9 +164,11 @@ def run_closed_loop(plant: Plant, controller: Controller,
     w1 = _as_signal(w_p1, steps, plant.m_w1, "w_p1")
     w2 = _as_signal(w_p2, steps, controller.m_w2, "w_p2")
 
+    if config.mode != PLAINTEXT_REFERENCE and (
+            scheme is None or config.mode == ENCRYPTED and poly is None):
+        needs = "scheme and poly" if config.mode == ENCRYPTED else "scheme"
+        raise ValueError(f"{config.mode} mode needs {needs}")
     if config.mode == ENCRYPTED:
-        if scheme is None or poly is None:
-            raise ValueError("ENCRYPTED mode needs scheme and poly")
         if scheme.L != config.T_BS:
             raise ValueError(
                 f"one rescale per step requires scheme.L == T_BS "
@@ -159,16 +176,9 @@ def run_closed_loop(plant: Plant, controller: Controller,
             )
         if abs(poly.spec.q - scheme.q0) > 1e-9 * scheme.q0:
             raise ValueError("poly must be rescaled to the scheme base modulus q0")
-    if config.mode == RESET:
-        if scheme is None:
-            raise ValueError("RESET mode needs scheme")
-        if config.T_BS > scheme.L:
-            raise ValueError(
-                f"reset period {config.T_BS} exceeds available levels {scheme.L}"
-            )
+    if config.mode == RESET and config.T_BS > scheme.L:
+        raise ValueError(f"reset period {config.T_BS} exceeds available levels {scheme.L}")
     if config.mode == FIR:
-        if scheme is None:
-            raise ValueError("FIR mode needs scheme")
         fir_closed_loop(plant, controller, config.fir_length)  # validates
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
@@ -201,10 +211,7 @@ def run_closed_loop(plant: Plant, controller: Controller,
     y_log = np.zeros((steps, p_y))
     x_log = np.zeros((steps + 1, n))
     x_log[0] = x
-
-    events = []
-    violations = 0
-    max_fid = 0.0
+    events, violations, max_fid = [], 0, 0.0
 
     keys = cs.keygen(scheme)
     # Re-seed the encryption stream so different trials draw different
@@ -215,8 +222,13 @@ def run_closed_loop(plant: Plant, controller: Controller,
         return [cs.encrypt(keys, float(v), level=level) for v in values]
 
     def check(cts):
-        """Ledger check; each ciphertext is checked once, when it is made.
+        """Ledger check of the ciphertexts the loop keeps or decrypts.
 
+        Every state ciphertext is checked when it is made, and so is u.  The
+        inputs [y; w_p2] are checked only in FIR mode, where they stay in
+        the window.  The stateful modes use each fresh input in one step and
+        check what it feeds (u and the next x_c), so their
+        max_fidelity_ratio covers the state and u.
         Returns the decoded values (cs.decrypt's), taken from the phase the
         check computes, so control outputs are not decrypted a second time.
         """
@@ -236,99 +248,71 @@ def run_closed_loop(plant: Plant, controller: Controller,
             decoded.append(phase / scale)
         return decoded
 
+    # The w_p2 columns enter only when w_p2 is given: encrypting zeros would
+    # draw encryption randomness and change every seeded run.
+    k = 0 if w_p2 is None else controller.m_w2
+    Ac, Bc, Cc = controller.Ac, controller.Bc, controller.Cc
     if config.mode == FIR:
-        N = config.fir_length
-        # w_p2 enters u through F2 only, encrypted next to y when given (as
-        # in ENCRYPTED mode); the window cannot carry a B2 w_p2 state input
-        k = 0 if w_p2 is None else controller.m_w2
         if k and np.any(controller.B2):
             raise ValueError("FIR mode cannot carry B2 w_p2: B2 must be zero")
-        # window map S = [Bc, Ac Bc, ..., Ac^(N-1) Bc]: the certified FIR
-        # state is x_c(t) = S [y(t-1); ...; y(t-N)]
-        taps = [controller.Bc]
+        N = config.fir_length
+        taps = [Bc]  # window map S = [Bc, Ac Bc, ..., Ac^(N-1) Bc]
         for _ in range(N - 1):
-            taps.append(controller.Ac @ taps[-1])
+            taps.append(Ac @ taps[-1])
         S = np.hstack(taps)
-        # flat window: y(t-1) first, y(t-N) last, p_y ciphertexts each
-        window = encrypt_all(np.zeros(N * p_y), 1)
-        check(window)
-        u_row = np.hstack([controller.Cc @ S, controller.Dc,
-                           controller.F2[:, :k]]).tolist()
-        for t in range(steps):
-            y = plant.C @ x + plant.F1 @ w1[t]
-            enc_in = encrypt_all(np.concatenate([y, w2[t, :k]]), 1)
-            check(enc_in)
-            enc_y = enc_in[:p_y]
-            u_cts = cs.matvec(scheme, u_row, window + enc_in)
-            u = np.array(check(u_cts))
-            z_p[t] = plant.C1 @ x + plant.D1 @ w1[t] + plant.E @ u
-            u_log[t], y_log[t] = u, y
-            x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
-            window = enc_y + window[:len(window) - p_y]
-            x_log[t + 1] = x
-        padded = np.vstack([np.zeros((N, p_y)), y_log])
-        xc_log = np.hstack([padded[N - i: N - i + steps + 1]
-                            for i in range(1, N + 1)]) @ S.T
-        gain = _empirical_gain(z_p, w_p)
-        return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log,
-                                xc_log, gain, events, violations, max_fid)
-
-    # ENCRYPTED / RESET: persistent encrypted controller state.  The w_p2
-    # columns enter only when w_p2 is given: encrypting zeros would draw
-    # encryption randomness and change every seeded run.
-    k = 0 if w_p2 is None else controller.m_w2
-    out_rows = np.hstack([controller.Cc, controller.Dc,
-                          controller.F2[:, :k]]).tolist()
-    state_rows = np.hstack([controller.Ac, controller.Bc,
-                            controller.B2[:, :k]]).tolist()
-    w_enc = w2[:, :k]
-    top = scheme.L
-    xc_log = np.zeros((steps + 1, nc))
-    x_c = encrypt_all(np.zeros(nc), top)
-    check(x_c)
+        out_rows = np.hstack([Cc @ S, controller.Dc, controller.F2[:, :k]]).tolist()
+        state = encrypt_all(np.zeros(N * p_y), 1)  # y(t-1) first, y(t-N) last
+    else:
+        out_rows = np.hstack([Cc, controller.Dc, controller.F2[:, :k]]).tolist()
+        state_rows = np.hstack([Ac, Bc, controller.B2[:, :k]]).tolist()
+        state = encrypt_all(np.zeros(nc), scheme.L)
+        xc_log = np.zeros((steps + 1, nc))
+    check(state)
     for t in range(steps):
         y = plant.C @ x + plant.F1 @ w1[t]
-        inputs = np.concatenate([y, w_enc[t]])
-        enc_in = encrypt_all(inputs, x_c[0].level)
-
+        inputs = np.concatenate([y, w2[t, :k]])
+        enc_in = encrypt_all(inputs, state[0].level)
+        if config.mode == FIR:
+            check(enc_in)
         # control from the pre-refresh state
-        u_cts = cs.matvec(scheme, out_rows, x_c + enc_in)
-        u = np.array(check(u_cts))
+        u = np.array(check(cs.matvec(scheme, out_rows, state + enc_in)))
         z_p[t] = plant.C1 @ x + plant.D1 @ w1[t] + plant.E @ u
         u_log[t], y_log[t] = u, y
 
-        # periodic refresh/reset, after u(t), before the state update
-        if t > 0 and t % config.T_BS == 0:
-            if config.mode == ENCRYPTED:
-                refreshed = []
-                for comp, ct in enumerate(x_c):
-                    try:
-                        fresh, ev = cs.bootstrap_emulated(keys, ct, poly)
-                    except (cs.RangeViolationError,
-                            cs.AssumptionViolationError) as exc:
-                        raise type(exc)(
-                            f"at step {t}, state component {comp}: {exc.message}"
-                        ) from exc
-                    events.append(replace(ev, step=t))
-                    violations += int(ev.violation)
-                    refreshed.append(fresh)
-                x_c = refreshed
-            else:
-                x_c = encrypt_all(np.zeros(nc), top)
-            check(x_c)
-            enc_in = encrypt_all(inputs, x_c[0].level)
-
-        x_c = [cs.rescale(scheme, ct)
-               for ct in cs.matvec(scheme, state_rows, x_c + enc_in)]
-        check(x_c)
+        if config.mode == FIR:
+            state = enc_in[:p_y] + state[:-p_y]
+        else:
+            # periodic refresh/reset, after u(t), before the state update
+            if t > 0 and t % config.T_BS == 0:
+                if config.mode == RESET:
+                    state = encrypt_all(np.zeros(nc), scheme.L)
+                else:
+                    for comp, ct in enumerate(state):
+                        try:
+                            state[comp], ev = cs.bootstrap_emulated(keys, ct, poly)
+                        except (cs.RangeViolationError,
+                                cs.AssumptionViolationError) as exc:
+                            raise type(exc)(f"at step {t}, state component "
+                                            f"{comp}: {exc.message}") from exc
+                        events.append(replace(ev, step=t))
+                        violations += int(ev.violation)
+                check(state)
+                enc_in = encrypt_all(inputs, state[0].level)
+            state = [cs.rescale(scheme, ct)
+                     for ct in cs.matvec(scheme, state_rows, state + enc_in)]
+            check(state)
+            xc_log[t + 1] = [ct.debug_plaintext for ct in state]
 
         x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
         x_log[t + 1] = x
-        xc_log[t + 1] = np.array([ct.debug_plaintext for ct in x_c])
 
-    gain = _empirical_gain(z_p, w_p)
-    return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log,
-                            xc_log, gain, events, violations, max_fid)
+    if config.mode == FIR:
+        # the certified FIR state x_c(t) = S [y(t-1); ...; y(t-N)]
+        padded = np.vstack([np.zeros((N, p_y)), y_log])
+        xc_log = np.hstack([padded[N - i: N - i + steps + 1]
+                            for i in range(1, N + 1)]) @ S.T
+    return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log, xc_log,
+                            _empirical_gain(z_p, w_p), events, violations, max_fid)
 
 
 def aligned_disturbance(cl: ClosedLoop, steps: int, columns=None,
@@ -350,9 +334,9 @@ def aligned_disturbance(cl: ClosedLoop, steps: int, columns=None,
                            for c in cols) or len(set(cols)) < len(cols):
         raise ValueError(f"columns must be distinct integers in 0..{cl.m_wp - 1}, "
                          f"got {columns!r}")
-    steps = check_count(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    steps = _at_least(steps, "steps", 1)
+    iterations = _at_least(iterations, "iterations", 0)
+    rng = np.random.default_rng(_at_least(seed, "seed", 0))
     H = np.empty((steps, cl.p_z, len(cols)))
     for j, col in enumerate(cols):
         pulse = np.zeros((steps, cl.m_wp))
@@ -360,7 +344,6 @@ def aligned_disturbance(cl: ClosedLoop, steps: int, columns=None,
         H[:, :, j] = simulate(cl, np.zeros(cl.n_xi), pulse, None, steps)[1]
     nfft = 1 << (2 * steps - 1).bit_length()
     Hf = np.fft.rfft(H, nfft, axis=0)
-    rng = np.random.default_rng(seed)
     w = rng.standard_normal((steps, len(cols)))
     w /= np.linalg.norm(w)
     gain_prev = 0.0
@@ -393,54 +376,44 @@ class GainStudy:
 
     @property
     def max_gain(self):
-        vals = list(self.trial_gains) + [self.aligned_gain]
-        return max(vals) if vals else 0.0
+        return max([*self.trial_gains, self.aligned_gain])
 
 
 def estimate_empirical_gain(plant: Plant, controller: Controller,
                             config: SimulationConfig,
                             scheme: cs.SchemeParams | None = None,
                             poly: BootstrapPolynomial | None = None,
-                            n_random: int = 20, base_seed: int = 0,
-                            align_iterations: int = 30) -> GainStudy:
+                            n_random: int = 20, base_seed: int = 0) -> GainStudy:
     """Random-excitation trials plus one disturbance aligned with the
     worst nominal finite-horizon direction; returns the observed gains.
 
-    Random trials draw i.i.d. standard normal physical disturbances; the
-    aligned trial uses power iteration on the nominal closed loop
-    restricted to the physical disturbance columns.
+    Random trial k draws i.i.d. standard normal physical disturbances from
+    one generator seeded with base_seed and runs with seed base_seed + 1000
+    + k.  The last trial, with seed base_seed + 999_983, uses power
+    iteration on the nominal closed loop restricted to the physical
+    disturbance columns.  Each trial's disturbance is made just before its
+    run, and only its summary is kept.
     """
-    cl = interconnect(plant, controller)
-    rng = np.random.default_rng(base_seed)
-    gains = []
-    violations = 0
-    n_events = 0
-    max_fid = 0.0
-    for k in range(n_random):
-        w1 = rng.standard_normal((config.steps, plant.m_w1))
-        cfg = replace(config, seed=base_seed + 1000 + k)
-        res = run_closed_loop(plant, controller, cfg, scheme=scheme, poly=poly,
-                              w_p1=w1)
+    n_random = _at_least(n_random, "n_random", 0)
+    base_seed = _at_least(base_seed, "base_seed", 0)
+
+    def trials():
+        rng = np.random.default_rng(base_seed)
+        for k in range(n_random):
+            yield base_seed + 1000 + k, rng.standard_normal((config.steps, plant.m_w1))
+        w = aligned_disturbance(interconnect(plant, controller), config.steps,
+                                columns=np.arange(plant.m_w1), seed=base_seed)
+        # the unit-energy vector scaled up
+        yield base_seed + 999_983, np.sqrt(config.steps / 4.0) * w[:, :plant.m_w1]
+
+    gains, violations, n_events, max_fid = [], 0, 0, 0.0
+    for seed, w1 in trials():
+        res = run_closed_loop(plant, controller, replace(config, seed=seed),
+                              scheme=scheme, poly=poly, w_p1=w1)
         gains.append(res.empirical_gain)
         violations += res.violations
         n_events += len(res.events)
         max_fid = max(max_fid, res.max_fidelity_ratio)
-
-    w_aligned = aligned_disturbance(cl, config.steps,
-                                    columns=np.arange(plant.m_w1),
-                                    iterations=align_iterations,
-                                    seed=base_seed)
-    scale = np.sqrt(config.steps / 4.0)  # unit-energy vector scaled up
-    cfg = replace(config, seed=base_seed + 999_983)
-    res_a = run_closed_loop(plant, controller, cfg, scheme=scheme, poly=poly,
-                            w_p1=scale * w_aligned[:, : plant.m_w1])
-    violations += res_a.violations
-    n_events += len(res_a.events)
-    max_fid = max(max_fid, res_a.max_fidelity_ratio)
-    return GainStudy(
-        trial_gains=gains,
-        aligned_gain=res_a.empirical_gain,
-        total_violations=violations,
-        total_events=n_events,
-        max_fidelity_ratio=max_fid,
-    )
+    return GainStudy(trial_gains=gains[:-1], aligned_gain=gains[-1],
+                     total_violations=violations, total_events=n_events,
+                     max_fidelity_ratio=max_fid)

@@ -722,6 +722,19 @@ def test_gain_floor_is_where_the_phase_two_point_turns_interior(barrier_case):
         assert _reference_interior(terms2, point) == inside
 
 
+def test_gain_floor_of_phase_one_is_the_largest_negated_lambda_min(barrier_case):
+    """Phase I's terms have slope 1 on every row, so the Schur complement
+    is M itself and _gain_floor is max_j -lambda_min(M_j) at s = 0: the
+    shift that phase I's start lifts by 1."""
+    _, problem, _, z, _ = barrier_case
+    data = _BarrierData(problem)
+    assert all((term[2] == 1.0).all() for term in data.terms)
+    at_zero = np.append(z[:-1], 0.0)
+    want = max(-np.linalg.eigvalsh(data.matrix(term, at_zero))[0]
+               for term in data.terms)
+    assert sdp._gain_floor(data, z) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_gain_search_raises_when_the_point_fails_its_check(monkeypatch):
     """The at-gain check is the last word: with check_certificate forced
     below delta there (phase I's own check still passes), no gain is

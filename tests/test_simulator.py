@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bootctrl.crypto_sim as cs
+from bootctrl import simulator
 from bootctrl.analysis import CERTIFIED, analyze_l2_gain, make_fir_controller
 from bootctrl.simulator import (
     ENCRYPTED,
@@ -93,6 +94,12 @@ def test_w_u_rejected_outside_plaintext(plant, controller, scheme, sim_poly):
 # encrypted mode
 
 
+X0 = np.array([2.0, -1.5])  # a nonzero plant start for the demo plant (n = 2)
+W2_AND_X0 = pytest.mark.parametrize(
+    "with_w2, x0", [(False, None), (True, None), (False, X0), (True, X0)],
+    ids=["w_p2_absent", "w_p2_random", "w_p2_absent-x0", "w_p2_random-x0"])
+
+
 def _controller_noise(with_w2, rng, steps, controller):
     """(controller, w_p2): w_p2 absent, or 0.1 * standard normal through a
     nonzero F2 (the demo F2 is zero), so the F2 and B2 columns both act."""
@@ -102,10 +109,9 @@ def _controller_noise(with_w2, rng, steps, controller):
             0.1 * rng.standard_normal((steps, controller.m_w2)))
 
 
-@pytest.mark.parametrize("with_w2", [False, True],
-                         ids=["w_p2_absent", "w_p2_random"])
+@W2_AND_X0
 def test_encrypted_replay_through_ideal_model(plant, controller, scheme,
-                                              sim_poly, with_w2):
+                                              sim_poly, with_w2, x0):
     """Replaying the recorded refresh errors as w_u through the plaintext
     model reproduces the encrypted trajectories: the encrypted loop IS the
     nominal interconnection driven by the refresh-error uncertainty (plus
@@ -116,7 +122,7 @@ def test_encrypted_replay_through_ideal_model(plant, controller, scheme,
     controller, w2 = _controller_noise(with_w2, rng, steps, controller)
     cfg = SimulationConfig(mode=ENCRYPTED, steps=steps, T_BS=scheme.L, seed=5)
     res = run_closed_loop(plant, controller, cfg, scheme=scheme,
-                          poly=sim_poly, w_p1=w1, w_p2=w2)
+                          poly=sim_poly, w_p1=w1, w_p2=w2, x0=x0)
     n_refresh = (steps - 1) // scheme.L
     assert len(res.events) == controller.nc * n_refresh
     assert res.violations == 0
@@ -131,7 +137,7 @@ def test_encrypted_replay_through_ideal_model(plant, controller, scheme,
             wu[t, comp] = ev.output / scheme.c - res.x_c[t, comp]
 
     replay = run_closed_loop(plant, controller, _plain_cfg(steps), w_p1=w1,
-                             w_p2=w2, w_u=wu)
+                             w_p2=w2, w_u=wu, x0=x0)
     scale = max(1.0, np.abs(res.x_c).max())
     assert np.abs(replay.x_c - res.x_c).max() / scale <= 2e-3
     assert np.abs(replay.z_p - res.z_p).max() \
@@ -257,13 +263,14 @@ def test_each_ciphertext_is_decrypted_once(plant, controller, scheme, sim_poly,
 # reset mode
 
 
-def _plaintext_reset_recursion(plant, controller, w1, T_reset, w2=None):
+def _plaintext_reset_recursion(plant, controller, w1, T_reset, w2=None,
+                               x0=None):
     """Reference recursion: u from the pre-reset state, reset before the
     state update, exactly as the encrypted loop schedules it."""
     steps = w1.shape[0]
     if w2 is None:
         w2 = np.zeros((steps, controller.m_w2))
-    x = np.zeros(plant.n)
+    x = np.zeros(plant.n) if x0 is None else np.array(x0, dtype=float)
     xc = np.zeros(controller.nc)
     xc_log = np.zeros((steps + 1, controller.nc))
     u_log = np.zeros((steps, controller.m_u))
@@ -296,20 +303,20 @@ def test_reset_equals_wu_injection_exactly(plant, controller):
     assert np.abs(replay.x_c - xc_log).max() <= 1e-12
 
 
-@pytest.mark.parametrize("with_w2", [False, True],
-                         ids=["w_p2_absent", "w_p2_random"])
-def test_encrypted_reset_tracks_plaintext(plant, controller, scheme, with_w2):
+@W2_AND_X0
+def test_encrypted_reset_tracks_plaintext(plant, controller, scheme, with_w2,
+                                          x0):
     steps, T_reset = 200, 10
     rng = np.random.default_rng(6)
     w1 = rng.standard_normal((steps, plant.m_w1))
     controller, w2 = _controller_noise(with_w2, rng, steps, controller)
     cfg = SimulationConfig(mode=RESET, steps=steps, T_BS=T_reset)
     res = run_closed_loop(plant, controller, cfg, scheme=scheme, w_p1=w1,
-                          w_p2=w2)
+                          w_p2=w2, x0=x0)
     assert res.events == [] and res.violations == 0
 
     xc_log, u_log = _plaintext_reset_recursion(plant, controller, w1,
-                                               T_reset, w2)
+                                               T_reset, w2, x0)
     assert np.abs(res.x_c - xc_log).max() <= 1e-3
     assert np.abs(res.u - u_log).max() <= 1e-3
 
@@ -343,16 +350,17 @@ def test_fir_plaintext_equals_convolution(plant):
         assert abs(res.u[t][0] - (-0.3) * acc) <= 1e-10
 
 
-def test_fir_encrypted_tracks_exact_recursion(plant, scheme):
+@pytest.mark.parametrize("x0", [None, X0], ids=["x0_zero", "x0"])
+def test_fir_encrypted_tracks_exact_recursion(plant, scheme, x0):
     N, lam = 6, 0.4
     ctrl = make_fir_controller(N, lam, [[-0.3]])
     steps = 200
     rng = np.random.default_rng(8)
     w1 = rng.standard_normal((steps, plant.m_w1))
     cfg = SimulationConfig(mode=FIR, steps=steps, fir_length=N)
-    enc = run_closed_loop(plant, ctrl, cfg, scheme=scheme, w_p1=w1)
+    enc = run_closed_loop(plant, ctrl, cfg, scheme=scheme, w_p1=w1, x0=x0)
     ref = run_closed_loop(plant, ctrl, _plain_cfg(steps, fir_length=N),
-                          w_p1=w1)
+                          w_p1=w1, x0=x0)
     assert enc.events == []  # constant depth: no refreshes at all
     assert np.abs(enc.u - ref.u).max() <= 1e-3
     assert np.abs(enc.z_p - ref.z_p).max() <= 1e-3
@@ -461,6 +469,53 @@ def test_empirical_gain_stays_under_certified(plant, controller, scheme,
     assert study.aligned_gain >= 1.5
 
 
+@pytest.mark.parametrize("n_random", [0, 2])
+def test_gain_study_is_its_seeded_runs(plant, controller, scheme, sim_poly,
+                                       n_random):
+    """Random trial k is the run at seed base_seed + 1000 + k on the k-th
+    draw of default_rng(base_seed); the last, aligned trial is the run at
+    seed base_seed + 999_983 on the aligned disturbance scaled to energy
+    steps / 4.  Every GainStudy field equals theirs bitwise."""
+    steps, base_seed = 120, 4
+    cfg = SimulationConfig(mode=ENCRYPTED, steps=steps, T_BS=scheme.L)
+    study = estimate_empirical_gain(plant, controller, cfg, scheme=scheme,
+                                    poly=sim_poly, n_random=n_random,
+                                    base_seed=base_seed)
+
+    rng = np.random.default_rng(base_seed)
+    trials = [(base_seed + 1000 + k, rng.standard_normal((steps, plant.m_w1)))
+              for k in range(n_random)]
+    w = aligned_disturbance(interconnect(plant, controller), steps,
+                            columns=range(plant.m_w1), seed=base_seed)
+    trials.append((base_seed + 999_983, np.sqrt(steps / 4) * w[:, :plant.m_w1]))
+    runs = [run_closed_loop(plant, controller, replace(cfg, seed=seed),
+                            scheme=scheme, poly=sim_poly, w_p1=w1)
+            for seed, w1 in trials]
+    assert study.trial_gains == [res.empirical_gain for res in runs[:-1]]
+    assert study.aligned_gain == runs[-1].empirical_gain
+    assert study.max_gain == max(res.empirical_gain for res in runs)
+    assert study.total_violations == sum(res.violations for res in runs)
+    assert study.total_events == sum(len(res.events) for res in runs) > 0
+    assert study.max_fidelity_ratio == max(res.max_fidelity_ratio
+                                           for res in runs)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("n_random", -1), ("n_random", True), ("n_random", 2.5),
+    ("base_seed", -1), ("base_seed", 1.5), ("base_seed", None),
+])
+def test_gain_study_rejects_bad_counts(plant, controller, scheme, sim_poly,
+                                       monkeypatch, name, bad):
+    """n_random = -1 used to run no trial, True one trial, 2.5 a bare
+    TypeError; a float or negative base_seed failed inside numpy.  Each is
+    a ValueError naming the argument, before any run."""
+    monkeypatch.setattr(simulator, "run_closed_loop", None)
+    cfg = SimulationConfig(mode=ENCRYPTED, steps=30, T_BS=scheme.L)
+    with pytest.raises(ValueError, match=f"^{name} must be (an integer|at least 0)"):
+        estimate_empirical_gain(plant, controller, cfg, scheme=scheme,
+                                poly=sim_poly, **{name: bad})
+
+
 def test_aligned_disturbance_matches_frequency_sweep():
     """On a loop whose uncertainty channel is disconnected (static-update
     controller, Ac = 0), the aligned excitation reproduces the peak of the
@@ -551,15 +606,24 @@ def test_aligned_disturbance_zero_iterations_returns_start(plant, controller):
     assert np.array_equal(w, _unit_start(25, cl.m_wp, seed=3))
 
 
-@pytest.mark.parametrize("columns, steps", [
-    ([0, 0], 30), ([0.7], 30), ([-1], 30), ([7], 30), ([], 30), ([0], 0),
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(columns=[0, 0]), "columns"), (dict(columns=[0.7]), "columns"),
+    (dict(columns=[-1]), "columns"), (dict(columns=[7]), "columns"),
+    (dict(columns=[]), "columns"), (dict(steps=0), "steps"),
+    (dict(iterations=-3), "^iterations must be at least 0"),
+    (dict(iterations=2.5), "^iterations must be an integer"),
+    (dict(seed=-1), "^seed must be at least 0"),
+    (dict(seed=1.5), "^seed must be an integer"),
 ], ids=["duplicate", "float", "negative", "out_of_range", "empty",
-        "no_steps"])
-def test_aligned_disturbance_rejects_bad_input(plant, controller, columns,
-                                               steps):
+        "no_steps", "negative_iterations", "float_iterations",
+        "negative_seed", "float_seed"])
+def test_aligned_disturbance_rejects_bad_input(plant, controller, kwargs,
+                                               match):
+    """iterations = -3 used to return the start vector, and a float or
+    negative seed failed inside numpy without naming it."""
     cl = interconnect(plant, controller)
-    with pytest.raises(ValueError, match="columns|steps"):
-        aligned_disturbance(cl, steps, columns=columns)
+    with pytest.raises(ValueError, match=match):
+        aligned_disturbance(cl, **{"steps": 30, "columns": [0], **kwargs})
 
 
 @pytest.mark.parametrize("steps", [8.0, 2.5, True, "8", None])
