@@ -17,8 +17,10 @@ steps (sec. 11.3) on one term per G_j, -G_j(v) - delta*I + o diag(slope)
 > 0: o = s and slope 1 in phase I, o = g^2 and slope -c_j in phase II.
 bisect_gain's phase I solves only the rows that g^2 does not move, starts
 phase II just above the smallest g^2 at which the phase-I point is
-interior, and raises t for its last centering only as far as the stop
-rule needs.  Each Newton step forms its Hessian on the shared range of a
+interior, and follows the central path predictor-corrector fashion: t
+grows up to 100-fold per centering, which starts from a tangent step
+along the path, and for the last centering only as far as the stop rule
+needs.  Each Newton step forms its Hessian on the shared range of a
 constraint's coefficient matrices, the way DSDP assembles its Newton
 matrix from low-rank data (Benson & Ye, ACM TOMS 34(3), 2008): the
 lifted LMI's coefficients span at most 2 n_xi + n_wu + n_zu dimensions,
@@ -64,6 +66,7 @@ NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 _MAX_NEWTON = 200  # Newton steps per solve before NUMERICAL_FAILURE
 _RADIUS = 1e4  # compactifying bound X <= radius*I, tau <= radius
 _DELTA = 1e-7  # every certified margin, absolute
+_T_STEP = 100.0  # largest factor by which phase II's t grows per centering
 
 
 class UncertifiableError(RuntimeError):
@@ -548,28 +551,32 @@ class _BarrierData:
 def _center(data, z, t, steps, floor=-np.inf):
     """Damped Newton centering of the barrier at t from the interior point z.
 
-    Armijo backtracking on each step; stops when the Newton decrement is
-    below 1e-9, the line search stalls, or the objective z[-1] reaches
-    floor.  Returns (z, decrement, steps), with decrement None when the
-    Newton system is singular or steps reached _MAX_NEWTON first.  A start
-    z that is not interior raises RuntimeError.
+    Armijo backtracking while the Newton decrement exceeds 1/128; stops
+    when it is below 1e-9, the line search stalls, or the objective z[-1]
+    reaches floor.  Returns (z, decrement, steps, H), decrement None when
+    the Newton system is singular or steps reached _MAX_NEWTON first, H the
+    Newton matrix of the last solve (plus 1e-10 I if H alone was singular):
+    the one at the returned z unless floor or the 60-step cap ended on a
+    move.  A start z that is not interior raises RuntimeError.
     """
     mats = data.form(z)
     phi = data.barrier_value(z, t, mats)
     if phi == np.inf:
         raise RuntimeError("the barrier's start point is not interior")
     decrement = np.inf
+    H = None
     for _ in range(60):
         if steps >= _MAX_NEWTON:
-            return z, None, steps
+            return z, None, steps, H
         g, H = data.grad_hess(z, t, mats)
         try:
             dz = -np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
+            H = H + 1e-10 * np.eye(H.shape[0])
             try:
-                dz = -np.linalg.solve(H + 1e-10 * np.eye(H.shape[0]), g)
+                dz = -np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
-                return z, None, steps
+                return z, None, steps, H
         decrement = -0.5 * float(g @ dz)
         steps += 1
         if decrement < 1e-9:
@@ -579,7 +586,11 @@ def _center(data, z, t, steps, floor=-np.inf):
             cand = z + step * dz
             cand_mats = data.form(cand)
             phi_cand = data.barrier_value(cand, t, cand_mats)
-            if phi_cand <= phi + 0.25 * step * float(g @ dz):
+            # At lambda = sqrt(2 decrement) <= (1 - 2 * 0.25) / 4 a self-
+            # concordant barrier passes at step 1 (sec. 9.6.4): only rounding
+            # can fail the test there, so an interior step is taken.
+            if (phi_cand <= phi + 0.25 * step * float(g @ dz)
+                    or (decrement <= 1 / 128 and phi_cand < np.inf)):
                 break
             step *= 0.5
         if step <= 1e-13:
@@ -587,7 +598,7 @@ def _center(data, z, t, steps, floor=-np.inf):
         z, phi, mats = cand, phi_cand, cand_mats
         if z[-1] <= floor:
             break
-    return z, decrement, steps
+    return z, decrement, steps, H
 
 
 def _certificate(problem: LmiProblem, v, iterations: int) -> SdpCertificate:
@@ -605,17 +616,21 @@ def solve_feasibility(problem: LmiProblem) -> SolveOutcome:
     G(v) - _DELTA I, so at s <= 0 every margin is at least _DELTA, the
     absolute margin check_certificate and bisect_gain certify.  The
     strict-positive constraints X > 0 and tau > 0 are kept as hard barrier
-    constraints at level _DELTA, and RuntimeError is raised if X = I, tau =
-    1 violates one.  The search is compactified to X <=
-    _RADIUS*I, tau <= _RADIUS inside the solver, so INFEASIBLE means no
-    certificate exists within that (generous) radius.
+    constraints at level _DELTA, and RuntimeError is raised if no X = 2^k I,
+    2^k <= _RADIUS / 2, with tau = 1 satisfies them.  The search is
+    compactified to X <= _RADIUS*I, tau <= _RADIUS inside the solver, so
+    INFEASIBLE means no certificate exists within that (generous) radius.
     """
     data = _BarrierData(problem)
 
-    # Start from X = I, tau = 1 and s at least 1 above every lambda_max(G) +
-    # _DELTA: each term is -G - _DELTA I at s = 0, with slope 1 on every row.
-    v0 = problem.pack(np.eye(problem.n_x), 1.0 if problem.with_tau else None)
-    z = np.append(v0, 0.0)
+    # Start from the first X = 2^k I, k >= 0, where the slope-free block is
+    # interior, tau = 1, and s at least 1 above every lambda_max(G) + _DELTA:
+    # each term is -G - _DELTA I at s = 0, with slope 1 on every row.
+    for k in range(int(np.log2(_RADIUS / 2)) + 1):
+        z = np.append(problem.pack(2.0 ** k * np.eye(problem.n_x),
+                                   1.0 if problem.with_tau else None), 0.0)
+        if _strictly_positive(data.form(z)[-1]):
+            break
     z[-1] = max(_gain_floor(data, z), 0.0) + 1.0
     nu = data.n_barrier
     t = 1.0
@@ -623,7 +638,7 @@ def solve_feasibility(problem: LmiProblem) -> SolveOutcome:
     while True:
         # Centering stops once s <= -0.5 _DELTA (G <= -1.5 _DELTA I) witnesses
         # strict feasibility: s is unbounded below on homogeneous problems.
-        z, decrement, steps = _center(data, z, t, steps, floor=-0.5 * _DELTA)
+        z, decrement, steps, _ = _center(data, z, t, steps, floor=-0.5 * _DELTA)
         if decrement is None:
             return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
         s_cur = float(z[-1])
@@ -659,9 +674,12 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
     max(g^2_min(v), 0) + 1 with t = nu / g^2, where g^2_min(v) is the
     smallest g^2 at which v is interior (_gain_floor).  It stops at a
     centered point once the gain is within tol of the duality-gap bound
-    sqrt(g^2 - nu/t); between centerings t grows by at most 20 and, once
-    the bound is near, only to 1.5 times the t at which the gap nu/t would
-    meet g^2 - (g - tol)^2.  Returns (gain, certificate): sqrt(g^2)
+    sqrt(g^2 - nu/t); between centerings t grows by at most _T_STEP and,
+    once the bound is near, only to 1.5 times the t at which the gap nu/t
+    would meet g^2 - (g - tol)^2.  The next centering starts from the
+    central path's tangent in 1/t, dz/d(1/t) = t^2 H^-1 e_g2 with H the
+    centre's Newton matrix: z - (t' - t)(t/t') H^-1 e_g2, halved down to
+    2^-9 until interior, else z itself.  Returns (gain, certificate): sqrt(g^2)
     rounded up, with a margin of at least _DELTA checked on problem with
     each const + gain^2 diag(slope).  tol must be finite and positive, and
     there must be one slope per constraint, each strict-negative one a
@@ -708,7 +726,7 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
     t = nu / z[-1]  # a duality gap the size of the starting objective
     steps = 0
     while True:
-        z, decrement, steps = _center(data, z, t, steps)
+        z, decrement, steps, H = _center(data, z, t, steps)
         if decrement is None or decrement >= 1e-6:
             raise RuntimeError(f"phase II failed after {steps} Newton steps")
         gain_sq = float(z[-1])
@@ -716,7 +734,13 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
         if gain - np.sqrt(max(0.0, gain_sq - nu / t)) <= tol:
             break
         # The bound meets tol once nu/t <= g^2 - (g - tol)^2 = tol (2g - tol).
-        t = min(20.0 * t, max(2.0 * t, 1.5 * nu / (tol * (2.0 * gain - tol))))
+        t_next = min(_T_STEP * t, max(2.0 * t, 1.5 * nu / (tol * (2.0 * gain - tol))))
+        dz = -(t_next - t) * (t / t_next) * np.linalg.solve(H, np.eye(len(z))[-1])
+        for frac in 0.5 ** np.arange(10):
+            if data.barrier_value(z + frac * dz, t_next) < np.inf:
+                z = z + frac * dz
+                break
+        t = t_next
     at_gain = replace(problem, constraints=[
         con if slope is None
         else replace(con, const=con.const + gain * gain * np.diag(slope))

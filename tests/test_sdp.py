@@ -364,6 +364,31 @@ def test_handed_over_matrices_give_bitwise_the_same_step(barrier_case):
     assert len(handed) > 1 and all(handed)
 
 
+def test_phase_two_centering_hands_its_newton_matrix_to_the_tangent_step(barrier_case):
+    """Every phase-II centering returns bitwise grad_hess's H at the point
+    it returns, the matrix the tangent step solves with, and each one after
+    the first starts where that step went: below the previous centre's g^2."""
+    _, _, _, _, (base, slopes, _, _) = barrier_case
+    calls = []
+    center = sdp._center
+
+    def recording(data, z, t, steps, floor=-np.inf):
+        out = center(data, z, t, steps, floor)
+        calls.append((data, z, t, floor, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "_center", recording)
+        bisect_gain(base, [slope if con.sense == "neg" else None
+                           for con, slope in zip(base.constraints, slopes)])
+    phase_two = [call for call in calls if call[3] == -np.inf]
+    assert len(phase_two) >= 3
+    for data, _, t, _, (z, _, _, H) in phase_two:
+        assert np.array_equal(H, data.grad_hess(z, t)[1])
+    for (*_, (end, _, _, _)), (_, start, *_) in zip(phase_two, phase_two[1:]):
+        assert start[-1] < end[-1]
+
+
 # --------------------------------------------------------------------------
 # constraint and problem validation
 
@@ -465,6 +490,26 @@ def test_thin_band_is_feasible_at_the_absolute_margin(a, band):
     assert out.status == FEASIBLE
     assert out.certificate.margin_achieved >= sdp._DELTA
     assert abs(out.certificate.X[0, 0] - (a + band / 2)) <= band / 2 - sdp._DELTA
+
+
+def test_phase_one_starts_at_the_first_interior_power_of_two():
+    """X - 2 I > 0 excludes the start X = I, so phase I starts from a larger
+    X = 2^k I and finds the Lyapunov LMI feasible with margin delta on X -
+    2 I as well.  X - _RADIUS I > 0 has no start 2^k <= _RADIUS / 2 and
+    raises."""
+    lyap = lyapunov_problem(np.array([[0.5, 0.3], [0.0, 0.4]]))
+
+    def above(c):
+        x_above = LmiConstraint(const=-c * np.eye(2), coeffs=np.stack(sym_basis(2)),
+                                sense="pos", name="X_above")
+        return replace(lyap, constraints=lyap.constraints + (x_above,))
+
+    out = solve_feasibility(above(2.0))
+    assert out.status == FEASIBLE
+    assert check_certificate(above(2.0), out.certificate) >= DELTA
+    assert np.linalg.eigvalsh(out.certificate.X)[0] >= 2.0 + DELTA
+    with pytest.raises(RuntimeError, match="start point is not interior"):
+        solve_feasibility(above(_RADIUS))
 
 
 def test_scalar_unstable_system_is_infeasible():
@@ -655,7 +700,7 @@ def test_gain_search_checks_its_slopes_before_phase_one(phase_one_calls, slopes,
 
 
 def test_gain_search_raises_when_phase_two_runs_out_of_steps(monkeypatch):
-    """Phase I needs 1 Newton step here and phase II 25: with a cap of 12
+    """Phase I needs 1 Newton step here and phase II 17: with a cap of 12
     per phase no gain is returned."""
     monkeypatch.setattr(sdp, "_MAX_NEWTON", 12)
     with pytest.raises(RuntimeError, match="phase II failed"):
