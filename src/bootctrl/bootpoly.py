@@ -23,7 +23,6 @@ the sign of an exact zero, and verify's abs makes gamma bitwise equal.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, replace
 
@@ -31,7 +30,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .lp import LpError, solve_lp
-from .statespace import check_count
+from .statespace import check_count, check_object, read_json, write_json
 
 __all__ = [
     "BootstrapSpec",
@@ -256,20 +255,12 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
     Sampling uses Chebyshev-Lobatto nodes (an even count, so m = 0 is
     excluded; that case is enforced structurally through the root
     conditions p(r q) = 0).  The stored gamma comes from verify(), not
-    from the LP objective.  Both sample counts must be integers, and
-    verify_samples_per_interval at least 1e5, or ValueError is raised
-    before the LP runs.
+    from the LP objective.  Both sample counts must be integers,
+    samples_per_interval at least 2(d + 1) and verify_samples_per_interval
+    at least 1e5, or ValueError is raised before the LP runs.
     """
-    check_count(samples_per_interval, "samples_per_interval")
-    check_count(verify_samples_per_interval, "verify_samples_per_interval")
-    if verify_samples_per_interval < 10**5:
-        raise ValueError("verify_samples_per_interval must be at least 1e5, "
-                         f"got {verify_samples_per_interval}")
-    if samples_per_interval < 2 * (spec.d + 1):
-        raise ValueError(
-            f"samples_per_interval must be at least 2(d+1) = {2 * (spec.d + 1)}"
-        )
-    M = int(samples_per_interval)
+    M = check_count(samples_per_interval, "samples_per_interval", 2 * (spec.d + 1))
+    check_count(verify_samples_per_interval, "verify_samples_per_interval", 10**5)
     if M % 2 == 1:
         M += 1
     half_msg = spec.epsilon * spec.q / 2
@@ -351,9 +342,7 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     formula's.  A non-finite root or error (overflow in the recurrence)
     returns inf, without a warning, so fit() rejects it.
     """
-    check_count(samples, "samples")
-    if samples < 10**5:
-        raise ValueError(f"verification needs at least 1e5 samples per interval, got {samples}")
+    check_count(samples, "samples", 10**5)
     spec = poly.spec
     half_msg = spec.epsilon * spec.q / 2
     rng = np.random.default_rng(20_240_501)
@@ -410,8 +399,7 @@ def _json_float(value, name):
 
 
 def poly_from_json(data: dict) -> BootstrapPolynomial:
-    if not isinstance(data, dict):
-        raise ValueError(f"poly JSON must be an object, got {type(data).__name__}")
+    check_object(data, "poly", ())
     spec_data = data.get("spec", {})
     if not isinstance(spec_data, dict):
         raise ValueError("poly JSON field spec must be an object")
@@ -448,11 +436,8 @@ def poly_from_json(data: dict) -> BootstrapPolynomial:
 
 
 def save_poly(path, poly: BootstrapPolynomial):
-    with open(path, "w") as fh:
-        json.dump(poly_to_json(poly), fh, indent=2)
-        fh.write("\n")
+    write_json(path, poly_to_json(poly))
 
 
 def load_poly(path) -> BootstrapPolynomial:
-    with open(path) as fh:
-        return poly_from_json(json.load(fh))
+    return poly_from_json(read_json(path))

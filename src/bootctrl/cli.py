@@ -2,7 +2,8 @@
 
 Exit-code discipline: 0 means the command ran and produced a verdict
 (including NOT_CERTIFIED); nonzero means tool or input failure (2 for an
-unreadable or malformed --system, --scheme or --poly file).  The one
+unreadable or malformed --system, --scheme or --poly file, or an output
+that cannot be written).  The one
 quantitative exception is `lift-check`, whose job is the check itself:
 a deviation above threshold exits nonzero.
 
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,9 @@ from .analysis import THEOREM_1, THEOREM_2, analyze_l2_gain
 from .bootpoly import (BootstrapSpec, FitError, centered_mod, evaluate, fit,
                        load_poly, save_poly)
 from .crypto_sim import SchemeError, load_scheme
-from .fixtures import demo_scheme_path, demo_system_path
+from .fixtures import demo_scheme, demo_system
 from .simulator import SimulationConfig, run_closed_loop
-from .statespace import interconnect, lift, load_system, simulate
+from .statespace import check_count, interconnect, lift, load_system, simulate, write_json
 
 __all__ = ["main"]
 
@@ -44,6 +45,20 @@ def _out_dir(args) -> Path:
     return path
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError while writing path into an _InputError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path, data):
+    with _writing(path):
+        write_json(path, data)
+
+
 def _write_manifest(out_dir: Path, command: str, args, outputs):
     params = {
         k: v for k, v in vars(args).items() if k != "func" and not callable(v)
@@ -55,15 +70,14 @@ def _write_manifest(out_dir: Path, command: str, args, outputs):
         "outputs": [str(p) for p in outputs],
     }
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
 
 
 class _InputError(Exception):
-    """An input file that cannot be read or parsed, or an output directory
-    that cannot be made; main exits with 2."""
+    """An input file that cannot be read or parsed, an output directory
+    that cannot be made or an output file that cannot be written; main
+    exits with 2."""
 
 
 def _load(loader, flag, path):
@@ -73,15 +87,10 @@ def _load(loader, flag, path):
         raise _InputError(f"cannot load {flag} {path}: {exc}") from exc
 
 
-def _load_demo_system():
-    with demo_system_path() as path:
-        return load_system(path)
-
-
 def _resolve_system(args):
     if args.system:
         return _load(load_system, "--system", args.system)
-    return _load_demo_system()
+    return demo_system()
 
 
 def cmd_fit_poly(args) -> int:
@@ -98,7 +107,8 @@ def cmd_fit_poly(args) -> int:
         print(f"fit aborted: {exc}", file=sys.stderr)
         return 1
     out_path = out_dir / args.out
-    save_poly(out_path, poly)
+    with _writing(out_path):
+        save_poly(out_path, poly)
     outputs = [out_path]
     if args.csv:
         csv_path = out_dir / args.csv
@@ -107,7 +117,7 @@ def cmd_fit_poly(args) -> int:
         target = centered_mod(grid, poly.spec.q)
         rel = np.full_like(grid, np.nan)
         np.divide(np.abs(pm - target), np.abs(target), out=rel, where=target != 0)
-        with open(csv_path, "w", newline="") as fh:
+        with _writing(csv_path), open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["m", "p_of_m", "m_mod_q", "relative_error"])
             # Python floats, which csv writes by repr: round-trip text
@@ -151,9 +161,7 @@ def cmd_analyze(args) -> int:
         print(f"analysis aborted: {exc}", file=sys.stderr)
         return 1
     out_path = out_dir / args.out
-    with open(out_path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out_path, report.to_json())
     outputs = [out_path]
 
     slope = f"sector slope {report.gamma_sector:.4f}"
@@ -172,7 +180,8 @@ def cmd_analyze(args) -> int:
         if report.method == THEOREM_2 and report.T_BS > 1:
             lines.append(_report_row("lifted", report))
         md_path = out_dir / "analysis_report.md"
-        md_path.write_text("\n".join(lines) + "\n")
+        with _writing(md_path):
+            md_path.write_text("\n".join(lines) + "\n")
         outputs.append(md_path)
         print("\n".join(lines))
     outputs.append(_write_manifest(out_dir, "analyze", args, outputs))
@@ -188,11 +197,7 @@ def _report_row(label, report):
 def cmd_simulate(args) -> int:
     out_dir = _out_dir(args)
     plant, controller = _resolve_system(args)
-    if args.scheme:
-        scheme = _load(load_scheme, "--scheme", args.scheme)
-    else:
-        with demo_scheme_path() as path:
-            scheme = load_scheme(path)
+    scheme = _load(load_scheme, "--scheme", args.scheme) if args.scheme else demo_scheme()
     poly = None
     if args.mode == "encrypted":
         if not args.poly:
@@ -231,14 +236,12 @@ def cmd_simulate(args) -> int:
         "max_fidelity_ratio": res.max_fidelity_ratio,
     }
     out_path = out_dir / args.out
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_path, result)
     outputs = [out_path]
 
     traj_path = out_dir / "trajectory.csv"
     n, nc = plant.n, controller.nc
-    with open(traj_path, "w", newline="") as fh:
+    with _writing(traj_path), open(traj_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t"]
@@ -256,7 +259,7 @@ def cmd_simulate(args) -> int:
 
     if res.events:
         ev_path = out_dir / "refresh_events.csv"
-        with open(ev_path, "w", newline="") as fh:
+        with _writing(ev_path), open(ev_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "r", "m_plus_e", "output", "poly_error",
                              "relative_error", "violation"])
@@ -276,7 +279,8 @@ def cmd_simulate(args) -> int:
             f"| sector violations | {res.violations} |",
         ]
         md_path = out_dir / "simulation_report.md"
-        md_path.write_text("\n".join(md) + "\n")
+        with _writing(md_path):
+            md_path.write_text("\n".join(md) + "\n")
         outputs.append(md_path)
         print("\n".join(md))
     outputs.append(_write_manifest(out_dir, "simulate", args, outputs))
@@ -287,32 +291,28 @@ def cmd_lift_check(args) -> int:
     out_dir = _out_dir(args)
     plant, controller = _resolve_system(args)
     cl = interconnect(plant, controller)
-    if args.trials < 1:
-        print("lift-check aborted: trials must be at least 1", file=sys.stderr)
-        return 1
     try:
+        trials = check_count(args.trials, "trials", 1)
+        rng = np.random.default_rng(check_count(args.seed, "seed", 0))
         lifted = lift(cl, args.tbs)
     except ValueError as exc:
         print(f"lift-check aborted: {exc}", file=sys.stderr)
         return 1
-    rng = np.random.default_rng(args.seed)
     worst = 0.0
-    for _ in range(args.trials):
+    for _ in range(trials):
         x0 = rng.standard_normal(cl.n_xi)
         w_p = rng.standard_normal((args.tbs, cl.m_wp))
         w_u = np.zeros((args.tbs, cl.n_wu))
         w_u[0] = rng.standard_normal(cl.n_wu)
         xi, z_p, z_u = simulate(cl, x0, w_p, w_u, steps=args.tbs)
-        wtil = w_p.reshape(-1)
-        xi_T = lifted.Acl @ x0 + lifted.Bp @ wtil + lifted.Bu @ w_u[0]
-        ztil = lifted.Cp @ x0 + lifted.Dpp @ wtil + lifted.Dpu @ w_u[0]
-        zu = lifted.Cu @ x0 + lifted.Dup @ wtil + lifted.Duu @ w_u[0]
+        # one step of the lifted loop
+        xi_T, ztil, zu = simulate(lifted, x0, w_p.reshape(1, -1), w_u[:1], 1)
         scale = max(1.0, np.abs(xi).max(), np.abs(z_p).max())
         worst = max(
             worst,
-            np.abs(xi_T - xi[args.tbs]).max() / scale,
-            np.abs(ztil - z_p.reshape(-1)).max() / scale,
-            np.abs(zu - z_u[0]).max() / scale,
+            np.abs(xi_T[1] - xi[args.tbs]).max() / scale,
+            np.abs(ztil[0] - z_p.reshape(-1)).max() / scale,
+            np.abs(zu[0] - z_u[0]).max() / scale,
         )
     print(f"max relative deviation between lifted map and {args.tbs}-step "
           f"recursion over {args.trials} trials: {worst:.3e}")

@@ -32,13 +32,12 @@ polynomial applied to the raw phase b + <a, s> over the integers.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, fields
 
 from .bootpoly import BootstrapPolynomial
-from .statespace import check_count
+from .statespace import check_count, check_object, read_json, write_json
 
 __all__ = [
     "SchemeParams",
@@ -125,14 +124,13 @@ class SchemeParams:
     hamming_weight: int = 4
 
     def __post_init__(self):
+        low = {"n": 1, "q0": 2, "c": 2, "L": 0, "noise_bound": 0, "hamming_weight": 1}
         for f in fields(self):
-            object.__setattr__(self, f.name, check_count(getattr(self, f.name), f.name))
-        if self.n < 1 or self.q0 < 2 or self.c < 2 or self.L < 0:
-            raise ValueError("invalid scheme parameters")
-        if not 0 < self.hamming_weight <= self.n:
-            raise ValueError("hamming_weight must be in 1..n")
-        if self.noise_bound < 0:
-            raise ValueError("noise_bound must be nonnegative")
+            object.__setattr__(self, f.name, check_count(getattr(self, f.name), f.name,
+                                                         low.get(f.name)))
+        if self.hamming_weight > self.n:
+            raise ValueError(f"hamming_weight must be at most n = {self.n}, "
+                             f"got {self.hamming_weight}")
         # not a field: equality, repr and JSON see only the parameters
         object.__setattr__(self, "_moduli",
                            tuple(self.q0 * self.c ** ell for ell in range(self.L + 1)))
@@ -458,34 +456,19 @@ def bootstrap_emulated(keys: Keys, ct: Ciphertext,
 
 
 def scheme_to_json(params: SchemeParams) -> dict:
-    return {
-        "n": params.n,
-        "q0": params.q0,
-        "c": params.c,
-        "L": params.L,
-        "noise_bound": params.noise_bound,
-        "seed": params.seed,
-        "hamming_weight": params.hamming_weight,
-    }
+    return {f.name: getattr(params, f.name) for f in fields(params)}
 
 
 def scheme_from_json(data: dict) -> SchemeParams:
-    if not isinstance(data, dict):
-        raise ValueError(f"scheme JSON must be an object, got {type(data).__name__}")
-    required = ("n", "q0", "c", "L", "noise_bound", "seed")
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise ValueError(f"scheme JSON is missing fields: {', '.join(missing)}")
-    kwargs = {k: data[k] for k in required + ("hamming_weight",) if k in data}
-    return SchemeParams(**kwargs)
+    """SchemeParams from its JSON object; hamming_weight may be left out."""
+    check_object(data, "scheme", ("n", "q0", "c", "L", "noise_bound", "seed"))
+    return SchemeParams(**{f.name: data[f.name] for f in fields(SchemeParams)
+                           if f.name in data})
 
 
 def save_scheme(path, params: SchemeParams):
-    with open(path, "w") as fh:
-        json.dump(scheme_to_json(params), fh, indent=2)
-        fh.write("\n")
+    write_json(path, scheme_to_json(params))
 
 
 def load_scheme(path) -> SchemeParams:
-    with open(path) as fh:
-        return scheme_from_json(json.load(fh))
+    return scheme_from_json(read_json(path))

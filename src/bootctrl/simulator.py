@@ -84,14 +84,11 @@ class SimulationConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for name in ("steps", "T_BS", "fir_length", "seed"):
-            check_count(getattr(self, name), name)
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if self.mode in (ENCRYPTED, RESET) and self.T_BS < 1:
-            raise ValueError("T_BS must be positive")
-        if self.mode == FIR and self.fir_length < 1:
-            raise ValueError("FIR mode needs fir_length >= 1")
+        for name, low in (("steps", 1),
+                          ("T_BS", 1 if self.mode in (ENCRYPTED, RESET) else None),
+                          ("fir_length", 1 if self.mode == FIR else None),
+                          ("seed", 0)):
+            check_count(getattr(self, name), name, low)
 
 
 @dataclass
@@ -123,13 +120,6 @@ def _empirical_gain(z_p, w_p):
     if den == 0.0:
         return 0.0
     return np.sqrt(num / den)
-
-
-def _at_least(value, name, low):
-    value = check_count(value, name)
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-    return value
 
 
 def _as_signal(arr, steps, width, name):
@@ -334,9 +324,9 @@ def aligned_disturbance(cl: ClosedLoop, steps: int, columns=None,
                            for c in cols) or len(set(cols)) < len(cols):
         raise ValueError(f"columns must be distinct integers in 0..{cl.m_wp - 1}, "
                          f"got {columns!r}")
-    steps = _at_least(steps, "steps", 1)
-    iterations = _at_least(iterations, "iterations", 0)
-    rng = np.random.default_rng(_at_least(seed, "seed", 0))
+    steps = check_count(steps, "steps", 1)
+    iterations = check_count(iterations, "iterations", 0)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     H = np.empty((steps, cl.p_z, len(cols)))
     for j, col in enumerate(cols):
         pulse = np.zeros((steps, cl.m_wp))
@@ -394,8 +384,8 @@ def estimate_empirical_gain(plant: Plant, controller: Controller,
     disturbance columns.  Each trial's disturbance is made just before its
     run, and only its summary is kept.
     """
-    n_random = _at_least(n_random, "n_random", 0)
-    base_seed = _at_least(base_seed, "base_seed", 0)
+    n_random = check_count(n_random, "n_random", 0)
+    base_seed = check_count(base_seed, "base_seed", 0)
 
     def trials():
         rng = np.random.default_rng(base_seed)

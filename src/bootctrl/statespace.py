@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "check_count",
+    "check_object",
+    "read_json",
+    "write_json",
     "Plant",
     "Controller",
     "ClosedLoop",
@@ -31,11 +34,37 @@ __all__ = [
 ]
 
 
-def check_count(value, name):
-    """int(value), or ValueError naming the argument unless it is an integer (not a bool)."""
+def check_count(value, name, low=None):
+    """int(value), or ValueError naming the argument unless it is an integer
+    (not a bool) and, when low is given, at least low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def check_object(data, what, required):
+    """data, or ValueError unless it is a JSON object holding every required key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise ValueError(f"{what} JSON is missing fields: {', '.join(missing)}")
+    return data
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, data):
+    """data as JSON at path: indent 2 and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def as_matrix(value, name="matrix"):
@@ -51,20 +80,30 @@ def as_matrix(value, name="matrix"):
     return arr
 
 
-def _freeze(obj):
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, np.ndarray):
-            v.setflags(write=False)
+class _Matrices:
+    """Base of the frozen matrix records.
 
+    __post_init__ coerces each field with as_matrix, checks its shape
+    against the record's _DIMS table of (row, column) dimension names and
+    makes it read-only.  The first field that names a dimension fixes its
+    size.
+    """
 
-def _check(cond, pair, detail):
-    if not cond:
-        raise ValueError(f"incompatible dimensions between {pair}: {detail}")
+    def __post_init__(self):
+        sizes = {}
+        for name, dims in self._DIMS.items():
+            arr = as_matrix(getattr(self, name), name)
+            for dim, size, side in zip(dims, arr.shape, ("rows", "columns")):
+                want = sizes.setdefault(dim, size)
+                if size != want:
+                    raise ValueError(f"incompatible dimensions: {name} has {size} "
+                                     f"{side}, but {dim} = {want}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
-class Plant:
+class Plant(_Matrices):
     """Discrete-time LTI plant with measurement and performance channels.
 
     x(t+1) = A x + B u + B1 w_p1
@@ -81,19 +120,9 @@ class Plant:
     E: np.ndarray
     D1: np.ndarray
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_matrix(getattr(self, f.name), f.name))
-        n, m_u, m_w1, p_y, p_z = self.n, self.m_u, self.m_w1, self.p_y, self.p_z
-        _check(self.A.shape == (n, n), "A/A", "state matrix must be square")
-        _check(self.B.shape == (n, m_u), "A/B", f"B must have {n} rows")
-        _check(self.B1.shape == (n, m_w1), "A/B1", f"B1 must have {n} rows")
-        _check(self.C.shape == (p_y, n), "C/A", f"C must have {n} columns")
-        _check(self.F1.shape == (p_y, m_w1), "F1/(C,B1)", f"F1 must be {p_y}x{m_w1}")
-        _check(self.C1.shape == (p_z, n), "C1/A", f"C1 must have {n} columns")
-        _check(self.E.shape == (p_z, m_u), "E/(C1,B)", f"E must be {p_z}x{m_u}")
-        _check(self.D1.shape == (p_z, m_w1), "D1/(C1,B1)", f"D1 must be {p_z}x{m_w1}")
-        _freeze(self)
+    _DIMS = {"A": ("n", "n"), "B": ("n", "m_u"), "B1": ("n", "m_w1"),
+             "C": ("p_y", "n"), "F1": ("p_y", "m_w1"), "C1": ("p_z", "n"),
+             "E": ("p_z", "m_u"), "D1": ("p_z", "m_w1")}
 
     @property
     def n(self):
@@ -117,7 +146,7 @@ class Plant:
 
 
 @dataclass(frozen=True)
-class Controller:
+class Controller(_Matrices):
     """Dynamic output-feedback controller with an uncertainty channel.
 
     x_c(t+1) = Ac x_c + Bc y + B2 w_p2 + Ac w_u
@@ -135,17 +164,8 @@ class Controller:
     Dc: np.ndarray
     F2: np.ndarray
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_matrix(getattr(self, f.name), f.name))
-        nc, p_y, m_w2, m_u = self.nc, self.p_y, self.m_w2, self.m_u
-        _check(self.Ac.shape == (nc, nc), "Ac/Ac", "state matrix must be square")
-        _check(self.Bc.shape == (nc, p_y), "Ac/Bc", f"Bc must have {nc} rows")
-        _check(self.B2.shape == (nc, m_w2), "Ac/B2", f"B2 must have {nc} rows")
-        _check(self.Cc.shape == (m_u, nc), "Cc/Ac", f"Cc must have {nc} columns")
-        _check(self.Dc.shape == (m_u, p_y), "Dc/(Cc,Bc)", f"Dc must be {m_u}x{p_y}")
-        _check(self.F2.shape == (m_u, m_w2), "F2/(Cc,B2)", f"F2 must be {m_u}x{m_w2}")
-        _freeze(self)
+    _DIMS = {"Ac": ("nc", "nc"), "Bc": ("nc", "p_y"), "B2": ("nc", "m_w2"),
+             "Cc": ("m_u", "nc"), "Dc": ("m_u", "p_y"), "F2": ("m_u", "m_w2")}
 
     @property
     def nc(self):
@@ -165,7 +185,7 @@ class Controller:
 
 
 @dataclass(frozen=True)
-class ClosedLoop:
+class ClosedLoop(_Matrices):
     """Interconnection of plant and controller with joint state xi = (x, x_c).
 
     ( xi(t+1) )   ( Acl | Bp  | Bu  ) ( xi(t)  )
@@ -183,21 +203,9 @@ class ClosedLoop:
     Dup: np.ndarray
     Duu: np.ndarray
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_matrix(getattr(self, f.name), f.name))
-        nxi, m_wp, n_wu = self.n_xi, self.m_wp, self.n_wu
-        p_z, n_zu = self.p_z, self.n_zu
-        _check(self.Acl.shape == (nxi, nxi), "Acl/Acl", "state matrix must be square")
-        _check(self.Bp.shape == (nxi, m_wp), "Acl/Bp", f"Bp must have {nxi} rows")
-        _check(self.Bu.shape == (nxi, n_wu), "Acl/Bu", f"Bu must have {nxi} rows")
-        _check(self.Cp.shape == (p_z, nxi), "Cp/Acl", f"Cp must have {nxi} columns")
-        _check(self.Dpp.shape == (p_z, m_wp), "Dpp/(Cp,Bp)", f"Dpp must be {p_z}x{m_wp}")
-        _check(self.Dpu.shape == (p_z, n_wu), "Dpu/(Cp,Bu)", f"Dpu must be {p_z}x{n_wu}")
-        _check(self.Cu.shape == (n_zu, nxi), "Cu/Acl", f"Cu must have {nxi} columns")
-        _check(self.Dup.shape == (n_zu, m_wp), "Dup/(Cu,Bp)", f"Dup must be {n_zu}x{m_wp}")
-        _check(self.Duu.shape == (n_zu, n_wu), "Duu/(Cu,Bu)", f"Duu must be {n_zu}x{n_wu}")
-        _freeze(self)
+    _DIMS = {"Acl": ("n_xi", "n_xi"), "Bp": ("n_xi", "m_wp"), "Bu": ("n_xi", "n_wu"),
+             "Cp": ("p_z", "n_xi"), "Dpp": ("p_z", "m_wp"), "Dpu": ("p_z", "n_wu"),
+             "Cu": ("n_zu", "n_xi"), "Dup": ("n_zu", "m_wp"), "Duu": ("n_zu", "n_wu")}
 
     @property
     def n_xi(self):
@@ -221,7 +229,7 @@ class ClosedLoop:
 
 
 @dataclass(frozen=True)
-class PerformanceIndex:
+class PerformanceIndex(_Matrices):
     """Quadratic performance index P_p = [[Qp, Sp], [Sp^T, Rp]].
 
     Rp must be positive semidefinite; this is a hypothesis of both
@@ -232,18 +240,14 @@ class PerformanceIndex:
     Sp: np.ndarray
     Rp: np.ndarray
 
+    _DIMS = {"Qp": ("m_wp", "m_wp"), "Sp": ("m_wp", "p_z"), "Rp": ("p_z", "p_z")}
+
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_matrix(getattr(self, f.name), f.name))
-        m, p = self.m_wp, self.p_z
-        _check(self.Qp.shape == (m, m), "Qp/Qp", "Qp must be square")
-        _check(self.Rp.shape == (p, p), "Rp/Rp", "Rp must be square")
-        _check(self.Sp.shape == (m, p), "Sp/(Qp,Rp)", f"Sp must be {m}x{p}")
+        super().__post_init__()
         if not np.allclose(self.Qp, self.Qp.T, atol=1e-12):
             raise ValueError("Qp must be symmetric")
         if not np.allclose(self.Rp, self.Rp.T, atol=1e-12):
             raise ValueError("Rp must be symmetric")
-        _freeze(self)
 
     @property
     def m_wp(self):
@@ -260,16 +264,12 @@ class PerformanceIndex:
 
 def interconnect(plant: Plant, controller: Controller) -> ClosedLoop:
     """Build the closed loop from plant and controller block matrices."""
-    _check(
-        plant.m_u == controller.m_u,
-        "plant.B/controller.Cc",
-        f"plant expects {plant.m_u} inputs, controller produces {controller.m_u}",
-    )
-    _check(
-        plant.p_y == controller.p_y,
-        "plant.C/controller.Bc",
-        f"plant produces {plant.p_y} outputs, controller expects {controller.p_y}",
-    )
+    if plant.m_u != controller.m_u:
+        raise ValueError(f"incompatible dimensions: plant expects {plant.m_u} "
+                         f"inputs, controller produces {controller.m_u}")
+    if plant.p_y != controller.p_y:
+        raise ValueError(f"incompatible dimensions: plant produces {plant.p_y} "
+                         f"outputs, controller expects {controller.p_y}")
     A, B, B1, C = plant.A, plant.B, plant.B1, plant.C
     F1, C1, E, D1 = plant.F1, plant.C1, plant.E, plant.D1
     Ac, Bc, B2 = controller.Ac, controller.Bc, controller.B2
@@ -297,9 +297,7 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
     multiplication and each Cp A^k once, for Cpt and the blocks (Cp A^k) Bp
     of Dppt and (Cp A^k) Bu of Dput: O(T_BS) products, not O(T_BS^2).
     """
-    T = check_count(T_BS, "T_BS")
-    if T < 1:
-        raise ValueError(f"T_BS must be a positive integer, got {T_BS}")
+    T = check_count(T_BS, "T_BS", 1)
     A, Bp, Bu = cl.Acl, cl.Bp, cl.Bu
     Cp, Dpp = cl.Cp, cl.Dpp
     p_z, m_wp = cl.p_z, cl.m_wp
@@ -339,9 +337,7 @@ def lift(cl: ClosedLoop, T_BS: int) -> ClosedLoop:
 
 def lift_performance(perf: PerformanceIndex, T_BS: int) -> PerformanceIndex:
     """Lift the performance index blockwise: each block becomes I_T kron block."""
-    T = check_count(T_BS, "T_BS")
-    if T < 1:
-        raise ValueError(f"T_BS must be a positive integer, got {T_BS}")
+    T = check_count(T_BS, "T_BS", 1)
     eye = np.eye(T)
     return PerformanceIndex(
         Qp=np.kron(eye, perf.Qp),
@@ -358,8 +354,7 @@ def simulate(sys, x0, w_p, w_u, steps):
     The input terms of all three rows are formed in one product up front,
     so each step is a single product with the stacked [Acl; Cp; Cu].
     """
-    if check_count(steps, "steps") < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = check_count(steps, "steps", 0)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n_xi:
         raise ValueError(
@@ -387,40 +382,23 @@ def simulate(sys, x0, w_p, w_u, steps):
     return xi, drive[:, n:n + p_z], drive[:, n + p_z:]
 
 
-_PLANT_FIELDS = ("A", "B", "B1", "C", "F1", "C1", "E", "D1")
-_CONTROLLER_FIELDS = ("Ac", "Bc", "B2", "Cc", "Dc", "F2")
-
-
 def system_to_json(plant: Plant, controller: Controller) -> dict:
     """Serialize plant and controller into one JSON object with named fields."""
-    out = {}
-    for name in _PLANT_FIELDS:
-        out[name] = getattr(plant, name).tolist()
-    for name in _CONTROLLER_FIELDS:
-        out[name] = getattr(controller, name).tolist()
-    return out
+    return {name: getattr(rec, name).tolist()
+            for rec in (plant, controller) for name in rec._DIMS}
 
 
 def system_from_json(data: dict):
     """Rebuild (plant, controller) from the JSON object written by system_to_json."""
-    if not isinstance(data, dict):
-        raise ValueError(f"system JSON must be an object, got {type(data).__name__}")
-    missing = [
-        k for k in _PLANT_FIELDS + _CONTROLLER_FIELDS if k not in data
-    ]
-    if missing:
-        raise ValueError(f"system JSON is missing fields: {', '.join(missing)}")
-    plant = Plant(**{k: data[k] for k in _PLANT_FIELDS})
-    controller = Controller(**{k: data[k] for k in _CONTROLLER_FIELDS})
+    check_object(data, "system", [*Plant._DIMS, *Controller._DIMS])
+    plant = Plant(**{k: data[k] for k in Plant._DIMS})
+    controller = Controller(**{k: data[k] for k in Controller._DIMS})
     return plant, controller
 
 
 def save_system(path, plant: Plant, controller: Controller):
-    with open(path, "w") as fh:
-        json.dump(system_to_json(plant, controller), fh, indent=2)
-        fh.write("\n")
+    write_json(path, system_to_json(plant, controller))
 
 
 def load_system(path):
-    with open(path) as fh:
-        return system_from_json(json.load(fh))
+    return system_from_json(read_json(path))

@@ -75,6 +75,12 @@ def test_asymmetric_sector_matches_expansion():
 def test_sector_validation():
     with pytest.raises(ValueError, match="square"):
         SectorBound(L_lower=np.zeros((2, 3)), L_upper=np.zeros((2, 3)))
+    # refused by name when built, not later as a non-finite LMI coefficient
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^L_lower contains non-finite entries"):
+            SectorBound(L_lower=[[bad, 0], [0, 0]], L_upper=np.eye(2))
+        with pytest.raises(ValueError, match="^L_upper contains non-finite entries"):
+            SectorBound(L_lower=np.zeros((2, 2)), L_upper=[[1, 0], [0, bad]])
     for gamma in (-0.1, np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             SectorBound.symmetric(gamma, 1)

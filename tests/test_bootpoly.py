@@ -112,7 +112,8 @@ def test_fit_checks_the_verify_sample_count_before_its_lp(monkeypatch, fitted_po
     """Fewer than 1e5 verification samples per interval are refused by the
     argument's name before the LP runs."""
     monkeypatch.setattr(bootpoly, "solve_lp", _no_lp)
-    with pytest.raises(ValueError, match="^verify_samples_per_interval must be at least 1e5"):
+    with pytest.raises(ValueError, match="^verify_samples_per_interval must be "
+                                         "at least 100000, got 99999$"):
         fit(fitted_poly.spec, verify_samples_per_interval=99_999)
 
 
@@ -151,7 +152,7 @@ def test_verify_is_deterministic_and_matches_certificate(fitted_poly):
 
 
 def test_verify_rejects_small_sample_count(fitted_poly):
-    with pytest.raises(ValueError, match="1e5"):
+    with pytest.raises(ValueError, match="^samples must be at least 100000, got 99999$"):
         verify(fitted_poly, 99_999)
 
 

@@ -261,6 +261,10 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
      "lift-check aborted: trials must be at least 1"),
     (["lift-check", "--tbs", "3", "--trials", "-1"],
      "lift-check aborted: trials must be at least 1"),
+    (["lift-check", "--tbs", "3", "--seed", "-1"],
+     "lift-check aborted: seed must be at least 0, got -1"),
+    (["simulate", "--mode", "plaintext", "--seed", "-1"],
+     "simulation aborted: seed must be at least 0, got -1"),
     (["fit-poly", "--degree", "0", "--K", "1", "--epsilon", "0.5"],
      "fit aborted"),
     (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5",
@@ -280,7 +284,8 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
     (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--q", "nan"],
      "fit aborted: q must be finite and positive"),
 ], ids=["reset_tbs", "fir_length", "steps", "lift_tbs", "lift_trials_0",
-        "lift_trials_-1", "degree", "samples", "analyze_fir_length",
+        "lift_trials_-1", "lift_seed", "simulate_seed", "degree", "samples",
+        "analyze_fir_length",
         "gamma_inf", "gamma_nan", "tol_nan", "tol_inf", "tol_0", "q_inf",
         "q_nan"])
 def test_bad_parameter_is_an_exit_code(tmp_path, capsys, args, prefix):
@@ -342,6 +347,22 @@ def test_unusable_output_directory_is_an_exit_code(tmp_path, monkeypatch, capsys
         assert err.startswith(f"cannot use output directory {path}: ")
         assert err.count("\n") == 1
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, name", [
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--out"], "missing/x.json"),
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--csv"], "missing/p.csv"),
+    (["analyze", "--gamma", "0.2296", "--tbs", "3", "--out"], "missing/x.json"),
+    (["simulate", "--mode", "plaintext", "--steps", "20", "--out"], "missing/x.json"),
+], ids=["fit-poly", "fit-poly-csv", "analyze", "simulate"])
+def test_unwritable_output_file_is_an_exit_code(tmp_path, capsys, command, name):
+    """An output file in a directory that does not exist gives one line
+    naming it on stderr and exit 2, not a FileNotFoundError traceback."""
+    code = run(command + [name, "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {tmp_path / name}: ")
+    assert err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------

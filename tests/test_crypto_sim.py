@@ -44,10 +44,19 @@ def test_parameter_validation():
         cs.SchemeParams(n=0)
     with pytest.raises(ValueError):
         cs.SchemeParams(hamming_weight=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hamming_weight must be at most n = 16, got 17$"):
         cs.SchemeParams(hamming_weight=17, n=16)
     with pytest.raises(ValueError):
         cs.SchemeParams(noise_bound=-1)
+
+
+@pytest.mark.parametrize("name, low", [
+    ("n", 1), ("q0", 2), ("c", 2), ("L", 0), ("noise_bound", 0), ("hamming_weight", 1),
+])
+def test_parameter_lower_bounds_name_the_field(name, low):
+    with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {low - 1}$"):
+        cs.SchemeParams(**{name: low - 1})
+    assert getattr(cs.SchemeParams(**{"hamming_weight": 1, name: low}), name) == low
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(cs.SchemeParams)])

@@ -651,6 +651,8 @@ def test_config_validation():
         SimulationConfig(mode=ENCRYPTED, steps=10, T_BS=0)
     with pytest.raises(ValueError, match="fir_length"):
         SimulationConfig(mode=FIR, steps=10, fir_length=0)
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        SimulationConfig(mode=ENCRYPTED, steps=10, seed=-1)
 
 
 @pytest.mark.parametrize("field", ["steps", "T_BS", "fir_length", "seed"])

@@ -205,7 +205,7 @@ def test_simulate_validates_inputs(plant, controller):
         simulate(cl, np.zeros(cl.n_xi + 1), None, None, 3)
     with pytest.raises(ValueError, match="samples"):
         simulate(cl, np.zeros(cl.n_xi), np.zeros((2, cl.m_wp)), None, 3)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^steps must be at least 0, got -1$"):
         simulate(cl, np.zeros(cl.n_xi), None, None, -1)
     xi, z_p, z_u = simulate(cl, np.zeros(cl.n_xi), None, None, 0)
     assert xi.shape == (1, cl.n_xi) and z_p.shape == (0, cl.p_z)
@@ -220,6 +220,27 @@ def test_simulate_rejects_non_integer_steps(plant, controller, steps):
         simulate(cl, np.zeros(cl.n_xi), None, None, steps)
     xi, z_p, _ = simulate(cl, np.zeros(cl.n_xi), None, None, np.int64(2))
     assert xi.shape == (3, cl.n_xi) and z_p.shape == (2, cl.p_z)
+
+
+@pytest.mark.parametrize("record, name", [
+    (Plant, "B1"), (Controller, "Dc"), (ClosedLoop, "Dup"), (PerformanceIndex, "Sp"),
+])
+def test_wrong_shaped_field_is_named(plant, controller, record, name):
+    """A field with one row too many is refused by its name, against the
+    size that an earlier field fixed."""
+    valid = {
+        Plant: plant,
+        Controller: controller,
+        ClosedLoop: interconnect(plant, controller),
+        PerformanceIndex: PerformanceIndex(Qp=-np.eye(3), Sp=np.zeros((3, 2)),
+                                           Rp=np.eye(2)),
+    }[record]
+    kwargs = {k: getattr(valid, k) for k in vars(valid)}
+    kwargs[name] = np.vstack([kwargs[name], kwargs[name][:1]])
+    with pytest.raises(ValueError, match=f"^incompatible dimensions: {name} has "):
+        record(**kwargs)
+    for arr in vars(record(**{k: getattr(valid, k) for k in vars(valid)})).values():
+        assert not arr.flags.writeable
 
 
 def test_matrices_are_frozen(plant):
