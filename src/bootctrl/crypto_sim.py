@@ -8,11 +8,15 @@ noise bound) so tests can assert the fidelity invariant
     |Dec(ct) - c**scale_exponent * debug_plaintext| <= noise_bound
 
 after every operation.  Ciphertext bodies are lists of Python ints
-(arbitrary precision), stored as centered residues in [-q/2, q/2),
-always computed as (x + h) % q - h with h = q // 2.
+(arbitrary precision), stored as centered residues in [-q/2, q/2): each
+operation builds its body in one list pass ending in (x + h) % q - h with
+h = q // 2, and a fresh mask r in [0, q) is centered as drawn.
 
 Homomorphic operations: add, matvec (plaintext matrix times ciphertext
 vector; a plaintext scalar product is the 1x1 case) and rescale.
+matvec takes an EncodedMatrix, which encode_matrix makes once per matrix
+(a plain matrix is encoded on the way in), so the encrypted loop encodes
+its controller matrices once per run.
 
 The secret is sparse and ternary, so the phase <body, sk> with
 sk = (1, s) is formed in exact integers as the sum of the body over the
@@ -37,12 +41,13 @@ import random
 from dataclasses import dataclass, field, fields
 
 from .bootpoly import BootstrapPolynomial
-from .statespace import check_count, check_object, read_json, write_json
+from .statespace import as_matrix, check_count, check_object, read_json, write_json
 
 __all__ = [
     "SchemeParams",
     "Keys",
     "Ciphertext",
+    "EncodedMatrix",
     "BootstrapEvent",
     "SchemeError",
     "CiphertextOverflowError",
@@ -54,6 +59,7 @@ __all__ = [
     "decrypt",
     "decrypt_raw",
     "add",
+    "encode_matrix",
     "matvec",
     "rescale",
     "bootstrap_emulated",
@@ -124,7 +130,7 @@ class SchemeParams:
     hamming_weight: int = 4
 
     def __post_init__(self):
-        low = {"n": 1, "q0": 2, "c": 2, "L": 0, "noise_bound": 0, "hamming_weight": 1}
+        low = {"n": 1, "q0": 2, "c": 2, "L": 0, "noise_bound": 0, "seed": 0, "hamming_weight": 1}
         for f in fields(self):
             object.__setattr__(self, f.name, check_count(getattr(self, f.name), f.name,
                                                          low.get(f.name)))
@@ -192,6 +198,19 @@ class Ciphertext:
 
 
 @dataclass(frozen=True)
+class EncodedMatrix:
+    """A plaintext matrix encoded for matvec under the rescaling factor c.
+
+    rows holds, for each entry M_ij, (f, |f|, |f - c*M_ij|, M_ij) with
+    f = round(c*M_ij): the encoded integer, its size and its rounding
+    error for the noise ledger, and the entry for the debug plaintext.
+    """
+
+    c: int
+    rows: tuple
+
+
+@dataclass(frozen=True)
 class BootstrapEvent:
     """Telemetry from one emulated refresh."""
 
@@ -255,12 +274,13 @@ def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
     """Encrypt the encoded integer m afresh (draws e, then a).
 
     Each mask a_i is keys.rng.randrange(q) by its own algorithm: k-bit
-    draws, k = q.bit_length(), until one is below q.  b = m + e - <a, s>
-    is the phase of the body with b set to 0.
+    draws, k = q.bit_length(), until one is below q, centered as drawn.
+    b = m + e - <a, s> is the phase of the body with b set to 0.
     """
     params = keys.params
     q = params.modulus(level)
     h = q // 2
+    top = q - h
     e = keys.rng.randint(-params.noise_bound, params.noise_bound)
     getrandbits = keys.rng.getrandbits
     k = q.bit_length()
@@ -269,10 +289,10 @@ def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
         r = getrandbits(k)
         while r >= q:
             r = getrandbits(k)
-        body.append(r)
-    body[0] = m + e - _phase(keys, body)
+        body.append(r if r < top else r - q)
+    body[0] = (m + e - _phase(keys, body) + h) % q - h
     ct = Ciphertext(
-        body=[(x + h) % q - h for x in body],
+        body=body,
         level=level,
         scale_exponent=scale_exponent,
         noise_bound=noise_bound,
@@ -318,7 +338,8 @@ def add(params: SchemeParams, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
             f"scale {ct1.scale_exponent}/{ct2.scale_exponent}"
         )
     q = params.modulus(ct1.level)
-    body = [_centered(x + y, q) for x, y in zip(ct1.body, ct2.body)]
+    h = q // 2
+    body = [(x + y + h) % q - h for x, y in zip(ct1.body, ct2.body)]
     ct = Ciphertext(
         body=body,
         level=ct1.level,
@@ -329,17 +350,31 @@ def add(params: SchemeParams, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     return _budget_check(params, ct)
 
 
+def encode_matrix(params: SchemeParams, M) -> EncodedMatrix:
+    """M (a finite 2-D matrix, named M in errors) encoded under params.c."""
+    c = params.c
+    return EncodedMatrix(c, tuple(
+        tuple((f := int(round(c * m)), abs(f), abs(f - c * m), m) for m in row)
+        for row in as_matrix(M, "M").tolist()))
+
+
 def matvec(params: SchemeParams, M, cts: list) -> list:
     """Encrypted y = M x for a plaintext matrix and a ciphertext vector.
 
-    Each entry is encoded as round(c * M_ij); the result has
-    scale_exponent raised by one.  Noise ledger per output row:
+    M is an EncodedMatrix for params.c, or a plain matrix, which is
+    encoded here.  Each entry is encoded as round(c * M_ij); the result
+    has scale_exponent raised by one.  Noise ledger per output row:
     sum_j |M_int_ij| nu_j + sum_j |round err_ij| * |x_j| * c**sigma.
+    Each body sums f_ij x_j over the nonzero columns only, and the last
+    column's pass also centers it.
     """
-    rows = len(M)
-    if rows == 0:
+    if not isinstance(M, EncodedMatrix):
+        M = encode_matrix(params, M)
+    elif M.c != params.c:
+        raise ValueError(f"M was encoded for c = {M.c}, the scheme has c = {params.c}")
+    if not M.rows:
         return []
-    ncols = len(M[0])
+    ncols = len(M.rows[0])
     if ncols != len(cts):
         raise ValueError(f"matrix has {ncols} columns, vector has {len(cts)}")
     level = cts[0].level
@@ -350,21 +385,26 @@ def matvec(params: SchemeParams, M, cts: list) -> list:
     h = q // 2
     scale_old = float(params.c) ** sigma
     out = []
-    for i in range(rows):
-        body = None
+    for row in M.rows:
+        terms = []
         noise = 0.0
         debug = 0.0
-        for m_ij, ct in zip(map(float, M[i]), cts, strict=True):
-            f_int = int(round(params.c * m_ij))
-            if f_int:
-                body = ([f_int * x for x in ct.body] if body is None
-                        else [b + f_int * x for b, x in zip(body, ct.body)])
-            round_err = abs(f_int - params.c * m_ij)
-            noise += abs(f_int) * ct.noise_bound
+        for (f, f_abs, round_err, m), ct in zip(row, cts):
+            if f:
+                terms.append((f, ct.body))
+            noise += f_abs * ct.noise_bound
             noise += round_err * abs(ct.debug_plaintext) * scale_old
-            debug += m_ij * ct.debug_plaintext
-        body = ([0] * len(cts[0].body) if body is None
-                else [(x + h) % q - h for x in body])
+            debug += m * ct.debug_plaintext
+        if not terms:
+            body = [0] * len(cts[0].body)
+        else:
+            f, last = terms.pop()
+            acc = None
+            for f_j, x in terms:
+                acc = ([f_j * a for a in x] if acc is None
+                       else [b + f_j * a for b, a in zip(acc, x)])
+            body = ([(f * a + h) % q - h for a in last] if acc is None
+                    else [(b + f * a + h) % q - h for b, a in zip(acc, last)])
         out.append(
             _budget_check(
                 params,

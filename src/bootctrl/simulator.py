@@ -20,8 +20,8 @@ Four modes:
   i.e. the exact N-tap window.
 
 The three encrypted modes run one loop over a state that is a list of
-ciphertexts, read through [Cc | Dc | F2] (FIR: [Cc S | Dc | F2]).  Step t,
-in the order of the certified interconnection:
+ciphertexts, read through [Cc | Dc | F2] (FIR: [Cc S | Dc | F2]); each
+matrix is encoded once per run.  Step t, in the certified order:
 
 1. y(t) in the clear, and [y(t); w_p2(t)] encrypted at the state's level
    (w_p2 only when given);
@@ -250,11 +250,13 @@ def run_closed_loop(plant: Plant, controller: Controller,
         for _ in range(N - 1):
             taps.append(Ac @ taps[-1])
         S = np.hstack(taps)
-        out_rows = np.hstack([Cc @ S, controller.Dc, controller.F2[:, :k]]).tolist()
+        out_rows = cs.encode_matrix(scheme, np.hstack([Cc @ S, controller.Dc,
+                                                       controller.F2[:, :k]]))
         state = encrypt_all(np.zeros(N * p_y), 1)  # y(t-1) first, y(t-N) last
     else:
-        out_rows = np.hstack([Cc, controller.Dc, controller.F2[:, :k]]).tolist()
-        state_rows = np.hstack([Ac, Bc, controller.B2[:, :k]]).tolist()
+        out_rows = cs.encode_matrix(scheme, np.hstack([Cc, controller.Dc,
+                                                       controller.F2[:, :k]]))
+        state_rows = cs.encode_matrix(scheme, np.hstack([Ac, Bc, controller.B2[:, :k]]))
         state = encrypt_all(np.zeros(nc), scheme.L)
         xc_log = np.zeros((steps + 1, nc))
     check(state)

@@ -68,9 +68,9 @@ def write_json(path, data):
 
 
 def as_matrix(value, name="matrix"):
-    """Coerce scalars / nested lists into a 2-D float array."""
+    """Coerce scalars / nested lists into a 2-D float array (always a copy)."""
     try:
-        arr = np.atleast_2d(np.asarray(value, dtype=float))
+        arr = np.atleast_2d(np.array(value, dtype=float))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2:

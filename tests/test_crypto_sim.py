@@ -51,7 +51,8 @@ def test_parameter_validation():
 
 
 @pytest.mark.parametrize("name, low", [
-    ("n", 1), ("q0", 2), ("c", 2), ("L", 0), ("noise_bound", 0), ("hamming_weight", 1),
+    ("n", 1), ("q0", 2), ("c", 2), ("L", 0), ("noise_bound", 0), ("seed", 0),
+    ("hamming_weight", 1),
 ])
 def test_parameter_lower_bounds_name_the_field(name, low):
     with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {low - 1}$"):
@@ -72,6 +73,15 @@ def test_parameter_fields_must_be_integers(name):
         params = cs.SchemeParams(**{name: cast(default)})
         assert type(getattr(params, name)) is int
         assert params == cs.SchemeParams()
+
+
+def test_scheme_json_refuses_a_negative_seed():
+    """random.Random seeds with the absolute value, so seed -5 would give
+    seed 5's secret key."""
+    data = cs.scheme_to_json(cs.SchemeParams(seed=5))
+    data["seed"] = -5
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -5$"):
+        cs.scheme_from_json(data)
 
 
 def test_modulus_chain(small_scheme):
@@ -272,6 +282,34 @@ def test_add_and_scalar_matvec(keys, small_scheme):
     assert fidelity_ok(keys, p)
 
 
+def _add_centered(params, ct1, ct2):
+    """The earlier add body, one _centered call per coordinate, kept here
+    as the oracle."""
+    q = params.modulus(ct1.level)
+    return [cs._centered(x + y, q) for x, y in zip(ct1.body, ct2.body)]
+
+
+def test_add_matches_centered_form(keys, small_scheme):
+    """Random ciphertexts, and bodies whose sums sit on and next to the
+    wrap points -q/2 and q/2."""
+    rnd = random.Random(4)
+    q = small_scheme.modulus(1)
+    h = q // 2
+    edge = [-h, -h + 1, -1, 0, 1, h - 2, h - 1]
+    pairs = [[cs.Ciphertext(body=body, level=1, scale_exponent=1, noise_bound=0.0,
+                            debug_plaintext=0.0)
+              for body in (edge, [d + x for x in edge])] for d in (-1, 0, 1, h, -h)]
+    for _ in range(300):
+        level = rnd.randrange(small_scheme.L + 1)
+        pairs.append([cs.encrypt(keys, rnd.uniform(-1e3, 1e3), level=level)
+                      for _ in range(2)])
+    for a, b in pairs:
+        s = cs.add(small_scheme, a, b)
+        assert s.body == _add_centered(small_scheme, a, b)
+        assert s.noise_bound == a.noise_bound + b.noise_bound
+        assert s.debug_plaintext == a.debug_plaintext + b.debug_plaintext
+
+
 def test_add_rejects_mismatched_operands(keys, small_scheme):
     a = cs.encrypt(keys, 1.0, level=2)
     b = cs.encrypt(keys, 1.0, level=1)
@@ -309,6 +347,114 @@ def test_matvec_same_for_list_and_array(keys, small_scheme):
     cts = [cs.encrypt(keys, float(v), level=2) for v in rng.uniform(-9, 9, 4)]
     assert cs.matvec(small_scheme, M, cts) \
         == cs.matvec(small_scheme, M.tolist(), cts)
+
+
+def _matvec_per_entry(params, M, cts):
+    """The earlier matvec, which encoded every entry on every call and
+    took one pass per column and one more to center, kept here as the
+    oracle."""
+    rows = len(M)
+    if rows == 0:
+        return []
+    level = cts[0].level
+    sigma = cts[0].scale_exponent
+    q = params.modulus(level)
+    h = q // 2
+    scale_old = float(params.c) ** sigma
+    out = []
+    for i in range(rows):
+        body = None
+        noise = 0.0
+        debug = 0.0
+        for m_ij, ct in zip(map(float, M[i]), cts, strict=True):
+            f_int = int(round(params.c * m_ij))
+            if f_int:
+                body = ([f_int * x for x in ct.body] if body is None
+                        else [b + f_int * x for b, x in zip(body, ct.body)])
+            round_err = abs(f_int - params.c * m_ij)
+            noise += abs(f_int) * ct.noise_bound
+            noise += round_err * abs(ct.debug_plaintext) * scale_old
+            debug += m_ij * ct.debug_plaintext
+        body = ([0] * len(cts[0].body) if body is None
+                else [(x + h) % q - h for x in body])
+        out.append(cs._budget_check(params, cs.Ciphertext(
+            body=body, level=level, scale_exponent=sigma + 1,
+            noise_bound=noise, debug_plaintext=debug)))
+    return out
+
+
+def _outcome(kernel, *args):
+    """Every output body and ledger entry."""
+    return [(ct.body, ct.level, ct.scale_exponent, ct.noise_bound,
+             ct.debug_plaintext) for ct in kernel(*args)]
+
+
+@pytest.mark.parametrize("params", [
+    cs.SchemeParams(n=16, q0=2 ** 42, c=2 ** 16, L=4, noise_bound=8, seed=3),
+    cs.SchemeParams(n=16, q0=1000003, c=7, L=6, noise_bound=8, seed=5),
+], ids=["c=2^16", "c=7"])
+def test_matvec_matches_per_entry_oracle(params):
+    """On random matrices from 1x1 to 4x9, with zero rows and zero entries,
+    at every level and scale exponents 1 and 2, the encode-once kernel
+    (given the plain matrix or its encoding) returns exactly the oracle's
+    bodies, noise bounds and debug values."""
+    keys = cs.keygen(params)
+    c, h = params.c, params.modulus(1) // 2
+    for sign in (1, -1):  # sums on and next to the wrap points +-q/2
+        edge = [cs.Ciphertext(body=body, level=1, scale_exponent=1, noise_bound=0.0,
+                              debug_plaintext=0.0)
+                for body in ([sign * (h // c)] * 3, [sign * (h % c) + d for d in (-1, 0, 1)])]
+        assert _outcome(cs.matvec, params, [[1.0, 1 / c]], edge) \
+            == _outcome(_matvec_per_entry, params, [[1.0, 1 / c]], edge)
+    rnd = random.Random(params.c)
+    rng = np.random.default_rng(params.c)
+    for _ in range(400):
+        rows, cols = rnd.randint(1, 4), rnd.randint(1, 9)
+        M = rng.uniform(-2, 2, (rows, cols))
+        M[rng.random((rows, cols)) < 0.3] = 0.0
+        if rnd.random() < 0.3:
+            M[rnd.randrange(rows)] = 0.0
+        M[rng.random((rows, cols)) < 0.1] *= 1e-9  # rounds to a zero integer
+        level, sigma = rnd.randint(0, params.L), rnd.randint(1, 2)
+        bound = 0.2 * params.modulus(level) / float(params.c) ** (sigma + 1) / cols
+        cts = [cs.encrypt(keys, rnd.uniform(-bound, bound), level=level,
+                          scale_exponent=sigma) for _ in range(cols)]
+        want = _outcome(_matvec_per_entry, params, M, cts)
+        assert _outcome(cs.matvec, params, M, cts) == want
+        assert _outcome(cs.matvec, params, cs.encode_matrix(params, M), cts) == want
+
+
+def test_encode_matrix_entries(small_scheme):
+    c = small_scheme.c
+    enc = cs.encode_matrix(small_scheme, [[0.5, -1.25e-5], [0.0, 3]])
+    assert enc.c == c
+    assert enc.rows == (
+        ((c // 2, c // 2, 0.0, 0.5), (-1, 1, abs(-1 + c * 1.25e-5), -1.25e-5)),
+        ((0, 0, 0.0, 0.0), (3 * c, 3 * c, 0.0, 3.0)))
+    assert all(type(e[0]) is int and type(e[3]) is float
+               for row in enc.rows for e in row)
+
+
+def test_matvec_refuses_a_matrix_encoded_for_another_c(keys, small_scheme):
+    cts = [cs.encrypt(keys, 1.0, level=2)]
+    enc = cs.encode_matrix(replace(small_scheme, c=2 ** 15), [[0.5]])
+    with pytest.raises(ValueError, match=r"^M was encoded for c = 32768, "
+                                         r"the scheme has c = 65536$"):
+        cs.matvec(small_scheme, enc, cts)
+
+
+@pytest.mark.parametrize("M, message", [
+    ([[1.0, np.inf]], "^M contains non-finite entries$"),
+    ([[-np.inf], [0.5]], "^M contains non-finite entries$"),
+    ([[np.nan, 1.0]], "^M contains non-finite entries$"),
+    ([[1.0, 2.0], [3.0]], "^M is not a numeric matrix: "),
+], ids=["inf", "minus_inf", "nan", "ragged"])
+def test_bad_plaintext_matrix_is_named(keys, small_scheme, M, message):
+    cts = [cs.encrypt(keys, 1.0, level=2) for _ in range(2)]
+    with pytest.raises(ValueError, match=message):
+        cs.encode_matrix(small_scheme, M)
+    with pytest.raises(ValueError, match=message):
+        cs.matvec(small_scheme, M, cts[:len(M[0])])
 
 
 def test_matvec_rejects_ragged_levels(keys, small_scheme):

@@ -233,6 +233,33 @@ def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly):
         "8b2ef42addef8475af1f53617e5e00f24a15044291979f8d4570577d7f38550e"
 
 
+@pytest.mark.parametrize("mode, encodings", [(ENCRYPTED, 2), (RESET, 2), (FIR, 1)])
+def test_controller_matrices_are_encoded_once_per_run(plant, controller, scheme,
+                                                      sim_poly, monkeypatch, mode,
+                                                      encodings):
+    """The output rows and, outside FIR, the state rows are encoded once per
+    run, however many steps it takes: matvec never re-encodes them."""
+    calls = []
+    real = cs.encode_matrix
+
+    def spy(params, M):
+        calls.append(M)
+        return real(params, M)
+
+    monkeypatch.setattr(cs, "encode_matrix", spy)
+    for steps in (3, 12):
+        calls.clear()
+        if mode == FIR:
+            run_closed_loop(plant, make_fir_controller(3, 0.4, [[-0.3]]),
+                            SimulationConfig(mode=FIR, steps=steps, fir_length=3),
+                            scheme=scheme)
+        else:
+            run_closed_loop(plant, controller,
+                            SimulationConfig(mode=mode, steps=steps, T_BS=5),
+                            scheme=replace(scheme, L=5), poly=sim_poly)
+        assert len(calls) == encodings
+
+
 @pytest.mark.parametrize("mode", [ENCRYPTED, RESET, FIR])
 def test_each_ciphertext_is_decrypted_once(plant, controller, scheme, sim_poly,
                                            monkeypatch, mode):

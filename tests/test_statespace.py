@@ -4,6 +4,7 @@ performance lifting, and system serialization."""
 import numpy as np
 import pytest
 
+from bootctrl.analysis import SectorBound
 from bootctrl.statespace import (
     ClosedLoop,
     Controller,
@@ -247,6 +248,22 @@ def test_matrices_are_frozen(plant):
     assert not plant.A.flags.writeable
     with pytest.raises(ValueError):
         plant.A[0, 0] = 5.0
+
+
+def test_records_copy_the_callers_arrays(plant):
+    """Freezing a record leaves the caller's own array writable, and a later
+    write to it does not reach the record."""
+    A = np.array(plant.A)
+    frozen = Plant(**{**{k: getattr(plant, k) for k in vars(plant)}, "A": A})
+    L = np.array([[0.25]])
+    sector = SectorBound(L_lower=L, L_upper=np.array([[0.5]]))
+    assert frozen.A is not A and sector.L_lower is not L
+    assert A.flags.writeable and L.flags.writeable
+    A[0, 0] += 1.0
+    L[0, 0] = 0.75
+    np.testing.assert_array_equal(frozen.A, plant.A)
+    assert sector.L_lower[0, 0] == 0.25
+    assert not frozen.A.flags.writeable and not sector.L_lower.flags.writeable
 
 
 def test_system_json_roundtrip(tmp_path, plant, controller):
