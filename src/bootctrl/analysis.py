@@ -17,6 +17,7 @@ can be audited line by line against the test statement.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,10 +107,9 @@ class SectorBound:
     @classmethod
     def symmetric(cls, gamma, n_zu):
         """Componentwise symmetric sector [-gamma, gamma]."""
-        if not (np.isfinite(gamma) and gamma >= 0):
-            raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
-        eye = np.eye(n_zu)
-        return cls(L_lower=-gamma * eye, L_upper=gamma * eye)
+        if not (isinstance(gamma, numbers.Real) and 0 <= gamma < np.inf):
+            raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
+        return cls(L_lower=-gamma * np.eye(n_zu), L_upper=gamma * np.eye(n_zu))
 
 
 def sector_from_bootstrap(poly: BootstrapPolynomial, n_zu: int) -> SectorBound:

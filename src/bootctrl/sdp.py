@@ -15,12 +15,12 @@ phase I with one phase-II minimization of g^2 over G_j(v) + g^2 diag(c_j)
 + delta*I <= 0.  Both phases run one log-det barrier with damped Newton
 steps (sec. 11.3) on one term per G_j, -G_j(v) - delta*I + o diag(slope)
 > 0: o = s and slope 1 in phase I, o = g^2 and slope -c_j in phase II.
-bisect_gain's phase I solves only the rows that g^2 does not move, starts
-phase II just above the smallest g^2 at which the phase-I point is
-interior, and follows the central path predictor-corrector fashion: t
-grows up to 100-fold per centering, which starts from a tangent step
-along the path, and for the last centering only as far as the stop rule
-needs.  Each Newton step forms its Hessian on the shared range of a
+Both follow its central path by one predictor-corrector loop (_follow),
+to which each phase gives only the duality gap that decides it: t
+grows up to 100-fold per centering, which starts from a tangent step.
+bisect_gain's phase I solves only the rows that g^2 does not move, and
+phase II starts just above the smallest g^2 at which the phase-I point is
+interior.  Each Newton step forms its Hessian on the shared range of a
 constraint's coefficient matrices, the way DSDP assembles its Newton
 matrix from low-rank data (Benson & Ye, ACM TOMS 34(3), 2008): the
 lifted LMI's coefficients span at most 2 n_xi + n_wu + n_zu dimensions,
@@ -66,7 +66,7 @@ NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 _MAX_NEWTON = 200  # Newton steps per solve before NUMERICAL_FAILURE
 _RADIUS = 1e4  # compactifying bound X <= radius*I, tau <= radius
 _DELTA = 1e-7  # every certified margin, absolute
-_T_STEP = 100.0  # largest factor by which phase II's t grows per centering
+_T_STEP = 100.0  # largest factor by which t grows per centering
 
 
 class UncertifiableError(RuntimeError):
@@ -548,16 +548,16 @@ class _BarrierData:
         return g, H
 
 
-def _center(data, z, t, steps, floor=-np.inf):
+def _center(data, z, t, steps, floor):
     """Damped Newton centering of the barrier at t from the interior point z.
 
     Armijo backtracking while the Newton decrement exceeds 1/128; stops
     when it is below 1e-9, the line search stalls, or the objective z[-1]
     reaches floor.  Returns (z, decrement, steps, H), decrement None when
-    the Newton system is singular or steps reached _MAX_NEWTON first, H the
-    Newton matrix of the last solve (plus 1e-10 I if H alone was singular):
-    the one at the returned z unless floor or the 60-step cap ended on a
-    move.  A start z that is not interior raises RuntimeError.
+    the Newton matrix is singular or steps reached _MAX_NEWTON first, H the
+    Newton matrix of the last solve: the one at the returned z unless floor
+    or the 60-step cap ended on a move.  A start z that is not interior
+    raises RuntimeError.
     """
     mats = data.form(z)
     phi = data.barrier_value(z, t, mats)
@@ -572,11 +572,7 @@ def _center(data, z, t, steps, floor=-np.inf):
         try:
             dz = -np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            H = H + 1e-10 * np.eye(H.shape[0])
-            try:
-                dz = -np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                return z, None, steps, H
+            return z, None, steps, H
         decrement = -0.5 * float(g @ dz)
         steps += 1
         if decrement < 1e-9:
@@ -601,6 +597,35 @@ def _center(data, z, t, steps, floor=-np.inf):
     return z, decrement, steps, H
 
 
+def _follow(data, z, t, gap, floor=-np.inf):
+    """Follow the barrier's central path from the interior point z at t
+    until the objective o = z[-1] reaches floor or, at a centre, the
+    duality gap nu/t is at most gap(o).  Between centerings t grows to t' =
+    min(_T_STEP t, max(2t, 1.5 nu / gap(o))), and the next starts from the
+    path's tangent in 1/t, dz/d(1/t) = t^2 H^-1 e_o, H the centre's Newton
+    matrix: z - (t' - t)(t/t') H^-1 e_o, halved down to 2^-9 until
+    interior, else z.  Returns (z, steps), z None when a centering failed
+    or stalled (the gap bound holds only at a centre).
+    """
+    nu, steps = data.n_barrier, 0
+    while True:
+        z, decrement, steps, H = _center(data, z, t, steps, floor)
+        if z[-1] <= floor:
+            return z, steps
+        if decrement is None or decrement >= 1e-6:
+            return None, steps
+        bound = gap(float(z[-1]))
+        if nu / t <= bound:
+            return z, steps
+        t_next = min(_T_STEP * t, max(2.0 * t, 1.5 * nu / bound))
+        dz = -(t_next - t) * (t / t_next) * np.linalg.solve(H, np.eye(len(z))[-1])
+        for frac in 0.5 ** np.arange(10):
+            if data.barrier_value(z + frac * dz, t_next) < np.inf:
+                z = z + frac * dz
+                break
+        t = t_next
+
+
 def _certificate(problem: LmiProblem, v, iterations: int) -> SdpCertificate:
     """The point v as a certificate of problem, with its checked margin."""
     X, tau = problem.unpack(v)
@@ -618,8 +643,11 @@ def solve_feasibility(problem: LmiProblem) -> SolveOutcome:
     strict-positive constraints X > 0 and tau > 0 are kept as hard barrier
     constraints at level _DELTA, and RuntimeError is raised if no X = 2^k I,
     2^k <= _RADIUS / 2, with tau = 1 satisfies them.  The search is
-    compactified to X <= _RADIUS*I, tau <= _RADIUS inside the solver, so
-    INFEASIBLE means no certificate exists within that (generous) radius.
+    compactified to X <= _RADIUS*I, tau <= _RADIUS, so INFEASIBLE means no
+    certificate within that radius.  The path from t = 1 ends once s <=
+    -0.5 _DELTA witnesses feasibility (s is unbounded below on homogeneous
+    problems), or at a centre with s <= 0, or with s - nu/t >= 0 or nu/t <=
+    _DELTA/20: the optimum is above 0, or within a razor-thin band of it.
     """
     data = _BarrierData(problem)
 
@@ -632,28 +660,15 @@ def solve_feasibility(problem: LmiProblem) -> SolveOutcome:
         if _strictly_positive(data.form(z)[-1]):
             break
     z[-1] = max(_gain_floor(data, z), 0.0) + 1.0
-    nu = data.n_barrier
-    t = 1.0
-    steps = 0
-    while True:
-        # Centering stops once s <= -0.5 _DELTA (G <= -1.5 _DELTA I) witnesses
-        # strict feasibility: s is unbounded below on homogeneous problems.
-        z, decrement, steps, _ = _center(data, z, t, steps, floor=-0.5 * _DELTA)
-        if decrement is None:
-            return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
-        s_cur = float(z[-1])
-        if s_cur <= 0.0:
-            cert = _certificate(problem, z[:-1], steps)
-            if cert.margin_achieved < _DELTA:
-                return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
-            return SolveOutcome(status=FEASIBLE, certificate=cert, iterations=steps)
-        if decrement >= 1e-6:
-            # The duality-gap bound below only holds at a centered point.
-            return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
-        if s_cur - nu / t > 0.0 or nu / t < _DELTA / 20:
-            # The optimum is above 0, or within a razor-thin band of it.
-            return SolveOutcome(status=INFEASIBLE, iterations=steps)
-        t *= 20.0
+    z, steps = _follow(data, z, 1.0, lambda s: max(s, _DELTA / 20) if s > 0 else np.inf,
+                       floor=-0.5 * _DELTA)
+    if z is None or z[-1] > 0.0:
+        return SolveOutcome(status=NUMERICAL_FAILURE if z is None else INFEASIBLE,
+                            iterations=steps)
+    cert = _certificate(problem, z[:-1], steps)
+    if cert.margin_achieved < _DELTA:
+        return SolveOutcome(status=NUMERICAL_FAILURE, iterations=steps)
+    return SolveOutcome(status=FEASIBLE, certificate=cert, iterations=steps)
 
 
 def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
@@ -672,21 +687,16 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
     II minimizes g^2 on phase I's barrier terms with slope -gain_slopes[j]
     in place of 1, from that point v, starting at g^2 = 1.5
     max(g^2_min(v), 0) + 1 with t = nu / g^2, where g^2_min(v) is the
-    smallest g^2 at which v is interior (_gain_floor).  It stops at a
-    centered point once the gain is within tol of the duality-gap bound
-    sqrt(g^2 - nu/t); between centerings t grows by at most _T_STEP and,
-    once the bound is near, only to 1.5 times the t at which the gap nu/t
-    would meet g^2 - (g - tol)^2.  The next centering starts from the
-    central path's tangent in 1/t, dz/d(1/t) = t^2 H^-1 e_g2 with H the
-    centre's Newton matrix: z - (t' - t)(t/t') H^-1 e_g2, halved down to
-    2^-9 until interior, else z itself.  Returns (gain, certificate): sqrt(g^2)
-    rounded up, with a margin of at least _DELTA checked on problem with
-    each const + gain^2 diag(slope).  tol must be finite and positive, and
-    there must be one slope per constraint, each strict-negative one a
-    finite vector of its constraint's size with no positive entry, or
-    ValueError is raised before phase I.  A stalled phase I or phase II,
-    or a failed check, raises RuntimeError.  The name predates the method;
-    perfbench's tracer patches the function under it.
+    smallest g^2 at which v is interior (_gain_floor), and ends at a centre
+    whose gain g is within tol of the duality-gap bound sqrt(g^2 - nu/t).
+    Returns (gain, certificate): sqrt(g^2) rounded up, with a margin of at
+    least _DELTA checked on problem with each const + gain^2 diag(slope).
+    tol must be finite and positive, and there must be one slope per
+    constraint, each strict-negative one a finite vector of its
+    constraint's size with no positive entry, or ValueError is raised
+    before phase I.  A stalled phase I or phase II, or a failed check,
+    raises RuntimeError.  The name predates the method; perfbench's tracer
+    patches the function under it.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -719,28 +729,17 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
             "at any gain")
 
     data = _BarrierData(problem, gain_slopes)
-    start = outcome.certificate
-    z = np.append(problem.pack(start.X, start.tau), 0.0)
+    z = np.append(problem.pack(outcome.certificate.X, outcome.certificate.tau), 0.0)
     z[-1] = 1.5 * max(_gain_floor(data, z), 0.0) + 1.0
-    nu = data.n_barrier
-    t = nu / z[-1]  # a duality gap the size of the starting objective
-    steps = 0
-    while True:
-        z, decrement, steps, H = _center(data, z, t, steps)
-        if decrement is None or decrement >= 1e-6:
-            raise RuntimeError(f"phase II failed after {steps} Newton steps")
-        gain_sq = float(z[-1])
-        gain = float(np.nextafter(np.sqrt(max(gain_sq, 0.0)), np.inf))
-        if gain - np.sqrt(max(0.0, gain_sq - nu / t)) <= tol:
-            break
-        # The bound meets tol once nu/t <= g^2 - (g - tol)^2 = tol (2g - tol).
-        t_next = min(_T_STEP * t, max(2.0 * t, 1.5 * nu / (tol * (2.0 * gain - tol))))
-        dz = -(t_next - t) * (t / t_next) * np.linalg.solve(H, np.eye(len(z))[-1])
-        for frac in 0.5 ** np.arange(10):
-            if data.barrier_value(z + frac * dz, t_next) < np.inf:
-                z = z + frac * dz
-                break
-        t = t_next
+
+    def gap(gain_sq):  # sqrt(g^2 - nu/t) >= g - tol iff nu/t <= tol (2g - tol)
+        gain = np.nextafter(np.sqrt(max(gain_sq, 0.0)), np.inf)
+        return tol * (2.0 * gain - tol) if gain > tol else np.inf
+
+    z, steps = _follow(data, z, data.n_barrier / z[-1], gap)
+    if z is None:
+        raise RuntimeError(f"phase II failed after {steps} Newton steps")
+    gain = float(np.nextafter(np.sqrt(max(z[-1], 0.0)), np.inf))
     at_gain = replace(problem, constraints=[
         con if slope is None
         else replace(con, const=con.const + gain * gain * np.diag(slope))

@@ -81,9 +81,19 @@ def test_sector_validation():
             SectorBound(L_lower=[[bad, 0], [0, 0]], L_upper=np.eye(2))
         with pytest.raises(ValueError, match="^L_upper contains non-finite entries"):
             SectorBound(L_lower=np.zeros((2, 2)), L_upper=[[1, 0], [0, bad]])
-    for gamma in (-0.1, np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+    # a non-number too, not as numpy's TypeError from isfinite
+    for gamma in (-0.1, np.inf, -np.inf, np.nan, None, "0.2", [0.2], 1j):
+        with pytest.raises(ValueError, match="^gamma must be finite and nonnegative"):
             SectorBound.symmetric(gamma, 1)
+
+
+def test_missing_sector_slope_is_refused_by_name(plant, controller):
+    """A bootstrap-mode analysis takes its slope as given, so gamma None
+    raises a ValueError naming it; reset mode forces slope 1 and needs
+    none."""
+    with pytest.raises(ValueError, match="^gamma must be .*, got None$"):
+        analyze_l2_gain(plant, controller, None)
+    assert analyze_l2_gain(plant, controller, None, mode="reset", T_BS=5).verdict == CERTIFIED
 
 
 def test_sector_from_bootstrap_rejects_unusable():
