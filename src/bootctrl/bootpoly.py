@@ -142,9 +142,13 @@ class BootstrapPolynomial:
         and the value by q_new / q preserves gamma exactly.
         """
         factor = float(q_new) / self.spec.q
+        # an overflowing factor gives inf or nan coefficients, which
+        # __post_init__ refuses by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            coefficients = self.coefficients * factor
         return BootstrapPolynomial(
             spec=replace(self.spec, q=float(q_new)),
-            coefficients=self.coefficients * factor,
+            coefficients=coefficients,
             gamma_certified=self.gamma_certified,
             verification_samples=self.verification_samples,
         )

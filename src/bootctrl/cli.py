@@ -1,14 +1,16 @@
 """Command-line front end: fitting, certification, simulation, lift check.
 
 Exit-code discipline: 0 means the command ran and produced a verdict
-(including NOT_CERTIFIED); nonzero means tool or input failure (2 for an
-unreadable or malformed --system, --scheme or --poly file, or an output
-that cannot be written).  The one
+(including NOT_CERTIFIED); nonzero means tool or input failure (2 for a
+missing required flag, an unreadable or malformed --system, --scheme or
+--poly file, a --system file whose plant and controller cannot be
+closed into one loop, or an output that cannot be written).  The one
 quantitative exception is `lift-check`, whose job is the check itself:
 a deviation above threshold exits nonzero.
 
 Every command writes a manifest JSON next to its outputs recording the
-resolved parameters, so a run can be reproduced exactly.  The default
+resolved parameters and every file written, so a run can be reproduced
+exactly.  The default
 output directory is the BOOTCTRL_OUTPUT_DIR environment variable, or the
 working directory if unset.
 """
@@ -19,14 +21,13 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import THEOREM_1, THEOREM_2, analyze_l2_gain
 from .bootpoly import (BootstrapSpec, FitError, centered_mod, evaluate, fit,
-                       load_poly, save_poly)
+                       load_poly, poly_to_json)
 from .crypto_sim import SchemeError, load_scheme
 from .fixtures import demo_scheme, demo_system
 from .simulator import SimulationConfig, run_closed_loop
@@ -35,49 +36,60 @@ from .statespace import check_count, interconnect, lift, load_system, simulate, 
 __all__ = ["main"]
 
 
-def _out_dir(args) -> Path:
-    raw = args.out_dir or os.environ.get("BOOTCTRL_OUTPUT_DIR") or "."
-    path = Path(raw)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _InputError(f"cannot use output directory {path}: {exc}") from exc
-    return path
-
-
-@contextmanager
-def _writing(path):
-    """Turn an OSError while writing path into an _InputError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _write_json(path, data):
-    with _writing(path):
-        write_json(path, data)
-
-
-def _write_manifest(out_dir: Path, command: str, args, outputs):
-    params = {
-        k: v for k, v in vars(args).items() if k != "func" and not callable(v)
-    }
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "output_dir": str(out_dir),
-        "outputs": [str(p) for p in outputs],
-    }
-    path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
 class _InputError(Exception):
-    """An input file that cannot be read or parsed, an output directory
-    that cannot be made or an output file that cannot be written; main
-    exits with 2."""
+    """An input file that cannot be read or parsed, a missing required
+    flag, an output directory that cannot be made or an output file that
+    cannot be written; main exits with 2."""
+
+
+class _Output:
+    """One command's output directory: made on construction, every file
+    written through one error path and listed in the manifest."""
+
+    def __init__(self, args):
+        self.args = args
+        self.dir = Path(args.out_dir or os.environ.get("BOOTCTRL_OUTPUT_DIR") or ".")
+        self.paths = []
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _InputError(f"cannot use output directory {self.dir}: {exc}") from exc
+
+    def _write(self, name, write):
+        path = self.dir / name
+        try:
+            write(path)
+        except OSError as exc:
+            raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        self.paths.append(path)
+        return path
+
+    def json(self, name, data):
+        return self._write(name, lambda path: write_json(path, data))
+
+    def csv(self, name, header, rows):
+        def write(path):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        return self._write(name, write)
+
+    def markdown(self, name, lines):
+        return self._write(name, lambda path: path.write_text("\n".join(lines) + "\n"))
+
+    def manifest(self):
+        """Write <command>_manifest.json: the resolved parameters and every
+        file written before it."""
+        command = self.args.command
+        params = {k: v for k, v in vars(self.args).items()
+                  if k != "func" and not callable(v)}
+        self.json(f"{command.replace('-', '_')}_manifest.json", {
+            "command": command,
+            "parameters": params,
+            "output_dir": str(self.dir),
+            "outputs": [str(p) for p in self.paths],
+        })
 
 
 def _load(loader, flag, path):
@@ -93,8 +105,7 @@ def _resolve_system(args):
     return demo_system()
 
 
-def cmd_fit_poly(args) -> int:
-    out_dir = _out_dir(args)
+def cmd_fit_poly(args, out) -> int:
     try:
         poly = fit(BootstrapSpec(q=args.q, epsilon=args.epsilon, K=args.K,
                                  d=args.degree),
@@ -106,46 +117,34 @@ def cmd_fit_poly(args) -> int:
     except ValueError as exc:
         print(f"fit aborted: {exc}", file=sys.stderr)
         return 1
-    out_path = out_dir / args.out
-    with _writing(out_path):
-        save_poly(out_path, poly)
-    outputs = [out_path]
+    out_path = out.json(args.out, poly_to_json(poly))
     if args.csv:
-        csv_path = out_dir / args.csv
         grid = np.linspace(-poly.spec.half_range, poly.spec.half_range, 4001)
         pm = evaluate(poly, grid)
         target = centered_mod(grid, poly.spec.q)
         rel = np.full_like(grid, np.nan)
         np.divide(np.abs(pm - target), np.abs(target), out=rel, where=target != 0)
-        with _writing(csv_path), open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "p_of_m", "m_mod_q", "relative_error"])
-            # Python floats, which csv writes by repr: round-trip text
-            writer.writerows(zip(grid.tolist(), pm.tolist(), target.tolist(),
-                                 rel.tolist()))
-        outputs.append(csv_path)
-    outputs.append(_write_manifest(out_dir, "fit-poly", args, outputs))
-    usable = "usable" if poly.usable else "NOT usable (gamma >= 1)"
-    print(f"gamma_certified = {poly.gamma_certified:.6f} ({usable}), "
+        # Python floats, which csv writes by repr: round-trip text
+        out.csv(args.csv, ["m", "p_of_m", "m_mod_q", "relative_error"],
+                zip(grid.tolist(), pm.tolist(), target.tolist(), rel.tolist()))
+    out.manifest()
+    # fit raises FitError rather than return a poly with gamma >= 1
+    print(f"gamma_certified = {poly.gamma_certified:.6f} (usable), "
           f"verified on {poly.verification_samples} samples")
     print(f"wrote {out_path}")
     return 0
 
 
-def cmd_analyze(args) -> int:
-    out_dir = _out_dir(args)
+def cmd_analyze(args, out) -> int:
     plant, controller = _resolve_system(args)
     # reset and fir mode fix their own slope inside analyze_l2_gain
     gamma = args.gamma
     if args.poly:
         gamma = _load(load_poly, "--poly", args.poly).gamma_certified
     elif gamma is None and args.mode == "bootstrap":
-        print("analyze needs --gamma or --poly for bootstrap mode",
-              file=sys.stderr)
-        return 2
+        raise _InputError("analyze needs --gamma or --poly for bootstrap mode")
     if args.mode == "fir" and not args.fir_length:
-        print("analyze --mode fir needs --fir-length", file=sys.stderr)
-        return 2
+        raise _InputError("analyze --mode fir needs --fir-length")
     method = THEOREM_2 if args.theorem == 2 else THEOREM_1
     try:
         report = analyze_l2_gain(
@@ -160,9 +159,7 @@ def cmd_analyze(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"analysis aborted: {exc}", file=sys.stderr)
         return 1
-    out_path = out_dir / args.out
-    _write_json(out_path, report.to_json())
-    outputs = [out_path]
+    out.json(args.out, report.to_json())
 
     slope = f"sector slope {report.gamma_sector:.4f}"
     if report.verdict == "CERTIFIED":
@@ -179,12 +176,9 @@ def cmd_analyze(args) -> int:
         ]
         if report.method == THEOREM_2 and report.T_BS > 1:
             lines.append(_report_row("lifted", report))
-        md_path = out_dir / "analysis_report.md"
-        with _writing(md_path):
-            md_path.write_text("\n".join(lines) + "\n")
-        outputs.append(md_path)
+        out.markdown("analysis_report.md", lines)
         print("\n".join(lines))
-    outputs.append(_write_manifest(out_dir, "analyze", args, outputs))
+    out.manifest()
     return 0
 
 
@@ -194,21 +188,17 @@ def _report_row(label, report):
             f"{gain} ({report.verdict}) |")
 
 
-def cmd_simulate(args) -> int:
-    out_dir = _out_dir(args)
+def cmd_simulate(args, out) -> int:
     plant, controller = _resolve_system(args)
     scheme = _load(load_scheme, "--scheme", args.scheme) if args.scheme else demo_scheme()
     poly = None
     if args.mode == "encrypted":
         if not args.poly:
-            print("simulate --mode encrypted needs --poly", file=sys.stderr)
-            return 2
-        poly = _load(load_poly, "--poly", args.poly)
-        if abs(poly.spec.q - scheme.q0) > 1e-9 * scheme.q0:
-            poly = poly.rescaled(float(scheme.q0))
+            raise _InputError("simulate --mode encrypted needs --poly")
+        poly = _load(lambda path: load_poly(path).rescaled(float(scheme.q0)),
+                     "--poly", args.poly)
     if args.mode == "fir" and not args.fir_length:
-        print("simulate --mode fir needs --fir-length", file=sys.stderr)
-        return 2
+        raise _InputError("simulate --mode fir needs --fir-length")
     try:
         config = SimulationConfig(
             mode=args.mode.upper() if args.mode != "plaintext" else "PLAINTEXT_REFERENCE",
@@ -225,7 +215,7 @@ def cmd_simulate(args) -> int:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return 1
 
-    result = {
+    out.json(args.out, {
         "mode": res.mode,
         "steps": args.steps,
         "T_BS": args.tbs,
@@ -234,40 +224,20 @@ def cmd_simulate(args) -> int:
         "refresh_events": len(res.events),
         "violations": res.violations,
         "max_fidelity_ratio": res.max_fidelity_ratio,
-    }
-    out_path = out_dir / args.out
-    _write_json(out_path, result)
-    outputs = [out_path]
-
-    traj_path = out_dir / "trajectory.csv"
-    n, nc = plant.n, controller.nc
-    with _writing(traj_path), open(traj_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + [f"x{i}" for i in range(n)]
-            + [f"xc{i}" for i in range(nc)]
+    })
+    out.csv("trajectory.csv",
+            ["t"] + [f"x{i}" for i in range(plant.n)]
+            + [f"xc{i}" for i in range(controller.nc)]
             + [f"u{i}" for i in range(res.u.shape[1])]
-            + [f"y{i}" for i in range(res.y.shape[1])]
-        )
-        for t in range(args.steps):
-            writer.writerow(
-                [t] + list(res.x_plant[t]) + list(res.x_c[t])
-                + list(res.u[t]) + list(res.y[t])
-            )
-    outputs.append(traj_path)
-
+            + [f"y{i}" for i in range(res.y.shape[1])],
+            ([t, *res.x_plant[t], *res.x_c[t], *res.u[t], *res.y[t]]
+             for t in range(args.steps)))
     if res.events:
-        ev_path = out_dir / "refresh_events.csv"
-        with _writing(ev_path), open(ev_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "r", "m_plus_e", "output", "poly_error",
-                             "relative_error", "violation"])
-            for ev in res.events:
-                writer.writerow([ev.step, ev.r, ev.m_plus_e, ev.output,
-                                 ev.poly_error, ev.relative_error,
-                                 int(ev.violation)])
-        outputs.append(ev_path)
+        out.csv("refresh_events.csv",
+                ["step", "r", "m_plus_e", "output", "poly_error",
+                 "relative_error", "violation"],
+                ([ev.step, ev.r, ev.m_plus_e, ev.output, ev.poly_error,
+                  ev.relative_error, int(ev.violation)] for ev in res.events))
 
     print(res.summary())
     if args.report:
@@ -278,17 +248,13 @@ def cmd_simulate(args) -> int:
             f"| refresh events | {len(res.events)} |",
             f"| sector violations | {res.violations} |",
         ]
-        md_path = out_dir / "simulation_report.md"
-        with _writing(md_path):
-            md_path.write_text("\n".join(md) + "\n")
-        outputs.append(md_path)
+        out.markdown("simulation_report.md", md)
         print("\n".join(md))
-    outputs.append(_write_manifest(out_dir, "simulate", args, outputs))
+    out.manifest()
     return 0
 
 
-def cmd_lift_check(args) -> int:
-    out_dir = _out_dir(args)
+def cmd_lift_check(args, out) -> int:
     plant, controller = _resolve_system(args)
     cl = interconnect(plant, controller)
     try:
@@ -316,7 +282,7 @@ def cmd_lift_check(args) -> int:
         )
     print(f"max relative deviation between lifted map and {args.tbs}-step "
           f"recursion over {args.trials} trials: {worst:.3e}")
-    _write_manifest(out_dir, "lift-check", args, [])
+    out.manifest()
     if worst > 1e-9:
         print("deviation exceeds 1e-9", file=sys.stderr)
         return 1
@@ -401,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _Output(args))
     except _InputError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -18,8 +18,6 @@ __all__ = [
     "demo_system",
     "demo_scheme",
     "default_bootstrap_spec",
-    "demo_system_path",
-    "demo_scheme_path",
 ]
 
 REFERENCE_SECTOR_SLOPE = 0.2296
@@ -29,22 +27,13 @@ def _asset(name):
     return files("bootctrl.assets").joinpath(name)
 
 
-def demo_system_path():
-    """Filesystem path of the bundled system JSON (context-managed copy)."""
-    return as_file(_asset("demo_system.json"))
-
-
-def demo_scheme_path():
-    return as_file(_asset("demo_scheme.json"))
-
-
 def demo_system() -> tuple[Plant, Controller]:
-    with demo_system_path() as path:
+    with as_file(_asset("demo_system.json")) as path:
         return load_system(path)
 
 
 def demo_scheme() -> SchemeParams:
-    with demo_scheme_path() as path:
+    with as_file(_asset("demo_scheme.json")) as path:
         return load_scheme(path)
 
 

@@ -148,6 +148,7 @@ def run_closed_loop(plant: Plant, controller: Controller,
     schedule injected as x_c(t+1) = Ac (x_c(t) + w_u(t)) + Bc y(t), which
     lets tests replay recorded refresh errors through the ideal model.
     """
+    cl = interconnect(plant, controller)  # refuses an incompatible pair
     steps = config.steps
     n, nc = plant.n, controller.nc
     p_y, m_u = plant.p_y, controller.m_u
@@ -181,7 +182,6 @@ def run_closed_loop(plant: Plant, controller: Controller,
         raise ValueError("w_u injection is only meaningful in PLAINTEXT_REFERENCE mode")
 
     if config.mode == PLAINTEXT_REFERENCE:
-        cl = interconnect(plant, controller)
         if config.fir_length:
             # exact FIR: the certified rewired loop closed with w_u = -z_u;
             # Bu stays [0; Ac], so a w_u schedule keeps its meaning

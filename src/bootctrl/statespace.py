@@ -389,10 +389,13 @@ def system_to_json(plant: Plant, controller: Controller) -> dict:
 
 
 def system_from_json(data: dict):
-    """Rebuild (plant, controller) from the JSON object written by system_to_json."""
+    """Rebuild (plant, controller) from the JSON object written by
+    system_to_json; a pair that cannot be closed into one loop raises
+    ValueError."""
     check_object(data, "system", [*Plant._DIMS, *Controller._DIMS])
     plant = Plant(**{k: data[k] for k in Plant._DIMS})
     controller = Controller(**{k: data[k] for k in Controller._DIMS})
+    interconnect(plant, controller)
     return plant, controller
 
 

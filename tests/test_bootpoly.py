@@ -192,6 +192,20 @@ def test_rescaled_preserves_relative_error(fitted_poly):
                                rtol=1e-12)
 
 
+def test_rescale_that_overflows_is_refused_by_name(fitted_poly):
+    """A factor q_new / q that overflows to inf gives inf and nan
+    coefficients; the rescale refuses them without a RuntimeWarning."""
+    tiny = BootstrapPolynomial(
+        spec=BootstrapSpec(q=1e-300, epsilon=0.5, K=2, d=25),
+        coefficients=fitted_poly.coefficients,
+        gamma_certified=fitted_poly.gamma_certified,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coefficients contain non-finite"):
+            tiny.rescaled(float(2 ** 40))
+
+
 def test_poly_json_roundtrip(tmp_path, fitted_poly):
     path = tmp_path / "poly.json"
     save_poly(path, fitted_poly)

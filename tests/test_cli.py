@@ -3,14 +3,17 @@ Markdown report tables."""
 
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bootctrl import cli
-from bootctrl.bootpoly import load_poly, save_poly
+from bootctrl.bootpoly import load_poly, poly_to_json, save_poly
 from bootctrl.cli import main
 from bootctrl.crypto_sim import SchemeParams, save_scheme
+from bootctrl.statespace import save_system
 
 
 def run(args):
@@ -363,6 +366,68 @@ def test_unwritable_output_file_is_an_exit_code(tmp_path, capsys, command, name)
     err = capsys.readouterr().err
     assert err.startswith(f"cannot write {tmp_path / name}: ")
     assert err.count("\n") == 1
+
+
+def test_incompatible_system_file_is_an_exit_code(tmp_path, capsys, plant,
+                                                  controller):
+    """A system file whose controller expects 2 measurements from a plant
+    that gives 1 gives one line on stderr and exit 2, not a traceback or a
+    matvec shape error."""
+    wide = replace(controller, Bc=np.hstack([controller.Bc] * 2),
+                   Dc=np.hstack([controller.Dc] * 2))
+    path = tmp_path / "sys.json"
+    save_system(path, plant, wide)
+    for command in (["lift-check", "--tbs", "3"], ["simulate", "--mode", "reset"]):
+        code = run(command + ["--system", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load --system {path}: incompatible dimensions")
+        assert err.count("\n") == 1
+
+
+def test_poly_that_cannot_be_rescaled_is_an_exit_code(tmp_path, capsys,
+                                                      fitted_poly):
+    """A poly file whose spec.q is so small that its rescale to the scheme's
+    q0 overflows gives one line naming --poly and exit 2, with no
+    RuntimeWarning on the way."""
+    data = poly_to_json(fitted_poly)
+    data["spec"]["q"] = 1e-300
+    del data["interval"]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["simulate", "--mode", "encrypted", "--poly", str(path),
+                    "--steps", "20", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load --poly {path}: coefficients contain non-finite")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5",
+      "--csv", "profile.csv"], ["poly.json", "profile.csv"]),
+    (["analyze", "--gamma", "0.2296", "--tbs", "3", "--report"],
+     ["analysis_report.json", "analysis_report.md"]),
+    (["simulate", "--mode", "encrypted", "--poly", "POLY", "--steps", "50",
+      "--report"], ["simulation_result.json", "trajectory.csv",
+                    "refresh_events.csv", "simulation_report.md"]),
+    (["lift-check", "--tbs", "3"], []),
+], ids=["fit-poly", "analyze", "simulate", "lift-check"])
+def test_manifest_lists_every_file_written(tmp_path, fitted_poly, argv, written):
+    """The manifest's outputs are exactly the files the command wrote, in
+    order, and the output directory holds nothing else but the manifest."""
+    poly_path = tmp_path / "p.json"
+    save_poly(poly_path, fitted_poly)
+    argv = [str(poly_path) if a == "POLY" else a for a in argv]
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 0
+    name = f"{argv[0].replace('-', '_')}_manifest.json"
+    manifest = json.loads((out / name).read_text())
+    assert manifest["output_dir"] == str(out)
+    assert manifest["outputs"] == [str(out / f) for f in written]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written + [name])
 
 
 # --------------------------------------------------------------------------

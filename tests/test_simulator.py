@@ -723,6 +723,19 @@ def test_non_finite_signal_is_rejected_by_name(plant, controller, scheme,
                             **kwargs)
 
 
+@pytest.mark.parametrize("mode", [PLAINTEXT_REFERENCE, ENCRYPTED, RESET, FIR])
+def test_incompatible_pair_is_refused_in_every_mode(plant, controller, scheme,
+                                                    sim_poly, mode):
+    """A controller that expects 2 measurements from a plant that gives 1
+    is refused by interconnect in every mode, not by a matvec shape error."""
+    wide = replace(controller, Bc=np.hstack([controller.Bc] * 2),
+                   Dc=np.hstack([controller.Dc] * 2))
+    cfg = SimulationConfig(mode=mode, steps=12, T_BS=scheme.L,
+                           fir_length=3 if mode == FIR else 0)
+    with pytest.raises(ValueError, match="incompatible dimensions"):
+        run_closed_loop(plant, wide, cfg, scheme=scheme, poly=sim_poly)
+
+
 def test_non_finite_w_u_is_rejected(plant, controller):
     w_u = np.zeros((10, controller.nc))
     w_u[3, 0] = np.nan

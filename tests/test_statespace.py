@@ -54,6 +54,9 @@ def test_interconnect_checks_dimensions(plant, controller):
     )
     with pytest.raises(ValueError, match="outputs"):
         interconnect(plant, wide_controller)
+    # a system file of the pair is refused when it is read
+    with pytest.raises(ValueError, match="incompatible dimensions"):
+        system_from_json(system_to_json(plant, wide_controller))
 
 
 def test_closed_loop_recursion_matches_components(plant, controller):
