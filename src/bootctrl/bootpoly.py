@@ -433,8 +433,8 @@ def poly_from_json(data: dict) -> BootstrapPolynomial:
     if not (isinstance(interval, list) and len(interval) == 2):
         raise ValueError("poly JSON field interval must be a list [lo, hi]")
     lo, hi = (_json_float(x, "interval") for x in interval)
-    if not (np.isclose(-lo, poly.spec.half_range, rtol=1e-9)
-            and np.isclose(hi, poly.spec.half_range, rtol=1e-9)):
+    r = poly.spec.half_range  # relative only: any absolute slack swamps a tiny q
+    if not (abs(lo + r) <= 1e-9 * r and abs(hi - r) <= 1e-9 * r):
         raise ValueError("interval in JSON is inconsistent with the spec fields")
     return poly
 

@@ -39,12 +39,13 @@ __all__ = ["main"]
 class _InputError(Exception):
     """An input file that cannot be read or parsed, a missing required
     flag, an output directory that cannot be made or an output file that
-    cannot be written; main exits with 2."""
+    cannot be written or was already written; main exits with 2."""
 
 
 class _Output:
     """One command's output directory: made on construction, every file
-    written through one error path and listed in the manifest."""
+    written through one error path and listed in the manifest, and no
+    path written twice."""
 
     def __init__(self, args):
         self.args = args
@@ -57,6 +58,8 @@ class _Output:
 
     def _write(self, name, write):
         path = self.dir / name
+        if path in self.paths:
+            raise _InputError(f"cannot write {path}: this command already wrote it")
         try:
             write(path)
         except OSError as exc:

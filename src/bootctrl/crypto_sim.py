@@ -9,26 +9,31 @@ noise bound) so tests can assert the fidelity invariant
 
 after every operation.  Ciphertext bodies are lists of Python ints
 (arbitrary precision), stored as centered residues in [-q/2, q/2): each
-operation builds its body in one list pass ending in (x + h) % q - h with
-h = q // 2, and a fresh mask r in [0, q) is centered as drawn.
+operation builds its body in list passes whose last one ends in
+(x + h) % q - h with h = q // 2, and a fresh mask r in [0, q) is centered
+as drawn.
 
 Homomorphic operations: add, matvec (plaintext matrix times ciphertext
 vector; a plaintext scalar product is the 1x1 case) and rescale.
 matvec takes an EncodedMatrix, which encode_matrix makes once per matrix
 (a plain matrix is encoded on the way in), so the encrypted loop encodes
-its controller matrices once per run.
+its controller matrices once per run.  Each matvec row folds its nonzero
+terms two per list pass, s + f1*a + f2*b, and rescale rounds x / c as
+(x + c//2) // c, or -((c//2 - x) // c) for negative x.
 
 The secret is sparse and ternary, so the phase <body, sk> with
 sk = (1, s) is formed in exact integers as the sum of the body over the
 h + 1 positions where sk is +1 or -1 (h = hamming_weight), each with its
 sign: no product with a zero or unit key coefficient is ever taken.
-Fresh masks are drawn by CPython's own randrange(q) algorithm
-(_randbelow_with_getrandbits: getrandbits(q.bit_length()) until the
-draw is below q) inlined, so every value and the generator state match
+Fresh noise and masks are drawn by CPython's own randint and randrange
+algorithm (_randbelow_with_getrandbits: getrandbits(n.bit_length())
+until the draw is below n) inlined, so every value and the generator
+state match keys.rng.randint(-noise_bound, noise_bound) and
 keys.rng.randrange(q) call for call.
 
 Modulus chain: q_level = q0 * c**level, level in 0..L, tabulated once
-when the SchemeParams is built.  One rescale consumes one level; the
+(with q_level / 2 as a float for the budget check) when the SchemeParams
+is built.  One rescale consumes one level; the
 emulated bootstrap consumes a level-0 ciphertext and returns a fresh
 level-L one whose plaintext is the rounded value of the refresh
 polynomial applied to the raw phase b + <a, s> over the integers.
@@ -137,9 +142,10 @@ class SchemeParams:
         if self.hamming_weight > self.n:
             raise ValueError(f"hamming_weight must be at most n = {self.n}, "
                              f"got {self.hamming_weight}")
-        # not a field: equality, repr and JSON see only the parameters
-        object.__setattr__(self, "_moduli",
-                           tuple(self.q0 * self.c ** ell for ell in range(self.L + 1)))
+        # not fields: equality, repr and JSON see only the parameters
+        moduli = tuple(self.q0 * self.c ** ell for ell in range(self.L + 1))
+        object.__setattr__(self, "_moduli", moduli)
+        object.__setattr__(self, "_half_moduli", tuple(q / 2 for q in moduli))
 
     def modulus(self, level: int) -> int:
         if not 0 <= level <= self.L:
@@ -259,12 +265,13 @@ def keygen(params: SchemeParams) -> Keys:
 
 
 def _budget_check(params: SchemeParams, ct: Ciphertext):
-    q = params.modulus(ct.level)
+    """ct, or CiphertextOverflowError; ct.level is one its maker checked."""
+    half = params._half_moduli[ct.level]
     payload = abs(ct.debug_plaintext) * float(params.c) ** ct.scale_exponent
-    if payload + ct.noise_bound >= q / 2:
+    if payload + ct.noise_bound >= half:
         raise CiphertextOverflowError(
             f"payload {payload:.3e} + noise {ct.noise_bound:.3e} "
-            f"exceeds q/2 = {q / 2:.3e} at level {ct.level}"
+            f"exceeds q/2 = {half:.3e} at level {ct.level}"
         )
     return ct
 
@@ -273,16 +280,23 @@ def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
            noise_bound: float, debug: float) -> Ciphertext:
     """Encrypt the encoded integer m afresh (draws e, then a).
 
-    Each mask a_i is keys.rng.randrange(q) by its own algorithm: k-bit
-    draws, k = q.bit_length(), until one is below q, centered as drawn.
-    b = m + e - <a, s> is the phase of the body with b set to 0.
+    e + nb is keys.rng.randint(-nb, nb) + nb and each mask a_i is
+    keys.rng.randrange(q), both by randrange's own algorithm: k-bit
+    draws, k = n.bit_length(), until one is below n (n = 2 nb + 1, then
+    q); a mask is centered as drawn.  b = m + e - <a, s> is the phase of
+    the body with b set to 0.
     """
     params = keys.params
     q = params.modulus(level)
     h = q // 2
     top = q - h
-    e = keys.rng.randint(-params.noise_bound, params.noise_bound)
     getrandbits = keys.rng.getrandbits
+    nb = params.noise_bound
+    n = 2 * nb + 1
+    k = n.bit_length()
+    e = getrandbits(k)
+    while e >= n:
+        e = getrandbits(k)
     k = q.bit_length()
     body = [0]
     for _ in range(params.n):
@@ -290,7 +304,7 @@ def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
         while r >= q:
             r = getrandbits(k)
         body.append(r if r < top else r - q)
-    body[0] = (m + e - _phase(keys, body) + h) % q - h
+    body[0] = (m + e - nb - _phase(keys, body) + h) % q - h
     ct = Ciphertext(
         body=body,
         level=level,
@@ -358,6 +372,30 @@ def encode_matrix(params: SchemeParams, M) -> EncodedMatrix:
         for row in as_matrix(M, "M").tolist()))
 
 
+def _fold(terms: list, h: int, q: int) -> list:
+    """sum_j f_j x_j centered mod q, for terms [(f_j, x_j), ...] (at least one).
+
+    Two terms per list pass, s + f1*a + f2*b, so k terms take ceil(k/2)
+    passes: the first pass adds h = q // 2 and takes one term when k is
+    odd, and the last one reduces, (s + h) % q - h.
+    """
+    f, x = terms.pop()
+    if len(terms) % 2:
+        g, y = terms.pop()
+        if not terms:
+            return [(f * a + g * b + h) % q - h for a, b in zip(x, y)]
+        acc = [f * a + g * b + h for a, b in zip(x, y)]
+    elif not terms:
+        return [(f * a + h) % q - h for a in x]
+    else:
+        acc = [f * a + h for a in x]
+    while len(terms) > 2:
+        (f, x), (g, y) = terms.pop(), terms.pop()
+        acc = [s + f * a + g * b for s, a, b in zip(acc, x, y)]
+    (f, x), (g, y) = terms
+    return [(s + f * a + g * b) % q - h for s, a, b in zip(acc, x, y)]
+
+
 def matvec(params: SchemeParams, M, cts: list) -> list:
     """Encrypted y = M x for a plaintext matrix and a ciphertext vector.
 
@@ -365,8 +403,8 @@ def matvec(params: SchemeParams, M, cts: list) -> list:
     encoded here.  Each entry is encoded as round(c * M_ij); the result
     has scale_exponent raised by one.  Noise ledger per output row:
     sum_j |M_int_ij| nu_j + sum_j |round err_ij| * |x_j| * c**sigma.
-    Each body sums f_ij x_j over the nonzero columns only, and the last
-    column's pass also centers it.
+    Each input's body and ledger are read once per call; each body sums
+    f_ij x_j over the nonzero columns only (see _fold).
     """
     if not isinstance(M, EncodedMatrix):
         M = encode_matrix(params, M)
@@ -377,9 +415,13 @@ def matvec(params: SchemeParams, M, cts: list) -> list:
     ncols = len(M.rows[0])
     if ncols != len(cts):
         raise ValueError(f"matrix has {ncols} columns, vector has {len(cts)}")
+    if not cts:
+        raise ValueError("the ciphertext vector cts is empty")
     level = cts[0].level
     sigma = cts[0].scale_exponent
-    if any(ct.level != level or ct.scale_exponent != sigma for ct in cts):
+    ins = [(ct.body, ct.noise_bound, abs(ct.debug_plaintext), ct.debug_plaintext)
+           for ct in cts if ct.level == level and ct.scale_exponent == sigma]
+    if len(ins) < len(cts):
         raise ValueError("ciphertext vector entries disagree on level or scale")
     q = params.modulus(level)
     h = q // 2
@@ -389,22 +431,13 @@ def matvec(params: SchemeParams, M, cts: list) -> list:
         terms = []
         noise = 0.0
         debug = 0.0
-        for (f, f_abs, round_err, m), ct in zip(row, cts):
+        for (f, f_abs, round_err, m), (x, nu, d_abs, d) in zip(row, ins):
             if f:
-                terms.append((f, ct.body))
-            noise += f_abs * ct.noise_bound
-            noise += round_err * abs(ct.debug_plaintext) * scale_old
-            debug += m * ct.debug_plaintext
-        if not terms:
-            body = [0] * len(cts[0].body)
-        else:
-            f, last = terms.pop()
-            acc = None
-            for f_j, x in terms:
-                acc = ([f_j * a for a in x] if acc is None
-                       else [b + f_j * a for b, a in zip(acc, x)])
-            body = ([(f * a + h) % q - h for a in last] if acc is None
-                    else [(b + f * a + h) % q - h for b, a in zip(acc, last)])
+                terms.append((f, x))
+            noise += f_abs * nu
+            noise += round_err * d_abs * scale_old
+            debug += m * d
+        body = _fold(terms, h, q) if terms else [0] * len(ins[0][0])
         out.append(
             _budget_check(
                 params,
@@ -418,18 +451,21 @@ def matvec(params: SchemeParams, M, cts: list) -> list:
 def rescale(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
     """Divide the body by c (rounded) and drop one level; scale -1.
 
-    Rounding each of the n+1 body coordinates by at most 1/2 perturbs
-    the phase by at most (hamming_weight + 1)/2 through the secret key.
+    round(x / c), ties away from zero, is (x + c//2) // c for x >= 0 and
+    -((c//2 - x) // c) for x < 0, exactly in integers: the same as
+    (2x + c) // (2c) and its mirror for every integer c >= 1, ties
+    included.  Rounding each of the n+1 body coordinates by at most 1/2
+    perturbs the phase by at most (hamming_weight + 1)/2 through the
+    secret key.
     """
     if ct.level == 0:
         raise NoLevelsLeftError("rescale at level 0")
     q_next = params.modulus(ct.level - 1)
     h = q_next // 2
     c = params.c
-    c2 = 2 * c
-    # round(x / c), ties away from zero, exactly in integers; then centered
-    body = [((2 * x + c) // c2 + h) % q_next - h if x >= 0
-            else (h - (c - 2 * x) // c2) % q_next - h
+    half = c // 2
+    body = [((x + half) // c + h) % q_next - h if x >= 0
+            else (h - (half - x) // c) % q_next - h
             for x in ct.body]
     ct_out = Ciphertext(
         body=body,

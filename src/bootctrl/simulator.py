@@ -202,6 +202,10 @@ def run_closed_loop(plant: Plant, controller: Controller,
     x_log = np.zeros((steps + 1, n))
     x_log[0] = x
     events, violations, max_fid = [], 0, 0.0
+    # F1 w1(t), D1 w1(t) and B1 w1(t) for every step: a stacked matmul runs
+    # the per-step F1 @ w1[t] kernel row by row (w1 @ F1.T can round apart)
+    F1w, D1w, B1w = (np.matmul(G, w1[:, :, None])[..., 0]
+                     for G in (plant.F1, plant.D1, plant.B1))
 
     keys = cs.keygen(scheme)
     # Re-seed the encryption stream so different trials draw different
@@ -261,14 +265,14 @@ def run_closed_loop(plant: Plant, controller: Controller,
         xc_log = np.zeros((steps + 1, nc))
     check(state)
     for t in range(steps):
-        y = plant.C @ x + plant.F1 @ w1[t]
-        inputs = np.concatenate([y, w2[t, :k]])
+        y = plant.C @ x + F1w[t]
+        inputs = np.concatenate([y, w2[t, :k]]) if k else y
         enc_in = encrypt_all(inputs, state[0].level)
         if config.mode == FIR:
             check(enc_in)
         # control from the pre-refresh state
         u = np.array(check(cs.matvec(scheme, out_rows, state + enc_in)))
-        z_p[t] = plant.C1 @ x + plant.D1 @ w1[t] + plant.E @ u
+        z_p[t] = plant.C1 @ x + D1w[t] + plant.E @ u
         u_log[t], y_log[t] = u, y
 
         if config.mode == FIR:
@@ -295,7 +299,7 @@ def run_closed_loop(plant: Plant, controller: Controller,
             check(state)
             xc_log[t + 1] = [ct.debug_plaintext for ct in state]
 
-        x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
+        x = plant.A @ x + plant.B @ u + B1w[t]
         x_log[t + 1] = x
 
     if config.mode == FIR:

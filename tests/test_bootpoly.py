@@ -3,6 +3,7 @@ root constraints, dense verification, rescaling, and serialization."""
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,23 @@ def test_poly_json_interval_checked_at_both_ends(fitted_poly):
     data["interval"] = [0.5 * lo, hi]
     with pytest.raises(ValueError, match="interval"):
         poly_from_json(data)
+
+
+@pytest.mark.parametrize("q", [1e-9, 1.0, 1e300])
+def test_poly_json_interval_checked_relative_to_half_range(fitted_poly, q):
+    """The interval must match +-half_range to 1e-9 of half_range, with no
+    absolute slack: at q = 1e-9 the interval [0, 0] is refused, and the
+    exact interval loads at every scale."""
+    data = poly_to_json(fitted_poly)
+    data["spec"]["q"] = q
+    r = replace(fitted_poly.spec, q=q).half_range
+    for interval in ([-r, r], [-r * (1 + 1e-10), r * (1 - 1e-10)]):
+        data["interval"] = interval
+        assert poly_from_json(data).spec.q == q
+    for interval in ([0.0, 0.0], [-r, r * (1 + 1e-8)], [-r * (1 - 1e-8), r]):
+        data["interval"] = interval
+        with pytest.raises(ValueError, match="^interval in JSON is inconsistent"):
+            poly_from_json(data)
 
 
 def test_coefficient_length_checked():

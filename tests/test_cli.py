@@ -368,6 +368,26 @@ def test_unwritable_output_file_is_an_exit_code(tmp_path, capsys, command, name)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name", [
+    (["simulate", "--mode", "plaintext", "--steps", "5", "--out"], "trajectory.csv"),
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--csv"], "poly.json"),
+    (["analyze", "--gamma", "0.2296", "--tbs", "3", "--report", "--out"],
+     "analysis_report.md"),
+    (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--out"],
+     "fit_poly_manifest.json"),
+], ids=["simulate", "fit-poly-csv", "analyze-report", "manifest"])
+def test_output_name_written_twice_is_an_exit_code(tmp_path, capsys, command, name):
+    """An output name that a later file of the same command would reuse
+    gives one line naming it on stderr and exit 2: the first file stays,
+    and no manifest lists the name twice."""
+    code = run(command + [name, "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"cannot write {tmp_path / name}: this command already wrote it\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert "command" not in json.loads((tmp_path / name).read_text())
+
+
 def test_incompatible_system_file_is_an_exit_code(tmp_path, capsys, plant,
                                                   controller):
     """A system file whose controller expects 2 measurements from a plant

@@ -395,9 +395,11 @@ def _outcome(kernel, *args):
 ], ids=["c=2^16", "c=7"])
 def test_matvec_matches_per_entry_oracle(params):
     """On random matrices from 1x1 to 4x9, with zero rows and zero entries,
-    at every level and scale exponents 1 and 2, the encode-once kernel
-    (given the plain matrix or its encoding) returns exactly the oracle's
-    bodies, noise bounds and debug values."""
+    at every level and scale exponents 1 and 2, and on 1 x cols rows with
+    0 to cols zero entries interleaved (every odd and even term count of
+    the two-term fold), the kernel (given the plain matrix or its
+    encoding) returns exactly the oracle's bodies, noise bounds and debug
+    values."""
     keys = cs.keygen(params)
     c, h = params.c, params.modulus(1) // 2
     for sign in (1, -1):  # sums on and next to the wrap points +-q/2
@@ -422,6 +424,15 @@ def test_matvec_matches_per_entry_oracle(params):
         want = _outcome(_matvec_per_entry, params, M, cts)
         assert _outcome(cs.matvec, params, M, cts) == want
         assert _outcome(cs.matvec, params, cs.encode_matrix(params, M), cts) == want
+    level = params.L
+    for cols in range(1, 10):  # one row, as a FIR window row: every term count
+        cts = [cs.encrypt(keys, rnd.uniform(-1e3, 1e3), level=level)
+               for _ in range(cols)]
+        for zeros in range(cols + 1):  # zero entries interleaved, then all zero
+            M = rng.uniform(0.1, 2, (1, cols)) * rng.choice((-1.0, 1.0), (1, cols))
+            M[0, rng.permutation(cols)[:zeros]] = 0.0
+            assert _outcome(cs.matvec, params, M, cts) \
+                == _outcome(_matvec_per_entry, params, M, cts)
 
 
 def test_encode_matrix_entries(small_scheme):
@@ -455,6 +466,12 @@ def test_bad_plaintext_matrix_is_named(keys, small_scheme, M, message):
         cs.encode_matrix(small_scheme, M)
     with pytest.raises(ValueError, match=message):
         cs.matvec(small_scheme, M, cts[:len(M[0])])
+
+
+@pytest.mark.parametrize("M", [np.zeros((1, 0)), []], ids=["1x0", "empty_list"])
+def test_matvec_refuses_an_empty_ciphertext_vector(small_scheme, M):
+    with pytest.raises(ValueError, match="^the ciphertext vector cts is empty$"):
+        cs.matvec(small_scheme, M, [])
 
 
 def test_matvec_rejects_ragged_levels(keys, small_scheme):

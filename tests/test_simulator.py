@@ -233,6 +233,30 @@ def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly):
         "8b2ef42addef8475af1f53617e5e00f24a15044291979f8d4570577d7f38550e"
 
 
+@pytest.mark.parametrize("m_w1", [1, 2, 3])
+def test_disturbance_products_match_the_per_step_form(scheme, make_random_system,
+                                                      m_w1):
+    """The loop forms F1 w1(t), D1 w1(t) and B1 w1(t) for all steps up
+    front; its logs satisfy the per-step plant equations with F1 @ w1[t],
+    D1 @ w1[t] and B1 @ w1[t] bit for bit, on random systems."""
+    rng = np.random.default_rng(40 + m_w1)
+    for trial in range(6):
+        plant, controller = make_random_system(rng, m_w1=m_w1)
+        steps = 30
+        w1 = rng.standard_normal((steps, m_w1))
+        res = run_closed_loop(plant, controller,
+                              SimulationConfig(mode=RESET, steps=steps, T_BS=5,
+                                               seed=trial),
+                              scheme=replace(scheme, L=5), w_p1=w1)
+        x, u = res.x_plant, res.u
+        for t in range(steps):
+            assert np.array_equal(res.y[t], plant.C @ x[t] + plant.F1 @ w1[t])
+            assert np.array_equal(res.z_p[t], plant.C1 @ x[t] + plant.D1 @ w1[t]
+                                  + plant.E @ u[t])
+            assert np.array_equal(x[t + 1], plant.A @ x[t] + plant.B @ u[t]
+                                  + plant.B1 @ w1[t])
+
+
 @pytest.mark.parametrize("mode, encodings", [(ENCRYPTED, 2), (RESET, 2), (FIR, 1)])
 def test_controller_matrices_are_encoded_once_per_run(plant, controller, scheme,
                                                       sim_poly, monkeypatch, mode,
