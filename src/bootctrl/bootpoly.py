@@ -8,8 +8,11 @@ approximates m mod q on a union of intervals around multiples of q,
 with a relative (sector) error bound: |p(x) - (x mod q)| <= gamma |x mod q|
 for all x in I.  The fit minimizes gamma over polynomials of fixed degree
 by discretizing the constraint set at Chebyshev nodes and solving the
-resulting LP in-repo; the returned gamma is then re-established by dense
-a-posteriori sampling, which is the authoritative certificate.
+resulting LP in-repo, whose rows are written in place into one
+constraint matrix; the returned gamma is then re-established by dense
+a-posteriori sampling, which is the authoritative certificate.  That
+sampling streams its points through the kernel's blocks, so no array of
+the sample count is formed and its memory does not grow with the count.
 
 Every evaluation of p goes through one Clenshaw kernel, numpy's chebval
 recurrence operation for operation (x2 = 2x; c0, c1 <- c[-i] - c1,
@@ -279,22 +282,19 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
             best_gamma=1.0,
         )
 
-    rows, rhs = [], []
-    abs_m = np.abs(nodes)
-    for r in spec.offsets:
+    # each offset's rows, -p(m - r q) - gamma |m| <= -m then its mirror,
+    # written in place; the last row is gamma >= 0
+    n_off = len(spec.offsets)
+    A_ub = np.zeros((n_off * 2 * M + 1, n_free + 1))
+    b_ub = np.zeros(A_ub.shape[0])
+    blocks = A_ub[:-1].reshape(n_off, 2, M, n_free + 1)
+    blocks[..., -1] = -np.abs(nodes)
+    b_ub[:-1].reshape(n_off, 2, M)[...] = (-nodes, nodes)
+    for block, r in zip(blocks, spec.offsets):
         P = _odd_chebvander(nodes - r * spec.q, spec) @ N
-        rows.append(np.hstack([-P, -abs_m[:, None]]))
-        rhs.append(-nodes)
-        rows.append(np.hstack([P, -abs_m[:, None]]))
-        rhs.append(nodes)
-    # gamma >= 0
-    gamma_row = np.zeros((1, n_free + 1))
-    gamma_row[0, -1] = -1.0
-    rows.append(gamma_row)
-    rhs.append(np.zeros(1))
-
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
+        np.negative(P, out=block[0, :, :-1])
+        block[1, :, :-1] = P
+    A_ub[-1, -1] = -1.0
     cost = np.zeros(n_free + 1)
     cost[-1] = 1.0
 
@@ -325,6 +325,27 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
     )
 
 
+def _grid(start, stop, n, lo, hi):
+    """np.linspace(start, stop, n)[lo:hi] (n >= 2), bit for bit.
+
+    It is linspace's formula: arange(lo, hi) * step + start with
+    step = (stop - start) / (n - 1) (divide, then scale, when step
+    underflows to 0), and the last point set to stop.
+    """
+    m = np.arange(lo, hi, dtype=float)
+    delta = stop - start
+    step = delta / (n - 1)
+    if step:
+        m *= step
+    else:
+        m /= n - 1
+        m *= delta
+    m += start
+    if hi == n:
+        m[-1] = stop
+    return m
+
+
 def verify(poly: BootstrapPolynomial, samples: int) -> float:
     """Dense-sample the relative error over I and return its supremum.
 
@@ -336,25 +357,33 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     |p(r q)| <= ROOT_TOL * q, since the quotient there measures only
     floating-point cancellation, not the polynomial.
 
-    The points are walked in kernel blocks: x = (m - r q) / half_range,
-    the Clenshaw kernel and |p(x) - m| / |m| run on one block in a few
-    work buffers allocated once per call, and the block's maximum joins a
-    running maximum, so no array of the full sample count is formed past
-    m itself.  The uniform grid is built once and reused at every offset.
-    Every value is the whole-array chebval formula's up to the sign of an
-    exact zero, which the abs removes, so the result is bitwise that
-    formula's.  A non-finite root or error (overflow in the recurrence)
-    returns inf, without a warning, so fit() rejects it.
+    The samples are streamed a kernel block at a time: each grid block is
+    formed by linspace's own formula (_grid), the seeded stream is drawn
+    block by block (chunked draws give the same stream), and a block's
+    points within 1e-9 q of 0 are dropped.  x = (m - r q) / half_range,
+    the Clenshaw kernel and |p(x) - m| / |m| then run in work buffers
+    allocated once per call, and the block's maximum joins a running
+    maximum, so no array of the sample count is formed.  The kernel sees
+    the whole-array formula's points in its order, and every value is that
+    formula's up to the sign of an exact zero, which the abs removes, so
+    the result is bitwise that formula's.  A non-finite root or error
+    (overflow in the recurrence) returns inf, without a warning, so fit()
+    rejects it.
     """
     check_count(samples, "samples", 10**5)
     spec = poly.spec
     half_msg = spec.epsilon * spec.q / 2
     rng = np.random.default_rng(20_240_501)
     n_grid = samples // 2
-    grid = np.linspace(-half_msg, half_msg, n_grid)
-    grid = grid[np.abs(grid) > 1e-9 * spec.q]
     c = poly.coefficients.tolist()
     x, abs_m, *work = np.empty((6, min(_BLOCK, samples)))
+
+    def blocks():
+        """One offset's samples a block at a time: the grid, then the draws."""
+        for lo in range(0, n_grid, _BLOCK):
+            yield _grid(-half_msg, half_msg, n_grid, lo, min(lo + _BLOCK, n_grid))
+        for lo in range(n_grid, samples, _BLOCK):
+            yield rng.uniform(-half_msg, half_msg, min(_BLOCK, samples - lo))
 
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -362,19 +391,19 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
             # NaN fails the comparison too
             if not abs(evaluate(poly, -r * spec.q)) <= ROOT_TOL * spec.q:
                 return np.inf
-            rand = rng.uniform(-half_msg, half_msg, samples - n_grid)
-            for m in (grid, rand[np.abs(rand) > 1e-9 * spec.q]):
-                for lo in range(0, m.size, _BLOCK):
-                    mb = m[lo:lo + _BLOCK]
-                    xb, ab = x[:mb.size], abs_m[:mb.size]
-                    np.divide(np.subtract(mb, r * spec.q, out=xb), spec.half_range, out=xb)
-                    p = _clenshaw(c, xb, work)
-                    np.abs(np.subtract(p, mb, out=p), out=p)
-                    np.divide(p, np.abs(mb, out=ab), out=p)
-                    block_worst = float(p.max())
-                    if not block_worst < np.inf:
-                        return np.inf
-                    worst = max(worst, block_worst)
+            for m in blocks():
+                m = m[np.abs(m) > 1e-9 * spec.q]
+                if m.size == 0:
+                    continue
+                xb, ab = x[:m.size], abs_m[:m.size]
+                np.divide(np.subtract(m, r * spec.q, out=xb), spec.half_range, out=xb)
+                p = _clenshaw(c, xb, work)
+                np.abs(np.subtract(p, m, out=p), out=p)
+                np.divide(p, np.abs(m, out=ab), out=p)
+                block_worst = float(p.max())
+                if not block_worst < np.inf:
+                    return np.inf
+                worst = max(worst, block_worst)
     return worst
 
 

@@ -159,6 +159,9 @@ def run_closed_loop(plant: Plant, controller: Controller,
             scheme is None or config.mode == ENCRYPTED and poly is None):
         needs = "scheme and poly" if config.mode == ENCRYPTED else "scheme"
         raise ValueError(f"{config.mode} mode needs {needs}")
+    if config.mode in (ENCRYPTED, RESET) and nc == 0:
+        raise ValueError(f"{config.mode} mode encrypts the controller state, "
+                         f"so it needs nc >= 1; this controller is static (nc = 0)")
     if config.mode == ENCRYPTED:
         if scheme.L != config.T_BS:
             raise ValueError(

@@ -127,6 +127,29 @@ def test_fit_reference_configuration(fitted_poly):
     assert np.abs(fitted_poly.coefficients[::2]).max() <= 1e-9
 
 
+# gamma_certified on the (d, K) design grid at q = 1, eps = 0.5, bit for bit
+DESIGN_GRID_GAMMAS = {
+    (15, 1): 0.05192598627385815,
+    (15, 2): 0.24618876070955756,
+    (15, 3): 0.9720028020865912,
+    (25, 1): 0.0034553923884741516,
+    (25, 2): 0.09146705920785109,
+    (25, 3): 0.22288839303006092,
+    (35, 1): 0.0004360084226318828,
+    (35, 2): 0.028029921860042994,
+    (35, 3): 0.1611274432102582,
+    (45, 1): 3.64250873898633e-05,
+    (45, 2): 0.004281873650962272,
+    (45, 3): 0.031134802638649373,
+}
+
+
+@pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
+def test_design_grid_slopes_are_pinned_bitwise(d, K):
+    poly = fit(BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d))
+    assert poly.gamma_certified.hex() == DESIGN_GRID_GAMMAS[d, K].hex()
+
+
 def test_fitted_roots_at_wrap_points(fitted_poly):
     spec = fitted_poly.spec
     for r in spec.offsets:
@@ -456,6 +479,50 @@ def test_verify_walks_every_sample_once(monkeypatch, fitted_poly):
     assert max(calls) == BLOCK
     assert np.concatenate(seen).tobytes() == np.concatenate(want).tobytes()
     assert gamma == _verify_whole_array(fitted_poly, samples)
+
+
+@pytest.mark.parametrize("samples", [250_000, 2_000_000])
+def test_verify_memory_does_not_grow_with_samples(fitted_poly, samples):
+    """verify streams its samples through fixed blocks: the same small
+    tracemalloc peak at 250k and at 2e6 points per interval."""
+    tracemalloc.start()
+    try:
+        gamma = verify(fitted_poly, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+    if samples == 2_000_000:
+        assert gamma == _verify_whole_array(fitted_poly, samples)
+
+
+@pytest.mark.parametrize("half", [0.25, 1e-320], ids=["normal", "subnormal-step"])
+@pytest.mark.parametrize("n", [2, 3, 50_000, 50_001, 7 * BLOCK + 7],
+                         ids=["2", "3", "even", "odd", "ragged"])
+def test_grid_blocks_are_linspace(n, half):
+    """verify's blockwise grid is np.linspace bit for bit, also where the
+    step underflows to 0 and linspace divides before it scales."""
+    got = [bootpoly._grid(-half, half, n, lo, min(lo + BLOCK, n))
+           for lo in range(0, n, BLOCK)]
+    assert np.concatenate(got).tobytes() == np.linspace(-half, half, n).tobytes()
+
+
+def test_verify_skips_a_block_the_exclusion_empties(monkeypatch):
+    """At eps = 2.2e-6 the 45 grid points nearest the centre of an odd
+    50,001-point grid lie within 1e-9 q of 0, so with 20-point blocks the
+    two blocks on either side of the centre are dropped whole: the
+    kernel never sees them, and the result is still the whole-array one."""
+    spec = BootstrapSpec(q=1.0, epsilon=2.2e-6, K=0, d=3)
+    r = spec.half_range
+    poly = BootstrapPolynomial(spec=spec, coefficients=[0, 0.9 * r, 0, 0.05 * r],
+                               gamma_certified=0.5)
+    samples = 100_002  # 50_001 grid points, the centre at 25_000 = 1250 * 20
+    monkeypatch.setattr(bootpoly, "_BLOCK", 20)
+    gamma, calls = _kernel_calls(monkeypatch, poly, samples, lambda i, x, p: p)
+    (_, m), = _verify_samples(spec, samples)
+    assert sum(calls) == 1 + m.size  # the root, then every kept sample
+    assert len(calls) == 1 + 2 * 2501 - 2
+    assert gamma == _verify_whole_array(poly, samples)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

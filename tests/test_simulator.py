@@ -767,3 +767,16 @@ def test_non_finite_w_u_is_rejected(plant, controller):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="w_u has non-finite"):
             run_closed_loop(plant, controller, _plain_cfg(10), w_u=w_u)
+
+
+@pytest.mark.parametrize("mode", [ENCRYPTED, RESET])
+def test_static_controller_is_refused_in_encrypted_modes(plant, scheme, sim_poly,
+                                                         mode):
+    """A static controller (nc = 0) has no state to encrypt: ENCRYPTED and
+    RESET refuse it by name instead of failing inside the step loop."""
+    static = Controller(Ac=np.zeros((0, 0)), Bc=np.zeros((0, 1)),
+                        B2=np.zeros((0, 1)), Cc=np.zeros((1, 0)),
+                        Dc=[[0.1]], F2=[[0.0]])
+    cfg = SimulationConfig(mode=mode, steps=12, T_BS=scheme.L)
+    with pytest.raises(ValueError, match=f"{mode} mode .* nc >= 1.*static \\(nc = 0\\)"):
+        run_closed_loop(plant, static, cfg, scheme=scheme, poly=sim_poly)
