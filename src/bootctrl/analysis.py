@@ -17,7 +17,6 @@ can be audited line by line against the test statement.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,7 @@ from .statespace import (
     Plant,
     as_matrix,
     check_count,
+    check_real,
     interconnect,
     lift,
     lift_performance,
@@ -107,7 +107,8 @@ class SectorBound:
     @classmethod
     def symmetric(cls, gamma, n_zu):
         """Componentwise symmetric sector [-gamma, gamma]."""
-        if not (isinstance(gamma, numbers.Real) and 0 <= gamma < np.inf):
+        gamma = check_real(gamma, "gamma")
+        if gamma < 0:
             raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
         return cls(L_lower=-gamma * np.eye(n_zu), L_upper=gamma * np.eye(n_zu))
 
@@ -128,7 +129,13 @@ def sector_from_bootstrap(poly: BootstrapPolynomial, n_zu: int) -> SectorBound:
 
 
 def l2_gain_index(m_wp: int, p_z: int, gain_sq: float) -> PerformanceIndex:
-    """Performance index encoding an l2-gain bound: Qp = -gain^2 I, Rp = I."""
+    """Performance index encoding an l2-gain bound: Qp = -gain^2 I, Rp = I.
+
+    A gain from no disturbance or to no output bounds nothing, so m_wp and
+    p_z must be at least 1, or ValueError names the dimension.
+    """
+    check_count(m_wp, "m_wp (disturbance inputs, m_w1 + m_w2)", 1)
+    check_count(p_z, "p_z (performance outputs)", 1)
     return PerformanceIndex(
         Qp=-float(gain_sq) * np.eye(m_wp),
         Sp=np.zeros((m_wp, p_z)),
@@ -226,7 +233,7 @@ def build_theorem2(cl: ClosedLoop, perf: PerformanceIndex, sector: SectorBound,
     return build_theorem1(lift(cl, T_BS), lift_performance(perf, T_BS), sector)
 
 
-def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) -> Controller:
+def make_fir_controller(N: int, lam: float, c_out, p_y: int = 1) -> Controller:
     """Delay-line realization of a moving-aggregation (FIR) controller.
 
     State layout: [y(t-1), ..., y(t-N), a(t)] with each delay slot p_y
@@ -237,19 +244,18 @@ def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) ->
         a(t) = sum_{i=1..N} lam^(i-1) y(t-i)
 
     an FIR window of the last N measurements.  The output is
-    u = c_out a(t) + d_thru y(t).  |lam| < 1 keeps the nominal
+    u = c_out a(t), with no direct feedthrough.  |lam| < 1 keeps the nominal
     realization stable (lam = 1, a plain running sum, is not certifiable:
     the sector must contain the error-free case).
     """
     N = check_count(N, "N", 1)
+    lam = check_real(lam, "lam")
     if abs(lam) >= 1:
         raise ValueError("the aggregator pole must satisfy |lam| < 1")
     c_out = np.atleast_2d(np.asarray(c_out, dtype=float))
     m_u = c_out.shape[0]
     if c_out.shape[1] != p_y:
         raise ValueError(f"c_out must have {p_y} columns")
-    if d_thru is None:
-        d_thru = np.zeros((m_u, p_y))
 
     eye = np.eye(p_y)
     nc = (N + 1) * p_y
@@ -266,7 +272,7 @@ def make_fir_controller(N: int, lam: float, c_out, d_thru=None, p_y: int = 1) ->
         Bc=Bc,
         B2=np.zeros((nc, 1)),
         Cc=Cc,
-        Dc=d_thru,
+        Dc=np.zeros((m_u, p_y)),
         F2=np.zeros((m_u, 1)),
     )
 

@@ -26,14 +26,13 @@ the sign of an exact zero, and verify's abs makes gamma bitwise equal.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .lp import LpError, solve_lp
-from .statespace import check_count, check_object, read_json, write_json
+from .statespace import check_count, check_object, check_real, read_json, write_json
 
 __all__ = [
     "BootstrapSpec",
@@ -50,6 +49,7 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-9
+VERIFY_SAMPLES = 250_000  # fit's dense verification points per offset interval
 # doubles per Clenshaw block (128 KiB): verify's six work arrays (768 KiB)
 # stay in a 2 MiB L2, and each ufunc call still covers enough elements to
 # hide its Python overhead (16k beat 4k, 8k, 12k, 24k and 32k on verify)
@@ -74,12 +74,9 @@ class BootstrapSpec:
     d: int = 25
 
     def __post_init__(self):
-        for name in ("q", "K", "d"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-        # A comparison, not np.isfinite, so an int above 2**64 is taken.
-        if not 0 < self.q <= sys.float_info.max:
+        for name in ("q", "epsilon", "K", "d"):
+            check_real(getattr(self, name), name)
+        if not self.q > 0:
             raise ValueError(f"q must be finite and positive, got {self.q}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
@@ -107,7 +104,9 @@ class BootstrapPolynomial:
     coefficients has length spec.d + 1 in the Chebyshev basis over
     [-half_range, half_range]; even-index entries are zero because the
     target restricted to I is odd.  gamma_certified is the dense-sampling
-    supremum of the relative error, not the fitting LP's objective.
+    supremum of the relative error, not the fitting LP's objective.  Each
+    coefficient and gamma_certified must be a finite real number and
+    verification_samples a nonnegative integer, or ValueError is raised.
     """
 
     spec: BootstrapSpec
@@ -116,15 +115,18 @@ class BootstrapPolynomial:
     verification_samples: int = 0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float).reshape(-1)
+        coeffs = np.array([check_real(c, "coefficients") for c in
+                           np.asarray(self.coefficients, dtype=object).reshape(-1)])
         if coeffs.shape[0] != self.spec.d + 1:
             raise ValueError(
                 f"expected {self.spec.d + 1} coefficients, got {coeffs.shape[0]}"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients contain non-finite entries")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "gamma_certified",
+                           check_real(self.gamma_certified, "gamma_certified"))
+        object.__setattr__(self, "verification_samples",
+                           check_count(self.verification_samples, "verification_samples", 0))
 
     @property
     def interval(self):
@@ -162,7 +164,7 @@ def centered_mod(m, q):
 
     q must be finite and positive, or ValueError is raised.
     """
-    if not 0 < q < np.inf:
+    if not check_real(q, "q") > 0:
         raise ValueError(f"q must be finite and positive, got {q}")
     m_arr = np.asarray(m, dtype=float)
     ratio = m_arr / q
@@ -253,8 +255,7 @@ def _root_nullspace(spec: BootstrapSpec):
     return Vt[rank:].T
 
 
-def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
-        verify_samples_per_interval: int = 250_000) -> BootstrapPolynomial:
+def fit(spec: BootstrapSpec, samples_per_interval: int = 512) -> BootstrapPolynomial:
     """Solve the discretized minimax program and certify the result densely.
 
     minimize gamma  s.t.  |m - p(m - r q)| <= gamma |m|
@@ -262,12 +263,11 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
     Sampling uses Chebyshev-Lobatto nodes (an even count, so m = 0 is
     excluded; that case is enforced structurally through the root
     conditions p(r q) = 0).  The stored gamma comes from verify(), not
-    from the LP objective.  Both sample counts must be integers,
-    samples_per_interval at least 2(d + 1) and verify_samples_per_interval
-    at least 1e5, or ValueError is raised before the LP runs.
+    from the LP objective, on VERIFY_SAMPLES points per offset interval.
+    samples_per_interval must be an integer of at least 2(d + 1), or
+    ValueError is raised before the LP runs.
     """
     M = check_count(samples_per_interval, "samples_per_interval", 2 * (spec.d + 1))
-    check_count(verify_samples_per_interval, "verify_samples_per_interval", 10**5)
     if M % 2 == 1:
         M += 1
     half_msg = spec.epsilon * spec.q / 2
@@ -311,7 +311,7 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
         gamma_certified=float(res.x[-1]),
         verification_samples=0,
     )
-    gamma_dense = verify(poly, verify_samples_per_interval)
+    gamma_dense = verify(poly, VERIFY_SAMPLES)
     if gamma_dense >= 1.0:
         raise FitError(
             f"best achievable relative slope is {gamma_dense:.4f} >= 1 at "
@@ -321,7 +321,7 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512,
     return replace(
         poly,
         gamma_certified=gamma_dense,
-        verification_samples=verify_samples_per_interval * (2 * spec.K + 1),
+        verification_samples=VERIFY_SAMPLES * (2 * spec.K + 1),
     )
 
 
@@ -423,15 +423,8 @@ def poly_to_json(poly: BootstrapPolynomial) -> dict:
     }
 
 
-def _json_float(value, name):
-    """value as a float if it is a finite JSON number; ValueError otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"poly JSON field {name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def poly_from_json(data: dict) -> BootstrapPolynomial:
+    """poly_to_json's inverse; the records' ValueErrors get a "poly JSON: " prefix."""
     check_object(data, "poly", ())
     spec_data = data.get("spec", {})
     if not isinstance(spec_data, dict):
@@ -444,24 +437,21 @@ def poly_from_json(data: dict) -> BootstrapPolynomial:
         raise ValueError(f"poly JSON is missing fields: {', '.join(missing)}")
     if data["basis"] != "chebyshev":
         raise ValueError(f"unsupported basis: {data['basis']!r}")
-    coefficients = data["coefficients"]
-    samples = data.get("verification_samples", 0)
-    if not isinstance(coefficients, list):
+    if not isinstance(data["coefficients"], list):
         raise ValueError("poly JSON field coefficients must be a list")
-    if type(samples) is not int:
-        raise ValueError("poly JSON field verification_samples must be an integer")
-    spec = BootstrapSpec(**{k: _json_float(spec_data[k], f"spec.{k}")
-                            for k in spec_fields})
-    poly = BootstrapPolynomial(
-        spec=spec,
-        coefficients=np.array([_json_float(c, "coefficients") for c in coefficients]),
-        gamma_certified=_json_float(data["gamma_certified"], "gamma_certified"),
-        verification_samples=samples,
-    )
+    try:
+        poly = BootstrapPolynomial(
+            spec=BootstrapSpec(**{k: spec_data[k] for k in spec_fields}),
+            coefficients=data["coefficients"],
+            gamma_certified=data["gamma_certified"],
+            verification_samples=data.get("verification_samples", 0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"poly JSON: {exc}") from None
     interval = data.get("interval", list(poly.interval))
     if not (isinstance(interval, list) and len(interval) == 2):
         raise ValueError("poly JSON field interval must be a list [lo, hi]")
-    lo, hi = (_json_float(x, "interval") for x in interval)
+    lo, hi = (check_real(x, "poly JSON field interval") for x in interval)
     r = poly.spec.half_range  # relative only: any absolute slack swamps a tiny q
     if not (abs(lo + r) <= 1e-9 * r and abs(hi - r) <= 1e-9 * r):
         raise ValueError("interval in JSON is inconsistent with the spec fields")

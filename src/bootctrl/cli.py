@@ -2,9 +2,10 @@
 
 Exit-code discipline: 0 means the command ran and produced a verdict
 (including NOT_CERTIFIED); nonzero means tool or input failure (2 for a
-missing required flag, an unreadable or malformed --system, --scheme or
---poly file, a --system file whose plant and controller cannot be
-closed into one loop, or an output that cannot be written).  The one
+missing required flag, --gamma together with --poly, an unreadable or
+malformed --system, --scheme or --poly file, a --system file whose plant
+and controller cannot be closed into one loop, or an output that cannot
+be written).  The one
 quantitative exception is `lift-check`, whose job is the check itself:
 a deviation above threshold exits nonzero.
 
@@ -142,6 +143,8 @@ def cmd_analyze(args, out) -> int:
     plant, controller = _resolve_system(args)
     # reset and fir mode fix their own slope inside analyze_l2_gain
     gamma = args.gamma
+    if args.poly and gamma is not None:
+        raise _InputError("analyze takes the sector slope from --gamma or --poly, not both")
     if args.poly:
         gamma = _load(load_poly, "--poly", args.poly).gamma_certified
     elif gamma is None and args.mode == "bootstrap":

@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass, field, fields
 
 from .bootpoly import BootstrapPolynomial
-from .statespace import as_matrix, check_count, check_object, read_json, write_json
+from .statespace import as_matrix, check_count, check_object, check_real, read_json, write_json
 
 __all__ = [
     "SchemeParams",
@@ -319,13 +319,11 @@ def encrypt(keys: Keys, value: float, level: int | None = None,
             scale_exponent: int = 1) -> Ciphertext:
     """Encode round(value * c**scale_exponent) and encrypt it."""
     params = keys.params
-    if not math.isfinite(value):
-        raise ValueError(f"cannot encrypt non-finite value {value}")
+    value = check_real(value, "value")
     if level is None:
         level = params.L
     m = int(round(value * float(params.c) ** scale_exponent))
-    return _fresh(keys, m, level, scale_exponent, params.noise_bound + 0.5,
-                  float(value))
+    return _fresh(keys, m, level, scale_exponent, params.noise_bound + 0.5, value)
 
 
 def decrypt_raw(keys: Keys, ct: Ciphertext) -> int:

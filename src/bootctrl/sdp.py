@@ -45,6 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .statespace import check_real, check_symmetric
+
 __all__ = [
     "LmiConstraint",
     "LmiProblem",
@@ -91,15 +93,6 @@ def sym_basis(n):
     return basis
 
 
-def _check_symmetric(M, name):
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square, got {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} has non-finite entries")
-    if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
-        raise ValueError(f"{name} must be symmetric")
-
-
 @dataclass(frozen=True)
 class LmiConstraint:
     """Affine matrix constraint const + sum_k v_k coeffs[k], tagged by sense."""
@@ -114,25 +107,12 @@ class LmiConstraint:
         coeffs = np.asarray(self.coeffs, dtype=float)
         if self.sense not in ("neg", "pos"):
             raise ValueError(f"sense must be 'neg' or 'pos', got {self.sense!r}")
-        _check_symmetric(const, f"constraint {self.name or 'const'}")
+        check_symmetric(const, f"constraint {self.name or 'const'}")
         if coeffs.ndim != 3 or coeffs.shape[1:] != const.shape:
             raise ValueError(
                 f"coeffs must be (p, {const.shape[0]}, {const.shape[0]}), got {coeffs.shape}"
             )
-        # Whole-stack checks, each coefficient against its own threshold.
-        # Only coefficients that are not exactly symmetric (the builders
-        # symmetrize exactly) are copied for the tolerance test, so every
-        # stack-sized temporary is boolean.
-        finite = np.isfinite(coeffs).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"constraint {self.name or '?'} coeff {np.argmin(finite)} "
-                             "has non-finite entries")
-        loose = np.flatnonzero((coeffs != coeffs.transpose(0, 2, 1)).any(axis=(1, 2)))
-        F = coeffs[loose]
-        asym = np.abs(F - F.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-        bad = loose[asym > 1e-12 * np.maximum(1.0, np.abs(F).max(axis=(1, 2), initial=0.0))]
-        if len(bad):
-            raise ValueError(f"constraint {self.name or '?'} coeff {bad[0]} must be symmetric")
+        check_symmetric(coeffs, f"constraint {self.name or '?'} coeff")
         const.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "const", const)
@@ -182,7 +162,7 @@ class LmiProblem:
 
     def pack(self, X, tau=None):
         X = np.asarray(X, dtype=float)
-        _check_symmetric(X, "X")
+        check_symmetric(X, "X")
         if X.shape != (self.n_x, self.n_x):
             raise ValueError(f"X must be {self.n_x}x{self.n_x}, got {X.shape}")
         v = np.array([X[i, j] for i, j in vech_indices(self.n_x)])
@@ -215,7 +195,7 @@ class SdpCertificate:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
-        _check_symmetric(X, "certificate X")
+        check_symmetric(X, "certificate X")
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
 
@@ -256,7 +236,7 @@ def jacobi_eigvals(A, tol=1e-13, max_sweeps=100):
     here (<= ~50).  The tests use it as an oracle independent of LAPACK.
     """
     A = np.asarray(A, dtype=float)
-    _check_symmetric(A, "matrix")
+    check_symmetric(A, "matrix")
     n = A.shape[0]
     if n == 1:
         return A.diagonal().copy()
@@ -698,7 +678,8 @@ def bisect_gain(problem: LmiProblem, gain_slopes, tol: float = 1e-3):
     raises RuntimeError.  The name predates the method; perfbench's tracer
     patches the function under it.
     """
-    if not (np.isfinite(tol) and tol > 0):
+    tol = check_real(tol, "tol")
+    if not tol > 0:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     gain_slopes = [None if slope is None else np.asarray(slope, dtype=float)
                    for slope in gain_slopes]

@@ -51,7 +51,8 @@ import numpy as np
 from . import crypto_sim as cs
 from .analysis import fir_closed_loop
 from .bootpoly import BootstrapPolynomial
-from .statespace import ClosedLoop, Controller, Plant, check_count, interconnect, simulate
+from .statespace import (ClosedLoop, Controller, Plant, check_count, check_signal,
+                         interconnect, simulate)
 
 __all__ = [
     "ENCRYPTED",
@@ -122,17 +123,6 @@ def _empirical_gain(z_p, w_p):
     return np.sqrt(num / den)
 
 
-def _as_signal(arr, steps, width, name):
-    if arr is None:
-        return np.zeros((steps, width))
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (steps, width):
-        raise ValueError(f"{name} must have shape ({steps}, {width}), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
-
-
 def run_closed_loop(plant: Plant, controller: Controller,
                     config: SimulationConfig, scheme: cs.SchemeParams | None = None,
                     poly: BootstrapPolynomial | None = None,
@@ -152,8 +142,8 @@ def run_closed_loop(plant: Plant, controller: Controller,
     steps = config.steps
     n, nc = plant.n, controller.nc
     p_y, m_u = plant.p_y, controller.m_u
-    w1 = _as_signal(w_p1, steps, plant.m_w1, "w_p1")
-    w2 = _as_signal(w_p2, steps, controller.m_w2, "w_p2")
+    w1 = check_signal(w_p1, (steps, plant.m_w1), "w_p1")
+    w2 = check_signal(w_p2, (steps, controller.m_w2), "w_p2")
 
     if config.mode != PLAINTEXT_REFERENCE and (
             scheme is None or config.mode == ENCRYPTED and poly is None):
@@ -175,11 +165,7 @@ def run_closed_loop(plant: Plant, controller: Controller,
     if config.mode == FIR:
         fir_closed_loop(plant, controller, config.fir_length)  # validates
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have plant.n = {n} entries, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 has non-finite entries")
+    x = check_signal(x0, (n,), "x0")
     w_p = np.hstack([w1, w2])
     if w_u is not None and config.mode != PLAINTEXT_REFERENCE:
         raise ValueError("w_u injection is only meaningful in PLAINTEXT_REFERENCE mode")
@@ -190,8 +176,7 @@ def run_closed_loop(plant: Plant, controller: Controller,
             # Bu stays [0; Ac], so a w_u schedule keeps its meaning
             fir = fir_closed_loop(plant, controller, config.fir_length)
             cl = replace(cl, Acl=fir.Acl - fir.Bu @ fir.Cu)
-        xi, z_p, _ = simulate(cl, np.concatenate([x, np.zeros(nc)]), w_p,
-                              _as_signal(w_u, steps, nc, "w_u"), steps)
+        xi, z_p, _ = simulate(cl, np.concatenate([x, np.zeros(nc)]), w_p, w_u, steps)
         x_log, xc_log = xi[:, :n], xi[:, n:]
         y_log = x_log[:-1] @ plant.C.T + w1 @ plant.F1.T
         u_log = (xc_log[:-1] @ controller.Cc.T + y_log @ controller.Dc.T

@@ -11,11 +11,15 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
 __all__ = [
     "check_count",
+    "check_real",
+    "check_signal",
+    "check_symmetric",
     "check_object",
     "read_json",
     "write_json",
@@ -43,6 +47,53 @@ def check_count(value, name, low=None):
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     return value
+
+
+def check_real(value, name):
+    """float(value), or ValueError naming the argument unless it is a finite
+    real number (not a bool).  A float skips the numbers.Real test, an ABC
+    check ten times as slow, and a comparison, not math.isfinite, takes an
+    int beyond 2**64 up to the float range."""
+    if (type(value) is not float and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real))
+            or not abs(value) <= float_info.max):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def check_signal(value, shape, name):
+    """A signal of shape (steps, width) or an initial state of shape (n,) as
+    a float array: zeros if value is None, otherwise ValueError naming the
+    argument unless it has exactly that shape and finite entries."""
+    if value is None:
+        return np.zeros(shape)
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
+def check_symmetric(M, name):
+    """M, or ValueError naming it unless it is a square array with finite
+    entries, symmetric to 1e-12 of max(1, its largest entry).  A stack
+    (p, n, n) is checked matrix by matrix in whole-stack passes, naming its
+    first bad matrix k "<name> k"; only matrices that are not exactly
+    symmetric are copied, so every stack-sized temporary is boolean."""
+    if M.ndim not in (2, 3) or M.shape[-2] != M.shape[-1]:
+        raise ValueError(f"{name} must be square, got {M.shape}")
+    stack, at = (M[None], "") if M.ndim == 2 else (M, " {}")  # at: the index suffix
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{name}{at.format(np.argmin(finite))} has non-finite entries")
+    loose = np.flatnonzero((stack != stack.transpose(0, 2, 1)).any(axis=(1, 2)))
+    F = stack[loose]
+    asym = np.abs(F - F.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = loose[asym > 1e-12 * np.maximum(1.0, np.abs(F).max(axis=(1, 2), initial=0.0))]
+    if len(bad):
+        raise ValueError(f"{name}{at.format(bad[0])} must be symmetric")
+    return M
 
 
 def check_object(data, what, required):
@@ -86,18 +137,31 @@ class _Matrices:
     __post_init__ coerces each field with as_matrix, checks its shape
     against the record's _DIMS table of (row, column) dimension names and
     makes it read-only.  The first field that names a dimension fixes its
-    size.
+    size.  An empty list, which is how JSON writes a matrix with no rows,
+    has no shape of its own, so it takes the table's: each dimension's
+    size from the other fields, or 0 where no other field names it.
     """
 
     def __post_init__(self):
-        sizes = {}
+        sizes, arrays, unshaped = {}, {}, []
         for name, dims in self._DIMS.items():
-            arr = as_matrix(getattr(self, name), name)
+            value = getattr(self, name)
+            arr = arrays[name] = as_matrix(value, name)
+            if arr.size == 0 and np.ndim(value) == 1:
+                unshaped.append((name, dims))
+                continue
             for dim, size, side in zip(dims, arr.shape, ("rows", "columns")):
                 want = sizes.setdefault(dim, size)
                 if size != want:
                     raise ValueError(f"incompatible dimensions: {name} has {size} "
                                      f"{side}, but {dim} = {want}")
+        for name, dims in unshaped:
+            shape = tuple(sizes.setdefault(dim, 0) for dim in dims)
+            if 0 not in shape:
+                raise ValueError(f"incompatible dimensions: {name} is empty, but "
+                                 f"{dims[0]} = {shape[0]} and {dims[1]} = {shape[1]}")
+            arrays[name] = np.zeros(shape)
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -244,10 +308,8 @@ class PerformanceIndex(_Matrices):
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.allclose(self.Qp, self.Qp.T, atol=1e-12):
-            raise ValueError("Qp must be symmetric")
-        if not np.allclose(self.Rp, self.Rp.T, atol=1e-12):
-            raise ValueError("Rp must be symmetric")
+        check_symmetric(self.Qp, "Qp")
+        check_symmetric(self.Rp, "Rp")
 
     @property
     def m_wp(self):
@@ -349,30 +411,20 @@ def lift_performance(perf: PerformanceIndex, T_BS: int) -> PerformanceIndex:
 def simulate(sys, x0, w_p, w_u, steps):
     """Run the exact recursion of the closed-loop (or lifted) equations.
 
-    Signals are arrays of shape (steps, dim); returns the state trajectory
-    of shape (steps + 1, n_xi) together with the z_p and z_u trajectories.
+    x0 (n_xi,) and the signals (steps, width) pass check_signal; returns the
+    state trajectory (steps + 1, n_xi) and the z_p and z_u trajectories.
     The input terms of all three rows are formed in one product up front,
     so each step is a single product with the stacked [Acl; Cp; Cu].
     """
     steps = check_count(steps, "steps", 0)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != sys.n_xi:
-        raise ValueError(
-            f"incompatible dimensions between x0 and state: {x0.shape[0]} vs {sys.n_xi}"
-        )
-    w_p = np.zeros((steps, sys.m_wp)) if w_p is None else np.asarray(w_p, dtype=float)
-    w_u = np.zeros((steps, sys.n_wu)) if w_u is None else np.asarray(w_u, dtype=float)
-    w_p = w_p.reshape(-1, sys.m_wp) if w_p.size else w_p.reshape(0, sys.m_wp)
-    w_u = w_u.reshape(-1, sys.n_wu) if w_u.size else w_u.reshape(0, sys.n_wu)
-    if w_p.shape[0] < steps:
-        raise ValueError(f"w_p has {w_p.shape[0]} samples, need {steps}")
-    if w_u.shape[0] < steps:
-        raise ValueError(f"w_u has {w_u.shape[0]} samples, need {steps}")
-
     n, p_z = sys.n_xi, sys.p_z
+    x0 = check_signal(x0, (n,), "x0")
+    w_p = check_signal(w_p, (steps, sys.m_wp), "w_p")
+    w_u = check_signal(w_u, (steps, sys.n_wu), "w_u")
+
     state = np.vstack([sys.Acl, sys.Cp, sys.Cu])
-    drive = (w_p[:steps] @ np.vstack([sys.Bp, sys.Dpp, sys.Dup]).T
-             + w_u[:steps] @ np.vstack([sys.Bu, sys.Dpu, sys.Duu]).T)
+    drive = (w_p @ np.vstack([sys.Bp, sys.Dpp, sys.Dup]).T
+             + w_u @ np.vstack([sys.Bu, sys.Dpu, sys.Duu]).T)
     xi = np.zeros((steps + 1, n))
     xi[0] = x0
     for t in range(steps):

@@ -5,6 +5,7 @@ rewiring, and the report objects."""
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,8 +83,10 @@ def test_sector_validation():
         with pytest.raises(ValueError, match="^L_upper contains non-finite entries"):
             SectorBound(L_lower=np.zeros((2, 2)), L_upper=[[1, 0], [0, bad]])
     # a non-number too, not as numpy's TypeError from isfinite
-    for gamma in (-0.1, np.inf, -np.inf, np.nan, None, "0.2", [0.2], 1j):
-        with pytest.raises(ValueError, match="^gamma must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="^gamma must be finite and nonnegative"):
+        SectorBound.symmetric(-0.1, 1)
+    for gamma in (np.inf, -np.inf, np.nan, None, "0.2", [0.2], 1j, True):
+        with pytest.raises(ValueError, match="^gamma must be a finite real number, got "):
             SectorBound.symmetric(gamma, 1)
 
 
@@ -574,3 +577,41 @@ def test_unknown_mode_rejected(plant, controller):
 def test_unknown_method_rejected(plant, controller):
     with pytest.raises(ValueError, match="method"):
         analyze_l2_gain(plant, controller, 0.5, method="bogus")
+
+
+def _no_performance_output(plant, controller):
+    return replace(plant, C1=np.zeros((0, plant.n)), E=np.zeros((0, plant.m_u)),
+                   D1=np.zeros((0, plant.m_w1))), controller
+
+
+def _no_disturbance(plant, controller):
+    return (replace(plant, B1=np.zeros((plant.n, 0)), F1=np.zeros((plant.p_y, 0)),
+                    D1=np.zeros((plant.p_z, 0))),
+            replace(controller, B2=np.zeros((controller.nc, 0)),
+                    F2=np.zeros((controller.m_u, 0))))
+
+
+@pytest.mark.parametrize("strip, name", [(_no_performance_output, "p_z"),
+                                         (_no_disturbance, "m_wp")],
+                         ids=["p_z_0", "m_wp_0"])
+@pytest.mark.parametrize("kwargs", [dict(method=THEOREM_1), dict(T_BS=10),
+                                    dict(mode="reset", T_BS=5),
+                                    dict(mode="fir", fir_length=3)],
+                         ids=["direct", "lifted", "reset", "fir"])
+def test_gain_without_a_disturbance_or_an_output_is_refused_by_name(
+        monkeypatch, plant, controller, strip, name, kwargs):
+    """An l2 gain from no disturbance (m_w1 + m_w2 = 0) or to no performance
+    output (p_z = 0) bounds nothing: every mode refuses it with a ValueError
+    naming the dimension before any solve, not with numpy's zero-size
+    reduction error or a phase-II RuntimeError."""
+    if kwargs.get("mode") == "fir":
+        controller = make_fir_controller(3, 0.4, [[-0.3]])
+    plant, controller = strip(plant, controller)
+
+    def no_solve(*args, **kw):
+        raise AssertionError("the gain search ran")
+
+    monkeypatch.setattr(analysis, "bisect_gain", no_solve)
+    with pytest.raises(ValueError, match=rf"^{name} \(.* must be at least 1, got 0$"):
+        analyze_l2_gain(plant, controller, 0.2, **kwargs)
+

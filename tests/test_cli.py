@@ -153,6 +153,19 @@ def test_analyze_sector_from_poly(tmp_path, fitted_poly):
     assert report["gain"] <= 5.23
 
 
+def test_analyze_refuses_gamma_together_with_poly(tmp_path, capsys, fitted_poly):
+    """--gamma 0.9 with --poly used to certify silently at the poly's
+    slope; the two flags together are an input error naming both."""
+    poly_path = tmp_path / "p.json"
+    save_poly(poly_path, fitted_poly)
+    code = run(["analyze", "--gamma", "0.9", "--poly", str(poly_path),
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--gamma" in err and "--poly" in err and err.count("\n") == 1
+    assert not (tmp_path / "analysis_report.json").exists()
+
+
 def test_analyze_requires_slope_for_bootstrap_mode(tmp_path, capsys):
     code = run(["analyze", "--theorem", "1", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -274,18 +287,20 @@ def test_analyze_fir_rejects_non_fir_controller(tmp_path, capsys):
       "--samples", "4"], "fit aborted"),
     (["analyze", "--mode", "fir", "--fir-length", "-2"],
      "analysis aborted: FIR length must be at least 1"),
-    (["analyze", "--gamma", "inf"], "analysis aborted: gamma must be finite"),
-    (["analyze", "--gamma", "nan"], "analysis aborted: gamma must be finite"),
+    (["analyze", "--gamma", "inf"],
+     "analysis aborted: gamma must be a finite real number, got inf"),
+    (["analyze", "--gamma", "nan"],
+     "analysis aborted: gamma must be a finite real number, got nan"),
     (["analyze", "--gamma", "0.2296", "--tol", "nan"],
-     "analysis aborted: tol must be finite and positive"),
+     "analysis aborted: tol must be a finite real number, got nan"),
     (["analyze", "--gamma", "0.2296", "--tol", "inf"],
-     "analysis aborted: tol must be finite and positive"),
+     "analysis aborted: tol must be a finite real number, got inf"),
     (["analyze", "--gamma", "0.2296", "--tol", "0"],
      "analysis aborted: tol must be finite and positive"),
     (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--q", "inf"],
-     "fit aborted: q must be finite and positive"),
+     "fit aborted: q must be a finite real number, got inf"),
     (["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5", "--q", "nan"],
-     "fit aborted: q must be finite and positive"),
+     "fit aborted: q must be a finite real number, got nan"),
 ], ids=["reset_tbs", "fir_length", "steps", "lift_tbs", "lift_trials_0",
         "lift_trials_-1", "lift_seed", "simulate_seed", "degree", "samples",
         "analyze_fir_length",
@@ -421,7 +436,8 @@ def test_poly_that_cannot_be_rescaled_is_an_exit_code(tmp_path, capsys,
                     "--steps", "20", "--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"cannot load --poly {path}: coefficients contain non-finite")
+    assert err.startswith(f"cannot load --poly {path}: "
+                          "coefficients must be a finite real number, got ")
     assert err.count("\n") == 1
 
 

@@ -226,7 +226,7 @@ def test_roundtrip_within_noise(keys, small_scheme):
 
 def test_encrypt_rejects_non_finite(keys):
     for value in (float("inf"), float("-inf"), float("nan"), np.float64("nan")):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^value must be a finite real number, got "):
             cs.encrypt(keys, value)
 
 

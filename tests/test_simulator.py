@@ -79,7 +79,7 @@ def test_plaintext_wu_injection_matches_model(plant, controller):
 
 def test_x0_length_checked(plant, controller):
     for x0 in (np.zeros(plant.n + 1), np.zeros((plant.n, 1))):
-        with pytest.raises(ValueError, match=f"plant.n = {plant.n} entries"):
+        with pytest.raises(ValueError, match=rf"^x0 must have shape \({plant.n},\), got "):
             run_closed_loop(plant, controller, _plain_cfg(10), x0=x0)
 
 
@@ -767,6 +767,28 @@ def test_non_finite_w_u_is_rejected(plant, controller):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="w_u has non-finite"):
             run_closed_loop(plant, controller, _plain_cfg(10), w_u=w_u)
+
+
+def test_static_controller_runs_in_plaintext_reference(plant):
+    """A static controller (nc = 0) has a zero-width w_u; its plaintext run
+    is the hand recursion u = Dc y + F2 w_p2 with an empty controller state."""
+    static = Controller(Ac=np.zeros((0, 0)), Bc=np.zeros((0, 1)),
+                        B2=np.zeros((0, 1)), Cc=np.zeros((1, 0)),
+                        Dc=[[-0.1]], F2=[[0.2]])
+    steps = 12
+    rng = np.random.default_rng(3)
+    w1 = rng.standard_normal((steps, plant.m_w1))
+    w2 = rng.standard_normal((steps, 1))
+    res = run_closed_loop(plant, static, _plain_cfg(steps), w_p1=w1, w_p2=w2)
+    assert res.x_c.shape == (steps + 1, 0)
+    x = np.zeros(plant.n)
+    for t in range(steps):
+        y = plant.C @ x + plant.F1 @ w1[t]
+        u = static.Dc @ y + static.F2 @ w2[t]
+        np.testing.assert_allclose(res.z_p[t], plant.C1 @ x + plant.E @ u + plant.D1 @ w1[t],
+                                   rtol=1e-12, atol=1e-12)
+        x = plant.A @ x + plant.B @ u + plant.B1 @ w1[t]
+    np.testing.assert_allclose(res.x_plant[-1], x, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", [ENCRYPTED, RESET])

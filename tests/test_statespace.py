@@ -1,10 +1,31 @@
 """Closed-loop algebra: interconnection blocks, simulation, lifting,
 performance lifting, and system serialization."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from bootctrl.analysis import SectorBound
+import bootctrl.crypto_sim as cs
+from bootctrl.analysis import (
+    CERTIFIED,
+    THEOREM_1,
+    THEOREM_2,
+    SectorBound,
+    analyze_l2_gain,
+    make_fir_controller,
+)
+from bootctrl.bootpoly import (
+    BootstrapPolynomial,
+    BootstrapSpec,
+    centered_mod,
+    poly_from_json,
+    poly_to_json,
+)
+from bootctrl.cli import main
+from bootctrl.fixtures import demo_scheme
+from bootctrl.simulator import PLAINTEXT_REFERENCE, SimulationConfig, run_closed_loop
 from bootctrl.statespace import (
     ClosedLoop,
     Controller,
@@ -205,9 +226,9 @@ def test_lift_takes_a_numpy_integer_period(plant, controller):
 
 def test_simulate_validates_inputs(plant, controller):
     cl = interconnect(plant, controller)
-    with pytest.raises(ValueError, match="incompatible"):
+    with pytest.raises(ValueError, match=rf"^x0 must have shape \({cl.n_xi},\), got "):
         simulate(cl, np.zeros(cl.n_xi + 1), None, None, 3)
-    with pytest.raises(ValueError, match="samples"):
+    with pytest.raises(ValueError, match=rf"^w_p must have shape \(3, {cl.m_wp}\), got "):
         simulate(cl, np.zeros(cl.n_xi), np.zeros((2, cl.m_wp)), None, 3)
     with pytest.raises(ValueError, match="^steps must be at least 0, got -1$"):
         simulate(cl, np.zeros(cl.n_xi), None, None, -1)
@@ -295,3 +316,134 @@ def test_system_json_missing_field(plant, controller):
         data["Bc"] = value
         with pytest.raises(ValueError, match="Bc"):
             system_from_json(data)
+
+
+def test_simulate_takes_zero_width_signals_and_refuses_the_wrong_shape(plant, controller):
+    """A zero-width signal of the right length runs; a signal with extra
+    rows, a flattened one and a non-finite one are refused by name."""
+    static = Controller(Ac=np.zeros((0, 0)), Bc=np.zeros((0, 1)), B2=np.zeros((0, 1)),
+                        Cc=np.zeros((1, 0)), Dc=[[-0.1]], F2=[[0.0]])
+    cl = interconnect(plant, static)
+    xi, z_p, z_u = simulate(cl, np.zeros(cl.n_xi), None, np.zeros((4, 0)), 4)
+    assert xi.shape == (5, cl.n_xi) and z_u.shape == (4, 0)
+    cl = interconnect(plant, controller)
+    w_p = np.ones((4, cl.m_wp))
+    for bad in (np.ones((5, cl.m_wp)), w_p.reshape(-1)):
+        with pytest.raises(ValueError, match=r"^w_p must have shape \(4, "):
+            simulate(cl, np.zeros(cl.n_xi), bad, None, 4)
+    w_p[2, 0] = np.nan
+    with pytest.raises(ValueError, match="^w_p has non-finite entries$"):
+        simulate(cl, np.zeros(cl.n_xi), w_p, None, 4)
+    with pytest.raises(ValueError, match="^x0 has non-finite entries$"):
+        simulate(cl, np.full(cl.n_xi, np.inf), None, None, 4)
+
+
+def test_system_file_keeps_matrices_without_rows(tmp_path, plant, controller):
+    """A plant with no performance output (p_z = 0) and a static controller
+    (nc = 0) survive the system file: JSON writes a (0, n) matrix as [],
+    and the records take its shape from their dimension tables."""
+    no_z = Plant(**{**{k: getattr(plant, k) for k in Plant._DIMS},
+                    "C1": np.zeros((0, plant.n)), "E": np.zeros((0, plant.m_u)),
+                    "D1": np.zeros((0, plant.m_w1))})
+    static = Controller(Ac=np.zeros((0, 0)), Bc=np.zeros((0, 1)), B2=np.zeros((0, 1)),
+                        Cc=np.zeros((1, 0)), Dc=[[-0.1]], F2=[[0.0]])
+    path = tmp_path / "system.json"
+    save_system(path, no_z, static)
+    for record, loaded in zip((no_z, static), load_system(path)):
+        for name in record._DIMS:
+            assert np.array_equal(getattr(loaded, name), getattr(record, name)), name
+    data = system_to_json(plant, controller)
+    data["Bc"] = []  # no entries, although nc and p_y are not 0
+    with pytest.raises(ValueError, match="^incompatible dimensions: Bc is empty, but "
+                                         f"nc = {controller.nc} and p_y = 1$"):
+        system_from_json(data)
+
+
+def _grid_system(n, nc, m_w1, m_w2, p_z):
+    """A stable loop with m_u = p_y = 1 and the given other dimensions."""
+    plant = Plant(A=0.5 * np.eye(n) + 0.1 * np.eye(n, k=1), B=np.ones((n, 1)),
+                  B1=0.5 * np.ones((n, m_w1)), C=np.ones((1, n)),
+                  F1=0.1 * np.ones((1, m_w1)), C1=np.ones((p_z, n)),
+                  E=np.zeros((p_z, 1)), D1=np.zeros((p_z, m_w1)))
+    controller = Controller(Ac=0.3 * np.eye(nc), Bc=np.ones((nc, 1)),
+                            B2=0.2 * np.ones((nc, m_w2)), Cc=-0.1 * np.ones((1, nc)),
+                            Dc=[[-0.1]], F2=0.1 * np.ones((1, m_w2)))
+    return plant, controller
+
+
+GRID = list(itertools.product((1, 2), (0, 1), (0, 1), (0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("dims", GRID, ids=["n{}-nc{}-w1_{}-w2_{}-z{}".format(*d)
+                                             for d in GRID])
+def test_every_small_shape_works_or_is_refused_by_name(tmp_path, capsys, dims):
+    """n in {1, 2}; nc, m_w1, m_w2 and p_z in {0, 1}; m_u = p_y = 1.  The
+    direct, lifted and reset analyses, a plaintext run, a system-file round
+    trip and `bootctrl analyze --system` each give a result, or a
+    ValueError naming the dimension (no disturbance: m_wp; no performance
+    output: p_z); RuntimeWarnings are errors under pyproject.toml."""
+    n, nc, m_w1, m_w2, p_z = dims
+    plant, controller = _grid_system(*dims)
+    refused = "m_wp" if m_w1 + m_w2 == 0 else "p_z" if p_z == 0 else None
+    for kwargs in (dict(method=THEOREM_1), dict(method=THEOREM_2, T_BS=3),
+                   dict(mode="reset", T_BS=3)):
+        if refused:
+            with pytest.raises(ValueError, match=rf"^{refused} \("):
+                analyze_l2_gain(plant, controller, 0.1, **kwargs)
+        else:
+            assert analyze_l2_gain(plant, controller, 0.1, **kwargs).verdict == CERTIFIED
+    res = run_closed_loop(plant, controller, SimulationConfig(mode=PLAINTEXT_REFERENCE,
+                                                              steps=12),
+                          w_p1=np.ones((12, m_w1)), w_p2=np.ones((12, m_w2)))
+    assert res.x_c.shape == (13, nc) and res.z_p.shape == (12, p_z)
+    path = tmp_path / "system.json"
+    save_system(path, plant, controller)
+    for record, loaded in zip((plant, controller), load_system(path)):
+        for name in record._DIMS:
+            assert np.array_equal(getattr(loaded, name), getattr(record, name)), name
+    code = main(["analyze", "--system", str(path), "--gamma", "0.1", "--tbs", "3",
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 1 and err.startswith(f"analysis aborted: {refused} (")
+    else:
+        assert code == 0 and err == ""
+
+
+_SPEC = BootstrapSpec(d=3)
+_REAL_SITES = {
+    "gamma": lambda bad: SectorBound.symmetric(bad, 2),
+    "tol": lambda bad: analyze_l2_gain(*_grid_system(1, 1, 1, 0, 1), 0.1,
+                                       method=THEOREM_1, tol=bad),
+    "value": lambda bad: cs.encrypt(cs.keygen(demo_scheme()), bad),
+    "lam": lambda bad: make_fir_controller(3, bad, [[-0.3]]),
+    **{name: lambda bad, name=name: BootstrapSpec(**{name: bad})
+       for name in ("q", "epsilon", "K", "d")},
+    "gamma_certified": lambda bad: BootstrapPolynomial(_SPEC, [0, 1, 0, 0], bad),
+    "coefficients": lambda bad: BootstrapPolynomial(_SPEC, [0, bad, 0, 0], 0.5),
+    "poly JSON field interval": lambda bad: poly_from_json(
+        {**poly_to_json(BootstrapPolynomial(_SPEC, [0, 1, 0, 0], 0.5)),
+         "interval": [bad, _SPEC.half_range]}),
+    "centered_mod q": lambda bad: centered_mod(1.0, bad),
+}
+
+
+@pytest.mark.parametrize("bad", ["1", None, True, np.nan], ids=["str", "None", "bool", "nan"])
+@pytest.mark.parametrize("site", list(_REAL_SITES))
+def test_every_real_number_site_refuses_a_non_real_by_name(site, bad):
+    """A string, None, a bool or NaN given for a real number is a ValueError
+    naming the argument, never a TypeError or a bool taken as 1."""
+    name = site.split()[-1] if site.startswith("centered_mod") else site
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a finite "
+                                         f"real number, got {re.escape(repr(bad))}$"):
+        _REAL_SITES[site](bad)
+
+
+@pytest.mark.parametrize("name", ["Qp", "Rp"])
+def test_performance_index_holds_the_symmetric_matrix_rule(name):
+    """An asymmetry of 1e-6, which the LMI layer would refuse, is refused
+    when the index is built."""
+    fields = dict(Qp=-np.eye(2), Sp=np.zeros((2, 2)), Rp=np.eye(2))
+    fields[name] = fields[name] + np.array([[0.0, 1e-6], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=f"^{name} must be symmetric$"):
+        PerformanceIndex(**fields)
