@@ -163,8 +163,8 @@ def build_theorem1(cl: ClosedLoop, perf: PerformanceIndex,
         raise ValueError(
             f"sector dimension {sector.n_zu} does not match uncertainty output {cl.n_zu}"
         )
-    r_eigs = np.linalg.eigvalsh(perf.Rp)
-    if r_eigs.min() < -1e-10 * max(1.0, abs(r_eigs).max()):
+    r_eigs = np.linalg.eigvalsh(perf.Rp)  # none when p_z = 0: the check passes
+    if r_eigs.min(initial=0.0) < -1e-10 * max(1.0, abs(r_eigs).max(initial=0.0)):
         raise ValueError(
             "Rp must be positive semidefinite (hypothesis of the performance test)"
         )

@@ -11,7 +11,7 @@ after every operation.  Ciphertext bodies are lists of Python ints
 (arbitrary precision), stored as centered residues in [-q/2, q/2): each
 operation builds its body in list passes whose last one ends in
 (x + h) % q - h with h = q // 2, and a fresh mask r in [0, q) is centered
-as drawn.
+as it is kept.
 
 Homomorphic operations: add, matvec (plaintext matrix times ciphertext
 vector; a plaintext scalar product is the 1x1 case) and rescale.
@@ -21,15 +21,21 @@ its controller matrices once per run.  Each matvec row folds its nonzero
 terms two per list pass, s + f1*a + f2*b, and rescale rounds x / c as
 (x + c//2) // c, or -((c//2 - x) // c) for negative x.
 
-The secret is sparse and ternary, so the phase <body, sk> with
-sk = (1, s) is formed in exact integers as the sum of the body over the
-h + 1 positions where sk is +1 or -1 (h = hamming_weight), each with its
-sign: no product with a zero or unit key coefficient is ever taken.
-Fresh noise and masks are drawn by CPython's own randint and randrange
-algorithm (_randbelow_with_getrandbits: getrandbits(n.bit_length())
-until the draw is below n) inlined, so every value and the generator
-state match keys.rng.randint(-noise_bound, noise_bound) and
-keys.rng.randrange(q) call for call.
+The secret is sparse and ternary: sk = (1, s) is nonzero on only
+h + 1 of the n + 1 coordinates of an LWE ciphertext (b, a_1..a_n)
+(h = hamming_weight), and every operation is coordinatewise, so no
+other coordinate can reach a phase, a decryption, a wrap count or a
+refresh.  A body therefore keeps only those h + 1 coordinates,
+[b, a_i where s_i = +1, a_i where s_i = -1] (Keys._support order), and
+the phase <body, sk> is the sum of the first 1 + #{s_i = +1} less the
+sum of the rest, in exact integers.  A Ciphertext is thus not a
+complete LWE ciphertext: n sets only the random stream and the cost of
+drawing it.  Fresh noise and all n masks are drawn by CPython's own
+randint and randrange algorithm (_randbelow_with_getrandbits:
+getrandbits(n.bit_length()) until the draw is below n) inlined, so every
+value and the generator state match keys.rng.randint(-noise_bound,
+noise_bound) and keys.rng.randrange(q) call for call, as for the full
+ciphertext.
 
 Modulus chain: q_level = q0 * c**level, level in 0..L, tabulated once
 (with q_level / 2 as a float for the budget check) when the SchemeParams
@@ -115,7 +121,8 @@ class AssumptionViolationError(SchemeError):
 class SchemeParams:
     """Public parameters.
 
-    n:             LWE dimension (number of mask coordinates).
+    n:             LWE dimension: masks drawn per encryption (only the
+                   hamming_weight on the secret's support are kept).
     q0:            base modulus (level 0).
     c:             rescaling factor; level ell has modulus q0 * c**ell.
     L:             number of levels above the base.
@@ -157,10 +164,12 @@ class SchemeParams:
 class Keys:
     """Secret key plus the RNG stream used for encryption randomness.
 
-    s must hold params.n entries from {-1, 0, 1}.  The body positions
-    where sk = (1, s) is +1 and where it is -1 are tabulated once (not
-    fields; frozen so they cannot go stale), so the phase is a signed sum
-    over h + 1 coordinates.
+    s must hold params.n entries from {-1, 0, 1}.  Its support is
+    tabulated once (not fields; frozen so they cannot go stale): _support
+    lists the mask indices i with s_i = +1, then those with s_i = -1, each
+    in increasing order, and _k is one more than the number of +1 entries,
+    so a body [b, a_i for i in _support] has phase
+    sum(body[:_k]) - sum(body[_k:]).
     """
 
     params: SchemeParams
@@ -175,10 +184,10 @@ class Keys:
         if any(x not in (-1, 0, 1) for x in s):
             raise ValueError("s entries must be -1, 0 or 1")
         object.__setattr__(self, "s", tuple(int(x) for x in s))
-        object.__setattr__(self, "_plus",
-                           (0,) + tuple(i + 1 for i, x in enumerate(s) if x == 1))
-        object.__setattr__(self, "_minus",
-                           tuple(i + 1 for i, x in enumerate(s) if x == -1))
+        plus = tuple(i for i, x in enumerate(s) if x == 1)
+        object.__setattr__(self, "_support",
+                           plus + tuple(i for i, x in enumerate(s) if x == -1))
+        object.__setattr__(self, "_k", 1 + len(plus))
 
     @property
     def sk(self):
@@ -188,9 +197,12 @@ class Keys:
 
 @dataclass
 class Ciphertext:
-    """body = (b, a_1..a_n) with b + <a, s> = m + e (mod q_level).
+    """body = [b, a_i for i in keys._support] with b + <a, s> = m + e
+    (mod q_level).
 
-    The encoded integer m represents the real number
+    The body holds the h + 1 coordinates of the LWE ciphertext
+    (b, a_1..a_n) on the secret's support; the masks off the support are
+    drawn but not kept.  The encoded integer m represents the real number
     m / c**scale_exponent.  noise_bound and debug_plaintext form the
     debug ledger; they are carried for validation only and no operation
     reads them to produce its cryptographic output.
@@ -230,13 +242,9 @@ class BootstrapEvent:
 
 
 def _phase(keys: Keys, body) -> int:
-    """<body, sk> in exact integers over the support of sk = (1, s)."""
-    v = 0
-    for i in keys._plus:
-        v += body[i]
-    for i in keys._minus:
-        v -= body[i]
-    return v
+    """<body, sk> in exact integers: the +1 coordinates less the -1 ones."""
+    k = keys._k
+    return sum(body[:k]) - sum(body[k:])
 
 
 def _centered(x: int, q: int) -> int:
@@ -278,13 +286,15 @@ def _budget_check(params: SchemeParams, ct: Ciphertext):
 
 def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
            noise_bound: float, debug: float) -> Ciphertext:
-    """Encrypt the encoded integer m afresh (draws e, then a).
+    """Encrypt the encoded integer m afresh (draws e, then a_1..a_n).
 
     e + nb is keys.rng.randint(-nb, nb) + nb and each mask a_i is
     keys.rng.randrange(q), both by randrange's own algorithm: k-bit
     draws, k = n.bit_length(), until one is below n (n = 2 nb + 1, then
-    q); a mask is centered as drawn.  b = m + e - <a, s> is the phase of
-    the body with b set to 0.
+    q).  All n masks are drawn, so the generator advances exactly as for
+    a full LWE ciphertext, but only the h masks on the secret's support
+    are kept, centered, in keys._support order.  b = m + e - <a, s> is
+    the phase of the body with b set to 0.
     """
     params = keys.params
     q = params.modulus(level)
@@ -298,12 +308,14 @@ def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
     while e >= n:
         e = getrandbits(k)
     k = q.bit_length()
-    body = [0]
+    masks = []
     for _ in range(params.n):
         r = getrandbits(k)
         while r >= q:
             r = getrandbits(k)
-        body.append(r if r < top else r - q)
+        masks.append(r)
+    body = [0]
+    body += [r if r < top else r - q for r in map(masks.__getitem__, keys._support)]
     body[0] = (m + e - nb - _phase(keys, body) + h) % q - h
     ct = Ciphertext(
         body=body,
@@ -452,9 +464,9 @@ def rescale(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
     round(x / c), ties away from zero, is (x + c//2) // c for x >= 0 and
     -((c//2 - x) // c) for x < 0, exactly in integers: the same as
     (2x + c) // (2c) and its mirror for every integer c >= 1, ties
-    included.  Rounding each of the n+1 body coordinates by at most 1/2
-    perturbs the phase by at most (hamming_weight + 1)/2 through the
-    secret key.
+    included.  Rounding each of the h + 1 body coordinates (the secret's
+    support) by at most 1/2 perturbs the phase by at most
+    (hamming_weight + 1)/2 through the secret key.
     """
     if ct.level == 0:
         raise NoLevelsLeftError("rescale at level 0")

@@ -61,13 +61,40 @@ def check_real(value, name):
     return float(value)
 
 
+def _text_or_bool(value):
+    """The first str, bytes or bool entry of a scalar, nested sequence or
+    array, else None: numpy would read "0.5" as 0.5 and True as 1.0."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "O":
+            return value.flat[0] if value.dtype.kind in "bSU" and value.size else None
+        value = value.tolist()
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        return value
+    if isinstance(value, (list, tuple)):
+        for entry in value:
+            if (bad := _text_or_bool(entry)) is not None:
+                return bad
+    return None
+
+
+def _float_array(value, name, what):
+    """value as a new float array, or ValueError naming it unless every
+    entry is a number and not a string or a bool (as check_real)."""
+    if (bad := _text_or_bool(value)) is not None:
+        raise ValueError(f"{name} entries must be real numbers, got {bad!r}")
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} is not a numeric {what}: {exc}") from None
+
+
 def check_signal(value, shape, name):
     """A signal of shape (steps, width) or an initial state of shape (n,) as
     a float array: zeros if value is None, otherwise ValueError naming the
-    argument unless it has exactly that shape and finite entries."""
+    argument unless it has exactly that shape and real, finite entries."""
     if value is None:
         return np.zeros(shape)
-    arr = np.asarray(value, dtype=float)
+    arr = _float_array(value, name, "array")
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -119,11 +146,9 @@ def write_json(path, data):
 
 
 def as_matrix(value, name="matrix"):
-    """Coerce scalars / nested lists into a 2-D float array (always a copy)."""
-    try:
-        arr = np.atleast_2d(np.array(value, dtype=float))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} is not a numeric matrix: {exc}") from None
+    """Coerce scalars / nested lists of real numbers into a 2-D float array
+    (always a copy); ValueError names the argument otherwise."""
+    arr = np.atleast_2d(_float_array(value, name, "matrix"))
     if arr.ndim != 2:
         raise ValueError(f"{name} must be at most 2-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -251,6 +251,21 @@ def test_build_rejects_indefinite_rp(plant, controller):
         build_theorem1(cl, perf, sector)
 
 
+def test_build_accepts_a_performance_index_without_outputs(plant, controller):
+    """With no performance output (p_z = 0) Rp is 0x0, which is positive
+    semidefinite: build_theorem1 builds the test and the loop is certified
+    dissipative for the supply rate -|w_p|^2."""
+    no_z = replace(plant, C1=np.zeros((0, plant.n)), E=np.zeros((0, plant.m_u)),
+                   D1=np.zeros((0, plant.m_w1)))
+    cl = interconnect(no_z, controller)
+    assert cl.p_z == 0
+    perf = PerformanceIndex(Qp=-np.eye(cl.m_wp), Sp=np.zeros((cl.m_wp, 0)),
+                            Rp=np.zeros((0, 0)))
+    problem = build_theorem1(cl, perf, SectorBound.symmetric(0.2, cl.n_zu))
+    assert problem.constraints[0].const.shape == (cl.n_xi + cl.m_wp + cl.n_wu,) * 2
+    assert solve_feasibility(problem).status == FEASIBLE
+
+
 # --------------------------------------------------------------------------
 # end-to-end certification on the bundled example
 

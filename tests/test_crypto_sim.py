@@ -5,6 +5,7 @@ and parameter serialization."""
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from operator import mul
 
@@ -161,9 +162,101 @@ def _secret(n, weight, rnd):
     return tuple(s)
 
 
+# --------------------------------------------------------------------------
+# full-body reference: the scheme with complete LWE bodies (b, a_1..a_n),
+# as it was before bodies kept only the secret's support, kept here as the
+# oracle (matvec's is _matvec_per_entry below, which works on any body)
+
+
+def _project(keys, body):
+    """The compact body of a full one (b, a_1..a_n): b, then the a_i where
+    s_i = +1, then those where s_i = -1, each in index order."""
+    a = body[1:]
+    return ([body[0]] + [x for x, si in zip(a, keys.s) if si == 1]
+            + [x for x, si in zip(a, keys.s) if si == -1])
+
+
+def _ref_decrypt_raw(keys, ct):
+    """<body, sk> over the full body, centered."""
+    return cs._centered(sum(map(mul, ct.body, keys.sk)), keys.params.modulus(ct.level))
+
+
+def _ref_fresh(keys, m, level, scale_exponent, noise_bound, debug):
+    """e = rng.randint(-nb, nb), then a_i = rng.randrange(q) for every i,
+    centered, and b = m + e - <a, s> centered."""
+    params = keys.params
+    q = params.modulus(level)
+    e = keys.rng.randint(-params.noise_bound, params.noise_bound)
+    a = [cs._centered(keys.rng.randrange(q), q) for _ in range(params.n)]
+    b = cs._centered(m + e - sum(map(mul, a, keys.s)), q)
+    return cs._budget_check(params, cs.Ciphertext(
+        body=[b] + a, level=level, scale_exponent=scale_exponent,
+        noise_bound=noise_bound, debug_plaintext=debug))
+
+
+def _ref_encrypt(keys, value, level=None, scale_exponent=1):
+    params = keys.params
+    level = params.L if level is None else level
+    m = int(round(value * float(params.c) ** scale_exponent))
+    return _ref_fresh(keys, m, level, scale_exponent, params.noise_bound + 0.5, value)
+
+
+def _ref_add(params, ct1, ct2):
+    return cs._budget_check(params, cs.Ciphertext(
+        body=_add_centered(params, ct1, ct2), level=ct1.level,
+        scale_exponent=ct1.scale_exponent,
+        noise_bound=ct1.noise_bound + ct2.noise_bound,
+        debug_plaintext=ct1.debug_plaintext + ct2.debug_plaintext))
+
+
+def _ref_rescale(params, ct):
+    if ct.level == 0:
+        raise cs.NoLevelsLeftError("rescale at level 0")
+    q_next = params.modulus(ct.level - 1)
+    return cs._budget_check(params, cs.Ciphertext(
+        body=[cs._centered(_round_half_away(x, params.c), q_next) for x in ct.body],
+        level=ct.level - 1, scale_exponent=ct.scale_exponent - 1,
+        noise_bound=ct.noise_bound / params.c + (params.hamming_weight + 1) / 2.0,
+        debug_plaintext=ct.debug_plaintext))
+
+
+def _ref_bootstrap(keys, ct, poly):
+    """The emulated refresh on the dense phase <body, sk>."""
+    params = keys.params
+    v = sum(map(mul, ct.body, keys.sk))
+    m_plus_e = cs._centered(v, params.q0)
+    r = (v - m_plus_e) // params.q0
+    if abs(m_plus_e) > poly.spec.epsilon * params.q0 / 2.0:
+        raise cs.RangeViolationError("|m + e| exceeds eps*q0/2")
+    if abs(r) > poly.spec.K:
+        raise cs.AssumptionViolationError(f"wrap count {r} exceeds K = {poly.spec.K}")
+    w = float(poly(v))
+    output = int(round(w))
+    event = cs.BootstrapEvent(
+        r=r, m_plus_e=m_plus_e, output=output, poly_error=abs(output - w),
+        relative_error=abs(output - m_plus_e) / max(1.0, abs(m_plus_e)),
+        violation=abs(output - m_plus_e) > poly.gamma_certified * abs(m_plus_e) + 1.0)
+    scale = float(params.c) ** ct.scale_exponent
+    return _ref_fresh(keys, output, params.L, ct.scale_exponent,
+                      float(params.noise_bound), output / scale), event
+
+
+def _same(keys, ct, ref_keys, ref):
+    """ct is ref's projection: support coordinates, level, scale, ledger
+    and decryption all equal."""
+    assert ct.body == _project(ref_keys, ref.body)
+    assert (ct.level, ct.scale_exponent, ct.noise_bound, ct.debug_plaintext) \
+        == (ref.level, ref.scale_exponent, ref.noise_bound, ref.debug_plaintext)
+    raw = cs.decrypt_raw(keys, ct)
+    assert raw == _ref_decrypt_raw(ref_keys, ref)
+    assert cs.fidelity_error(keys, ct) \
+        == abs(raw - float(ref_keys.params.c) ** ref.scale_exponent * ref.debug_plaintext)
+
+
 def test_support_phase_matches_dense_inner_product():
-    """The phase over sk's support equals the dense <body, sk> on random
-    bodies, from a weight-1 secret to full-weight, all +1 and all -1 ones."""
+    """The phase of a compact body equals the dense <body, sk> of the full
+    body it projects, on random bodies, from a weight-1 secret to
+    full-weight, all +1 and all -1 ones; a body holds h + 1 coordinates."""
     params = cs.SchemeParams(n=16, hamming_weight=1)
     rnd = random.Random(5)
     secrets = [_secret(16, w, rnd) for w in (1, 1, 4, 16, 16)]
@@ -172,12 +265,14 @@ def test_support_phase_matches_dense_inner_product():
     for s in secrets:
         keys = cs.Keys(params, s=s, rng=random.Random(0))
         for _ in range(200):
-            body = [rnd.randrange(-q // 2, q - q // 2) for _ in range(17)]
-            assert cs._phase(keys, body) == sum(map(mul, body, keys.sk))
+            full = [rnd.randrange(-q // 2, q - q // 2) for _ in range(17)]
+            body = _project(keys, full)
+            assert len(body) == 1 + sum(map(abs, s))
+            assert cs._phase(keys, body) == sum(map(mul, full, keys.sk))
             ct = cs.Ciphertext(body=body, level=params.L, scale_exponent=1,
                                noise_bound=0.0, debug_plaintext=0.0)
             assert cs.decrypt_raw(keys, ct) == cs._centered(
-                sum(map(mul, body, keys.sk)), q)
+                sum(map(mul, full, keys.sk)), q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 2 ** 42, 2 ** 202, 1000003 * 7 ** 5,
@@ -185,8 +280,9 @@ def test_support_phase_matches_dense_inner_product():
                          ids=["2", "3", "5", "7", "2^42", "2^202", "1000003*7^5",
                               "2^58-1", "2^58+1"])
 def test_mask_sampler_is_randrange(q):
-    """Fresh masks are keys.rng.randrange(q) draw for draw: same values
-    (centered) and the same generator state after 8,000 draws."""
+    """Fresh masks are keys.rng.randrange(q) draw for draw: every mask is
+    drawn, the kept ones are the support's (centered), and the generator
+    state is the same after 8,000 draws."""
     params = cs.SchemeParams(n=16, q0=q, c=2, L=0, noise_bound=0,
                              hamming_weight=3)
     keys = cs.keygen(params)
@@ -196,7 +292,7 @@ def test_mask_sampler_is_randrange(q):
         ct = cs._fresh(keys, 0, 0, 1, 0.0, 0.0)
         e = ref.randint(0, 0)
         a = [ref.randrange(q) for _ in range(params.n)]
-        assert ct.body[1:] == [cs._centered(x, q) for x in a]
+        assert ct.body[1:] == _project(keys, [0] + [cs._centered(x, q) for x in a])[1:]
         assert cs.decrypt_raw(keys, ct) == cs._centered(e, q)
     assert keys.rng.getstate() == ref.getstate()
 
@@ -230,11 +326,12 @@ def test_encrypt_rejects_non_finite(keys):
             cs.encrypt(keys, value)
 
 
-def _kernel_digest(fitted_poly):
-    """sha256 of every ciphertext (body and ledger) and refresh event of a
-    short encrypt / matvec / rescale / bootstrap chain on q0 = 1000003,
-    c = 7, where the mask sampler rejects draws at other rates than on
-    power-of-two moduli."""
+def _kernel_chain(fitted_poly, ops):
+    """keys, every ciphertext and every refresh event of a short encrypt /
+    matvec / rescale / bootstrap chain on q0 = 1000003, c = 7, where the
+    mask sampler rejects draws at other rates than on power-of-two moduli,
+    run with the kernels ops = (encrypt, matvec, rescale, bootstrap)."""
+    encrypt, matvec, rescale, bootstrap = ops
     params = cs.SchemeParams(n=16, q0=1000003, c=7, L=3, noise_bound=8,
                              seed=5, hamming_weight=4)
     keys = cs.keygen(params)
@@ -242,30 +339,41 @@ def _kernel_digest(fitted_poly):
     rnd = random.Random(11)
     M = [[0.9, -0.2, 0.1, 1.0], [0.1, 0.8, -0.3, 0.5], [-0.2, 0.1, 0.7, -1.0]]
     made, events = [], []
-    x = [cs.encrypt(keys, rnd.uniform(-50, 50)) for _ in range(3)]
+    x = [encrypt(keys, rnd.uniform(-50, 50)) for _ in range(3)]
     made += x
     for _ in range(2 * params.L + 1):
         if x[0].level == 0:
-            pairs = [cs.bootstrap_emulated(keys, ct, poly) for ct in x]
+            pairs = [bootstrap(keys, ct, poly) for ct in x]
             x = [ct for ct, _ in pairs]
             events += [ev for _, ev in pairs]
             made += x
-        w = cs.encrypt(keys, rnd.uniform(-50, 50), level=x[0].level)
-        y = cs.matvec(params, M, x + [w])
-        x = [cs.rescale(params, ct) for ct in y]
+        w = encrypt(keys, rnd.uniform(-50, 50), level=x[0].level)
+        y = matvec(params, M, x + [w])
+        x = [rescale(params, ct) for ct in y]
         made += [w] + y + x
     assert len(made) == 58 and len(events) == 6
-    h = hashlib.sha256()
-    for ct in made:
-        h.update(repr((ct.body, ct.level, ct.scale_exponent, ct.noise_bound,
-                       ct.debug_plaintext)).encode())
-    h.update(repr(events).encode())
-    return h.hexdigest()
+    return keys, made, events
 
 
 def test_kernels_are_pinned_on_non_power_of_two_moduli(fitted_poly):
-    assert _kernel_digest(fitted_poly) == \
+    """The full-body reference chain hashes (every body and ledger entry,
+    then the refresh events) to the digest pinned on full bodies, and the
+    library's chain is its projection, event for event."""
+    ref_keys, ref_made, ref_events = _kernel_chain(
+        fitted_poly, (_ref_encrypt, _matvec_per_entry, _ref_rescale, _ref_bootstrap))
+    h = hashlib.sha256()
+    for ct in ref_made:
+        h.update(repr((ct.body, ct.level, ct.scale_exponent, ct.noise_bound,
+                       ct.debug_plaintext)).encode())
+    h.update(repr(ref_events).encode())
+    assert h.hexdigest() == \
         "80e5ee81b038d822e8afe8c8a75222d8a11f6df7c3c724470a02a914bc8d5330"
+    keys, made, events = _kernel_chain(
+        fitted_poly, (cs.encrypt, cs.matvec, cs.rescale, cs.bootstrap_emulated))
+    for ct, ref in zip(made, ref_made, strict=True):
+        _same(keys, ct, ref_keys, ref)
+    assert events == ref_events
+    assert keys.rng.getstate() == ref_keys.rng.getstate()
 
 
 def test_add_and_scalar_matvec(keys, small_scheme):
@@ -334,7 +442,7 @@ def test_matvec_matches_plaintext(keys, small_scheme):
 def test_matvec_zero_row_gives_zero_body(keys, small_scheme):
     cts = [cs.encrypt(keys, v, level=3) for v in (4.0, -7.5)]
     zero, live = cs.matvec(small_scheme, [[0.0, 0.0], [1.0, 0.5]], cts)
-    assert zero.body == [0] * (small_scheme.n + 1)
+    assert zero.body == [0] * (small_scheme.hamming_weight + 1)
     assert zero.noise_bound == 0.0 and zero.debug_plaintext == 0.0
     assert (zero.level, zero.scale_exponent) == (3, 2)
     assert cs.fidelity_error(keys, zero) == 0.0
@@ -630,13 +738,12 @@ def test_bootstrap_range_violation(keys, small_scheme, q0_poly):
 
 
 def test_bootstrap_wrap_count_violation(keys, small_scheme, q0_poly):
-    """Shift the body mask by multiples of q0 along the secret support so
-    the phase picks up more wraps than the fitted K."""
+    """Shift each mask of the (compact) body by a multiple of q0 times its
+    key coefficient so the phase picks up more wraps than the fitted K."""
     ct = cs.encrypt(keys, 1.0, level=0)
-    support = [i for i, si in enumerate(keys.s) if si != 0]
-    body = list(ct.body)
-    for i in support:
-        body[i + 1] += keys.s[i] * (q0_poly.spec.K + 1) * small_scheme.q0
+    s = _project(keys, keys.sk)[1:]  # the key coefficient of each mask kept
+    shift = (q0_poly.spec.K + 1) * small_scheme.q0
+    body = ct.body[:1] + [a + si * shift for a, si in zip(ct.body[1:], s, strict=True)]
     shifted = cs.Ciphertext(body=body, level=0, scale_exponent=1,
                             noise_bound=ct.noise_bound,
                             debug_plaintext=ct.debug_plaintext)
@@ -659,6 +766,89 @@ def test_wrap_count_stays_inside_required_range(keys, small_scheme, q0_poly):
         assert abs(ev.r) <= bound
         seen.add(ev.r)
     assert len(seen) > 1  # wraps do occur, the bound is not vacuous
+
+
+# --------------------------------------------------------------------------
+# compact bodies against the full-body reference
+
+
+@pytest.mark.parametrize("n, h, q0, c, L, nb, ops", [
+    (16, 4, 2 ** 42, 2 ** 16, 3, 8, 300),
+    (7, 3, 1000003, 7, 3, 3, 300),
+    (10, 1, 3 ** 20, 3, 4, 0, 300),
+    (5, 5, 2 ** 30 - 35, 1000, 2, 8, 300),
+    (256, 4, 2 ** 40 + 15, 2 ** 12 + 1, 2, 8, 120),
+], ids=["n16-h4-2^42", "n7-h3-1000003-c7", "n10-h1-3^20-c3", "n5-h5-c1000",
+        "n256-h4-2^40+15"])
+def test_compact_bodies_match_the_full_body_reference(fitted_poly, n, h, q0, c, L,
+                                                      nb, ops):
+    """Random encrypt / add / matvec / rescale / bootstrap sequences, on the
+    library's compact bodies and on the full-body reference with twin keys:
+    every output is the reference's projection with the same decryption
+    and ledger, every refresh event (r, m + e, output) is the same, every
+    refused operation is refused by both with the same error, and the two
+    generators end in the same state."""
+    params = cs.SchemeParams(n=n, q0=q0, c=c, L=L, noise_bound=nb, seed=n,
+                             hamming_weight=h)
+    keys, ref_keys = cs.keygen(params), cs.keygen(params)
+    poly = fitted_poly.rescaled(float(q0))
+    rnd = random.Random(q0)
+    half = 0.2 * q0 / c  # a scale-1 payload inside eps*q0/2 at every level
+    pool, done = [], Counter()  # pool: (compact, full) ciphertext pairs
+
+    def both(op, kernel, reference):
+        try:
+            outs = kernel()
+        except cs.SchemeError as exc:
+            with pytest.raises(type(exc)):
+                reference()
+            done[op + " refused"] += 1
+            return []
+        done[op] += 1
+        return list(zip(outs, reference(), strict=True))
+
+    def mates(ct):
+        return [p for p in pool
+                if (p[0].level, p[0].scale_exponent) == (ct.level, ct.scale_exponent)]
+
+    for _ in range(ops):
+        op = rnd.choice(("encrypt", "add", "matvec", "rescale", "bootstrap")) \
+            if pool else "encrypt"
+        if op == "encrypt":
+            value, level = rnd.uniform(-half, half), rnd.randint(0, L)
+            got = both(op, lambda: [cs.encrypt(keys, value, level)],
+                       lambda: [_ref_encrypt(ref_keys, value, level)])
+        elif op == "add":
+            (a, ra) = rnd.choice(pool)
+            (b, rb) = rnd.choice(mates(a))
+            got = both(op, lambda: [cs.add(params, a, b)],
+                       lambda: [_ref_add(params, ra, rb)])
+        elif op == "matvec":
+            group = mates(rnd.choice(pool)[0])
+            cols = rnd.sample(group, rnd.randint(1, min(4, len(group))))
+            M = [[rnd.choice((0.0, rnd.uniform(-1, 1))) for _ in cols]
+                 for _ in range(rnd.randint(1, 3))]
+            got = both(op, lambda: cs.matvec(params, M, [ct for ct, _ in cols]),
+                       lambda: _matvec_per_entry(params, M, [ref for _, ref in cols]))
+        elif op == "rescale":  # at level 0 both refuse
+            ct, ref = rnd.choice(pool)
+            got = both(op, lambda: [cs.rescale(params, ct)],
+                       lambda: [_ref_rescale(params, ref)])
+        else:
+            ready = [p for p in pool if p[0].level == 0]
+            if not ready:
+                continue
+            ct, ref = rnd.choice(ready)
+            got = both(op, lambda: [cs.bootstrap_emulated(keys, ct, poly)],
+                       lambda: [_ref_bootstrap(ref_keys, ref, poly)])
+            for (_, event), (_, ref_event) in got:
+                assert event == ref_event
+            got = [(out, ref_out) for (out, _), (ref_out, _) in got]
+        for ct, ref in got:
+            _same(keys, ct, ref_keys, ref)
+        pool = (pool + got)[-12:]
+    assert keys.rng.getstate() == ref_keys.rng.getstate()
+    assert all(done[op] for op in ("encrypt", "add", "matvec", "rescale", "bootstrap"))
 
 
 # --------------------------------------------------------------------------

@@ -83,6 +83,22 @@ def test_x0_length_checked(plant, controller):
             run_closed_loop(plant, controller, _plain_cfg(10), x0=x0)
 
 
+@pytest.mark.parametrize("signal, value, message", [
+    ("w_p1", {}, "^w_p1 is not a numeric array: "),
+    ("w_p2", "ab", "^w_p2 entries must be real numbers, got 'ab'$"),
+    ("x0", "ab", "^x0 entries must be real numbers, got 'ab'$"),
+    ("x0", ["1.0", "2.0"], "^x0 entries must be real numbers, got '1.0'$"),
+    ("x0", [True, False], "^x0 entries must be real numbers, got True$"),
+    ("w_p1", np.ones((10, 1), dtype=bool), "^w_p1 entries must be real numbers, got np.True_$"),
+    ("x0", [object(), 1.0], "^x0 is not a numeric array: "),
+], ids=["dict", "str", "str_x0", "numeric_strings", "bools", "bool_array", "object"])
+def test_non_numeric_signal_is_refused_by_name(plant, controller, signal, value, message):
+    """A value that is not an array of real numbers is a ValueError naming
+    the argument, not numpy's own error or a silent conversion."""
+    with pytest.raises(ValueError, match=message):
+        run_closed_loop(plant, controller, _plain_cfg(10), **{signal: value})
+
+
 def test_w_u_rejected_outside_plaintext(plant, controller, scheme, sim_poly):
     cfg = SimulationConfig(mode=ENCRYPTED, steps=20, T_BS=scheme.L)
     with pytest.raises(ValueError, match="PLAINTEXT_REFERENCE"):

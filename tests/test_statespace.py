@@ -31,6 +31,7 @@ from bootctrl.statespace import (
     Controller,
     Plant,
     PerformanceIndex,
+    as_matrix,
     interconnect,
     lift,
     lift_performance,
@@ -316,6 +317,24 @@ def test_system_json_missing_field(plant, controller):
         data["Bc"] = value
         with pytest.raises(ValueError, match="Bc"):
             system_from_json(data)
+
+
+def test_as_matrix_refuses_strings_and_bools_by_name(plant):
+    """A string or bool entry, which numpy would read as a number, is
+    refused naming the argument, as check_real refuses it as a scalar;
+    integers of either kind and numeric arrays still pass."""
+    for value, bad in [([["0.5", True]], "'0.5'"), ([[0.5, True]], "True"),
+                       ("1", "'1'"), ([[1.0], [np.bool_(0)]], "np.False_"),
+                       (np.array([[True, False]]), "np.True_"),
+                       (np.array([["1.5"]]), "np.str_('1.5')"),
+                       (np.array([[1.0, "x"]], dtype=object), "'x'"), ([[b"1"]], "b'1'")]:
+        with pytest.raises(ValueError, match=f"^A entries must be real numbers, got {re.escape(bad)}$"):
+            as_matrix(value, "A")
+    with pytest.raises(ValueError, match="^A entries must be real numbers, got '0.5'$"):
+        Plant(**{**{k: getattr(plant, k) for k in Plant._DIMS}, "A": [["0.5"]]})
+    for value in ([[1, np.int64(2)], [0.5, np.float32(0.25)]], np.eye(2, dtype=np.int8),
+                  np.array([[1.0, 2]], dtype=object)):
+        assert as_matrix(value, "A").dtype == float
 
 
 def test_simulate_takes_zero_width_signals_and_refuses_the_wrong_shape(plant, controller):
