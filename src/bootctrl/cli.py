@@ -3,9 +3,9 @@
 Exit-code discipline: 0 means the command ran and produced a verdict
 (including NOT_CERTIFIED); nonzero means tool or input failure (2 for a
 missing required flag, --gamma together with --poly, an unreadable or
-malformed --system, --scheme or --poly file, a --system file whose plant
-and controller cannot be closed into one loop, or an output that cannot
-be written).  The one
+malformed --system, --scheme or --poly file, an analyze --poly whose
+slope is 1 or more, a --system file whose plant and controller cannot be
+closed into one loop, or an output that cannot be written).  The one
 quantitative exception is `lift-check`, whose job is the check itself:
 a deviation above threshold exits nonzero.
 
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import THEOREM_1, THEOREM_2, analyze_l2_gain
+from .analysis import THEOREM_1, THEOREM_2, analyze_l2_gain, sector_from_bootstrap
 from .bootpoly import (BootstrapSpec, FitError, centered_mod, evaluate, fit,
                        load_poly, poly_to_json)
 from .crypto_sim import SchemeError, load_scheme
@@ -146,7 +146,12 @@ def cmd_analyze(args, out) -> int:
     if args.poly and gamma is not None:
         raise _InputError("analyze takes the sector slope from --gamma or --poly, not both")
     if args.poly:
-        gamma = _load(load_poly, "--poly", args.poly).gamma_certified
+        poly = _load(load_poly, "--poly", args.poly)
+        try:
+            sector_from_bootstrap(poly, 1)  # refuses a slope of 1 or more
+        except ValueError as exc:
+            raise _InputError(f"unusable --poly {args.poly}: {exc}") from exc
+        gamma = poly.gamma_certified
     elif gamma is None and args.mode == "bootstrap":
         raise _InputError("analyze needs --gamma or --poly for bootstrap mode")
     if args.mode == "fir" and not args.fir_length:

@@ -164,7 +164,9 @@ class SchemeParams:
 class Keys:
     """Secret key plus the RNG stream used for encryption randomness.
 
-    s must hold params.n entries from {-1, 0, 1}.  Its support is
+    s must hold params.n entries from {-1, 0, 1}, params.hamming_weight of
+    them nonzero: the noise ledger's rescale rounding term and
+    required_offset_range rest on that weight.  Its support is
     tabulated once (not fields; frozen so they cannot go stale): _support
     lists the mask indices i with s_i = +1, then those with s_i = -1, each
     in increasing order, and _k is one more than the number of +1 entries,
@@ -183,6 +185,10 @@ class Keys:
                              f"got {len(s)}")
         if any(x not in (-1, 0, 1) for x in s):
             raise ValueError("s entries must be -1, 0 or 1")
+        weight = sum(x != 0 for x in s)
+        if weight != self.params.hamming_weight:
+            raise ValueError(f"s has {weight} nonzero entries, but params.hamming_weight "
+                             f"= {self.params.hamming_weight}")
         object.__setattr__(self, "s", tuple(int(x) for x in s))
         plus = tuple(i for i, x in enumerate(s) if x == 1)
         object.__setattr__(self, "_support",

@@ -40,12 +40,6 @@ def solve_lp(c, A_ub, b_ub, tol=1e-9, max_iter=100):
 
     Returns an LpResult on convergence; raises LpError when the iteration
     cap is hit or the problem is detected to be trivially infeasible.
-
-    The normal matrix (A.T * d) @ A is formed each iteration with A.T * d
-    written into one buffer allocated per solve.  The buffer has the
-    layout numpy gives that product, Fortran order for a C-ordered A:
-    a C-ordered buffer sends the matmul down another BLAS path, which
-    changes the last bits of every fit.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A_ub, dtype=float)
@@ -73,7 +67,6 @@ def solve_lp(c, A_ub, b_ub, tol=1e-9, max_iter=100):
 
     b_norm = 1.0 + float(np.abs(b).max())
     c_norm = 1.0 + float(np.abs(c).max())
-    AtD = np.empty_like(A.T)  # A.T * d, laid out as numpy lays out that product
 
     for it in range(1, max_iter + 1):
         r_p = A @ x + s - b
@@ -95,7 +88,7 @@ def solve_lp(c, A_ub, b_ub, tol=1e-9, max_iter=100):
             )
 
         d = lam / s
-        M = np.multiply(A.T, d, out=AtD) @ A
+        M = (A.T * d) @ A
         cf = None
         try:
             cf = np.linalg.cholesky(M)

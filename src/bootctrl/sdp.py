@@ -396,18 +396,19 @@ class _BarrierData:
     -G(v) - g^2 C - _DELTA I: in both, the raw margin above _DELTA.
 
     V is an orthonormal basis of the coefficients' shared range
-    (_range_basis; None means V = I) and G_k = V^T F_k V, F_k = coeffs[k],
-    kept only where F_k = V G_k V^T holds to 1e-13 of ||F_k||_F.  With W =
-    M^-1 and W^ = V^T W V (R x R), grad_hess takes g_k = tr(W^ G_k) and
-    H_kl = tr(W^ G_k W^ G_l): one batched matmul U_k = -W^ G_k and one GEMM
-    of the flattened U by the flattened U_k^T.  The slope S = diag(slope)
-    lies outside that range and enters through its diagonal: g_o = -sum_i
-    W_ii S_ii, H_ko = -tr(G_k (WV)^T S WV) and H_oo = sum_ij S_ii W_ij^2
-    S_jj, at O(m^2 R).  The lifted LMI's coefficients lie in the
-    ranges of T_sta^T and T_unc^T, so R <= 2 n_xi + n_wu + n_zu whatever
-    T_BS (R = 10 of 11 coefficients for the demo loop), and there only the
-    inverse stays cubic in m.  With V = I, W S = W * slope joins the stack
-    as U_o and one GEMM gives every entry.
+    (_range_basis; None means V = I, so WV = W and G = coeffs) and G_k =
+    V^T F_k V, F_k = coeffs[k], kept only where F_k = V G_k V^T holds to
+    1e-13 of ||F_k||_F.  With W = M^-1 and W^ = V^T W V (R x R), grad_hess
+    takes g_k = tr(W^ G_k) and H_kl = tr(W^ G_k W^ G_l): one batched matmul
+    U_k = -W^ G_k and one GEMM of the flattened U by the flattened U_k^T.
+    The slope S = diag(slope) lies outside that range and enters every term
+    the same way, through its diagonal: g_o = -sum_i W_ii S_ii, H_oo =
+    sum_ij S_ii W_ij^2 S_jj, and H_ko = -tr(G_k Z) with Z = (WV)^T S WV, so
+    the objective's column contracts the term's own coefficients against
+    one R x R matrix, at O(m^2 R).  The lifted LMI's coefficients lie in
+    the ranges of T_sta^T and T_unc^T, so R <= 2 n_xi + n_wu + n_zu
+    whatever T_BS (R = 10 of 11 coefficients for the demo loop), and there
+    only the inverse stays cubic in m.
 
     Every slope-free block shares one block-diagonal term, block_const +
     sum_k v_k block_coeffs[k]: each strict-positive constraint as G(v) -
@@ -501,23 +502,17 @@ class _BarrierData:
         for (_, _, slope, V, G), M in zip(self.terms, mats):
             W = np.linalg.inv(M)
             W = 0.5 * (W + W.T)
-            if V is None:
-                U = np.empty((p + 1,) + W.shape)
-                np.matmul(-W, G, out=U[:p])
-                np.multiply(W, slope, out=U[p])
-            else:
-                WV = W @ V
-                U = np.matmul(-(V.T @ WV), G)
-                Z = WV.T @ (slope[:, None] * WV)
-                cross = G.reshape(p, -1) @ Z.ravel()
-                H[:p, -1] -= cross
-                H[-1, :p] -= cross
-                g[-1] -= np.diagonal(W) @ slope
-                H[-1, -1] += slope @ (W * W) @ slope
-            k = len(U)
-            g[:k] -= np.trace(U, axis1=1, axis2=2)
-            Uf = U.reshape(k, -1)
-            H[:k, :k] += Uf @ U.transpose(0, 2, 1).reshape(Uf.shape).T
+            WV = W if V is None else W @ V
+            U = np.matmul(-(WV if V is None else V.T @ WV), G)
+            Z = WV.T @ (slope[:, None] * WV)
+            cross = G.reshape(p, -1) @ Z.ravel()
+            H[:p, -1] -= cross
+            H[-1, :p] -= cross
+            g[-1] -= np.diagonal(W) @ slope
+            H[-1, -1] += slope @ (W * W) @ slope
+            g[:p] -= np.trace(U, axis1=1, axis2=2)
+            Uf = U.reshape(p, -1)
+            H[:p, :p] += Uf @ U.transpose(0, 2, 1).reshape(Uf.shape).T
         W = np.linalg.inv(block)
         W = 0.5 * (W + W.T)
         for rows, cols, F in self.block_groups:

@@ -137,6 +137,9 @@ def run_closed_loop(plant: Plant, controller: Controller,
     w_u is accepted only in PLAINTEXT_REFERENCE mode: a (steps, nc)
     schedule injected as x_c(t+1) = Ac (x_c(t) + w_u(t)) + Bc y(t), which
     lets tests replay recorded refresh errors through the ideal model.
+
+    An ENCRYPTED run refuses, before it encrypts anything, a poly whose
+    wrap count K is below crypto_sim.required_offset_range of the scheme.
     """
     cl = interconnect(plant, controller)  # refuses an incompatible pair
     steps = config.steps
@@ -160,6 +163,10 @@ def run_closed_loop(plant: Plant, controller: Controller,
             )
         if abs(poly.spec.q - scheme.q0) > 1e-9 * scheme.q0:
             raise ValueError("poly must be rescaled to the scheme base modulus q0")
+        K = cs.required_offset_range(scheme, poly.spec.epsilon)
+        if poly.spec.K < K:
+            raise ValueError(f"poly covers wrap counts up to K = {poly.spec.K}, but the "
+                             f"scheme needs K >= {K} (crypto_sim.required_offset_range)")
     if config.mode == RESET and config.T_BS > scheme.L:
         raise ValueError(f"reset period {config.T_BS} exceeds available levels {scheme.L}")
     if config.mode == FIR:

@@ -381,6 +381,27 @@ def test_reported_gain_is_within_tol_of_a_tight_solve(bundled_analysis, case):
     assert min(cert.margin_achieved, report.certificate.margin_achieved) >= sdp._DELTA
 
 
+@pytest.mark.parametrize("case", ["fir_N5", "fir_N8"])
+def test_tight_fir_solves_end_no_centering_far_below_zero(bundled_analysis, case):
+    """At tol 1e-7 on the FIR loops, no centering of either phase returns a
+    Newton decrement below -1e-3 (the most negative is about -5e-5, on FIR
+    N=8).  A negative decrement only comes from a computed Newton matrix
+    that is indefinite (ROADMAP item 2)."""
+    _, _, _, _, _, [(problem, slopes)] = bundled_analysis(case)
+    decrements = []
+    center = sdp._center
+
+    def recording(*args, **kw):
+        out = center(*args, **kw)
+        decrements.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "_center", recording)
+        sdp.bisect_gain(problem, slopes, tol=1e-7)
+    assert min(d for d in decrements if d is not None) >= -1e-3
+
+
 @pytest.mark.parametrize("case", BUNDLED_CASES)
 def test_phase_one_solves_only_the_rows_free_of_the_gain(bundled_analysis, case):
     """Phase I sees the LMI cut to the n_xi + n_wu rows that g^2 does not

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bootctrl import cli
-from bootctrl.bootpoly import load_poly, poly_to_json, save_poly
+from bootctrl.bootpoly import BootstrapSpec, fit, load_poly, poly_to_json, save_poly
 from bootctrl.cli import main
 from bootctrl.crypto_sim import SchemeParams, save_scheme
 from bootctrl.statespace import save_system
@@ -166,6 +166,22 @@ def test_analyze_refuses_gamma_together_with_poly(tmp_path, capsys, fitted_poly)
     assert not (tmp_path / "analysis_report.json").exists()
 
 
+def test_analyze_refuses_a_poly_slope_of_one_or_more(tmp_path, capsys, fitted_poly):
+    """A --poly whose gamma_certified is 1.5 admits sign flips, so it
+    defines no usable sector (analysis.sector_from_bootstrap): exit 2 with
+    one line naming the file and the slope, and no report."""
+    poly_path = tmp_path / "steep.json"
+    data = poly_to_json(fitted_poly)
+    data["gamma_certified"] = 1.5
+    poly_path.write_text(json.dumps(data))
+    code = run(["analyze", "--poly", str(poly_path), "--theorem", "1",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(poly_path) in err and "1.5000 >= 1" in err and err.count("\n") == 1
+    assert not (tmp_path / "analysis_report.json").exists()
+
+
 def test_analyze_requires_slope_for_bootstrap_mode(tmp_path, capsys):
     code = run(["analyze", "--theorem", "1", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -249,6 +265,20 @@ def test_simulate_reports_scheme_failure(tmp_path, fitted_poly, capsys):
                 "--out-dir", str(tmp_path)])
     assert code == 1
     assert "simulation aborted" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_poly_below_the_wrap_count(tmp_path, capsys):
+    """A K = 1 poly on the demo scheme, which needs K = 2, exits 1 before
+    the run starts, naming both wrap counts."""
+    poly_path = tmp_path / "k1.json"
+    save_poly(poly_path, fit(BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=13)))
+    code = run(["simulate", "--mode", "encrypted", "--poly", str(poly_path),
+                "--steps", "300", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation aborted: poly covers wrap counts up to K = 1, "
+                          "but the scheme needs K >= 2")
+    assert not (tmp_path / "simulation_result.json").exists()
 
 
 def test_simulate_fir_rejects_non_fir_controller(tmp_path, capsys):

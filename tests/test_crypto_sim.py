@@ -155,6 +155,18 @@ def test_keys_reject_bad_secret(small_scheme, s):
         cs.Keys(small_scheme, s=s, rng=random.Random(0))
 
 
+def test_keys_reject_a_secret_of_another_weight():
+    """A secret must have params.hamming_weight nonzero entries: the noise
+    ledger's rescale rounding term and required_offset_range assume it."""
+    params = cs.SchemeParams(n=16, hamming_weight=1)
+    with pytest.raises(ValueError, match="^s has 16 nonzero entries, but "
+                       "params.hamming_weight = 1$"):
+        cs.Keys(params, s=(1,) * 16, rng=random.Random(0))
+    with pytest.raises(ValueError, match="^s has 0 nonzero entries"):
+        cs.Keys(params, s=(0,) * 16, rng=random.Random(0))
+    assert cs.Keys(params, s=(0,) * 15 + (-1,), rng=random.Random(0))._k == 1
+
+
 def _secret(n, weight, rnd):
     s = [0] * n
     for pos in rnd.sample(range(n), weight):
@@ -257,12 +269,12 @@ def test_support_phase_matches_dense_inner_product():
     """The phase of a compact body equals the dense <body, sk> of the full
     body it projects, on random bodies, from a weight-1 secret to
     full-weight, all +1 and all -1 ones; a body holds h + 1 coordinates."""
-    params = cs.SchemeParams(n=16, hamming_weight=1)
     rnd = random.Random(5)
     secrets = [_secret(16, w, rnd) for w in (1, 1, 4, 16, 16)]
     secrets += [(1,) * 16, (-1,) * 16, (0,) * 15 + (1,), (-1,) + (0,) * 15]
-    q = params.modulus(params.L)
     for s in secrets:
+        params = cs.SchemeParams(n=16, hamming_weight=sum(map(abs, s)))
+        q = params.modulus(params.L)
         keys = cs.Keys(params, s=s, rng=random.Random(0))
         for _ in range(200):
             full = [rnd.randrange(-q // 2, q - q // 2) for _ in range(17)]

@@ -560,27 +560,15 @@ def test_checker_margin_is_exact_for_hand_point():
 
 
 LYAPUNOV_SCALES = (0.8, 1.05, 1.1, 1.2, 1.5, 2.0)  # times a unit spectral radius
-# Unstable cases whose phase I still ends in NUMERICAL_FAILURE: near the
-# optimum the formed Newton matrix turns singular (ROADMAP item 2).
-LYAPUNOV_FAILURES = [(1, 1.2)]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_lyapunov_matches_spectral_radius(seed):
-    """The seeded 3x3 Lyapunov LMI at every scale of LYAPUNOV_SCALES but
-    LYAPUNOV_FAILURES: FEASIBLE below a spectral radius of 1, INFEASIBLE
-    above it."""
+    """The seeded 3x3 Lyapunov LMI at every scale of LYAPUNOV_SCALES:
+    FEASIBLE below a spectral radius of 1, INFEASIBLE above it."""
     for scale in LYAPUNOV_SCALES:
-        if (seed, scale) not in LYAPUNOV_FAILURES:
-            status = solve_feasibility(random_lyapunov_problem(seed, scale)).status
-            assert status == (FEASIBLE if scale < 1 else INFEASIBLE), scale
-
-
-@pytest.mark.xfail(strict=True, reason="NUMERICAL_FAILURE from a singular Newton "
-                   "matrix near the phase-I optimum (ROADMAP item 2)")
-@pytest.mark.parametrize("seed, scale", LYAPUNOV_FAILURES)
-def test_random_lyapunov_cases_that_still_fail_numerically(seed, scale):
-    assert solve_feasibility(random_lyapunov_problem(seed, scale)).status == INFEASIBLE
+        status = solve_feasibility(random_lyapunov_problem(seed, scale)).status
+        assert status == (FEASIBLE if scale < 1 else INFEASIBLE), scale
 
 
 def _eigvalsh_margin(prob, cert):

@@ -13,6 +13,7 @@ import pytest
 import bootctrl.crypto_sim as cs
 from bootctrl import simulator
 from bootctrl.analysis import CERTIFIED, analyze_l2_gain, make_fir_controller
+from bootctrl.bootpoly import BootstrapSpec, fit
 from bootctrl.simulator import (
     ENCRYPTED,
     FIR,
@@ -188,6 +189,25 @@ def test_encrypted_mode_validation(plant, controller, scheme, sim_poly,
                         SimulationConfig(mode=ENCRYPTED, steps=10,
                                          T_BS=scheme.L),
                         scheme=scheme, poly=fitted_poly)  # q = 1 poly
+
+
+def test_encrypted_run_refuses_a_poly_below_the_wrap_count(plant, controller, scheme,
+                                                           monkeypatch):
+    """The demo scheme (hamming_weight 4, epsilon 0.5) needs K = 2
+    (required_offset_range); a K = 1 poly is refused by name before any
+    encryption, not by an ASSUMPTION_VIOLATION partway through the run."""
+    assert cs.required_offset_range(scheme, 0.5) == 2
+    poly = fit(BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=13)).rescaled(float(scheme.q0))
+    encrypted, encrypt = [], cs.encrypt
+    monkeypatch.setattr(cs, "encrypt",
+                        lambda *a, **kw: encrypted.append(a) or encrypt(*a, **kw))
+    with pytest.raises(ValueError, match=r"^poly covers wrap counts up to K = 1, "
+                       r"but the scheme needs K >= 2 \("):
+        run_closed_loop(plant, controller,
+                        SimulationConfig(mode=ENCRYPTED, steps=300, T_BS=scheme.L),
+                        scheme=scheme, poly=poly,
+                        w_p1=np.random.default_rng(1).standard_normal((300, plant.m_w1)))
+    assert not encrypted
 
 
 def test_simulation_determinism(plant, controller, scheme, sim_poly):
