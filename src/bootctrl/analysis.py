@@ -35,7 +35,7 @@ from .statespace import (
     Controller,
     PerformanceIndex,
     Plant,
-    as_matrix,
+    _Matrices,
     check_count,
     check_real,
     interconnect,
@@ -62,7 +62,7 @@ NOT_CERTIFIED = "NOT_CERTIFIED"
 
 
 @dataclass(frozen=True)
-class SectorBound:
+class SectorBound(_Matrices):
     """Sector [L_lower, L_upper] on the uncertainty channel.
 
     The quadratic multiplier is
@@ -77,21 +77,7 @@ class SectorBound:
     L_lower: np.ndarray
     L_upper: np.ndarray
 
-    def __post_init__(self):
-        Ll = as_matrix(self.L_lower, "L_lower")
-        Lu = as_matrix(self.L_upper, "L_upper")
-        if Ll.shape != Lu.shape or Ll.shape[0] != Ll.shape[1]:
-            raise ValueError(
-                f"sector bounds must be square and same-shaped, got {Ll.shape}, {Lu.shape}"
-            )
-        Ll.setflags(write=False)
-        Lu.setflags(write=False)
-        object.__setattr__(self, "L_lower", Ll)
-        object.__setattr__(self, "L_upper", Lu)
-
-    @property
-    def n_zu(self):
-        return self.L_lower.shape[0]
+    _DIMS = {"L_lower": ("n_zu", "n_zu"), "L_upper": ("n_zu", "n_zu")}
 
     @property
     def P_u(self):

@@ -15,6 +15,9 @@ import numpy as np
 
 __all__ = ["LpError", "LpResult", "solve_lp"]
 
+_TOL = 1e-9  # relative residuals and mean complementarity at convergence
+_MAX_ITER = 100  # iterations before LpError
+
 
 class LpError(RuntimeError):
     """Raised when the LP cannot be solved to tolerance."""
@@ -35,7 +38,7 @@ class LpResult:
     dual_residual: float
 
 
-def solve_lp(c, A_ub, b_ub, tol=1e-9, max_iter=100):
+def solve_lp(c, A_ub, b_ub):
     """Minimize c^T x subject to A_ub x <= b_ub.
 
     Returns an LpResult on convergence; raises LpError when the iteration
@@ -68,15 +71,15 @@ def solve_lp(c, A_ub, b_ub, tol=1e-9, max_iter=100):
     b_norm = 1.0 + float(np.abs(b).max())
     c_norm = 1.0 + float(np.abs(c).max())
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         r_p = A @ x + s - b
         r_d = c + A.T @ lam
         mu = float(s @ lam) / m
 
         if (
-            mu < tol
-            and np.abs(r_p).max() / b_norm < tol
-            and np.abs(r_d).max() / c_norm < tol
+            mu < _TOL
+            and np.abs(r_p).max() / b_norm < _TOL
+            and np.abs(r_d).max() / c_norm < _TOL
         ):
             return LpResult(
                 x=x,
@@ -132,7 +135,7 @@ def solve_lp(c, A_ub, b_ub, tol=1e-9, max_iter=100):
         lam = lam + a_d * dlam
 
     raise LpError(
-        f"interior-point method did not converge in {max_iter} iterations",
+        f"interior-point method did not converge in {_MAX_ITER} iterations",
         best_x=x,
         best_fun=float(c @ x),
     )

@@ -68,6 +68,8 @@ NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 _MAX_NEWTON = 200  # Newton steps per solve before NUMERICAL_FAILURE
 _RADIUS = 1e4  # compactifying bound X <= radius*I, tau <= radius
 _DELTA = 1e-7  # every certified margin, absolute
+_JACOBI_TOL = 1e-13  # Jacobi stops at off-norm <= this * max(1, max |entry|)
+_JACOBI_SWEEPS = 100  # or after this many sweeps
 _T_STEP = 100.0  # largest factor by which t grows per centering
 
 
@@ -228,7 +230,7 @@ class SolveOutcome:
         return self.status == FEASIBLE
 
 
-def jacobi_eigvals(A, tol=1e-13, max_sweeps=100):
+def jacobi_eigvals(A):
     """Eigenvalues of a symmetric matrix by the cyclic Jacobi iteration.
 
     A reference solver: deterministic sweep order, no external eigenvalue
@@ -242,9 +244,9 @@ def jacobi_eigvals(A, tol=1e-13, max_sweeps=100):
         return A.diagonal().copy()
     M = A.copy()
     scale = max(1.0, np.abs(M).max())
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = np.sqrt(np.sum(np.tril(M, -1) ** 2) * 2)
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

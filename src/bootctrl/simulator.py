@@ -140,6 +140,8 @@ def run_closed_loop(plant: Plant, controller: Controller,
 
     An ENCRYPTED run refuses, before it encrypts anything, a poly whose
     wrap count K is below crypto_sim.required_offset_range of the scheme.
+    A scheme failure in any step is re-raised as its own SchemeError type
+    with "at step t: " in front of its message.
     """
     cl = interconnect(plant, controller)  # refuses an incompatible pair
     steps = config.steps
@@ -259,43 +261,41 @@ def run_closed_loop(plant: Plant, controller: Controller,
         state = encrypt_all(np.zeros(nc), scheme.L)
         xc_log = np.zeros((steps + 1, nc))
     check(state)
-    for t in range(steps):
-        y = plant.C @ x + F1w[t]
-        inputs = np.concatenate([y, w2[t, :k]]) if k else y
-        enc_in = encrypt_all(inputs, state[0].level)
-        if config.mode == FIR:
-            check(enc_in)
-        # control from the pre-refresh state
-        u = np.array(check(cs.matvec(scheme, out_rows, state + enc_in)))
-        z_p[t] = plant.C1 @ x + D1w[t] + plant.E @ u
-        u_log[t], y_log[t] = u, y
+    try:
+        for t in range(steps):
+            y = plant.C @ x + F1w[t]
+            inputs = np.concatenate([y, w2[t, :k]]) if k else y
+            enc_in = encrypt_all(inputs, state[0].level)
+            if config.mode == FIR:
+                check(enc_in)
+            # control from the pre-refresh state
+            u = np.array(check(cs.matvec(scheme, out_rows, state + enc_in)))
+            z_p[t] = plant.C1 @ x + D1w[t] + plant.E @ u
+            u_log[t], y_log[t] = u, y
 
-        if config.mode == FIR:
-            state = enc_in[:p_y] + state[:-p_y]
-        else:
-            # periodic refresh/reset, after u(t), before the state update
-            if t > 0 and t % config.T_BS == 0:
-                if config.mode == RESET:
-                    state = encrypt_all(np.zeros(nc), scheme.L)
-                else:
-                    for comp, ct in enumerate(state):
-                        try:
+            if config.mode == FIR:
+                state = enc_in[:p_y] + state[:-p_y]
+            else:
+                # periodic refresh/reset, after u(t), before the state update
+                if t > 0 and t % config.T_BS == 0:
+                    if config.mode == RESET:
+                        state = encrypt_all(np.zeros(nc), scheme.L)
+                    else:
+                        for comp, ct in enumerate(state):
                             state[comp], ev = cs.bootstrap_emulated(keys, ct, poly)
-                        except (cs.RangeViolationError,
-                                cs.AssumptionViolationError) as exc:
-                            raise type(exc)(f"at step {t}, state component "
-                                            f"{comp}: {exc.message}") from exc
-                        events.append(replace(ev, step=t))
-                        violations += int(ev.violation)
+                            events.append(replace(ev, step=t))
+                            violations += int(ev.violation)
+                    check(state)
+                    enc_in = encrypt_all(inputs, state[0].level)
+                state = [cs.rescale(scheme, ct)
+                         for ct in cs.matvec(scheme, state_rows, state + enc_in)]
                 check(state)
-                enc_in = encrypt_all(inputs, state[0].level)
-            state = [cs.rescale(scheme, ct)
-                     for ct in cs.matvec(scheme, state_rows, state + enc_in)]
-            check(state)
-            xc_log[t + 1] = [ct.debug_plaintext for ct in state]
+                xc_log[t + 1] = [ct.debug_plaintext for ct in state]
 
-        x = plant.A @ x + plant.B @ u + B1w[t]
-        x_log[t + 1] = x
+            x = plant.A @ x + plant.B @ u + B1w[t]
+            x_log[t + 1] = x
+    except cs.SchemeError as exc:  # the step, then the scheme's own message
+        raise type(exc)(f"at step {t}: {exc.message}") from exc
 
     if config.mode == FIR:
         # the certified FIR state x_c(t) = S [y(t-1); ...; y(t-N)]

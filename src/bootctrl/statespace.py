@@ -165,7 +165,19 @@ class _Matrices:
     size.  An empty list, which is how JSON writes a matrix with no rows,
     has no shape of its own, so it takes the table's: each dimension's
     size from the other fields, or 0 where no other field names it.
+    Each dimension is a read-only property: that axis of the first field
+    that names it.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        first = {}
+        for name, dims in cls._DIMS.items():
+            for axis, dim in enumerate(dims):
+                first.setdefault(dim, (name, axis))
+        for dim, (name, axis) in first.items():
+            setattr(cls, dim, property(lambda self, name=name, axis=axis:
+                                       getattr(self, name).shape[axis]))
 
     def __post_init__(self):
         sizes, arrays, unshaped = {}, {}, []
@@ -213,26 +225,6 @@ class Plant(_Matrices):
              "C": ("p_y", "n"), "F1": ("p_y", "m_w1"), "C1": ("p_z", "n"),
              "E": ("p_z", "m_u"), "D1": ("p_z", "m_w1")}
 
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m_u(self):
-        return self.B.shape[1]
-
-    @property
-    def m_w1(self):
-        return self.B1.shape[1]
-
-    @property
-    def p_y(self):
-        return self.C.shape[0]
-
-    @property
-    def p_z(self):
-        return self.C1.shape[0]
-
 
 @dataclass(frozen=True)
 class Controller(_Matrices):
@@ -255,22 +247,6 @@ class Controller(_Matrices):
 
     _DIMS = {"Ac": ("nc", "nc"), "Bc": ("nc", "p_y"), "B2": ("nc", "m_w2"),
              "Cc": ("m_u", "nc"), "Dc": ("m_u", "p_y"), "F2": ("m_u", "m_w2")}
-
-    @property
-    def nc(self):
-        return self.Ac.shape[0]
-
-    @property
-    def p_y(self):
-        return self.Bc.shape[1]
-
-    @property
-    def m_w2(self):
-        return self.B2.shape[1]
-
-    @property
-    def m_u(self):
-        return self.Cc.shape[0]
 
 
 @dataclass(frozen=True)
@@ -296,26 +272,6 @@ class ClosedLoop(_Matrices):
              "Cp": ("p_z", "n_xi"), "Dpp": ("p_z", "m_wp"), "Dpu": ("p_z", "n_wu"),
              "Cu": ("n_zu", "n_xi"), "Dup": ("n_zu", "m_wp"), "Duu": ("n_zu", "n_wu")}
 
-    @property
-    def n_xi(self):
-        return self.Acl.shape[0]
-
-    @property
-    def m_wp(self):
-        return self.Bp.shape[1]
-
-    @property
-    def n_wu(self):
-        return self.Bu.shape[1]
-
-    @property
-    def p_z(self):
-        return self.Cp.shape[0]
-
-    @property
-    def n_zu(self):
-        return self.Cu.shape[0]
-
 
 @dataclass(frozen=True)
 class PerformanceIndex(_Matrices):
@@ -335,14 +291,6 @@ class PerformanceIndex(_Matrices):
         super().__post_init__()
         check_symmetric(self.Qp, "Qp")
         check_symmetric(self.Rp, "Rp")
-
-    @property
-    def m_wp(self):
-        return self.Qp.shape[0]
-
-    @property
-    def p_z(self):
-        return self.Rp.shape[0]
 
     @property
     def Pp(self):

@@ -74,7 +74,8 @@ def test_asymmetric_sector_matches_expansion():
 
 
 def test_sector_validation():
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(ValueError, match="^incompatible dimensions: L_lower has 3 "
+                                         "columns, but n_zu = 2$"):
         SectorBound(L_lower=np.zeros((2, 3)), L_upper=np.zeros((2, 3)))
     # refused by name when built, not later as a non-finite LMI coefficient
     for bad in (np.nan, np.inf):
@@ -471,6 +472,13 @@ def test_fir_controller_structure():
         make_fir_controller(0, 0.5, [[-0.3]])
 
 
+def test_fir_controller_output_must_match_the_measurement_width():
+    with pytest.raises(ValueError, match="^c_out must have 1 columns$"):
+        make_fir_controller(4, 0.5, [[-0.3, 0.1]])
+    with pytest.raises(ValueError, match="^c_out must have 2 columns$"):
+        make_fir_controller(4, 0.5, [[-0.3]], p_y=2)
+
+
 def test_fir_closed_loop_rewiring(plant):
     N, lam = 3, 0.4
     ctrl = make_fir_controller(N, lam, [[-0.3]])
@@ -503,6 +511,15 @@ def test_fir_structure_validation_rejects_tampering(plant):
                           Dc=ctrl.Dc, F2=ctrl.F2)
     with pytest.raises(ValueError, match="head"):
         fir_closed_loop(plant, tampered, 3)
+
+
+def test_fir_structure_validation_rejects_an_aggregator_driven_delay_line(plant):
+    ctrl = make_fir_controller(3, 0.4, [[-0.3]])
+    Ac = np.array(ctrl.Ac)
+    Ac[0, 3] = 0.1  # the head of the delay line reads the aggregator
+    with pytest.raises(ValueError, match="^delay-line states must not be driven "
+                                         "by the aggregator$"):
+        fir_closed_loop(plant, replace(ctrl, Ac=Ac), 3)
 
 
 def test_fir_certification(plant):

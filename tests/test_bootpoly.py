@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from bootctrl import bootpoly
+from bootctrl import bootpoly, lp
 from bootctrl.bootpoly import (
     BootstrapPolynomial,
     BootstrapSpec,
@@ -197,6 +197,31 @@ def test_degree_too_low_raises_with_best_slope():
     assert excinfo.value.best_gamma >= 0.25
 
 
+def test_fitting_lp_failure_is_a_fit_error_with_its_best_slope(monkeypatch):
+    """An LP that stops at its iteration cap raises FitError, which carries
+    the LP's best objective value as best_gamma."""
+    monkeypatch.setattr(lp, "_MAX_ITER", 2)
+    with pytest.raises(FitError, match="^fitting LP failed: interior-point method "
+                                       "did not converge in 2 iterations$") as excinfo:
+        fit(BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=5))
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, lp.LpError) and isinstance(cause.best_fun, float)
+    assert excinfo.value.best_gamma == cause.best_fun
+
+
+def test_odd_sample_count_rounds_up_to_even(monkeypatch):
+    """13 samples per interval become 14, so m = 0 stays off the grid: the
+    LP has 2 rows per sample and offset, plus gamma >= 0."""
+    rows, solve_lp = [], bootpoly.solve_lp
+    monkeypatch.setattr(bootpoly, "solve_lp",
+                        lambda c, A, b: rows.append(len(A)) or solve_lp(c, A, b))
+    spec = BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=5)
+    odd = fit(spec, samples_per_interval=13)
+    even = fit(spec, samples_per_interval=14)
+    assert rows == [3 * 2 * 14 + 1] * 2
+    assert np.array_equal(odd.coefficients, even.coefficients)
+
+
 def test_rescaled_preserves_relative_error(fitted_poly):
     q_new = float(2 ** 42)
     big = fitted_poly.rescaled(q_new)
@@ -256,6 +281,11 @@ def test_poly_json_missing_field(fitted_poly):
             parent[path[-1]] = value
             with pytest.raises(ValueError, match="poly JSON|interval"):
                 poly_from_json(data)
+
+
+def test_poly_json_other_basis_is_refused(fitted_poly):
+    with pytest.raises(ValueError, match="^unsupported basis: 'monomial'$"):
+        poly_from_json({**poly_to_json(fitted_poly), "basis": "monomial"})
 
 
 def test_poly_json_interval_checked_at_both_ends(fitted_poly):

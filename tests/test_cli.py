@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bootctrl import cli
+from bootctrl import cli, lp
 from bootctrl.bootpoly import BootstrapSpec, fit, load_poly, poly_to_json, save_poly
 from bootctrl.cli import main
 from bootctrl.crypto_sim import SchemeParams, save_scheme
@@ -75,6 +75,17 @@ def test_fit_poly_degree_too_low_fails_with_best_gamma(tmp_path, capsys):
     assert not (tmp_path / "poly.json").exists()
 
 
+def test_fit_poly_reports_a_failed_fitting_lp(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_ITER", 2)
+    code = run(["fit-poly", "--degree", "5", "--K", "1", "--epsilon", "0.5",
+                "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fit failed: fitting LP failed: interior-point method did "
+                          "not converge in 2 iterations (best gamma ")
+    assert not (tmp_path / "poly.json").exists()
+
+
 def test_fit_poly_trivial_identity(tmp_path, capsys):
     code = run(["fit-poly", "--degree", "1", "--K", "0", "--epsilon", "0.5",
                 "--out-dir", str(tmp_path)])
@@ -96,6 +107,16 @@ def test_analyze_direct_reference_value(tmp_path, capsys):
     assert abs(report["gain"] - 5.13) <= 0.1
     assert report["certificate"]["X"] is not None
     assert (tmp_path / "analyze_manifest.json").exists()
+
+
+def test_analyze_reports_not_certified_with_exit_zero(tmp_path, capsys):
+    """Slope 0.6 admits no direct-test certificate: a verdict, not a failure."""
+    code = run(["analyze", "--gamma", "0.6", "--theorem", "1",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out == "NOT_CERTIFIED (THEOREM_1, T_BS=1, sector slope 0.6000)\n"
+    report = json.loads((tmp_path / "analysis_report.json").read_text())
+    assert report["verdict"] == "NOT_CERTIFIED"
 
 
 def test_analyze_report_table(tmp_path, capsys):
@@ -517,6 +538,23 @@ def test_lift_check_custom_system(tmp_path, make_random_system):
     code = run(["lift-check", "--system", str(sys_path), "--tbs", "7",
                 "--trials", "10", "--out-dir", str(tmp_path)])
     assert code == 0
+
+
+def test_lift_check_reports_a_deviation(tmp_path, capsys, monkeypatch):
+    """A lift whose state matrix is off by 1e-6 is caught: exit 1."""
+    real = cli.lift
+
+    def perturbed(cl, T):
+        lifted = real(cl, T)
+        return replace(lifted, Acl=lifted.Acl * (1 + 1e-6))
+
+    monkeypatch.setattr(cli, "lift", perturbed)
+    code = run(["lift-check", "--tbs", "5", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("max relative deviation between lifted map and "
+                                   "5-step recursion over 20 trials: ")
+    assert captured.err == "deviation exceeds 1e-9\n"
 
 
 # --------------------------------------------------------------------------

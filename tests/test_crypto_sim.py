@@ -600,6 +600,14 @@ def test_matvec_rejects_ragged_levels(keys, small_scheme):
         cs.matvec(small_scheme, np.ones((1, 2)), cts)
 
 
+def test_matvec_checks_the_column_count_and_takes_a_matrix_without_rows(keys,
+                                                                        small_scheme):
+    cts = [cs.encrypt(keys, 1.0, level=2)]
+    with pytest.raises(ValueError, match="^matrix has 2 columns, vector has 1$"):
+        cs.matvec(small_scheme, np.ones((1, 2)), cts)
+    assert cs.matvec(small_scheme, np.zeros((0, 1)), cts) == []
+
+
 def _round_half_away(num, den):
     """The earlier rescale rounding helper, kept here as the oracle."""
     if num >= 0:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from bootctrl import lp
 from bootctrl.lp import LpError, solve_lp
 
 
@@ -78,11 +79,32 @@ def test_shape_mismatch_rejected():
         solve_lp(np.array([1.0, 2.0]), np.eye(3), np.ones(2))
 
 
-def test_iteration_cap_reports_best_point():
+def test_iteration_cap_reports_best_point(monkeypatch):
     rng = np.random.default_rng(3)
     c, A, b = _random_bounded_lp(rng, 5, 12)
+    monkeypatch.setattr(lp, "_MAX_ITER", 2)
     with pytest.raises(LpError) as excinfo:
-        solve_lp(c, A, b, max_iter=2)
+        solve_lp(c, A, b)
     err = excinfo.value
     assert err.best_x is not None and err.best_x.shape == (5,)
     assert isinstance(err.best_fun, float)
+
+
+def test_singular_normal_matrix_takes_the_regularized_factorization(monkeypatch):
+    """Two equal columns make every normal matrix A^T D A singular: its
+    Cholesky factorization fails and the solve goes on with the matrix
+    shifted by 1e-12 (1 + trace / n) I, to the optimum x1 + x2 = 1."""
+    failures, cholesky = [], np.linalg.cholesky
+
+    def counting(M):
+        try:
+            return cholesky(M)
+        except np.linalg.LinAlgError:
+            failures.append(M)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    res = solve_lp([1.0, 1.0], [[-1.0, -1.0], [1.0, 1.0]], [-1.0, 3.0])
+    assert len(failures) == 4
+    assert res.fun == pytest.approx(1.0, abs=1e-8)
+    assert res.x.sum() == pytest.approx(1.0, abs=1e-8)

@@ -482,6 +482,21 @@ def test_problem_rejects_wrong_coefficient_count():
         LmiProblem(n_x=2, constraints=(con,), with_tau=False)
 
 
+def test_constraint_and_problem_refuse_malformed_parts():
+    with pytest.raises(ValueError, match=r"^coeffs must be \(p, 2, 2\), got \(1, 3, 3\)$"):
+        LmiConstraint(const=np.zeros((2, 2)), coeffs=np.zeros((1, 3, 3)), sense="neg")
+    with pytest.raises(ValueError, match="^n_x must be at least 1$"):
+        LmiProblem(n_x=0, constraints=())
+    with pytest.raises(TypeError, match="^constraints must be LmiConstraint instances$"):
+        LmiProblem(n_x=1, constraints=(np.zeros((1, 1)),))
+    prob = LmiProblem(n_x=2, constraints=(), with_tau=True)
+    with pytest.raises(ValueError, match=r"^X must be 2x2, got \(3, 3\)$"):
+        prob.pack(np.eye(3), 1.0)
+    with pytest.raises(ValueError, match="^problem expects tau but none was given$"):
+        prob.pack(np.eye(2))
+    np.testing.assert_array_equal(prob.pack(np.eye(2), 0.5), [1.0, 0.0, 1.0, 0.5])
+
+
 def test_pack_unpack_roundtrip():
     prob = lyapunov_problem(np.diag([0.5, 0.2, 0.1]))
     rng = np.random.default_rng(0)

@@ -210,6 +210,22 @@ def test_encrypted_run_refuses_a_poly_below_the_wrap_count(plant, controller, sc
     assert not encrypted
 
 
+def test_scheme_failure_names_its_step(plant, controller, scheme, sim_poly):
+    """At level 0 the output u has scale c^2, so the budget caps |u| at
+    q0 / (2 c^2) = 512: with w_p1 = 1000 at every step ten steps pass and
+    the output matvec of step 10 overflows.  The error keeps its type and
+    says at which step it happened."""
+    assert scheme.q0 / (2 * scheme.c ** 2) == 512
+    cfg = SimulationConfig(mode=ENCRYPTED, steps=10, T_BS=scheme.L)
+    w = np.full((11, plant.m_w1), 1000.0)
+    run_closed_loop(plant, controller, cfg, scheme=scheme, poly=sim_poly, w_p1=w[:10])
+    with pytest.raises(cs.CiphertextOverflowError,
+                       match=r"^OVERFLOW: at step 10: payload 2\.958e\+12 \+ noise "
+                             r"1\.432e\+08 exceeds q/2 = 2\.199e\+12 at level 0$"):
+        run_closed_loop(plant, controller, replace(cfg, steps=11), scheme=scheme,
+                        poly=sim_poly, w_p1=w)
+
+
 def test_simulation_determinism(plant, controller, scheme, sim_poly):
     steps = 60
     rng = np.random.default_rng(8)

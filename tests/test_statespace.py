@@ -3,6 +3,7 @@ performance lifting, and system serialization."""
 
 import itertools
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from bootctrl.statespace import (
     Plant,
     PerformanceIndex,
     as_matrix,
+    check_symmetric,
     interconnect,
     lift,
     lift_performance,
@@ -79,6 +81,18 @@ def test_interconnect_checks_dimensions(plant, controller):
     # a system file of the pair is refused when it is read
     with pytest.raises(ValueError, match="incompatible dimensions"):
         system_from_json(system_to_json(plant, wide_controller))
+
+
+def test_interconnect_checks_the_input_count(plant, controller):
+    tall_controller = Controller(  # produces 2 inputs for a 1-input plant
+        Ac=controller.Ac, Bc=controller.Bc, B2=controller.B2,
+        Cc=np.vstack([controller.Cc, controller.Cc]),
+        Dc=np.vstack([controller.Dc, controller.Dc]),
+        F2=np.vstack([controller.F2, controller.F2]),
+    )
+    with pytest.raises(ValueError, match="^incompatible dimensions: plant expects 1 "
+                                         "inputs, controller produces 2$"):
+        interconnect(plant, tall_controller)
 
 
 def test_closed_loop_recursion_matches_components(plant, controller):
@@ -291,6 +305,14 @@ def test_records_copy_the_callers_arrays(plant):
     assert not frozen.A.flags.writeable and not sector.L_lower.flags.writeable
 
 
+def test_matrix_rules_refuse_the_wrong_number_of_axes():
+    with pytest.raises(ValueError, match=r"^M must be square, got \(2, 3\)$"):
+        check_symmetric(np.zeros((2, 3)), "M")
+    with pytest.raises(ValueError, match=r"^M must be at most 2-dimensional, "
+                                         r"got shape \(2, 2, 2\)$"):
+        as_matrix(np.zeros((2, 2, 2)), "M")
+
+
 def test_system_json_roundtrip(tmp_path, plant, controller):
     path = tmp_path / "system.json"
     save_system(path, plant, controller)
@@ -427,6 +449,33 @@ def test_every_small_shape_works_or_is_refused_by_name(tmp_path, capsys, dims):
         assert code == 1 and err.startswith(f"analysis aborted: {refused} (")
     else:
         assert code == 0 and err == ""
+
+
+def _assert_dimensions_from_table(record):
+    """Each name in the record's _DIMS is a read-only class property equal
+    to that axis of every field naming it; vars(record) holds only the
+    fields."""
+    assert list(vars(record)) == [f.name for f in fields(record)]
+    for name, dims in record._DIMS.items():
+        for axis, dim in enumerate(dims):
+            prop = getattr(type(record), dim)
+            assert isinstance(prop, property) and prop.fset is None, dim
+            size = getattr(record, dim)
+            assert type(size) is int and size == getattr(record, name).shape[axis], dim
+
+
+def test_dimensions_are_read_from_each_records_table(plant, controller):
+    """On the demo records and the 32 systems of the small-shape grid, zero
+    sizes included, every dimension is its field's axis."""
+    for dims in [None, *GRID]:
+        pair = (plant, controller) if dims is None else _grid_system(*dims)
+        cl = interconnect(*pair)
+        perf = PerformanceIndex(Qp=-np.eye(cl.m_wp), Sp=np.zeros((cl.m_wp, cl.p_z)),
+                                Rp=np.eye(cl.p_z))
+        for record in (*pair, cl, lift(cl, 3), perf, lift_performance(perf, 3),
+                       SectorBound.symmetric(0.1, cl.n_zu)):
+            _assert_dimensions_from_table(record)
+        assert (cl.n_xi, cl.n_zu) == (pair[0].n + pair[1].nc, pair[1].nc)
 
 
 _SPEC = BootstrapSpec(d=3)
