@@ -36,6 +36,7 @@ from .statespace import (
     PerformanceIndex,
     Plant,
     _Matrices,
+    as_matrix,
     check_count,
     check_real,
     interconnect,
@@ -238,7 +239,7 @@ def make_fir_controller(N: int, lam: float, c_out, p_y: int = 1) -> Controller:
     lam = check_real(lam, "lam")
     if abs(lam) >= 1:
         raise ValueError("the aggregator pole must satisfy |lam| < 1")
-    c_out = np.atleast_2d(np.asarray(c_out, dtype=float))
+    c_out = as_matrix(c_out, "c_out")
     m_u = c_out.shape[0]
     if c_out.shape[1] != p_y:
         raise ValueError(f"c_out must have {p_y} columns")

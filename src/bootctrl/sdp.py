@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statespace import check_real, check_symmetric
+from .statespace import check_count, check_real, check_symmetric
 
 __all__ = [
     "LmiConstraint",
@@ -141,6 +141,7 @@ class LmiProblem:
     with_tau: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "n_x", check_count(self.n_x, "n_x"))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.n_x < 1:
             raise ValueError("n_x must be at least 1")

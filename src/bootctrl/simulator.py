@@ -26,7 +26,7 @@ matrix is encoded once per run.  Step t, in the certified order:
 1. y(t) in the clear, and [y(t); w_p2(t)] encrypted at the state's level
    (w_p2 only when given);
 2. u(t) from one matvec of the pre-refresh state and those inputs,
-   decrypted by the ledger check; then z_p(t) in the clear;
+   decrypted by the ledger check;
 3. the state update: FIR shifts y(t) into the window.  ENCRYPTED and RESET
    first refresh or reset x_c when t > 0 and t % T_BS == 0 (re-encrypting
    the inputs at the new level), then take one matvec by [Ac Bc B2] and a
@@ -34,7 +34,9 @@ matrix is encoded once per run.  Step t, in the certified order:
 4. the plant state advances.
 
 This realizes x_c(t+1) = Ac (x_c(t) + w_u(t)) + Bc y(t) with w_u the
-refresh error.
+refresh error.  No step reads z_p or the x_c log, so both are formed in
+the clear after the loop: z_p(t) = C1 x(t) + D1 w1(t) + E u(t) from the
+plant and control logs, and x_c from each step's state plaintexts.
 
 aligned_disturbance takes the nominal loop's exact impulse response from
 statespace.simulate (one run per disturbance column) and then runs its
@@ -193,7 +195,6 @@ def run_closed_loop(plant: Plant, controller: Controller,
         return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log,
                                 xc_log, _empirical_gain(z_p, w_p))
 
-    z_p = np.zeros((steps, plant.p_z))
     u_log = np.zeros((steps, m_u))
     y_log = np.zeros((steps, p_y))
     x_log = np.zeros((steps + 1, n))
@@ -259,7 +260,7 @@ def run_closed_loop(plant: Plant, controller: Controller,
                                                        controller.F2[:, :k]]))
         state_rows = cs.encode_matrix(scheme, np.hstack([Ac, Bc, controller.B2[:, :k]]))
         state = encrypt_all(np.zeros(nc), scheme.L)
-        xc_log = np.zeros((steps + 1, nc))
+        xc_rows = [np.zeros(nc)]  # x_c(0), then one row per step
     check(state)
     try:
         for t in range(steps):
@@ -270,7 +271,6 @@ def run_closed_loop(plant: Plant, controller: Controller,
                 check(enc_in)
             # control from the pre-refresh state
             u = np.array(check(cs.matvec(scheme, out_rows, state + enc_in)))
-            z_p[t] = plant.C1 @ x + D1w[t] + plant.E @ u
             u_log[t], y_log[t] = u, y
 
             if config.mode == FIR:
@@ -290,18 +290,23 @@ def run_closed_loop(plant: Plant, controller: Controller,
                 state = [cs.rescale(scheme, ct)
                          for ct in cs.matvec(scheme, state_rows, state + enc_in)]
                 check(state)
-                xc_log[t + 1] = [ct.debug_plaintext for ct in state]
+                xc_rows.append([ct.debug_plaintext for ct in state])
 
             x = plant.A @ x + plant.B @ u + B1w[t]
             x_log[t + 1] = x
     except cs.SchemeError as exc:  # the step, then the scheme's own message
         raise type(exc)(f"at step {t}: {exc.message}") from exc
 
+    # the per-step form's row-by-row kernel and addition order, bit for bit
+    z_p = (np.matmul(plant.C1, x_log[:-1, :, None])[..., 0] + D1w
+           + np.matmul(plant.E, u_log[:, :, None])[..., 0])
     if config.mode == FIR:
         # the certified FIR state x_c(t) = S [y(t-1); ...; y(t-N)]
         padded = np.vstack([np.zeros((N, p_y)), y_log])
         xc_log = np.hstack([padded[N - i: N - i + steps + 1]
                             for i in range(1, N + 1)]) @ S.T
+    else:
+        xc_log = np.array(xc_rows)
     return SimulationResult(config.mode, w_p, z_p, u_log, y_log, x_log, xc_log,
                             _empirical_gain(z_p, w_p), events, violations, max_fid)
 

@@ -479,6 +479,17 @@ def test_fir_controller_output_must_match_the_measurement_width():
         make_fir_controller(4, 0.5, [[-0.3]], p_y=2)
 
 
+def test_fir_controller_output_takes_the_matrix_rule():
+    """c_out is coerced like every controller matrix: text and bools are
+    refused by name, and a scalar is a 1x1 matrix."""
+    for bad in ("0.3", [[True]]):
+        with pytest.raises(ValueError, match="^c_out entries must be real numbers"):
+            make_fir_controller(3, 0.5, bad)
+    for good in ([[-0.3]], -0.3):
+        assert np.array_equal(make_fir_controller(3, 0.5, good).Cc,
+                              [[0.0, 0.0, 0.0, -0.3]])
+
+
 def test_fir_closed_loop_rewiring(plant):
     N, lam = 3, 0.4
     ctrl = make_fir_controller(N, lam, [[-0.3]])

@@ -482,6 +482,12 @@ def test_problem_rejects_wrong_coefficient_count():
         LmiProblem(n_x=2, constraints=(con,), with_tau=False)
 
 
+@pytest.mark.parametrize("n_x", [1.5, True])
+def test_problem_takes_only_an_integer_size(n_x):
+    with pytest.raises(ValueError, match=f"^n_x must be an integer, got {n_x}$"):
+        LmiProblem(n_x=n_x, constraints=())
+
+
 def test_constraint_and_problem_refuse_malformed_parts():
     with pytest.raises(ValueError, match=r"^coeffs must be \(p, 2, 2\), got \(1, 3, 3\)$"):
         LmiConstraint(const=np.zeros((2, 2)), coeffs=np.zeros((1, 3, 3)), sense="neg")

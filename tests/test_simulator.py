@@ -309,6 +309,66 @@ def test_disturbance_products_match_the_per_step_form(scheme, make_random_system
                                   + plant.B1 @ w1[t])
 
 
+def _assert_per_step_plant_form(res, plant, w1):
+    """y, z_p and the plant state of a run satisfy the per-step plant
+    equations bit for bit."""
+    x, u = res.x_plant, res.u
+    for t in range(len(u)):
+        assert np.array_equal(res.y[t], plant.C @ x[t] + plant.F1 @ w1[t])
+        assert np.array_equal(res.z_p[t], plant.C1 @ x[t] + plant.D1 @ w1[t]
+                              + plant.E @ u[t])
+        assert np.array_equal(x[t + 1], plant.A @ x[t] + plant.B @ u[t]
+                              + plant.B1 @ w1[t])
+
+
+def test_fir_outputs_match_the_per_step_form(scheme, make_random_system):
+    """z_p, formed after the loop, equals C1 x(t) + D1 w1(t) + E u(t) per
+    step bit for bit in FIR mode, on random plants with random FIR
+    controllers."""
+    rng = np.random.default_rng(50)
+    for trial in range(6):
+        plant, _ = make_random_system(rng)
+        N = int(rng.integers(1, 5))
+        ctrl = make_fir_controller(N, 0.45, 0.3 * rng.standard_normal(
+            (plant.m_u, plant.p_y)), p_y=plant.p_y)
+        steps = 30
+        w1 = rng.standard_normal((steps, plant.m_w1))
+        res = run_closed_loop(plant, ctrl,
+                              SimulationConfig(mode=FIR, steps=steps, fir_length=N,
+                                               seed=trial),
+                              scheme=scheme, w_p1=w1)
+        _assert_per_step_plant_form(res, plant, w1)
+
+
+@pytest.mark.parametrize("mode", [ENCRYPTED, RESET])
+def test_state_log_holds_each_steps_plaintexts(plant, controller, scheme, sim_poly,
+                                               monkeypatch, mode):
+    """The x_c log, filled after the loop, starts at zero and then holds
+    the debug plaintexts of each step's rescaled state in step order; the
+    run's z_p matches the per-step form bit for bit (ENCRYPTED on the demo
+    loop with T_BS=5, so three refreshes happen in 20 steps)."""
+    rescaled = []
+    real = cs.rescale
+
+    def spy(params, ct):
+        out = real(params, ct)
+        rescaled.append(out.debug_plaintext)
+        return out
+
+    monkeypatch.setattr(cs, "rescale", spy)
+    steps = 20
+    w1 = np.random.default_rng(60).standard_normal((steps, plant.m_w1))
+    res = run_closed_loop(plant, controller,
+                          SimulationConfig(mode=mode, steps=steps, T_BS=5, seed=4),
+                          scheme=replace(scheme, L=5),
+                          poly=sim_poly if mode == ENCRYPTED else None, w_p1=w1)
+    assert len(res.events) == (3 * controller.nc if mode == ENCRYPTED else 0)
+    assert res.x_c.shape == (steps + 1, controller.nc)
+    assert not res.x_c[0].any()
+    assert np.array_equal(res.x_c[1:].ravel(), rescaled)
+    _assert_per_step_plant_form(res, plant, w1)
+
+
 @pytest.mark.parametrize("mode, encodings", [(ENCRYPTED, 2), (RESET, 2), (FIR, 1)])
 def test_controller_matrices_are_encoded_once_per_run(plant, controller, scheme,
                                                       sim_poly, monkeypatch, mode,
