@@ -2,7 +2,7 @@
 
 The package has three layers:
 
-* design of refresh polynomials with a certified relative error bound
+* design of refresh polynomials with a proven relative error bound
   (`bootpoly`, backed by the in-repo LP solver in `lp`),
 * LMI-based certification of closed-loop l2-gain under sector-bounded
   refresh errors (`analysis`, backed by the in-repo SDP solver and the
@@ -30,6 +30,7 @@ from .bootpoly import (
     fit,
     load_poly,
     save_poly,
+    slope_bound,
     verify,
 )
 from .crypto_sim import (

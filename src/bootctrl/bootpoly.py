@@ -9,10 +9,13 @@ with a relative (sector) error bound: |p(x) - (x mod q)| <= gamma |x mod q|
 for all x in I.  The fit minimizes gamma over polynomials of fixed degree
 by discretizing the constraint set at Chebyshev nodes and solving the
 resulting LP in-repo, whose rows are written in place into one
-constraint matrix; the returned gamma is then re-established by dense
-a-posteriori sampling, which is the authoritative certificate.  That
-sampling streams its points through the kernel's blocks, so no array of
-the sample count is formed and its memory does not grow with the count.
+constraint matrix; the returned gamma is then a proven bound
+(slope_bound): the Ehlich-Zeller bound on Chebyshev nodes of each
+offset's slope polynomial, with a derived rounding allowance.  verify
+dense-samples the relative error instead, an independent cross-check
+whose maximum over samples can read below the supremum.  Both stream their points through the kernel's
+blocks, so no array of the point count is formed and their memory does
+not grow with the count.
 
 Every evaluation of p goes through one Clenshaw kernel, numpy's chebval
 recurrence operation for operation (x2 = 2x; c0, c1 <- c[-i] - c1,
@@ -39,6 +42,7 @@ __all__ = [
     "BootstrapPolynomial",
     "FitError",
     "fit",
+    "slope_bound",
     "verify",
     "evaluate",
     "centered_mod",
@@ -49,7 +53,10 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-9
-VERIFY_SAMPLES = 250_000  # fit's dense verification points per offset interval
+# slope_bound's first-kind Chebyshev nodes per degree of q_r: the
+# Ehlich-Zeller factor 1 / cos(pi / 4096) exceeds 1 by 2.9e-7
+NODES_PER_DEGREE = 2048
+_U = 2.0 ** -53  # unit roundoff of a double
 # doubles per Clenshaw block (128 KiB): verify's six work arrays (768 KiB)
 # stay in a 2 MiB L2, and each ufunc call still covers enough elements to
 # hide its Python overhead (16k beat 4k, 8k, 12k, 24k and 32k on verify)
@@ -103,8 +110,10 @@ class BootstrapPolynomial:
 
     coefficients has length spec.d + 1 in the Chebyshev basis over
     [-half_range, half_range]; even-index entries are zero because the
-    target restricted to I is odd.  gamma_certified is the dense-sampling
-    supremum of the relative error, not the fitting LP's objective.  Each
+    target restricted to I is odd.  A fitted gamma_certified is the proven
+    bound slope_bound on the slope of the relative error, not the fitting
+    LP's objective, and verification_samples counts the bound's Chebyshev
+    nodes (the field keeps its name so that saved polynomials load).  Each
     coefficient and gamma_certified must be a finite real number and
     verification_samples a nonnegative integer, or ValueError is raised.
     """
@@ -256,16 +265,18 @@ def _root_nullspace(spec: BootstrapSpec):
 
 
 def fit(spec: BootstrapSpec, samples_per_interval: int = 512) -> BootstrapPolynomial:
-    """Solve the discretized minimax program and certify the result densely.
+    """Solve the discretized minimax program and prove the result's slope.
 
     minimize gamma  s.t.  |m - p(m - r q)| <= gamma |m|
     for sampled m in [-eps q/2, eps q/2] and every offset r in {-K..K}.
     Sampling uses Chebyshev-Lobatto nodes (an even count, so m = 0 is
     excluded; that case is enforced structurally through the root
-    conditions p(r q) = 0).  The stored gamma comes from verify(), not
-    from the LP objective, on VERIFY_SAMPLES points per offset interval.
-    samples_per_interval must be an integer of at least 2(d + 1), or
-    ValueError is raised before the LP runs.
+    conditions p(r q) = 0).  The stored gamma is slope_bound's proven
+    bound, not the LP objective.  When the LP stops at its iteration cap,
+    its least-objective primal-feasible iterate is bounded the same way;
+    FitError is raised when there is no such iterate or the bound is 1 or
+    more.  samples_per_interval must be an integer of at least 2(d + 1),
+    or ValueError is raised before the LP runs.
     """
     M = check_count(samples_per_interval, "samples_per_interval", 2 * (spec.d + 1))
     if M % 2 == 1:
@@ -299,30 +310,134 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512) -> BootstrapPolyno
     cost[-1] = 1.0
 
     try:
-        res = solve_lp(cost, A_ub, b_ub)
+        x = solve_lp(cost, A_ub, b_ub).x
     except LpError as exc:
-        raise FitError(f"fitting LP failed: {exc}", best_gamma=exc.best_fun) from exc
+        if not exc.feasible:
+            raise FitError(f"fitting LP failed: {exc}", best_gamma=exc.best_fun) from exc
+        x = exc.best_x
 
     coeffs = np.zeros(spec.d + 1)
-    coeffs[1::2] = N @ res.x[:-1]
-    poly = BootstrapPolynomial(
-        spec=spec,
-        coefficients=coeffs,
-        gamma_certified=float(res.x[-1]),
-        verification_samples=0,
-    )
-    gamma_dense = verify(poly, VERIFY_SAMPLES)
-    if gamma_dense >= 1.0:
+    coeffs[1::2] = N @ x[:-1]
+    poly = BootstrapPolynomial(spec=spec, coefficients=coeffs, gamma_certified=float(x[-1]))
+    gamma = slope_bound(poly)
+    if gamma >= 1.0:
         raise FitError(
-            f"best achievable relative slope is {gamma_dense:.4f} >= 1 at "
+            f"best achievable relative slope is {gamma:.4f} >= 1 at "
             f"degree {spec.d}; the polynomial could flip signs",
-            best_gamma=gamma_dense,
+            best_gamma=gamma,
         )
-    return replace(
-        poly,
-        gamma_certified=gamma_dense,
-        verification_samples=VERIFY_SAMPLES * (2 * spec.K + 1),
-    )
+    # an odd polynomial is bounded on the offsets 0..K (slope_bound)
+    return replace(poly, gamma_certified=gamma,
+                   verification_samples=_node_count(spec.d) * (spec.K + 1))
+
+
+def _node_count(d):
+    """slope_bound's Chebyshev nodes per offset at degree d."""
+    return NODES_PER_DEGREE * max(d - 1, 1)
+
+
+def _slope_series(c, s0, H):
+    """Chebyshev series in s of q = (P(s) - P(s0)) / (H (s - s0)) - 1.
+
+    P = sum c_k T_k.  Clenshaw's intermediates at s0, b_k = c_k + 2 s0
+    b_{k+1} - b_{k+2}, are the quotient's coefficients: summing by parts
+    with T_k - 2 s T_{k-1} + T_{k-2} = 0 gives P(s) - P(s0) = (s - s0)
+    (b_1 + 2 sum_{k>=2} b_k T_{k-1}(s)).  So the division by s - s0 costs
+    d scalar steps and divides nothing by a small number.
+
+    Also returned: E bounding |Q(s) - Q_hat(s)| / H on [-1, 1], where Q is
+    the exact quotient at the exact s0 and Q_hat has the computed b_k.
+    Step k's rounding, s0's included, is at most eta_k = 5u (|c_k| +
+    2|b_{k+1}| + |b_{k+2}|), and the computed b_k are the exact
+    intermediates of P + sum eta_k T_k.  So Q_hat - Q = sum eta_k (T_k(s)
+    - T_k(s0)) / (s - s0), which is at most sum k^2 |eta_k| by the mean
+    value theorem and Markov's |T_k'| <= k^2.
+    """
+    b1 = b2 = err = 0.0  # b_{k+1}, b_{k+2}
+    b = []
+    x2 = 2 * s0
+    for k in range(len(c) - 1, 0, -1):
+        err += k * k * (abs(c[k]) + 2 * abs(b1) + abs(b2))
+        b1, b2 = c[k] - b2 + x2 * b1, b1
+        b.append(b1)
+    b.reverse()  # b_1, ..., b_d
+    g = [b[0] / H - 1] + [2 * bk / H for bk in b[1:]]
+    return g + [0.0] * (2 - len(g)), 5 * _U * err / H
+
+
+def slope_bound(poly: BootstrapPolynomial) -> float:
+    """A proven upper bound on the slope of the relative error over I.
+
+    For offset r, e_r(m) = p(m - r q) - m = e_r(0) + m q_r(m) on |m| <= a
+    = eps q / 2 (a and r q as the package computes them in floats), and
+    the result is max_r sup |q_r|; the absolute term |e_r(0)| is the root
+    check's.  In t = m / a, q_r is a polynomial of degree n = d - 1 whose
+    Chebyshev series in s = (a t - r q) / half_range comes from
+    _slope_series.  The kernel evaluates it at the N = NODES_PER_DEGREE n
+    first-kind Chebyshev nodes t_j = cos((2j + 1) pi / (2N)), a block at a
+    time, so no array of length N is formed.  By Ehlich and Zeller (Math.
+    Z. 86, 1964; Rivlin, Chebyshev Polynomials, 2nd ed., 1990) sup |q_r|
+    <= max_j |q_r(t_j)| / cos(n pi / (2N)), and the result is
+
+        (max_j |v_j| + A) / (cos(pi / (2 NODES_PER_DEGREE)) - 2 n^2 delta - 8u)
+
+    with v_j the computed values and u the unit roundoff:
+    - A = _slope_series' quotient bound plus 4u ((n + 1)^2 + 1) (sum |g| +
+      1).  Forming the series g costs at most 2u (sum |g| + 1).  Clenshaw
+      at |s| <= 1 returns sum (g_k + eta_k) T_k(s) with |eta_k| <= 2u
+      (|g_k| + 2|b_{k+1}| + |b_{k+2}|), and |b_k| <= sum_{j>=k} (j - k +
+      1) |g_j| since |U_m| <= m + 1, so its error is at most 3u (n + 1)^2
+      sum |g|, plus second-order terms.
+    - delta = 4u (8 + |r q| / a) bounds how far a computed node, mapped
+      to s, lies from the exact one, in units of t: 3u pi from the angle,
+      8u from a cos within 4 ulp, 3u + 2u |r q| / a from the map.
+      Markov's |q'| <= n^2 sup |q| (2 n^2 just outside [-1, 1]) turns it
+      into the 2 n^2 delta.
+    - 8u covers the last four roundings.
+
+    An odd polynomial has q_{-r}(m) = q_r(-m), so only offsets 0..K are
+    evaluated; any nonzero even coefficient brings in all 2K + 1.  A root
+    outside |p(r q)| <= ROOT_TOL q or a non-finite value returns inf,
+    without a warning, so fit() rejects it.
+    """
+    spec = poly.spec
+    c = poly.coefficients.tolist()
+    H = spec.half_range
+    alpha = spec.epsilon * spec.q / 2 / H
+    n = max(spec.d - 1, 1)
+    N = _node_count(spec.d)
+    offsets = spec.offsets if any(c[::2]) else range(spec.K + 1)
+    ez = np.cos(np.pi / (2 * NODES_PER_DEGREE)) - 8 * _U
+    series = []
+    for r in offsets:
+        # NaN fails the comparison too
+        if not abs(evaluate(poly, -r * spec.q)) <= ROOT_TOL * spec.q:
+            return np.inf
+        s0 = -r * spec.q / H
+        g, quotient_err = _slope_series(c, s0, H)
+        allowance = quotient_err + 4 * _U * ((n + 1) ** 2 + 1) * (sum(map(abs, g)) + 1)
+        delta = 4 * _U * (8 + abs(s0) / alpha)
+        series.append((g, s0, allowance, ez - 2 * n * n * delta))
+
+    worst = [0.0] * len(series)
+    step = np.pi / (2 * N)
+    t, s, *work = np.empty((6, min(_BLOCK, N)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, N, _BLOCK):
+            tb = t[:min(_BLOCK, N - lo)]
+            np.cos(np.multiply(np.arange(2 * lo + 1, 2 * lo + 2 * tb.size, 2,
+                                         dtype=float), step, out=tb), out=tb)
+            sb = s[:tb.size]
+            for i, (g, s0, _, _) in enumerate(series):
+                np.add(np.multiply(tb, alpha, out=sb), s0, out=sb)
+                v = _clenshaw(g, sb, work)
+                block_worst = float(np.abs(v, out=v).max())
+                if not block_worst < np.inf:
+                    return np.inf
+                worst[i] = max(worst[i], block_worst)
+    bound = max((w + allowance) / divisor
+                for w, (_, _, allowance, divisor) in zip(worst, series))
+    return bound if bound < np.inf else np.inf
 
 
 def _grid(start, stop, n, lo, hi):
@@ -347,7 +462,7 @@ def _grid(start, stop, n, lo, hi):
 
 
 def verify(poly: BootstrapPolynomial, samples: int) -> float:
-    """Dense-sample the relative error over I and return its supremum.
+    """Dense-sample the relative error over I and return its maximum.
 
     samples counts evaluation points per offset interval (at least 1e5
     for a meaningful certificate; enforced).  Half the points form a
@@ -367,8 +482,11 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     the whole-array formula's points in its order, and every value is that
     formula's up to the sign of an exact zero, which the abs removes, so
     the result is bitwise that formula's.  A non-finite root or error
-    (overflow in the recurrence) returns inf, without a warning, so fit()
-    rejects it.
+    (overflow in the recurrence) returns inf, without a warning.
+
+    The result is a maximum over samples, so it can read below the
+    supremum; it is the tests' cross-check of slope_bound, which it also
+    exceeds where the absolute term |e_r(0)| / |m| dominates near m = 0.
     """
     check_count(samples, "samples", 10**5)
     spec = poly.spec

@@ -134,7 +134,7 @@ def cmd_fit_poly(args, out) -> int:
     out.manifest()
     # fit raises FitError rather than return a poly with gamma >= 1
     print(f"gamma_certified = {poly.gamma_certified:.6f} (usable), "
-          f"verified on {poly.verification_samples} samples")
+          f"proven on {poly.verification_samples} Chebyshev nodes")
     print(f"wrote {out_path}")
     return 0
 

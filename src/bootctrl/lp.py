@@ -20,12 +20,19 @@ _MAX_ITER = 100  # iterations before LpError
 
 
 class LpError(RuntimeError):
-    """Raised when the LP cannot be solved to tolerance."""
+    """Raised when the LP cannot be solved to tolerance.
 
-    def __init__(self, message, best_x=None, best_fun=None):
+    At the iteration cap, best_x is the least-objective iterate whose
+    relative primal residual is within _TOL (feasible is True), or the
+    last iterate when no iterate got there (feasible is False); best_fun
+    is its objective.
+    """
+
+    def __init__(self, message, best_x=None, best_fun=None, feasible=False):
         super().__init__(message)
         self.best_x = best_x
         self.best_fun = best_fun
+        self.feasible = feasible
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,8 @@ def solve_lp(c, A_ub, b_ub):
     """Minimize c^T x subject to A_ub x <= b_ub.
 
     Returns an LpResult on convergence; raises LpError when the iteration
-    cap is hit or the problem is detected to be trivially infeasible.
+    cap is hit (carrying the best primal-feasible iterate, if any) or the
+    problem is detected to be trivially infeasible.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A_ub, dtype=float)
@@ -70,25 +78,28 @@ def solve_lp(c, A_ub, b_ub):
 
     b_norm = 1.0 + float(np.abs(b).max())
     c_norm = 1.0 + float(np.abs(c).max())
+    best = None  # (objective, x) of the best primal-feasible iterate
 
-    for it in range(1, _MAX_ITER + 1):
+    for it in range(_MAX_ITER + 1):  # it steps taken so far
         r_p = A @ x + s - b
         r_d = c + A.T @ lam
         mu = float(s @ lam) / m
+        fun = float(c @ x)
+        primal_ok = np.abs(r_p).max() / b_norm < _TOL
+        if primal_ok and (best is None or fun < best[0]):
+            best = (fun, x)
 
-        if (
-            mu < _TOL
-            and np.abs(r_p).max() / b_norm < _TOL
-            and np.abs(r_d).max() / c_norm < _TOL
-        ):
+        if mu < _TOL and primal_ok and np.abs(r_d).max() / c_norm < _TOL:
             return LpResult(
                 x=x,
-                fun=float(c @ x),
-                iterations=it - 1,
+                fun=fun,
+                iterations=it,
                 mu=mu,
                 primal_residual=float(np.abs(r_p).max()),
                 dual_residual=float(np.abs(r_d).max()),
             )
+        if it == _MAX_ITER:
+            break
 
         d = lam / s
         M = (A.T * d) @ A
@@ -134,8 +145,10 @@ def solve_lp(c, A_ub, b_ub):
         s = s + a_p * ds
         lam = lam + a_d * dlam
 
+    best_fun, best_x = best or (fun, x)
     raise LpError(
         f"interior-point method did not converge in {_MAX_ITER} iterations",
-        best_x=x,
-        best_fun=float(c @ x),
+        best_x=best_x,
+        best_fun=best_fun,
+        feasible=best is not None,
     )

@@ -1,13 +1,16 @@
 """Refresh-polynomial fitting: centered reduction, minimax fit quality,
 root constraints, dense verification, rescaling, and serialization."""
 
+import importlib.util
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebval, poly2cheb
+from numpy.polynomial.polynomial import polyfromroots
 
 from bootctrl import bootpoly, lp
 from bootctrl.bootpoly import (
@@ -21,6 +24,7 @@ from bootctrl.bootpoly import (
     poly_from_json,
     poly_to_json,
     save_poly,
+    slope_bound,
     verify,
 )
 from bootctrl.lp import LpResult
@@ -120,27 +124,58 @@ def test_fit_reference_configuration(fitted_poly):
     assert np.abs(fitted_poly.coefficients[::2]).max() <= 1e-9
 
 
-# gamma_certified on the (d, K) design grid at q = 1, eps = 0.5, bit for bit
+# gamma_certified on the (d, K) design grid at q = 1, eps = 0.5, bit for bit:
+# slope_bound's proven bound, taken under default BLAS threading
 DESIGN_GRID_GAMMAS = {
-    (15, 1): 0.05192598627385815,
-    (15, 2): 0.24618876070955756,
-    (15, 3): 0.9720028020865912,
-    (25, 1): 0.0034553923884741516,
-    (25, 2): 0.09146705920785109,
-    (25, 3): 0.22288839303006092,
-    (35, 1): 0.0004360084226318828,
-    (35, 2): 0.028029921860042994,
-    (35, 3): 0.1611274432102582,
-    (45, 1): 3.64250873898633e-05,
-    (45, 2): 0.004281873650962272,
-    (45, 3): 0.031134802638649373,
+    (15, 1): 0.051925999252723815,
+    (15, 2): 0.24618883104856384,
+    (15, 3): 0.972003079358208,
+    (25, 1): 0.0034553933341959385,
+    (25, 2): 0.09146708386153327,
+    (25, 3): 0.22288845782548036,
+    (35, 1): 0.000436008546672866,
+    (35, 2): 0.028029930089289362,
+    (35, 3): 0.16112749041679306,
+    (45, 1): 3.6425100436131015e-05,
+    (45, 2): 0.004281874891931612,
+    (45, 3): 0.03113481162411024,
 }
 
 
+@pytest.fixture(scope="module")
+def benchmark_workloads():
+    """perfbench/workloads.py, whose design_sweep checks each grid fit."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def grid_fits():
+    return {(d, K): fit(BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d))
+            for d, K in DESIGN_GRID_GAMMAS}
+
+
 @pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
-def test_design_grid_slopes_are_pinned_bitwise(d, K):
-    poly = fit(BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d))
+def test_design_grid_slopes_are_pinned_bitwise(d, K, grid_fits):
+    poly = grid_fits[d, K]
     assert poly.gamma_certified.hex() == DESIGN_GRID_GAMMAS[d, K].hex()
+    assert poly.gamma_certified == slope_bound(poly)
+
+
+@pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
+def test_design_grid_pins_are_bracketed_by_sampling(d, K, grid_fits, benchmark_workloads):
+    """Each pin lies between verify's sampled slope of its fit and 1e-6
+    relative above it, and matches the benchmark's seed slope (taken by
+    sampling) to the benchmark's tolerance, so design_sweep accepts it."""
+    pin = DESIGN_GRID_GAMMAS[d, K]
+    sampled = verify(grid_fits[d, K], 250_000)
+    assert sampled <= pin <= sampled * (1 + 1e-6)
+    bench = benchmark_workloads
+    seed = bench.SEED_GAMMAS[d, K]
+    assert abs(pin - seed) <= bench.GAMMA_REL_TOL * seed + bench.GAMMA_ABS_TOL
 
 
 def test_fitted_roots_at_wrap_points(fitted_poly):
@@ -164,8 +199,11 @@ def test_fitted_relative_error_on_fresh_grid(fitted_poly):
 
 
 def test_verify_is_deterministic_and_matches_certificate(fitted_poly):
-    assert verify(fitted_poly, 250_000) == fitted_poly.gamma_certified
-    assert fitted_poly.verification_samples == 250_000 * 5
+    sampled = verify(fitted_poly, 250_000)
+    assert verify(fitted_poly, 250_000) == sampled
+    assert sampled <= fitted_poly.gamma_certified <= sampled * (1 + 1e-6)
+    # the bound's nodes: 2048 per degree of q_r, offsets 0..K of an odd fit
+    assert fitted_poly.verification_samples == bootpoly.NODES_PER_DEGREE * 24 * 3
 
 
 def test_verify_rejects_small_sample_count(fitted_poly):
@@ -454,7 +492,10 @@ def test_verify_matches_whole_array_formula(d, K, fitted_poly):
     spec = BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d)
     poly = fitted_poly if spec == fitted_poly.spec else fit(spec)
     want = _verify_whole_array(poly, 250_000)
-    assert verify(poly, 250_000) == want == poly.gamma_certified
+    assert verify(poly, 250_000) == want
+    # K = 0 fits the identity, where only the bound's rounding allowance is left
+    slack = 1e-12 if K == 0 else 0.0
+    assert want <= poly.gamma_certified <= want * (1 + 1e-6) + slack
     # a sample count that leaves a ragged last block
     assert verify(poly, 7 * BLOCK + 7) == _verify_whole_array(poly, 7 * BLOCK + 7)
 
@@ -588,3 +629,165 @@ def test_fit_rejects_overflowing_polynomial(monkeypatch):
         with pytest.raises(FitError) as excinfo:
             fit(BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=5))
     assert excinfo.value.best_gamma == np.inf
+
+
+# --------------------------------------------------------------------------
+# proven slope bound
+
+
+def _slopes(poly, m, offsets=None):
+    """|q_r(m)| = |e_r(m) - e_r(0)| / |m| per offset r, e_r(m) = p(m - r q) - m."""
+    q = poly.spec.q
+    return {r: np.abs((poly(m - r * q) - poly(-r * q) - m) / m)
+            for r in (poly.spec.offsets if offsets is None else offsets)}
+
+
+def test_slope_bound_is_above_the_local_maxima(fitted_poly):
+    """Around each offset's sampled argmax a grid 1e4 times finer finds
+    the local maximum of |q_r|; the bound is at or above every one, while
+    verify's sampled maximum falls below the largest."""
+    a = fitted_poly.spec.epsilon * fitted_poly.spec.q / 2
+    coarse = np.linspace(-a, a, 20_001)
+    coarse = coarse[np.abs(coarse) >= 1e-3]
+    bound = slope_bound(fitted_poly)
+    peaks = []
+    for r, slope in _slopes(fitted_poly, coarse).items():
+        centre, h = coarse[np.argmax(slope)], coarse[1] - coarse[0]
+        local = np.linspace(centre - h, centre + h, 20_001)
+        local = local[(np.abs(local) >= 1e-3) & (np.abs(local) <= a)]
+        peaks.append(_slopes(fitted_poly, local, [r])[r].max())
+    assert max(peaks) <= bound
+    assert verify(fitted_poly, 250_000) < max(peaks)
+
+
+@pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
+def test_slope_bound_is_above_dense_samples(d, K, grid_fits):
+    """The bound covers |q_r| on 40k points per offset at |m| >= 1e-3 q,
+    where the absolute term |e_r(0)| / |m| cannot reach the slope."""
+    poly = grid_fits[d, K]
+    m = np.linspace(1e-3, poly.spec.epsilon / 2, 20_000)
+    m = np.concatenate([-m[::-1], m])
+    assert max(v.max() for v in _slopes(poly, m).values()) <= poly.gamma_certified
+
+
+@pytest.mark.parametrize("spec, coefficients", [
+    # the recurrence overflows at every root: NaN roots
+    (BootstrapSpec(q=1.0, epsilon=0.5, K=2, d=5), [0, 1e308, 0, -1e308, 0, 1e308]),
+    # p(0) = 0 exactly, but the series of q_0 overflows
+    (BootstrapSpec(q=1.0, epsilon=0.5, K=0, d=3), [0, 1e308, 0, 1e308]),
+    # finite, but p(q) = 1.008 is no root
+    (BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=3), [0, 1.26, 0, 0]),
+], ids=["nan_roots", "overflow_in_series", "failed_root"])
+def test_slope_bound_is_infinite_on_overflow_or_a_failed_root(spec, coefficients):
+    poly = BootstrapPolynomial(spec=spec, coefficients=coefficients,
+                               gamma_certified=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert slope_bound(poly) == np.inf
+
+
+def _bound_kernel_calls(monkeypatch, poly, hook):
+    """Run slope_bound with every kernel value replaced by hook(index, p)."""
+    calls = []
+
+    def spy(c, x, work=None):
+        p = hook(len(calls), KERNEL(c, x, work))
+        calls.append(np.size(x))
+        return p
+
+    monkeypatch.setattr(bootpoly, "_clenshaw", spy)
+    return slope_bound(poly), calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", ["first_root", "first_block", "last_block"])
+def test_slope_bound_is_infinite_on_any_nonfinite_value(monkeypatch, fitted_poly,
+                                                        call, bad):
+    """One non-finite kernel value, at a root or at any node, makes the
+    bound inf; a NaN is never dropped by the running maximum."""
+    _, calls = _bound_kernel_calls(monkeypatch, fitted_poly, lambda i, p: p)
+    K = fitted_poly.spec.K
+    # the roots of offsets 0..K, then blocks of nodes
+    assert calls[:K + 1] == [1] * (K + 1) and max(calls) == BLOCK
+    target = {"first_root": 0, "first_block": K + 1, "last_block": len(calls) - 1}[call]
+
+    def inject(i, p):
+        if i != target:
+            return p
+        if np.ndim(p) == 0:
+            return bad
+        p = p.copy()
+        p[-1] = bad
+        return p
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma, _ = _bound_kernel_calls(monkeypatch, fitted_poly, inject)
+    assert gamma == np.inf
+
+
+def test_slope_bound_memory_is_a_few_blocks():
+    """The nodes are formed a block at a time: at d = 45, K = 3 (4 x 90k
+    nodes) the tracemalloc peak stays that of a few blocks."""
+    poly = fit(BootstrapSpec(q=1.0, epsilon=0.5, K=3, d=45))
+    tracemalloc.start()
+    try:
+        gamma = slope_bound(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma == poly.gamma_certified
+    assert peak <= 1.5e6
+
+
+def test_slope_bound_takes_every_offset_of_a_polynomial_that_is_not_odd(fitted_poly):
+    """-r mirrors r only when every even coefficient is exactly 0.  An even
+    term vanishing at every wrap point makes the negative offsets' slope
+    the larger; the bound of the polynomial loaded from JSON covers it."""
+    H = fitted_poly.spec.half_range
+    even = poly2cheb(-0.03 * polyfromroots([0, 0, 1 / H, -1 / H, 2 / H, -2 / H]))
+    data = poly_to_json(fitted_poly)
+    data["coefficients"] = (fitted_poly.coefficients
+                            + np.pad(even, (0, 26 - even.size))).tolist()
+    poly = poly_from_json(data)
+    assert np.count_nonzero(poly.coefficients[::2]) > 0
+    m = np.linspace(1e-3, 0.25, 20_000)
+    slopes = {r: v.max() for r, v in _slopes(poly, np.concatenate([-m, m])).items()}
+    negative = max(v for r, v in slopes.items() if r < 0)
+    assert negative > max(v for r, v in slopes.items() if r >= 0) * (1 + 1e-3)
+    assert negative <= slope_bound(poly)
+
+
+def _record_stalls(monkeypatch):
+    """The LpErrors that fit's LP raises, recorded as they pass through."""
+    stalls, solve_lp = [], bootpoly.solve_lp
+
+    def spy(c, A, b):
+        try:
+            return solve_lp(c, A, b)
+        except lp.LpError as exc:
+            stalls.append(exc)
+            raise
+
+    monkeypatch.setattr(bootpoly, "solve_lp", spy)
+    return stalls
+
+
+def test_fit_certifies_the_lp_iterate_at_a_stall(monkeypatch):
+    """At K = 8, d = 95, eps = 0.1 the LP stalls at its iteration cap with a
+    primal-feasible iterate, and fit returns that iterate's proven slope."""
+    stalls = _record_stalls(monkeypatch)
+    poly = fit(BootstrapSpec(q=1.0, epsilon=0.1, K=8, d=95))
+    assert len(stalls) == 1 and stalls[0].feasible
+    assert poly.gamma_certified == slope_bound(poly) <= 5.2e-4
+
+
+def test_fit_returns_a_feasible_iterate_of_a_capped_lp(monkeypatch):
+    """Seven iterations leave d = 25, K = 2 unconverged, but the last
+    iterate is primal feasible: fit certifies it instead of raising."""
+    monkeypatch.setattr(lp, "_MAX_ITER", 7)
+    stalls = _record_stalls(monkeypatch)
+    poly = fit(BootstrapSpec(q=1.0, epsilon=0.5, K=2, d=25))
+    assert len(stalls) == 1 and stalls[0].feasible
+    assert poly.gamma_certified == slope_bound(poly) < 1.0
+    assert verify(poly, 100_000) <= poly.gamma_certified

@@ -16,6 +16,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from bootctrl import bootpoly
 from bootctrl.analysis import (
     CERTIFIED,
     THEOREM_1,
@@ -25,6 +26,7 @@ from bootctrl.analysis import (
     build_theorem2,
     l2_gain_index,
 )
+from bootctrl.bootpoly import BootstrapSpec, fit
 from bootctrl.fixtures import REFERENCE_SECTOR_SLOPE, demo_system
 from bootctrl.statespace import interconnect
 
@@ -199,3 +201,107 @@ def test_bareiss_decides_definiteness_exactly():
     assert _positive_definite([[Fraction(1), Fraction(1)], [Fraction(1), 1 + tiny]])
     assert not _positive_definite([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
     assert not _positive_definite([[Fraction(2), Fraction(0)], [Fraction(0), -tiny]])
+
+
+# --------------------------------------------------------------------------
+# the refresh polynomial's slope bound
+
+# pi truncated to 40 decimals: _PI_LO < pi < _PI_LO + 1e-40
+_PI_LO = Fraction(31415926535897932384626433832795028841971, 10**40)
+
+
+def _expi(phi, bits):
+    """Integers (X, Y) with |(X + iY) / 2^bits - e^{i phi}| < 2 / 2^bits,
+    for a rational 0 < phi < 1e-3 (Taylor to phi^12 / 12!, whose
+    remainder is below 1e-40)."""
+    cos = sin = Fraction(0)
+    term = Fraction(1)
+    for k in range(13):
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+        term *= phi / (k + 1)
+    return round(cos * 2**bits), round(sin * 2**bits)
+
+
+def _node_numerators(N, bits):
+    """Integers T_j, j < N / 2, with |T_j / 2^bits - cos((2j + 1) pi / (2N))|
+    <= 8 N / 2^bits, and that bound.
+
+    e^{i (2j + 1) phi} = e^{i phi} e^{2 i phi j}: each rotation by the
+    rounded e^{2 i phi} adds at most 2 / 2^bits of its own error and
+    2^(1 - bits) of rounding, and |e^{i phi}| = 1 keeps what came before
+    from growing.  phi's own error from _PI_LO is below 1e-44.
+    """
+    F = 2**bits
+    X, Y = _expi(_PI_LO / (2 * N), bits)
+    zx, zy = _expi(_PI_LO / N, bits)
+    T = []
+    for _ in range(N // 2):
+        T.append(X)
+        X, Y = (X * zx - Y * zy) // F, (X * zy + Y * zx) // F
+    return T, Fraction(8 * N, F)
+
+
+def _exact_slope_bound(poly, bits=100):
+    """max_j |q_r(t_j)| / cos(n pi / (2N)) over every offset r in -K..K,
+    from above, in exact arithmetic.
+
+    q_r(t) = (P(s) - P(s0)) / (a t) - 1 with s = (a t - r q) / H, s0 =
+    -r q / H and P = sum c_k T_k, straight from its definition: no
+    division by a small m can lose anything when nothing is rounded.  P
+    runs through Clenshaw on integers, scaled by 2^E V^d where s = U / V.
+    A node t_j is known to within w (_node_numerators), which moves q_r by
+    at most w alpha sup|P''| / (2H), alpha = a / H, with sup|P''| <=
+    sum |c_k| k^2 (k^2 - 1) / 3 (Markov).  cos x >= 1 - x^2 / 2 bounds the
+    divisor from below.
+    """
+    spec = poly.spec
+    c = [Fraction(x) for x in poly.coefficients.tolist()]
+    d, n = spec.d, spec.d - 1
+    N = bootpoly.NODES_PER_DEGREE * n
+    F = 2**bits
+    nodes, width = _node_numerators(N, bits)
+    E = max(x.denominator for x in c).bit_length() - 1  # c_k 2^E are integers
+    C = [int(x * 2**E) for x in c]
+    a = Fraction(spec.epsilon * spec.q / 2)
+    H = Fraction(spec.half_range)
+    worst = Fraction(0)
+    for r in spec.offsets:
+        rq = Fraction(r * spec.q)
+        # s = (a T / F - rq) / H = (A1 T + A0) / V
+        V = a.denominator * F * rq.denominator * H.numerator
+        A1 = a.numerator * rq.denominator * H.denominator
+        A0 = -rq.numerator * a.denominator * F * H.denominator
+        scaled = [C[k] * V**(d - k) for k in range(d + 1)]
+        V2 = V * V
+
+        def clenshaw(U):
+            b1 = b2 = 0
+            for k in range(d, 0, -1):
+                b1, b2 = scaled[k] + 2 * U * b1 - V2 * b2, b1
+            return scaled[0] + U * b1 - V2 * b2
+
+        Y0 = clenshaw(A0)
+        W = 2**E * V**d * a.numerator  # q = (Z - W T) / (W T)
+        best_num, best_T = 0, 1
+        for T in nodes:
+            for t in (T, -T):
+                num = abs((clenshaw(A1 * t + A0) - Y0) * F * a.denominator - W * t)
+                if num * best_T > best_num * abs(t):
+                    best_num, best_T = num, abs(t)
+        worst = max(worst, Fraction(best_num, W * best_T))
+    markov = sum(abs(x) * k * k * (k * k - 1) / 3 for k, x in enumerate(c))
+    x = (_PI_LO + Fraction(1, 10**40)) * n / (2 * N)
+    return (worst + width * (a / H) * markov / (2 * H)) / (1 - x * x / 2)
+
+
+def test_slope_bound_is_above_the_exact_node_bound():
+    """On a d = 7, K = 1 fit, slope_bound is at or above the Ehlich-Zeller
+    bound recomputed in exact arithmetic from the float coefficients, over
+    all three offsets, and not far above it: its rounding allowance is
+    small."""
+    poly = fit(BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=7))
+    exact = _exact_slope_bound(poly)
+    assert exact <= Fraction(poly.gamma_certified) <= exact + Fraction(1, 10**12)

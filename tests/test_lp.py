@@ -90,6 +90,32 @@ def test_iteration_cap_reports_best_point(monkeypatch):
     assert isinstance(err.best_fun, float)
 
 
+def test_iteration_cap_keeps_the_best_primal_feasible_iterate(monkeypatch):
+    """Under every cap short of convergence the error carries the least
+    objective over the primal-feasible iterates so far: once one exists,
+    best_fun never rises as the cap grows, best_x satisfies A x <= b to the
+    tolerance, and no best_fun lies below the optimum.  A cap that meets no
+    such iterate hands over the last one, marked infeasible."""
+    rng = np.random.default_rng(8)
+    c, A, b = _random_bounded_lp(rng, 8, 40)
+    optimum = solve_lp(c, A, b)
+    b_norm = 1.0 + np.abs(b).max()
+    found = []
+    for cap in range(optimum.iterations):
+        monkeypatch.setattr(lp, "_MAX_ITER", cap)
+        with pytest.raises(LpError) as excinfo:
+            solve_lp(c, A, b)
+        err = excinfo.value
+        assert err.best_fun == float(c @ err.best_x)
+        if err.feasible:
+            assert np.max(A @ err.best_x - b) <= lp._TOL * b_norm
+            assert err.best_fun >= optimum.fun - 1e-7
+            found.append(err.best_fun)
+        else:
+            assert not found
+    assert len(found) >= 3 and found == sorted(found, reverse=True)
+
+
 def test_singular_normal_matrix_takes_the_regularized_factorization(monkeypatch):
     """Two equal columns make every normal matrix A^T D A singular: its
     Cholesky factorization fails and the solve goes on with the matrix
