@@ -11,11 +11,11 @@ by discretizing the constraint set at Chebyshev nodes and solving the
 resulting LP in-repo, whose rows are written in place into one
 constraint matrix; the returned gamma is then a proven bound
 (slope_bound): the Ehlich-Zeller bound on Chebyshev nodes of each
-offset's slope polynomial, with a derived rounding allowance.  verify
-dense-samples the relative error instead, an independent cross-check
-whose maximum over samples can read below the supremum.  Both stream their points through the kernel's
-blocks, so no array of the point count is formed and their memory does
-not grow with the count.
+offset's slope polynomial, with a derived rounding allowance, whose
+nodes stream through the kernel's blocks, so its memory does not grow
+with the node count.  verify dense-samples the relative error instead,
+an independent cross-check whose maximum over samples can read below
+the supremum.
 
 Every evaluation of p goes through one Clenshaw kernel, numpy's chebval
 recurrence operation for operation (x2 = 2x; c0, c1 <- c[-i] - c1,
@@ -57,9 +57,9 @@ ROOT_TOL = 1e-9
 # Ehlich-Zeller factor 1 / cos(pi / 4096) exceeds 1 by 2.9e-7
 NODES_PER_DEGREE = 2048
 _U = 2.0 ** -53  # unit roundoff of a double
-# doubles per Clenshaw block (128 KiB): verify's six work arrays (768 KiB)
-# stay in a 2 MiB L2, and each ufunc call still covers enough elements to
-# hide its Python overhead (16k beat 4k, 8k, 12k, 24k and 32k on verify)
+# doubles per Clenshaw block (128 KiB): slope_bound's six work arrays
+# (768 KiB) stay in a 2 MiB L2, and each ufunc call still covers enough
+# elements to hide its Python overhead (16k beat 4k, 8k, 12k, 24k and 32k)
 _BLOCK = 16_384
 
 
@@ -152,20 +152,26 @@ class BootstrapPolynomial:
     def rescaled(self, q_new):
         """The same relative-error polynomial expressed at a new base modulus.
 
-        The fitting program is homogeneous in q, so scaling the argument
-        and the value by q_new / q preserves gamma exactly.
+        The fitting program is homogeneous in q, so the argument and the
+        value are scaled by q_new / q.  That is exact for a power-of-two
+        factor unless a coefficient underflows, and gamma is kept; else
+        slope_bound proves gamma anew, and an inf one is refused by name.
         """
         factor = float(q_new) / self.spec.q
         # an overflowing factor gives inf or nan coefficients, which
         # __post_init__ refuses by name
         with np.errstate(over="ignore", invalid="ignore"):
             coefficients = self.coefficients * factor
-        return BootstrapPolynomial(
+        poly = BootstrapPolynomial(
             spec=replace(self.spec, q=float(q_new)),
             coefficients=coefficients,
             gamma_certified=self.gamma_certified,
             verification_samples=self.verification_samples,
         )
+        if np.frexp(factor)[0] == 0.5 and np.array_equal(coefficients / factor,
+                                                         self.coefficients):
+            return poly
+        return replace(poly, gamma_certified=slope_bound(poly))
 
 
 def centered_mod(m, q):
@@ -440,49 +446,19 @@ def slope_bound(poly: BootstrapPolynomial) -> float:
     return bound if bound < np.inf else np.inf
 
 
-def _grid(start, stop, n, lo, hi):
-    """np.linspace(start, stop, n)[lo:hi] (n >= 2), bit for bit.
-
-    It is linspace's formula: arange(lo, hi) * step + start with
-    step = (stop - start) / (n - 1) (divide, then scale, when step
-    underflows to 0), and the last point set to stop.
-    """
-    m = np.arange(lo, hi, dtype=float)
-    delta = stop - start
-    step = delta / (n - 1)
-    if step:
-        m *= step
-    else:
-        m /= n - 1
-        m *= delta
-    m += start
-    if hi == n:
-        m[-1] = stop
-    return m
-
-
 def verify(poly: BootstrapPolynomial, samples: int) -> float:
     """Dense-sample the relative error over I and return its maximum.
 
-    samples counts evaluation points per offset interval (at least 1e5
-    for a meaningful certificate; enforced).  Half the points form a
-    uniform grid including the endpoints, half are drawn from a fixed
-    seeded stream, so the result is deterministic.  Within 1e-9 q of
-    m mod q = 0 the ratio is replaced by the root check
-    |p(r q)| <= ROOT_TOL * q, since the quotient there measures only
-    floating-point cancellation, not the polynomial.
-
-    The samples are streamed a kernel block at a time: each grid block is
-    formed by linspace's own formula (_grid), the seeded stream is drawn
-    block by block (chunked draws give the same stream), and a block's
-    points within 1e-9 q of 0 are dropped.  x = (m - r q) / half_range,
-    the Clenshaw kernel and |p(x) - m| / |m| then run in work buffers
-    allocated once per call, and the block's maximum joins a running
-    maximum, so no array of the sample count is formed.  The kernel sees
-    the whole-array formula's points in its order, and every value is that
-    formula's up to the sign of an exact zero, which the abs removes, so
-    the result is bitwise that formula's.  A non-finite root or error
-    (overflow in the recurrence) returns inf, without a warning.
+    samples counts evaluation points per offset interval (at least 1e5;
+    enforced).  Half the points form a uniform grid including the
+    endpoints, half are drawn from a fixed seeded stream, so the result is
+    deterministic.  Within 1e-9 q of m mod q = 0 the ratio is replaced by
+    the root check |p(r q)| <= ROOT_TOL * q, since the quotient there
+    measures only floating-point cancellation, not the polynomial.  A
+    non-finite root or error (overflow in the recurrence) returns inf,
+    without a warning.  Each offset's samples are formed as whole arrays,
+    so memory grows with samples (a tracemalloc peak of 9.3 MB at 250k
+    and 65 MB at 2e6).
 
     The result is a maximum over samples, so it can read below the
     supremum; it is the tests' cross-check of slope_bound, which it also
@@ -492,36 +468,19 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     spec = poly.spec
     half_msg = spec.epsilon * spec.q / 2
     rng = np.random.default_rng(20_240_501)
-    n_grid = samples // 2
-    c = poly.coefficients.tolist()
-    x, abs_m, *work = np.empty((6, min(_BLOCK, samples)))
-
-    def blocks():
-        """One offset's samples a block at a time: the grid, then the draws."""
-        for lo in range(0, n_grid, _BLOCK):
-            yield _grid(-half_msg, half_msg, n_grid, lo, min(lo + _BLOCK, n_grid))
-        for lo in range(n_grid, samples, _BLOCK):
-            yield rng.uniform(-half_msg, half_msg, min(_BLOCK, samples - lo))
-
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for r in spec.offsets:
             # NaN fails the comparison too
             if not abs(evaluate(poly, -r * spec.q)) <= ROOT_TOL * spec.q:
                 return np.inf
-            for m in blocks():
-                m = m[np.abs(m) > 1e-9 * spec.q]
-                if m.size == 0:
-                    continue
-                xb, ab = x[:m.size], abs_m[:m.size]
-                np.divide(np.subtract(m, r * spec.q, out=xb), spec.half_range, out=xb)
-                p = _clenshaw(c, xb, work)
-                np.abs(np.subtract(p, m, out=p), out=p)
-                np.divide(p, np.abs(m, out=ab), out=p)
-                block_worst = float(p.max())
-                if not block_worst < np.inf:
-                    return np.inf
-                worst = max(worst, block_worst)
+            m = np.concatenate([np.linspace(-half_msg, half_msg, samples // 2),
+                                rng.uniform(-half_msg, half_msg, samples - samples // 2)])
+            m = m[np.abs(m) > 1e-9 * spec.q]
+            err = (np.abs(evaluate(poly, m - r * spec.q) - m) / np.abs(m)).max(initial=0.0)
+            if not err < np.inf:
+                return np.inf
+            worst = max(worst, float(err))
     return worst
 
 

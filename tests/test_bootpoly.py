@@ -1,5 +1,6 @@
 """Refresh-polynomial fitting: centered reduction, minimax fit quality,
-root constraints, dense verification, rescaling, and serialization."""
+root constraints, the proven slope bound and its sampled cross-check,
+rescaling, and serialization."""
 
 import importlib.util
 import tracemalloc
@@ -186,7 +187,7 @@ def test_fitted_roots_at_wrap_points(fitted_poly):
 
 def test_fitted_relative_error_on_fresh_grid(fitted_poly):
     """Independent dense check: |p(m - r q) - m| <= gamma |m| on points not
-    used by the fit or by its internal verification."""
+    used by the fit or by verify."""
     spec = fitted_poly.spec
     rng = np.random.default_rng(987_321)
     gamma = fitted_poly.gamma_certified
@@ -260,6 +261,14 @@ def test_odd_sample_count_rounds_up_to_even(monkeypatch):
     assert np.array_equal(odd.coefficients, even.coefficients)
 
 
+def _spy_slope_bound(monkeypatch):
+    """The polynomials bootpoly.slope_bound is called on, recorded."""
+    calls = []
+    monkeypatch.setattr(bootpoly, "slope_bound",
+                        lambda poly: calls.append(poly) or slope_bound(poly))
+    return calls
+
+
 def test_rescaled_preserves_relative_error(fitted_poly):
     q_new = float(2 ** 42)
     big = fitted_poly.rescaled(q_new)
@@ -270,6 +279,45 @@ def test_rescaled_preserves_relative_error(fitted_poly):
                     256)
     np.testing.assert_allclose(big(m * q_new), q_new * fitted_poly(m),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("q_new", [2.0 ** 42, 2.0 ** -30, 2.0 ** -1010],
+                         ids=["2^42", "2^-30", "2^-1010"])
+def test_rescale_by_a_power_of_two_keeps_a_proven_slope(monkeypatch, fitted_poly, q_new):
+    """A power-of-two factor scales the coefficients and every step of the
+    bound exactly: the kept slope is the rescaled polynomial's bound, bit
+    for bit, and no bound is computed (at the demo scheme's q0 = 2^42 the
+    encrypted runs' set-up does no extra work)."""
+    calls = _spy_slope_bound(monkeypatch)
+    scaled = fitted_poly.rescaled(q_new)
+    assert calls == []
+    assert slope_bound(scaled).hex() == fitted_poly.gamma_certified.hex()
+
+
+@pytest.mark.parametrize("q_new", [3.0, 0.1, 7.7e12, 2.0 ** -1020],
+                         ids=["3", "0.1", "7.7e12", "2^-1020"])
+def test_rescale_that_rounds_proves_the_slope_anew(monkeypatch, fitted_poly, q_new):
+    """Any other factor rounds the coefficients, as does a power of two
+    that underflows some to subnormals (2^-1020): the stored slope is the
+    bound of the rescaled coefficients (at d = 25, K = 2 it reads 1.1e-15
+    to 2.4e-15 relative off the unit polynomial's)."""
+    calls = _spy_slope_bound(monkeypatch)
+    scaled = fitted_poly.rescaled(q_new)
+    assert len(calls) == 1
+    assert scaled.gamma_certified == slope_bound(scaled)
+    assert scaled.gamma_certified == pytest.approx(fitted_poly.gamma_certified, rel=1e-13)
+
+
+def test_rescale_whose_slope_cannot_be_proven_is_refused_by_name():
+    """p(q) = 1.008 is no root, so the slope of a rounded rescale is not
+    proven (inf), and the rescale refuses it without a RuntimeWarning."""
+    poly = BootstrapPolynomial(spec=BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=3),
+                               coefficients=[0, 1.26, 0, 0], gamma_certified=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^gamma_certified must be a finite real number, got inf$"):
+            poly.rescaled(3.0)
 
 
 def test_rescale_that_overflows_is_refused_by_name(fitted_poly):
@@ -487,8 +535,21 @@ def _verify_whole_array(poly, samples):
     return worst
 
 
-@pytest.mark.parametrize("d, K", [(15, 1), (25, 2), (45, 3), (16, 1), (15, 0)])
+@pytest.mark.parametrize("d, K", [(15, 1), (25, 2), (45, 3), (16, 1), (15, 0),
+                                  pytest.param(3, 0, id="exclusion")])
 def test_verify_matches_whole_array_formula(d, K, fitted_poly):
+    """verify is the chebval oracle bit for bit, on the fits and at eps =
+    2.2e-6, where the 45 grid points nearest the centre of an odd
+    50,001-point grid (100,002 samples) lie within 1e-9 q of 0."""
+    if (d, K) == (3, 0):
+        spec = BootstrapSpec(q=1.0, epsilon=2.2e-6, K=0, d=3)
+        r = spec.half_range
+        poly = BootstrapPolynomial(spec=spec, coefficients=[0, 0.9 * r, 0, 0.05 * r],
+                                   gamma_certified=0.5)
+        grid = np.linspace(-spec.epsilon / 2, spec.epsilon / 2, 50_001)
+        assert np.count_nonzero(np.abs(grid) <= 1e-9) == 45
+        assert verify(poly, 100_002) == _verify_whole_array(poly, 100_002)
+        return
     spec = BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d)
     poly = fitted_poly if spec == fitted_poly.spec else fit(spec)
     want = _verify_whole_array(poly, 250_000)
@@ -544,50 +605,6 @@ def test_verify_walks_every_sample_once(monkeypatch, fitted_poly):
     assert max(calls) == BLOCK
     assert np.concatenate(seen).tobytes() == np.concatenate(want).tobytes()
     assert gamma == _verify_whole_array(fitted_poly, samples)
-
-
-@pytest.mark.parametrize("samples", [250_000, 2_000_000])
-def test_verify_memory_does_not_grow_with_samples(fitted_poly, samples):
-    """verify streams its samples through fixed blocks: the same small
-    tracemalloc peak at 250k and at 2e6 points per interval."""
-    tracemalloc.start()
-    try:
-        gamma = verify(fitted_poly, samples)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5e6
-    if samples == 2_000_000:
-        assert gamma == _verify_whole_array(fitted_poly, samples)
-
-
-@pytest.mark.parametrize("half", [0.25, 1e-320], ids=["normal", "subnormal-step"])
-@pytest.mark.parametrize("n", [2, 3, 50_000, 50_001, 7 * BLOCK + 7],
-                         ids=["2", "3", "even", "odd", "ragged"])
-def test_grid_blocks_are_linspace(n, half):
-    """verify's blockwise grid is np.linspace bit for bit, also where the
-    step underflows to 0 and linspace divides before it scales."""
-    got = [bootpoly._grid(-half, half, n, lo, min(lo + BLOCK, n))
-           for lo in range(0, n, BLOCK)]
-    assert np.concatenate(got).tobytes() == np.linspace(-half, half, n).tobytes()
-
-
-def test_verify_skips_a_block_the_exclusion_empties(monkeypatch):
-    """At eps = 2.2e-6 the 45 grid points nearest the centre of an odd
-    50,001-point grid lie within 1e-9 q of 0, so with 20-point blocks the
-    two blocks on either side of the centre are dropped whole: the
-    kernel never sees them, and the result is still the whole-array one."""
-    spec = BootstrapSpec(q=1.0, epsilon=2.2e-6, K=0, d=3)
-    r = spec.half_range
-    poly = BootstrapPolynomial(spec=spec, coefficients=[0, 0.9 * r, 0, 0.05 * r],
-                               gamma_certified=0.5)
-    samples = 100_002  # 50_001 grid points, the centre at 25_000 = 1250 * 20
-    monkeypatch.setattr(bootpoly, "_BLOCK", 20)
-    gamma, calls = _kernel_calls(monkeypatch, poly, samples, lambda i, x, p: p)
-    (_, m), = _verify_samples(spec, samples)
-    assert sum(calls) == 1 + m.size  # the root, then every kept sample
-    assert len(calls) == 1 + 2 * 2501 - 2
-    assert gamma == _verify_whole_array(poly, samples)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,13 +3,14 @@ Markdown report tables."""
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bootctrl import cli, lp
+from bootctrl import bootpoly, cli, lp
 from bootctrl.bootpoly import BootstrapSpec, fit, load_poly, poly_to_json, save_poly
 from bootctrl.cli import main
 from bootctrl.crypto_sim import SchemeParams, save_scheme
@@ -35,6 +36,23 @@ def test_fit_poly_writes_poly_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "fit_poly_manifest.json").read_text())
     assert manifest["command"] == "fit-poly"
     assert manifest["parameters"]["degree"] == 25
+
+
+def test_fit_and_fit_poly_never_call_verify(monkeypatch, tmp_path):
+    """verify is only the tests' sampled cross-check: with every binding of
+    it in the package made to raise, fit and fit-poly --csv still succeed."""
+    def no_verify(*args):
+        raise AssertionError("verify ran")
+
+    real = bootpoly.verify
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "bootctrl"]:
+        for attr in [a for a, v in vars(module).items() if v is real]:
+            monkeypatch.setattr(module, attr, no_verify)
+    assert bootpoly.verify is no_verify
+    assert fit(BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=9)).usable
+    assert run(["fit-poly", "--degree", "9", "--K", "1", "--epsilon", "0.5",
+                "--csv", "profile.csv", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "profile.csv").exists()
 
 
 def test_fit_poly_csv_profile(tmp_path):
