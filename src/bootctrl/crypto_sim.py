@@ -29,13 +29,12 @@ refresh.  A body therefore keeps only those h + 1 coordinates,
 [b, a_i where s_i = +1, a_i where s_i = -1] (Keys._support order), and
 the phase <body, sk> is the sum of the first 1 + #{s_i = +1} less the
 sum of the rest, in exact integers.  A Ciphertext is thus not a
-complete LWE ciphertext: n sets only the random stream and the cost of
-drawing it.  Fresh noise and all n masks are drawn by CPython's own
-randint and randrange algorithm (_randbelow_with_getrandbits:
-getrandbits(n.bit_length()) until the draw is below n) inlined, so every
-value and the generator state match keys.rng.randint(-noise_bound,
-noise_bound) and keys.rng.randrange(q) call for call, as for the full
-ciphertext.
+complete LWE ciphertext, and only the h masks it keeps are drawn:
+encryption costs O(h), and n sets only the secret's positions and
+bounds h.  Fresh noise and masks, uniform below a bound N, are
+getrandbits((N - 1).bit_length()) draws until one is below N: exactly
+keys.rng.randrange(N), call for call, when N is not a power of two, and
+a single getrandbits(j), never rejected, when N = 2**j.
 
 Modulus chain: q_level = q0 * c**level, level in 0..L, tabulated once
 (with q_level / 2 as a float for the budget check) when the SchemeParams
@@ -121,8 +120,9 @@ class AssumptionViolationError(SchemeError):
 class SchemeParams:
     """Public parameters.
 
-    n:             LWE dimension: masks drawn per encryption (only the
-                   hamming_weight on the secret's support are kept).
+    n:             LWE dimension: keygen places the secret's nonzeros
+                   among n positions, so n bounds hamming_weight; only the
+                   hamming_weight masks on the support are drawn.
     q0:            base modulus (level 0).
     c:             rescaling factor; level ell has modulus q0 * c**ell.
     L:             number of levels above the base.
@@ -208,7 +208,7 @@ class Ciphertext:
 
     The body holds the h + 1 coordinates of the LWE ciphertext
     (b, a_1..a_n) on the secret's support; the masks off the support are
-    drawn but not kept.  The encoded integer m represents the real number
+    never drawn.  The encoded integer m represents the real number
     m / c**scale_exponent.  noise_bound and debug_plaintext form the
     debug ledger; they are carried for validation only and no operation
     reads them to produce its cryptographic output.
@@ -292,15 +292,14 @@ def _budget_check(params: SchemeParams, ct: Ciphertext):
 
 def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
            noise_bound: float, debug: float) -> Ciphertext:
-    """Encrypt the encoded integer m afresh (draws e, then a_1..a_n).
+    """Encrypt the encoded integer m afresh (draws e, then h masks).
 
-    e + nb is keys.rng.randint(-nb, nb) + nb and each mask a_i is
-    keys.rng.randrange(q), both by randrange's own algorithm: k-bit
-    draws, k = n.bit_length(), until one is below n (n = 2 nb + 1, then
-    q).  All n masks are drawn, so the generator advances exactly as for
-    a full LWE ciphertext, but only the h masks on the secret's support
-    are kept, centered, in keys._support order.  b = m + e - <a, s> is
-    the phase of the body with b set to 0.
+    e + nb is uniform below n = 2 nb + 1 and each mask below q, by the
+    module's rejection rule: k-bit draws, k = (n - 1).bit_length(), until
+    one is below n (never rejected when n is a power of two).  Only the
+    masks on the secret's support are drawn, in keys._support order, and
+    kept centered, so the cost is O(h) whatever params.n is.
+    b = m + e - <a, s> is the phase of the body with b set to 0.
     """
     params = keys.params
     q = params.modulus(level)
@@ -309,19 +308,17 @@ def _fresh(keys: Keys, m: int, level: int, scale_exponent: int,
     getrandbits = keys.rng.getrandbits
     nb = params.noise_bound
     n = 2 * nb + 1
-    k = n.bit_length()
+    k = (n - 1).bit_length()
     e = getrandbits(k)
     while e >= n:
         e = getrandbits(k)
-    k = q.bit_length()
-    masks = []
-    for _ in range(params.n):
+    k = (q - 1).bit_length()
+    body = [0]
+    for _ in keys._support:
         r = getrandbits(k)
         while r >= q:
             r = getrandbits(k)
-        masks.append(r)
-    body = [0]
-    body += [r if r < top else r - q for r in map(masks.__getitem__, keys._support)]
+        body.append(r if r < top else r - q)
     body[0] = (m + e - nb - _phase(keys, body) + h) % q - h
     ct = Ciphertext(
         body=body,

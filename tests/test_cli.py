@@ -277,6 +277,21 @@ def test_simulate_encrypted_with_events(tmp_path, fitted_poly, capsys):
     assert "empirical l2 ratio" in (tmp_path / "simulation_report.md").read_text()
 
 
+def test_simulate_encrypted_at_a_large_n(tmp_path, fitted_poly, scheme):
+    """A scheme file at n = 4096 (the demo scheme otherwise) runs 200
+    encrypted steps with no violation: encryption draws only the
+    secret's support, so a large n costs no more than n = 16."""
+    scheme_path, poly_path = tmp_path / "n4096.json", tmp_path / "p.json"
+    save_scheme(scheme_path, replace(scheme, n=4096))
+    save_poly(poly_path, fitted_poly)
+    code = run(["simulate", "--mode", "encrypted", "--scheme", str(scheme_path),
+                "--poly", str(poly_path), "--steps", "200", "--tbs", "10",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    result = json.loads((tmp_path / "simulation_result.json").read_text())
+    assert result["violations"] == 0 and result["refresh_events"] == 2 * 19
+
+
 def test_simulate_encrypted_requires_poly(tmp_path, capsys):
     code = run(["simulate", "--mode", "encrypted", "--out-dir",
                 str(tmp_path)])

@@ -193,13 +193,23 @@ def _ref_decrypt_raw(keys, ct):
     return cs._centered(sum(map(mul, ct.body, keys.sk)), keys.params.modulus(ct.level))
 
 
+def _ref_mask(rng, q):
+    """A mask uniform in [0, q): rng.getrandbits(j) when q = 2**j, else
+    rng.randrange(q)."""
+    return rng.getrandbits(q.bit_length() - 1) if q & (q - 1) == 0 else rng.randrange(q)
+
+
 def _ref_fresh(keys, m, level, scale_exponent, noise_bound, debug):
-    """e = rng.randint(-nb, nb), then a_i = rng.randrange(q) for every i,
-    centered, and b = m + e - <a, s> centered."""
+    """e = rng.randint(-nb, nb) (getrandbits(0) when nb = 0), then a mask
+    for each i with s_i = +1, then each with s_i = -1, in index order,
+    centered; a_i = 0 off the support, and b = m + e - <a, s> centered."""
     params = keys.params
     q = params.modulus(level)
-    e = keys.rng.randint(-params.noise_bound, params.noise_bound)
-    a = [cs._centered(keys.rng.randrange(q), q) for _ in range(params.n)]
+    nb = params.noise_bound
+    e = keys.rng.randint(-nb, nb) if nb else keys.rng.getrandbits(0)
+    a = [0] * params.n
+    for i in _project(keys, [None] + list(range(params.n)))[1:]:
+        a[i] = cs._centered(_ref_mask(keys.rng, q), q)
     b = cs._centered(m + e - sum(map(mul, a, keys.s)), q)
     return cs._budget_check(params, cs.Ciphertext(
         body=[b] + a, level=level, scale_exponent=scale_exponent,
@@ -287,26 +297,71 @@ def test_support_phase_matches_dense_inner_product():
                 sum(map(mul, full, keys.sk)), q)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 2 ** 42, 2 ** 202, 1000003 * 7 ** 5,
-                               2 ** 58 - 1, 2 ** 58 + 1],
-                         ids=["2", "3", "5", "7", "2^42", "2^202", "1000003*7^5",
-                              "2^58-1", "2^58+1"])
+def _check_sampler(q, mask):
+    """500 fresh encryptions at each of nb = 0 and 8 draw the noise as
+    ref.randint(-nb, nb) (getrandbits(0) when nb = 0), then one mask(ref)
+    for each support index, in Keys._support order, and nothing else:
+    bodies, phases and the generator state all match a twin stream."""
+    for nb in (0, 8):
+        params = cs.SchemeParams(n=16, q0=q, c=2, L=0, noise_bound=nb,
+                                 hamming_weight=3)
+        keys = cs.keygen(params)
+        ref = random.Random()
+        ref.setstate(keys.rng.getstate())
+        for _ in range(500):
+            ct = cs._fresh(keys, 0, 0, 1, 0.0, 0.0)
+            e = ref.randint(-nb, nb) if nb else ref.getrandbits(0)
+            assert ct.body[1:] == [cs._centered(mask(ref), q) for _ in keys._support]
+            assert cs.decrypt_raw(keys, ct) == cs._centered(e, q)
+        assert keys.rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 1000003 * 7 ** 5, 2 ** 58 - 1, 2 ** 58 + 1],
+                         ids=["3", "5", "7", "1000003*7^5", "2^58-1", "2^58+1"])
 def test_mask_sampler_is_randrange(q):
-    """Fresh masks are keys.rng.randrange(q) draw for draw: every mask is
-    drawn, the kept ones are the support's (centered), and the generator
-    state is the same after 8,000 draws."""
-    params = cs.SchemeParams(n=16, q0=q, c=2, L=0, noise_bound=0,
-                             hamming_weight=3)
-    keys = cs.keygen(params)
-    ref = random.Random()
-    ref.setstate(keys.rng.getstate())
-    for _ in range(500):
-        ct = cs._fresh(keys, 0, 0, 1, 0.0, 0.0)
-        e = ref.randint(0, 0)
-        a = [ref.randrange(q) for _ in range(params.n)]
-        assert ct.body[1:] == _project(keys, [0] + [cs._centered(x, q) for x in a])[1:]
-        assert cs.decrypt_raw(keys, ct) == cs._centered(e, q)
-    assert keys.rng.getstate() == ref.getstate()
+    """At a modulus that is not a power of two every drawn mask is
+    keys.rng.randrange(q), draw for draw."""
+    _check_sampler(q, lambda ref: ref.randrange(q))
+
+
+@pytest.mark.parametrize("j", [1, 42, 202], ids=["2", "2^42", "2^202"])
+def test_mask_sampler_is_getrandbits_at_powers_of_two(j):
+    """At q = 2**j every drawn mask is one keys.rng.getrandbits(j), never
+    rejected."""
+    _check_sampler(2 ** j, lambda ref: ref.getrandbits(j))
+
+
+class _CountingRandom(random.Random):
+    """random.Random that records the bit count of every getrandbits call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("q0, c, nb, per_encryption", [
+    (2 ** 42, 2 ** 16, 0, 5), (1000003, 7, 8, None),
+], ids=["2^42-nb0", "1000003-nb8"])
+def test_fresh_draws_do_not_depend_on_n(q0, c, nb, per_encryption):
+    """The same support at n = 16 and n = 4096 makes the same getrandbits
+    calls and the same bodies; at a power-of-two modulus chain with nb = 0
+    that is one call for the noise and one per mask (h = 4)."""
+    s = (0, 1, 0, -1, 1, 0, 0, -1)
+    calls, bodies = {}, {}
+    for n in (16, 4096):
+        params = cs.SchemeParams(n=n, q0=q0, c=c, L=2, noise_bound=nb,
+                                 hamming_weight=4)
+        keys = cs.Keys(params, s=s + (0,) * (n - len(s)), rng=_CountingRandom(9))
+        bodies[n] = [cs.encrypt(keys, v, level).body
+                     for v in (-3.5, 0.0, 2.25) for level in range(3)]
+        calls[n] = keys.rng.calls
+    assert calls[16] == calls[4096] and bodies[16] == bodies[4096]
+    if per_encryption is not None:
+        assert len(calls[16]) == 9 * per_encryption
 
 
 def test_required_offset_range(small_scheme):
@@ -341,7 +396,7 @@ def test_encrypt_rejects_non_finite(keys):
 def _kernel_chain(fitted_poly, ops):
     """keys, every ciphertext and every refresh event of a short encrypt /
     matvec / rescale / bootstrap chain on q0 = 1000003, c = 7, where the
-    mask sampler rejects draws at other rates than on power-of-two moduli,
+    mask sampler rejects draws, as it never does on power-of-two moduli,
     run with the kernels ops = (encrypt, matvec, rescale, bootstrap)."""
     encrypt, matvec, rescale, bootstrap = ops
     params = cs.SchemeParams(n=16, q0=1000003, c=7, L=3, noise_bound=8,
@@ -379,7 +434,7 @@ def test_kernels_are_pinned_on_non_power_of_two_moduli(fitted_poly):
                        ct.debug_plaintext)).encode())
     h.update(repr(ref_events).encode())
     assert h.hexdigest() == \
-        "80e5ee81b038d822e8afe8c8a75222d8a11f6df7c3c724470a02a914bc8d5330"
+        "5a4f34b05ba7ed7ad228692ebcde8ea9bc4afc01b2f55abc5bb211a3c22a9f5e"
     keys, made, events = _kernel_chain(
         fitted_poly, (cs.encrypt, cs.matvec, cs.rescale, cs.bootstrap_emulated))
     for ct, ref in zip(made, ref_made, strict=True):

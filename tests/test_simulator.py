@@ -32,6 +32,10 @@ from bootctrl.statespace import (
     simulate,
 )
 
+# the full-body reference kernels, which the pinned digests are taken from
+from test_crypto_sim import (_matvec_per_entry, _ref_bootstrap, _ref_decrypt_raw,
+                             _ref_encrypt, _ref_rescale)
+
 
 @pytest.fixture(scope="module")
 def sim_poly(fitted_poly, scheme):
@@ -254,11 +258,8 @@ def _run_digest(res):
     return h.hexdigest()
 
 
-def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly):
-    """Three short seeded runs (ENCRYPTED with w_p2 at T_BS=5, RESET, FIR
-    N=3) reproduce recorded trajectories and refresh events bit for bit,
-    so a kernel rewrite cannot move a ciphertext, a noise bound or a
-    debug value unnoticed."""
+def _pinned_runs(plant, controller, scheme, sim_poly):
+    """Three short seeded runs: ENCRYPTED with w_p2 at T_BS=5, RESET, FIR N=3."""
     steps = 40
     rng = np.random.default_rng(17)
     w1 = rng.standard_normal((steps, plant.m_w1))
@@ -277,12 +278,28 @@ def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly):
         SimulationConfig(mode=FIR, steps=steps, fir_length=3, seed=7),
         scheme=scheme, w_p1=w1)
     assert len(enc.events) == 14 and enc.violations == 0
-    assert _run_digest(enc) == \
-        "760fa159e2b16b5c4ef97927bdfad29d94d76273923e78a40eb70907fbd77a78"
-    assert _run_digest(rst) == \
-        "81b480cb38a0a5ba2ee1bd960d3e1541958489bc49a459a570aacace392cfa9d"
-    assert _run_digest(fir) == \
-        "8b2ef42addef8475af1f53617e5e00f24a15044291979f8d4570577d7f38550e"
+    return [_run_digest(res) for res in (enc, rst, fir)]
+
+
+def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly,
+                                          monkeypatch):
+    """The three runs of _pinned_runs reproduce recorded trajectories and
+    refresh events bit for bit, so a kernel rewrite cannot move a
+    ciphertext, a noise bound or a debug value unnoticed.  The pins are
+    the digests of the same runs on the full-body reference kernels of
+    test_crypto_sim patched into the simulator, and that run is repeated
+    here."""
+    pins = ["a2a0d3e8e4e98c84a67b79e898727c2a82804618adc2813351bbd6dbb20b89e3",
+            "9ac634f0fc047aea9f23c385119b8f13f0570b84aefdd437713101601588c46c",
+            "432e734f4ec4ca48bc32f9cad6628076e227bf1c36ad3b7f0feb49ea27c6ea70"]
+    with monkeypatch.context() as patch:
+        for name, kernel in (("encrypt", _ref_encrypt), ("decrypt_raw", _ref_decrypt_raw),
+                             ("encode_matrix", lambda params, M: M),
+                             ("matvec", _matvec_per_entry), ("rescale", _ref_rescale),
+                             ("bootstrap_emulated", _ref_bootstrap)):
+            patch.setattr(simulator.cs, name, kernel)
+        assert _pinned_runs(plant, controller, scheme, sim_poly) == pins
+    assert _pinned_runs(plant, controller, scheme, sim_poly) == pins
 
 
 @pytest.mark.parametrize("m_w1", [1, 2, 3])
