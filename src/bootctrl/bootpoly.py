@@ -9,7 +9,8 @@ with a relative (sector) error bound: |p(x) - (x mod q)| <= gamma |x mod q|
 for all x in I.  The fit minimizes gamma over polynomials of fixed degree
 by discretizing the constraint set at Chebyshev nodes and solving the
 resulting LP in-repo, whose rows are written in place into one
-constraint matrix; the returned gamma is then a proven bound
+constraint matrix, at the positive nodes only with weight 2 (p is odd,
+so the negative nodes repeat them); the returned gamma is then a proven bound
 (slope_bound): the Ehlich-Zeller bound on Chebyshev nodes of each
 offset's slope polynomial, with a derived rounding allowance, whose
 nodes stream through the kernel's blocks, so its memory does not grow
@@ -277,7 +278,10 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512) -> BootstrapPolyno
     for sampled m in [-eps q/2, eps q/2] and every offset r in {-K..K}.
     Sampling uses Chebyshev-Lobatto nodes (an even count, so m = 0 is
     excluded; that case is enforced structurally through the root
-    conditions p(r q) = 0).  The stored gamma is slope_bound's proven
+    conditions p(r q) = 0).  p is odd, so the rows at node -m and offset
+    r repeat those at m and -r: the LP takes every offset at the positive
+    nodes only, half the rows, each with weight 2 so that its central path
+    is the full LP's.  The stored gamma is slope_bound's proven
     bound, not the LP objective.  When the LP stops at its iteration cap,
     its least-objective primal-feasible iterate is bounded the same way;
     FitError is raised when there is no such iterate or the bound is 1 or
@@ -288,7 +292,7 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512) -> BootstrapPolyno
     if M % 2 == 1:
         M += 1
     half_msg = spec.epsilon * spec.q / 2
-    nodes = -np.cos(np.pi * np.arange(M) / (M - 1)) * half_msg
+    nodes = (-np.cos(np.pi * np.arange(M) / (M - 1)) * half_msg)[M // 2:]
 
     N = _root_nullspace(spec)
     n_free = N.shape[1]
@@ -299,14 +303,15 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512) -> BootstrapPolyno
             best_gamma=1.0,
         )
 
-    # each offset's rows, -p(m - r q) - gamma |m| <= -m then its mirror,
-    # written in place; the last row is gamma >= 0
+    # each offset's rows at the nodes m > 0, -p(m - r q) - gamma m <= -m
+    # then its mirror, written in place, each standing also for node -m at
+    # offset -r (weight 2); the last row is gamma >= 0 (weight 1)
     n_off = len(spec.offsets)
-    A_ub = np.zeros((n_off * 2 * M + 1, n_free + 1))
+    A_ub = np.zeros((n_off * 2 * nodes.size + 1, n_free + 1))
     b_ub = np.zeros(A_ub.shape[0])
-    blocks = A_ub[:-1].reshape(n_off, 2, M, n_free + 1)
-    blocks[..., -1] = -np.abs(nodes)
-    b_ub[:-1].reshape(n_off, 2, M)[...] = (-nodes, nodes)
+    blocks = A_ub[:-1].reshape(n_off, 2, nodes.size, n_free + 1)
+    blocks[..., -1] = -nodes
+    b_ub[:-1].reshape(n_off, 2, nodes.size)[...] = (-nodes, nodes)
     for block, r in zip(blocks, spec.offsets):
         P = _odd_chebvander(nodes - r * spec.q, spec) @ N
         np.negative(P, out=block[0, :, :-1])
@@ -314,9 +319,11 @@ def fit(spec: BootstrapSpec, samples_per_interval: int = 512) -> BootstrapPolyno
     A_ub[-1, -1] = -1.0
     cost = np.zeros(n_free + 1)
     cost[-1] = 1.0
+    weights = np.full(A_ub.shape[0], 2.0)
+    weights[-1] = 1.0
 
     try:
-        x = solve_lp(cost, A_ub, b_ub).x
+        x = solve_lp(cost, A_ub, b_ub, weights).x
     except LpError as exc:
         if not exc.feasible:
             raise FitError(f"fitting LP failed: {exc}", best_gamma=exc.best_fun) from exc

@@ -5,6 +5,12 @@ infeasible-start Mehrotra predictor-corrector method.  Problem sizes in
 this package stay tiny on the variable side (tens of columns, up to a
 few thousand rows), so all linear algebra goes through dense normal
 equations.  The method is deterministic: no randomness, fixed ordering.
+The normal matrix is a fixed-order sum of _ROWS-row blocks, which
+OpenBLAS runs on one thread at this package's widths (measured, not
+documented; the tests check it), so results do not depend on the BLAS
+thread count.  A row of weight k counts as k copies of itself, so an LP
+with repeated rows is solved at the size of its distinct rows, on the
+central path of the LP with the copies written out.
 """
 
 from __future__ import annotations
@@ -13,10 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statespace import check_signal
+
 __all__ = ["LpError", "LpResult", "solve_lp"]
 
 _TOL = 1e-9  # relative residuals and mean complementarity at convergence
 _MAX_ITER = 100  # iterations before LpError
+_ROWS = 256  # rows per block of the normal matrix
 
 
 class LpError(RuntimeError):
@@ -37,6 +46,8 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpResult:
+    """The solution; mu is the complementarity s^T lam per unit weight."""
+
     x: np.ndarray
     fun: float
     iterations: int
@@ -45,12 +56,18 @@ class LpResult:
     dual_residual: float
 
 
-def solve_lp(c, A_ub, b_ub):
+def solve_lp(c, A_ub, b_ub, weights=None):
     """Minimize c^T x subject to A_ub x <= b_ub.
 
-    Returns an LpResult on convergence; raises LpError when the iteration
-    cap is hit (carrying the best primal-feasible iterate, if any) or the
-    problem is detected to be trivially infeasible.
+    weights (default all ones) gives each row's multiplicity, a 1-D array
+    of one finite positive number per row, or ValueError naming weights
+    is raised.  A row of weight k stands for k copies: the iterates are
+    those of the LP with the copies written out, up to rounding, the row's
+    multiplier being the copies' sum and mu the complementarity per unit
+    weight.  Returns an LpResult on convergence;
+    raises LpError when the iteration cap is hit (carrying the best
+    primal-feasible iterate, if any) or the problem is detected to be
+    trivially infeasible.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A_ub, dtype=float)
@@ -59,6 +76,9 @@ def solve_lp(c, A_ub, b_ub):
         raise ValueError(
             f"shape mismatch: A is {A.shape}, expected ({b.shape[0]}, {c.shape[0]})"
         )
+    w = np.ones(b.shape[0]) if weights is None else check_signal(weights, b.shape, "weights")
+    if not np.all(w > 0):
+        raise ValueError("weights must be positive")
 
     # Drop numerically empty rows; 0 <= b is vacuous, 0 <= negative is infeasible.
     row_scale = np.abs(A).max(axis=1, initial=0.0)
@@ -66,7 +86,7 @@ def solve_lp(c, A_ub, b_ub):
     if np.any(empty):
         if np.any(b[empty] < -1e-12):
             raise LpError("infeasible: empty constraint row with negative bound")
-        A, b = A[~empty], b[~empty]
+        A, b, w = A[~empty], b[~empty], w[~empty]
 
     m, n = A.shape
     if m == 0:
@@ -74,7 +94,8 @@ def solve_lp(c, A_ub, b_ub):
 
     x = np.zeros(n)
     s = np.full(m, max(1.0, float(np.abs(b).max())))
-    lam = np.ones(m)
+    lam = w.copy()
+    w_sum = float(w.sum())
 
     b_norm = 1.0 + float(np.abs(b).max())
     c_norm = 1.0 + float(np.abs(c).max())
@@ -83,7 +104,7 @@ def solve_lp(c, A_ub, b_ub):
     for it in range(_MAX_ITER + 1):  # it steps taken so far
         r_p = A @ x + s - b
         r_d = c + A.T @ lam
-        mu = float(s @ lam) / m
+        mu = float(s @ lam) / w_sum
         fun = float(c @ x)
         primal_ok = np.abs(r_p).max() / b_norm < _TOL
         if primal_ok and (best is None or fun < best[0]):
@@ -102,7 +123,10 @@ def solve_lp(c, A_ub, b_ub):
             break
 
         d = lam / s
-        M = (A.T * d) @ A
+        M = np.zeros((n, n))
+        for lo in range(0, m, _ROWS):
+            block = A[lo:lo + _ROWS]
+            M += (block.T * d[lo:lo + _ROWS]) @ block
         cf = None
         try:
             cf = np.linalg.cholesky(M)
@@ -132,11 +156,11 @@ def solve_lp(c, A_ub, b_ub):
         dx_a, dlam_a, ds_a = newton(r_c_aff)
         a_p = max_step(s, ds_a)
         a_d = max_step(lam, dlam_a)
-        mu_aff = float((s + a_p * ds_a) @ (lam + a_d * dlam_a)) / m
+        mu_aff = float((s + a_p * ds_a) @ (lam + a_d * dlam_a)) / w_sum
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector direction reusing the factorization.
-        r_c = -lam * s + sigma * mu - ds_a * dlam_a
+        r_c = -lam * s + sigma * mu * w - ds_a * dlam_a
         dx, dlam, ds = newton(r_c)
         a_p = 0.995 * max_step(s, ds)
         a_d = 0.995 * max_step(lam, dlam)

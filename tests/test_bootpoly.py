@@ -3,6 +3,9 @@ root constraints, the proven slope bound and its sampled cross-check,
 rescaling, and serialization."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,7 +31,7 @@ from bootctrl.bootpoly import (
     slope_bound,
     verify,
 )
-from bootctrl.lp import LpResult
+from bootctrl.lp import LpResult, solve_lp
 
 
 def test_centered_mod_values():
@@ -126,21 +129,25 @@ def test_fit_reference_configuration(fitted_poly):
 
 
 # gamma_certified on the (d, K) design grid at q = 1, eps = 0.5, bit for bit:
-# slope_bound's proven bound, taken under default BLAS threading
+# slope_bound's proven bound, the same under any BLAS thread count
 DESIGN_GRID_GAMMAS = {
-    (15, 1): 0.051925999252723815,
-    (15, 2): 0.24618883104856384,
-    (15, 3): 0.972003079358208,
-    (25, 1): 0.0034553933341959385,
+    (15, 1): 0.05192599925272437,
+    (15, 2): 0.24618883104856462,
+    (15, 3): 0.9720030793582091,
+    (25, 1): 0.0034553933341949393,
     (25, 2): 0.09146708386153327,
-    (25, 3): 0.22288845782548036,
-    (35, 1): 0.000436008546672866,
-    (35, 2): 0.028029930089289362,
+    (25, 3): 0.22288845782549058,
+    (35, 1): 0.00043600854667231087,
+    (35, 2): 0.028029930089269267,
     (35, 3): 0.16112749041679306,
-    (45, 1): 3.6425100436131015e-05,
-    (45, 2): 0.004281874891931612,
-    (45, 3): 0.03113481162411024,
+    (45, 1): 3.6425100436575104e-05,
+    (45, 2): 0.0042818748921200165,
+    (45, 3): 0.03113481162410269,
 }
+# iterations of each grid fit's LP, those of the LP with every row written
+# out (the weights keep its central path)
+DESIGN_GRID_ITERATIONS = dict(zip(DESIGN_GRID_GAMMAS,
+                                  [14, 16, 18, 15, 16, 22, 19, 15, 14, 13, 19, 18]))
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +161,20 @@ def benchmark_workloads():
 
 
 @pytest.fixture(scope="module")
-def grid_fits():
-    return {(d, K): fit(BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d))
-            for d, K in DESIGN_GRID_GAMMAS}
+def grid_lps():
+    """Each grid fit's LP result, recorded as it passes through."""
+    results, solve_lp = [], bootpoly.solve_lp
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bootpoly, "solve_lp",
+                      lambda *args: results.append(solve_lp(*args)) or results[-1])
+        fits = {(d, K): fit(BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d))
+                for d, K in DESIGN_GRID_GAMMAS}
+    return fits, dict(zip(fits, results, strict=True))
+
+
+@pytest.fixture(scope="module")
+def grid_fits(grid_lps):
+    return grid_lps[0]
 
 
 @pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
@@ -164,6 +182,55 @@ def test_design_grid_slopes_are_pinned_bitwise(d, K, grid_fits):
     poly = grid_fits[d, K]
     assert poly.gamma_certified.hex() == DESIGN_GRID_GAMMAS[d, K].hex()
     assert poly.gamma_certified == slope_bound(poly)
+
+
+def test_design_grid_slopes_are_pinned_under_one_blas_thread():
+    """The normal matrix's fixed blocks make the fits independent of the
+    BLAS thread count: a fresh interpreter with OPENBLAS_NUM_THREADS=1
+    reproduces every grid pin bit for bit, and the in-process fit of the
+    wider d = 95, K = 8, eps = 0.1 LP (41 columns)."""
+    specs = [(0.5, K, d) for d, K in DESIGN_GRID_GAMMAS] + [(0.1, 8, 95)]
+    src = Path(bootpoly.__file__).resolve().parents[1]
+    script = ("from bootctrl.bootpoly import BootstrapSpec, fit\n"
+              f"for eps, K, d in {specs}:\n"
+              "    spec = BootstrapSpec(q=1.0, epsilon=eps, K=K, d=d)\n"
+              "    print(fit(spec).gamma_certified.hex())\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    wide = fit(BootstrapSpec(q=1.0, epsilon=0.1, K=8, d=95)).gamma_certified
+    assert out == [pin.hex() for pin in DESIGN_GRID_GAMMAS.values()] + [wide.hex()]
+
+
+def _full_row_lp(spec, M=512):
+    """The fitting LP with every row written out: both signs of the
+    Chebyshev-Lobatto nodes, each offset's rows and their mirrors, then
+    gamma >= 0, all of weight 1."""
+    nodes = -np.cos(np.pi * np.arange(M) / (M - 1)) * spec.epsilon * spec.q / 2
+    N = bootpoly._root_nullspace(spec)
+    rows, bounds = [], []
+    for r in spec.offsets:
+        P = bootpoly._odd_chebvander(nodes - r * spec.q, spec) @ N
+        gamma = -np.abs(nodes)[:, None]
+        rows += [np.hstack([-P, gamma]), np.hstack([P, gamma])]
+        bounds += [-nodes, nodes]
+    last = np.zeros((1, N.shape[1] + 1))
+    last[0, -1] = -1.0
+    cost = np.zeros(N.shape[1] + 1)
+    cost[-1] = 1.0
+    return cost, np.vstack(rows + [last]), np.concatenate(bounds + [[0.0]])
+
+
+@pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
+def test_design_grid_lps_follow_the_full_row_path(d, K, grid_lps):
+    """Each grid fit's LP, half the rows at weight 2, takes the pinned
+    iterations, as the LP with every row written out does, and its
+    objective matches that LP's to 1e-10 relative."""
+    result = grid_lps[1][d, K]
+    full = solve_lp(*_full_row_lp(BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d)))
+    assert result.iterations == full.iterations == DESIGN_GRID_ITERATIONS[d, K]
+    assert result.fun == pytest.approx(full.fun, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
@@ -250,14 +317,14 @@ def test_fitting_lp_failure_is_a_fit_error_with_its_best_slope(monkeypatch):
 
 def test_odd_sample_count_rounds_up_to_even(monkeypatch):
     """13 samples per interval become 14, so m = 0 stays off the grid: the
-    LP has 2 rows per sample and offset, plus gamma >= 0."""
+    LP has 2 rows per positive sample and offset, plus gamma >= 0."""
     rows, solve_lp = [], bootpoly.solve_lp
     monkeypatch.setattr(bootpoly, "solve_lp",
-                        lambda c, A, b: rows.append(len(A)) or solve_lp(c, A, b))
+                        lambda c, A, b, w: rows.append(len(A)) or solve_lp(c, A, b, w))
     spec = BootstrapSpec(q=1.0, epsilon=0.5, K=1, d=5)
     odd = fit(spec, samples_per_interval=13)
     even = fit(spec, samples_per_interval=14)
-    assert rows == [3 * 2 * 14 + 1] * 2
+    assert rows == [3 * 14 + 1] * 2
     assert np.array_equal(odd.coefficients, even.coefficients)
 
 
@@ -634,7 +701,7 @@ def test_verify_is_infinite_on_any_nonfinite_value(monkeypatch, fitted_poly,
 
 def test_fit_rejects_overflowing_polynomial(monkeypatch):
     """An LP answer whose polynomial overflows is a FitError, not slope 0."""
-    def huge_lp(cost, A_ub, b_ub):
+    def huge_lp(cost, A_ub, b_ub, weights):
         x = np.full(cost.size, 1e307)
         x[-1] = 0.0
         return LpResult(x=x, fun=0.0, iterations=1, mu=0.0,
@@ -779,9 +846,9 @@ def _record_stalls(monkeypatch):
     """The LpErrors that fit's LP raises, recorded as they pass through."""
     stalls, solve_lp = [], bootpoly.solve_lp
 
-    def spy(c, A, b):
+    def spy(c, A, b, w):
         try:
-            return solve_lp(c, A, b)
+            return solve_lp(c, A, b, w)
         except lp.LpError as exc:
             stalls.append(exc)
             raise

@@ -434,7 +434,7 @@ def test_kernels_are_pinned_on_non_power_of_two_moduli(fitted_poly):
                        ct.debug_plaintext)).encode())
     h.update(repr(ref_events).encode())
     assert h.hexdigest() == \
-        "5a4f34b05ba7ed7ad228692ebcde8ea9bc4afc01b2f55abc5bb211a3c22a9f5e"
+        "2f752b438b4fe2543160376c242e188f76bb9990f144d7cc1eec5311b25eca91"
     keys, made, events = _kernel_chain(
         fitted_poly, (cs.encrypt, cs.matvec, cs.rescale, cs.bootstrap_emulated))
     for ct, ref in zip(made, ref_made, strict=True):

@@ -134,3 +134,66 @@ def test_singular_normal_matrix_takes_the_regularized_factorization(monkeypatch)
     assert len(failures) == 4
     assert res.fun == pytest.approx(1.0, abs=1e-8)
     assert res.x.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weights_solve_as_repeated_rows(seed):
+    """Each row repeated k_i times and the merged LP with weights k take the
+    same iterations to the same x, and mu is the same complementarity per
+    unit weight."""
+    rng = np.random.default_rng(100 + seed)
+    c, A, b = _random_bounded_lp(rng, 6, 30)
+    k = rng.integers(1, 5, size=30)
+    repeated = solve_lp(c, np.repeat(A, k, axis=0), np.repeat(b, k))
+    merged = solve_lp(c, A, b, weights=k)
+    assert merged.iterations == repeated.iterations
+    np.testing.assert_allclose(merged.x, repeated.x, rtol=0, atol=1e-10)
+    assert merged.mu == pytest.approx(repeated.mu, rel=1e-6)
+
+
+def _same_result(a, b):
+    """Two LpResults equal field for field, x bit for bit."""
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.fun, a.iterations, a.mu, a.primal_residual, a.dual_residual) == \
+        (b.fun, b.iterations, b.mu, b.primal_residual, b.dual_residual)
+
+
+def test_unit_weights_are_the_default():
+    rng = np.random.default_rng(7)
+    c, A, b = _random_bounded_lp(rng, 5, 20)
+    res = solve_lp(c, A, b)
+    _same_result(solve_lp(c, A, b, weights=np.ones(20)), res)
+    _same_result(solve_lp(c, A, b, weights=[1] * 20), res)
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.ones(3), r"^weights must have shape \(4,\), got \(3,\)$"),
+    (np.ones((4, 1)), r"^weights must have shape \(4,\), got \(4, 1\)$"),
+    (2.0, r"^weights must have shape \(4,\), got \(\)$"),
+    ([1.0, np.nan, 1.0, 1.0], "^weights has non-finite entries$"),
+    ([1.0, 1.0, np.inf, 1.0], "^weights has non-finite entries$"),
+    ([1.0, 0.0, 1.0, 1.0], "^weights must be positive$"),
+    ([1.0, 1.0, 1.0, -2.0], "^weights must be positive$"),
+    (["1", "1", "1", "1"], "^weights entries must be real numbers, got '1'$"),
+    ([True] * 4, "^weights entries must be real numbers, got True$"),
+    ([1.0, None, 1.0, 1.0], "^weights has non-finite entries$"),
+    ([1.0, [1.0, 2.0], 1.0, 1.0], "^weights is not a numeric array: "),
+], ids=["short", "column", "scalar", "nan", "inf", "zero", "negative", "text",
+        "bool", "none", "ragged"])
+def test_bad_weights_are_refused_by_name(weights, message):
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(ValueError, match=message):
+        solve_lp(np.array([1.0, 0.0]), A, np.ones(4), weights=weights)
+
+
+def test_dropped_empty_rows_take_their_weights():
+    """A vacuous empty row is dropped with its weight: the result is that
+    of the LP without the row, the remaining rows keeping their weights."""
+    A = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                  [1.0, 1.0]])
+    b = np.array([1.0, 0.5, 1.0, 1.0, 1.0, 1.5])
+    w = np.array([3.0, 7.0, 1.0, 2.0, 1.0, 5.0])
+    kept = np.arange(6) != 1
+    res = solve_lp(np.array([-1.0, -2.0]), A, b, weights=w)
+    _same_result(res, solve_lp(np.array([-1.0, -2.0]), A[kept], b[kept], weights=w[kept]))
+    assert res.x == pytest.approx([0.5, 1.0], abs=1e-7)

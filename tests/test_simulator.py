@@ -289,7 +289,7 @@ def test_encrypted_loop_is_pinned_bitwise(plant, controller, scheme, sim_poly,
     the digests of the same runs on the full-body reference kernels of
     test_crypto_sim patched into the simulator, and that run is repeated
     here."""
-    pins = ["a2a0d3e8e4e98c84a67b79e898727c2a82804618adc2813351bbd6dbb20b89e3",
+    pins = ["a11a6a1eae9c390d03e9dcebc2961d5bb7336333c04d1f7443d1af970eb021d8",
             "9ac634f0fc047aea9f23c385119b8f13f0570b84aefdd437713101601588c46c",
             "432e734f4ec4ca48bc32f9cad6628076e227bf1c36ad3b7f0feb49ea27c6ea70"]
     with monkeypatch.context() as patch:
