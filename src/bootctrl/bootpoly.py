@@ -12,11 +12,15 @@ resulting LP in-repo, whose rows are written in place into one
 constraint matrix, at the positive nodes only with weight 2 (p is odd,
 so the negative nodes repeat them); the returned gamma is then a proven bound
 (slope_bound): the Ehlich-Zeller bound on Chebyshev nodes of each
-offset's slope polynomial, with a derived rounding allowance, whose
-nodes stream through the kernel's blocks, so its memory does not grow
-with the node count.  verify dense-samples the relative error instead,
-an independent cross-check whose maximum over samples can read below
-the supremum.
+offset's slope polynomial, with a derived rounding allowance.  Its nodes
+stream through the kernel's blocks twice: one sweep evaluates a centre
+node per cell of _CELL nodes, and Bernstein's inequality then leaves
+only the cells that can hold the maximum for the second, so the bound is
+bitwise that of every node at about a sixth of the evaluations.  The
+bound does not cover the absolute term |p(r q)| / |x mod q| near x mod q
+= 0, which only the root check bounds.  verify dense-samples the
+relative error instead, an independent cross-check whose maximum over
+samples can read below the supremum.
 
 Every evaluation of p goes through one Clenshaw kernel, numpy's chebval
 recurrence operation for operation (x2 = 2x; c0, c1 <- c[-i] - c1,
@@ -62,6 +66,9 @@ _U = 2.0 ** -53  # unit roundoff of a double
 # (768 KiB) stay in a 2 MiB L2, and each ufunc call still covers enough
 # elements to hide its Python overhead (16k beat 4k, 8k, 12k, 24k and 32k)
 _BLOCK = 16_384
+# consecutive nodes per cell of slope_bound's coarse sweep; divides
+# NODES_PER_DEGREE and _BLOCK, so no cell straddles a block
+_CELL = 16
 
 
 class FitError(RuntimeError):
@@ -113,10 +120,11 @@ class BootstrapPolynomial:
     [-half_range, half_range]; even-index entries are zero because the
     target restricted to I is odd.  A fitted gamma_certified is the proven
     bound slope_bound on the slope of the relative error, not the fitting
-    LP's objective, and verification_samples counts the bound's Chebyshev
-    nodes (the field keeps its name so that saved polynomials load).  Each
-    coefficient and gamma_certified must be a finite real number and
-    verification_samples a nonnegative integer, or ValueError is raised.
+    LP's objective, and verification_samples counts the Chebyshev nodes the
+    bound covers, not the fewer it evaluates (the field keeps its name so
+    that saved polynomials load).  Each coefficient and gamma_certified
+    must be a finite real number and verification_samples a nonnegative
+    integer, or ValueError is raised.
     """
 
     spec: BootstrapSpec
@@ -383,18 +391,20 @@ def slope_bound(poly: BootstrapPolynomial) -> float:
 
     For offset r, e_r(m) = p(m - r q) - m = e_r(0) + m q_r(m) on |m| <= a
     = eps q / 2 (a and r q as the package computes them in floats), and
-    the result is max_r sup |q_r|; the absolute term |e_r(0)| is the root
-    check's.  In t = m / a, q_r is a polynomial of degree n = d - 1 whose
+    the result is max_r sup |q_r|.  It does not cover the absolute term
+    |e_r(0)| / |m|, which near m = 0 is bounded only by the root check
+    |p(r q)| <= ROOT_TOL q: the sector |p(x) - x mod q| <= gamma |x mod
+    q| holds up to an absolute error max_r |e_r(0)|, to be carried beside
+    gamma.  In t = m / a, q_r is a polynomial of degree n = d - 1 whose
     Chebyshev series in s = (a t - r q) / half_range comes from
-    _slope_series.  The kernel evaluates it at the N = NODES_PER_DEGREE n
-    first-kind Chebyshev nodes t_j = cos((2j + 1) pi / (2N)), a block at a
-    time, so no array of length N is formed.  By Ehlich and Zeller (Math.
-    Z. 86, 1964; Rivlin, Chebyshev Polynomials, 2nd ed., 1990) sup |q_r|
-    <= max_j |q_r(t_j)| / cos(n pi / (2N)), and the result is
+    _slope_series.  Take the N = NODES_PER_DEGREE n first-kind Chebyshev
+    nodes t_j = cos((2j + 1) pi / (2N)).  By Ehlich and Zeller (Math. Z.
+    86, 1964; Rivlin, Chebyshev Polynomials, 2nd ed., 1990) sup |q_r| <=
+    max_j |q_r(t_j)| / cos(n pi / (2N)), and the result is
 
         (max_j |v_j| + A) / (cos(pi / (2 NODES_PER_DEGREE)) - 2 n^2 delta - 8u)
 
-    with v_j the computed values and u the unit roundoff:
+    with v_j the kernel's values and u the unit roundoff:
     - A = _slope_series' quotient bound plus 4u ((n + 1)^2 + 1) (sum |g| +
       1).  Forming the series g costs at most 2u (sum |g| + 1).  Clenshaw
       at |s| <= 1 returns sum (g_k + eta_k) T_k(s) with |eta_k| <= 2u
@@ -405,8 +415,33 @@ def slope_bound(poly: BootstrapPolynomial) -> float:
       to s, lies from the exact one, in units of t: 3u pi from the angle,
       8u from a cos within 4 ulp, 3u + 2u |r q| / a from the map.
       Markov's |q'| <= n^2 sup |q| (2 n^2 just outside [-1, 1]) turns it
-      into the 2 n^2 delta.
+      into the 2 n^2 delta, so |v_j - q_r(t_j)| <= A + 2 n^2 delta S with
+      S = sup |q_r|.
     - 8u covers the last four roundings.
+    A divisor that is not positive proves nothing, and returns inf.
+
+    max_j |v_j| is found without evaluating most nodes.  The nodes are
+    cut into cells of C = _CELL consecutive ones, and a first sweep
+    evaluates each cell's centre node, index C/2 in the cell; their
+    largest value m is a node value, so at most max_j |v_j|.  Q(theta) =
+    q_r(cos theta) is a trigonometric polynomial of degree n, so by
+    Bernstein's inequality |Q'| <= n S, and with the bound on |v_j -
+    q_r(t_j)| above:
+    - every angle lies within (C/2 + 1) pi / N of a centre, so S <= (m +
+      A) / (1 - n (C/2 + 1) pi / N - 2 n^2 delta);
+    - a cell's nodes lie within (C/2) pi / N of its centre, so each of
+      them has |v_j| <= v_c + margin, with v_c the centre's value and
+      margin = n (C/2) (pi / N) S + 2A + 4 n^2 delta S, rounded up by a
+      factor 1 + 32u.
+    A second sweep evaluates only the cells with v_c + margin >= m, so the
+    maximum, and the result, are bitwise those of every node: each
+    evaluated node gets the same t (its block's cos, gathered by index)
+    and the same elementwise operations.  Cells are skipped only while m,
+    S and 8 ((n + 1)^2 + 1) (sum |g| + 1) are finite; the last bounds
+    every intermediate of the recurrence, so no skipped node is inf or
+    NaN.  On the fitted polynomials about a sixth of the nodes are
+    evaluated.  Memory is the kernel's six block buffers, two doubles per
+    cell and one byte per cell and offset; no array of length N is formed.
 
     An odd polynomial has q_{-r}(m) = q_r(-m), so only offsets 0..K are
     evaluated; any nonzero even coefficient brings in all 2K + 1.  A root
@@ -421,6 +456,10 @@ def slope_bound(poly: BootstrapPolynomial) -> float:
     N = _node_count(spec.d)
     offsets = spec.offsets if any(c[::2]) else range(spec.K + 1)
     ez = np.cos(np.pi / (2 * NODES_PER_DEGREE)) - 8 * _U
+    # Bernstein's |Q'| <= n S over a node's distance to its cell's centre,
+    # and over any angle's distance to the nearest centre
+    near = n * (_CELL // 2) * np.pi / N
+    far = n * (_CELL // 2 + 1) * np.pi / N
     series = []
     for r in offsets:
         # NaN fails the comparison too
@@ -428,28 +467,69 @@ def slope_bound(poly: BootstrapPolynomial) -> float:
             return np.inf
         s0 = -r * spec.q / H
         g, quotient_err = _slope_series(c, s0, H)
-        allowance = quotient_err + 4 * _U * ((n + 1) ** 2 + 1) * (sum(map(abs, g)) + 1)
+        total = sum(map(abs, g))
+        allowance = quotient_err + 4 * _U * ((n + 1) ** 2 + 1) * (total + 1)
         delta = 4 * _U * (8 + abs(s0) / alpha)
-        series.append((g, s0, allowance, ez - 2 * n * n * delta))
+        divisor = ez - 2 * n * n * delta
+        if not divisor > 0:
+            return np.inf
+        bounded = 8 * ((n + 1) ** 2 + 1) * (total + 1) < np.inf
+        series.append((g, s0, allowance, divisor, delta, bounded))
 
-    worst = [0.0] * len(series)
     step = np.pi / (2 * N)
     t, s, *work = np.empty((6, min(_BLOCK, N)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    centre_t, centres = np.empty((2, N // _CELL))
+    keep = np.empty((len(series), centres.size), dtype=bool)
+
+    def blocks():
+        """(first cell, nodes t_j) per block of _BLOCK nodes."""
         for lo in range(0, N, _BLOCK):
             tb = t[:min(_BLOCK, N - lo)]
             np.cos(np.multiply(np.arange(2 * lo + 1, 2 * lo + 2 * tb.size, 2,
                                          dtype=float), step, out=tb), out=tb)
-            sb = s[:tb.size]
-            for i, (g, s0, _, _) in enumerate(series):
-                np.add(np.multiply(tb, alpha, out=sb), s0, out=sb)
-                v = _clenshaw(g, sb, work)
-                block_worst = float(np.abs(v, out=v).max())
+            yield lo // _CELL, tb.reshape(-1, _CELL)
+
+    def slopes(g, s0, x):
+        """|q_r| at the nodes whose t x holds; x is overwritten with s."""
+        np.add(np.multiply(x, alpha, out=x), s0, out=x)
+        v = _clenshaw(g, x, work)
+        return np.abs(v, out=v)
+
+    worst = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cell, cells in blocks():
+            centre_t[cell:cell + len(cells)] = cells[:, _CELL // 2]
+        for (g, s0, allowance, _, delta, bounded), cut in zip(series, keep):
+            centres[:] = centre_t
+            for lo in range(0, centres.size, _BLOCK):
+                centres[lo:lo + _BLOCK] = slopes(g, s0, centres[lo:lo + _BLOCK])
+            m = float(centres.max())
+            if not m < np.inf:
+                return np.inf
+            worst.append(m)
+            den = 1 - far - 2 * n * n * delta
+            margin = np.inf  # keeps every cell, as an infinite S would
+            if bounded and den > 0:
+                S = (m + allowance) / den
+                # 1 + 32u covers the roundings of S and of the margin
+                margin = (1 + 32 * _U) * (near * S + 2 * allowance
+                                          + 4 * n * n * delta * S)
+            # a cell is skipped when its centre value plus margin is below m
+            np.greater_equal(np.add(centres, margin, out=centres), m, out=cut)
+
+        for cell, cells in blocks():
+            for i, ((g, s0, *_), cut) in enumerate(zip(series, keep)):
+                kept = np.flatnonzero(cut[cell:cell + len(cells)])
+                if not kept.size:
+                    continue
+                x = s[:kept.size * _CELL]
+                np.take(cells, kept, axis=0, out=x.reshape(-1, _CELL), mode="clip")
+                block_worst = float(slopes(g, s0, x).max())
                 if not block_worst < np.inf:
                     return np.inf
                 worst[i] = max(worst[i], block_worst)
     bound = max((w + allowance) / divisor
-                for w, (_, _, allowance, divisor) in zip(worst, series))
+                for w, (_, _, allowance, divisor, _, _) in zip(worst, series))
     return bound if bound < np.inf else np.inf
 
 

@@ -2,12 +2,13 @@
 
 Exit-code discipline: 0 means the command ran and produced a verdict
 (including NOT_CERTIFIED); nonzero means tool or input failure (2 for a
-missing required flag, --gamma together with --poly, an unreadable or
-malformed --system, --scheme or --poly file, an analyze --poly whose
-slope is 1 or more, a --system file whose plant and controller cannot be
-closed into one loop, or an output that cannot be written).  The one
-quantitative exception is `lift-check`, whose job is the check itself:
-a deviation above threshold exits nonzero.
+missing required flag, fit-poly with both or neither of --K and --scheme,
+--gamma together with --poly, an unreadable or malformed --system,
+--scheme or --poly file, an analyze --poly whose slope is 1 or more, a
+--system file whose plant and controller cannot be closed into one loop,
+or an output that cannot be written).  The one quantitative exception is
+`lift-check`, whose job is the check itself: a deviation above threshold
+exits nonzero.
 
 Every command writes a manifest JSON next to its outputs recording the
 resolved parameters and every file written, so a run can be reproduced
@@ -29,10 +30,11 @@ import numpy as np
 from .analysis import THEOREM_1, THEOREM_2, analyze_l2_gain, sector_from_bootstrap
 from .bootpoly import (BootstrapSpec, FitError, centered_mod, evaluate, fit,
                        load_poly, poly_to_json)
-from .crypto_sim import SchemeError, load_scheme
+from .crypto_sim import SchemeError, load_scheme, required_offset_range
 from .fixtures import demo_scheme, demo_system
 from .simulator import SimulationConfig, run_closed_loop
-from .statespace import check_count, interconnect, lift, load_system, simulate, write_json
+from .statespace import (check_count, check_real, interconnect, lift, load_system,
+                         simulate, write_json)
 
 __all__ = ["main"]
 
@@ -111,6 +113,10 @@ def _resolve_system(args):
 
 def cmd_fit_poly(args, out) -> int:
     try:
+        if args.scheme:
+            # the manifest records the K that the scheme's wrap bound gives
+            scheme = _load(load_scheme, "--scheme", args.scheme)
+            args.K = required_offset_range(scheme, check_real(args.epsilon, "epsilon"))
         poly = fit(BootstrapSpec(q=args.q, epsilon=args.epsilon, K=args.K,
                                  d=args.degree),
                    samples_per_interval=args.samples)
@@ -315,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = subs.add_parser("fit-poly", help="fit a refresh polynomial")
     p_fit.add_argument("--degree", type=int, required=True)
-    p_fit.add_argument("--K", type=int, required=True)
+    wraps = p_fit.add_mutually_exclusive_group(required=True)
+    wraps.add_argument("--K", type=int, help="largest wrap offset")
+    wraps.add_argument("--scheme", default=None,
+                       help="scheme JSON whose wrap bound sets K "
+                            "(crypto_sim.required_offset_range)")
     p_fit.add_argument("--epsilon", type=float, required=True)
     p_fit.add_argument("--q", type=float, default=1.0)
     p_fit.add_argument("--samples", type=int, default=512,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval, poly2cheb
+from numpy.polynomial.chebyshev import chebadd, chebinterpolate, chebmulx, chebval, poly2cheb
 from numpy.polynomial.polynomial import polyfromroots
 
 from bootctrl import bootpoly, lp
@@ -371,7 +371,8 @@ def test_rescale_that_rounds_proves_the_slope_anew(monkeypatch, fitted_poly, q_n
     calls = _spy_slope_bound(monkeypatch)
     scaled = fitted_poly.rescaled(q_new)
     assert len(calls) == 1
-    assert scaled.gamma_certified == slope_bound(scaled)
+    assert scaled.gamma_certified.hex() == slope_bound(scaled).hex()
+    assert scaled.gamma_certified.hex() == _slope_bound_all_nodes(scaled).hex()
     assert scaled.gamma_certified == pytest.approx(fitted_poly.gamma_certified, rel=1e-13)
 
 
@@ -477,6 +478,7 @@ def test_coefficient_length_checked():
 # buffered Clenshaw kernel
 
 BLOCK = bootpoly._BLOCK
+CELL = bootpoly._CELL
 KERNEL = bootpoly._clenshaw
 
 
@@ -726,6 +728,111 @@ def _slopes(poly, m, offsets=None):
             for r in (poly.spec.offsets if offsets is None else offsets)}
 
 
+def _slope_bound_all_nodes(poly):
+    """slope_bound as it was before the cells, kept here as the oracle: the
+    same series, allowance and divisor, and the maximum over every one of
+    the N nodes of each offset, a block at a time."""
+    spec = poly.spec
+    c = poly.coefficients.tolist()
+    H = spec.half_range
+    alpha = spec.epsilon * spec.q / 2 / H
+    n = max(spec.d - 1, 1)
+    N = bootpoly._node_count(spec.d)
+    offsets = spec.offsets if any(c[::2]) else range(spec.K + 1)
+    ez = np.cos(np.pi / (2 * bootpoly.NODES_PER_DEGREE)) - 8 * bootpoly._U
+    series = []
+    for r in offsets:
+        if not abs(evaluate(poly, -r * spec.q)) <= bootpoly.ROOT_TOL * spec.q:
+            return np.inf
+        s0 = -r * spec.q / H
+        g, quotient_err = bootpoly._slope_series(c, s0, H)
+        allowance = (quotient_err
+                     + 4 * bootpoly._U * ((n + 1) ** 2 + 1) * (sum(map(abs, g)) + 1))
+        delta = 4 * bootpoly._U * (8 + abs(s0) / alpha)
+        series.append((g, s0, allowance, ez - 2 * n * n * delta))
+    worst = [0.0] * len(series)
+    step = np.pi / (2 * N)
+    t, s, *work = np.empty((6, min(BLOCK, N)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, N, BLOCK):
+            tb = t[:min(BLOCK, N - lo)]
+            np.cos(np.multiply(np.arange(2 * lo + 1, 2 * lo + 2 * tb.size, 2,
+                                         dtype=float), step, out=tb), out=tb)
+            sb = s[:tb.size]
+            for i, (g, s0, _, _) in enumerate(series):
+                np.add(np.multiply(tb, alpha, out=sb), s0, out=sb)
+                v = KERNEL(g, sb, work)
+                block_worst = float(np.abs(v, out=v).max())
+                if not block_worst < np.inf:
+                    return np.inf
+                worst[i] = max(worst[i], block_worst)
+    bound = max((w + allowance) / divisor
+                for w, (_, _, allowance, divisor) in zip(worst, series))
+    return bound if bound < np.inf else np.inf
+
+
+@pytest.mark.parametrize("d, K", list(DESIGN_GRID_GAMMAS))
+def test_slope_bound_is_the_all_node_bound_on_the_grid(d, K, grid_fits):
+    """Skipping the cells that cannot hold the maximum leaves the bound of
+    every grid fit bitwise the oracle's, which evaluates every node."""
+    poly = grid_fits[d, K]
+    assert slope_bound(poly).hex() == _slope_bound_all_nodes(poly).hex()
+
+
+def _peaked_poly(seed):
+    """An odd p = x (1 + h) with K = 0, so q_0 = h: a narrow Gaussian bump
+    of h in |t| at a seeded place, width and height, interpolated at a
+    seeded degree, plus small seeded even ripples."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([25, 45, 63]))
+    t0, width, height = rng.uniform(0.1, 0.9), rng.uniform(0.03, 0.1), rng.uniform(0.01, 0.3)
+    h = chebinterpolate(lambda t: height * np.exp(-((np.abs(t) - t0) / width) ** 2), d - 1)
+    h[1::2] = 0.0
+    h[::2] += 1e-4 * height * rng.standard_normal(h[::2].size)
+    spec = BootstrapSpec(q=1.0, epsilon=0.5, K=0, d=d)
+    return BootstrapPolynomial(spec=spec, gamma_certified=0.5,
+                               coefficients=spec.half_range * chebmulx(chebadd([1.0], h)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slope_bound_is_the_all_node_bound_with_one_sharp_peak(monkeypatch, seed):
+    """With one sharp peak of |q_0| (on each side of 0) nearly every cell
+    is skipped: the coarse sweep's N / 16 centres and a few cells, under a
+    tenth of the nodes, still give the oracle's bound bit for bit."""
+    poly = _peaked_poly(seed)
+    assert not np.any(poly.coefficients[::2])
+    gamma, calls = _bound_kernel_calls(monkeypatch, poly, lambda i, p: p)
+    assert gamma.hex() == _slope_bound_all_nodes(poly).hex()
+    assert sum(calls[1:]) <= bootpoly._node_count(poly.spec.d) / 10
+
+
+def test_slope_bound_evaluates_at_most_a_third_of_the_nodes(monkeypatch, grid_fits):
+    """At d = 45, K = 3 the kernel sees at most a third of the N (K + 1)
+    nodes (about 16%: the centres are 6.25%), so a return to evaluating
+    every node fails here."""
+    poly = grid_fits[45, 3]
+    gamma, calls = _bound_kernel_calls(monkeypatch, poly, lambda i, p: p)
+    assert gamma == poly.gamma_certified
+    assert calls[:4] == [1] * 4
+    assert sum(calls[4:]) <= bootpoly._node_count(45) * 4 / 3
+
+
+def test_slope_bound_is_infinite_when_node_rounding_swamps_the_proof():
+    """At eps = 1e-15 the nodes of offset 1, mapped to s, round onto one
+    point (delta = 4u (8 + 2 / eps)), so the divisor cos(pi / 4096) - 2 n^2
+    delta - 8u is negative and nothing is proven: inf.  Dividing by it would make
+    offset 1's bound negative, and the maximum over offsets would report
+    1.2e-14 for p = x - x^3, whose slope there is 3."""
+    spec = BootstrapSpec(q=1.0, epsilon=1e-15, K=1, d=3)
+    H = spec.half_range
+    poly = BootstrapPolynomial(spec=spec, coefficients=poly2cheb([0, H, 0, -H ** 3]),
+                               gamma_certified=0.5)
+    assert abs(evaluate(poly, 1.0)) <= bootpoly.ROOT_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert slope_bound(poly) == np.inf
+
+
 def test_slope_bound_is_above_the_local_maxima(fitted_poly):
     """Around each offset's sampled argmax a grid 1e4 times finer finds
     the local maximum of |q_r|; the bound is at or above every one, while
@@ -787,12 +894,18 @@ def _bound_kernel_calls(monkeypatch, poly, hook):
 @pytest.mark.parametrize("call", ["first_root", "first_block", "last_block"])
 def test_slope_bound_is_infinite_on_any_nonfinite_value(monkeypatch, fitted_poly,
                                                         call, bad):
-    """One non-finite kernel value, at a root or at any node, makes the
-    bound inf; a NaN is never dropped by the running maximum."""
+    """One non-finite kernel value, at a root, a cell's centre or a node
+    of a cell that survives, makes the bound inf; a NaN is never dropped by
+    the running maximum.  The first block is the first centre call, the
+    last block the last survivor call."""
     _, calls = _bound_kernel_calls(monkeypatch, fitted_poly, lambda i, p: p)
     K = fitted_poly.spec.K
-    # the roots of offsets 0..K, then blocks of nodes
-    assert calls[:K + 1] == [1] * (K + 1) and max(calls) == BLOCK
+    cells = bootpoly._node_count(fitted_poly.spec.d) // CELL
+    # the roots of offsets 0..K, each offset's cell centres (one call at
+    # d = 25), then per block and offset the cells that survive
+    roots, survivors = calls[:K + 1], calls[2 * K + 2:]
+    assert roots == [1] * (K + 1) and calls[K + 1:2 * K + 2] == [cells] * (K + 1)
+    assert survivors and all(0 < size <= BLOCK and size % CELL == 0 for size in survivors)
     target = {"first_root": 0, "first_block": K + 1, "last_block": len(calls) - 1}[call]
 
     def inject(i, p):
@@ -840,6 +953,7 @@ def test_slope_bound_takes_every_offset_of_a_polynomial_that_is_not_odd(fitted_p
     negative = max(v for r, v in slopes.items() if r < 0)
     assert negative > max(v for r, v in slopes.items() if r >= 0) * (1 + 1e-3)
     assert negative <= slope_bound(poly)
+    assert slope_bound(poly).hex() == _slope_bound_all_nodes(poly).hex()
 
 
 def _record_stalls(monkeypatch):
@@ -864,6 +978,7 @@ def test_fit_certifies_the_lp_iterate_at_a_stall(monkeypatch):
     poly = fit(BootstrapSpec(q=1.0, epsilon=0.1, K=8, d=95))
     assert len(stalls) == 1 and stalls[0].feasible
     assert poly.gamma_certified == slope_bound(poly) <= 5.2e-4
+    assert poly.gamma_certified.hex() == _slope_bound_all_nodes(poly).hex()
 
 
 def test_fit_returns_a_feasible_iterate_of_a_capped_lp(monkeypatch):

@@ -111,6 +111,64 @@ def test_fit_poly_trivial_identity(tmp_path, capsys):
     assert "gamma_certified = 0.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("hamming_weight, K", [(2, 1), (4, 2)])
+def test_fit_poly_takes_K_from_a_scheme(tmp_path, scheme, hamming_weight, K):
+    """--scheme sets K to the scheme's wrap bound floor((h + 1 + eps) / 2):
+    the poly is the --K fit's bit for bit, and the manifest records K."""
+    path = tmp_path / "scheme.json"
+    save_scheme(path, replace(scheme, hamming_weight=hamming_weight))
+    assert run(["fit-poly", "--degree", "9", "--scheme", str(path), "--epsilon", "0.5",
+                "--out-dir", str(tmp_path / "scheme")]) == 0
+    assert run(["fit-poly", "--degree", "9", "--K", str(K), "--epsilon", "0.5",
+                "--out-dir", str(tmp_path / "K")]) == 0
+    got = load_poly(tmp_path / "scheme" / "poly.json")
+    want = load_poly(tmp_path / "K" / "poly.json")
+    assert got.spec.K == K and got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.gamma_certified == want.gamma_certified
+    manifest = json.loads((tmp_path / "scheme" / "fit_poly_manifest.json").read_text())
+    assert manifest["parameters"]["K"] == K
+    assert manifest["parameters"]["scheme"] == str(path)
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "one of the arguments --K --scheme is required"),
+    (["--K", "2", "--scheme", "s.json"], "argument --scheme: not allowed with argument --K"),
+], ids=["neither", "both"])
+def test_fit_poly_needs_exactly_one_of_K_and_scheme(tmp_path, capsys, flags, message):
+    with pytest.raises(SystemExit) as excinfo:
+        run(["fit-poly", "--degree", "9", "--epsilon", "0.5", *flags,
+             "--out-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("content", [None, "{}"], ids=["missing", "no_fields"])
+def test_fit_poly_with_a_bad_scheme_file_is_an_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "scheme.json"
+    if content is not None:
+        path.write_text(content)
+    code = run(["fit-poly", "--degree", "9", "--scheme", str(path), "--epsilon", "0.5",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load --scheme {path}") and err.count("\n") == 1
+    assert not (tmp_path / "poly.json").exists()
+
+
+def test_fit_poly_with_a_scheme_and_an_infinite_epsilon_is_an_exit_code(tmp_path, capsys,
+                                                                       scheme):
+    """The wrap bound is not formed from an infinite eps (math.floor would
+    raise OverflowError): exit 1 and one line naming epsilon."""
+    path = tmp_path / "scheme.json"
+    save_scheme(path, scheme)
+    code = run(["fit-poly", "--degree", "9", "--scheme", str(path), "--epsilon", "inf",
+                "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "fit aborted: epsilon must be a finite real number, got inf\n"
+
+
 # --------------------------------------------------------------------------
 # analyze
 
