@@ -39,6 +39,7 @@ from .crypto_sim import (
     Ciphertext,
     CiphertextOverflowError,
     Keys,
+    LedgerViolationError,
     NoLevelsLeftError,
     RangeViolationError,
     SchemeError,

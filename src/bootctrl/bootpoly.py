@@ -24,12 +24,10 @@ samples can read below the supremum.
 
 Every evaluation of p goes through one Clenshaw kernel, numpy's chebval
 recurrence operation for operation (x2 = 2x; c0, c1 <- c[-i] - c1,
-c0 + c1 x2; then c0 + c1 x).  A scalar runs it on Python floats and is
-bitwise chebval's.  Arrays are walked in blocks of _BLOCK doubles, and
-each block runs it with ufuncs into a few work buffers allocated once per
-call, so no step allocates.  On blocks a zero coefficient's step is
-folded into the next one, exactly: values differ from chebval's only in
-the sign of an exact zero, and verify's abs makes gamma bitwise equal.
+c0 + c1 x2; then c0 + c1 x), so every value is bitwise chebval's, signs
+of zero included.  A scalar runs it on Python floats.  Arrays are walked
+in blocks of _BLOCK doubles, and each block runs it with ufuncs into four
+work buffers allocated once per call, so no step allocates.
 """
 
 from __future__ import annotations
@@ -118,13 +116,13 @@ class BootstrapPolynomial:
 
     coefficients has length spec.d + 1 in the Chebyshev basis over
     [-half_range, half_range]; even-index entries are zero because the
-    target restricted to I is odd.  A fitted gamma_certified is the proven
-    bound slope_bound on the slope of the relative error, not the fitting
-    LP's objective, and verification_samples counts the Chebyshev nodes the
-    bound covers, not the fewer it evaluates (the field keeps its name so
-    that saved polynomials load).  Each coefficient and gamma_certified
-    must be a finite real number and verification_samples a nonnegative
-    integer, or ValueError is raised.
+    target restricted to I is odd.  gamma_certified, from fit or rescaled,
+    is slope_bound's proven bound on the relative error's slope for its own
+    coefficients, not the fitting LP's objective, and verification_samples
+    counts the Chebyshev nodes the bound covers, not the fewer it evaluates
+    (the field keeps its name so that saved polynomials load).  Each
+    coefficient and gamma_certified must be a finite real number and
+    verification_samples a nonnegative integer, or ValueError is raised.
     """
 
     spec: BootstrapSpec
@@ -161,10 +159,10 @@ class BootstrapPolynomial:
     def rescaled(self, q_new):
         """The same relative-error polynomial expressed at a new base modulus.
 
-        The fitting program is homogeneous in q, so the argument and the
-        value are scaled by q_new / q.  That is exact for a power-of-two
-        factor unless a coefficient underflows, and gamma is kept; else
-        slope_bound proves gamma anew, and an inf one is refused by name.
+        The fitting program is homogeneous in q, so the argument and the value
+        are scaled by q_new / q, and slope_bound proves gamma anew: the stored
+        one, bit for bit, for a power-of-two factor that underflows no
+        coefficient.  An inf gamma is refused by name.
         """
         factor = float(q_new) / self.spec.q
         # an overflowing factor gives inf or nan coefficients, which
@@ -177,9 +175,6 @@ class BootstrapPolynomial:
             gamma_certified=self.gamma_certified,
             verification_samples=self.verification_samples,
         )
-        if np.frexp(factor)[0] == 0.5 and np.array_equal(coefficients / factor,
-                                                         self.coefficients):
-            return poly
         return replace(poly, gamma_certified=slope_bound(poly))
 
 
@@ -201,18 +196,11 @@ def _clenshaw(c, x, work=None):
     """sum_k c[k] T_k(x) (len(c) >= 2) at a float x, or on one block x.
 
     This is numpy's chebval recurrence (x2 = 2x; c0, c1 <- c[-i] - c1,
-    c0 + c1 x2; then c0 + c1 x).  At a float x (work None) it runs on
-    Python floats, operation for operation, so the value is bitwise
-    chebval's.  On a block it runs the same operations with ufuncs into
-    work, at least four arrays of x.size or more doubles, and returns a
-    view of one of them, valid until work is reused.
-
-    On a block, a zero coefficient's step c0 = 0 - c1 is folded into the
-    next step's add, which becomes c1 x2 - c1_old.  Since (-b) + y ==
-    y - b exactly in IEEE arithmetic, the values differ from chebval's
-    only in the sign of an exact zero (0 - c1 is +0 at c1 = +0, -c1 is -0).
-    The fitted polynomials are odd, so every other step makes two array
-    passes instead of three.
+    c0 + c1 x2; then c0 + c1 x), operation for operation, so the value is
+    bitwise chebval's.  At a float x (work None) it runs on Python floats.
+    On a block it runs with ufuncs into work, four arrays of x.size or
+    more doubles (x2, c0, c1 and a scratch t), and returns a view of one
+    of them, valid until work is reused.
     """
     if work is None:
         x2 = 2 * x
@@ -221,30 +209,23 @@ def _clenshaw(c, x, work=None):
             c0, c1 = c[-i] - c1, c0 + c1 * x2
         return c0 + c1 * x
     n = x.size
-    x2, *free = (w[:n] for w in work)
+    x2, c0, c1, t = (w[:n] for w in work)
     np.multiply(x, 2, out=x2)
-    c0, c1, add = c[-2], c[-1], np.add
+    c0.fill(c[-2])
+    c1.fill(c[-1])
     for ci in c[-3::-1]:
-        t = np.multiply(c1, x2, out=free.pop())
-        add(t, c0, out=t)
-        if isinstance(c0, np.ndarray):
-            free.append(c0)
-        if ci == 0:
-            c0, add = c1, np.subtract  # c0 = 0 - c1, kept as a pending sign
-        else:
-            out = c1 if isinstance(c1, np.ndarray) else None
-            c0, add = np.subtract(ci, c1, out=out), np.add
-        c1 = t
-    p = np.multiply(c1, x, out=free.pop())
-    return add(p, c0, out=p)
+        np.add(c0, np.multiply(c1, x2, out=t), out=t)
+        np.subtract(ci, c1, out=c0)
+        c1, t = t, c1
+    return np.add(c0, np.multiply(c1, x, out=t), out=t)
 
 
 def evaluate(poly: BootstrapPolynomial, m):
     """Evaluate the polynomial by the Clenshaw kernel, blockwise on arrays.
 
-    A scalar or 0-d m returns a float that is bitwise chebval's.  An
-    array is walked in blocks of _BLOCK doubles through one set of work
-    buffers; its values are chebval's up to the sign of an exact zero.
+    A scalar or 0-d m returns a float, an array an array of m's shape,
+    bitwise chebval's either way.  An array is walked in blocks of _BLOCK
+    doubles through one set of work buffers.
     """
     c = poly.coefficients.tolist()
     x = np.asarray(m, dtype=float)
@@ -541,11 +522,11 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
     endpoints, half are drawn from a fixed seeded stream, so the result is
     deterministic.  Within 1e-9 q of m mod q = 0 the ratio is replaced by
     the root check |p(r q)| <= ROOT_TOL * q, since the quotient there
-    measures only floating-point cancellation, not the polynomial.  A
-    non-finite root or error (overflow in the recurrence) returns inf,
-    without a warning.  Each offset's samples are formed as whole arrays,
-    so memory grows with samples (a tracemalloc peak of 9.3 MB at 250k
-    and 65 MB at 2e6).
+    measures only floating-point cancellation, not the polynomial
+    (ValueError if that leaves an offset no sample).  A non-finite root or
+    error (overflow in the recurrence) returns inf, without a warning.
+    Each offset's samples are formed as whole arrays, so memory grows with
+    samples (a tracemalloc peak of 9.3 MB at 250k and 65 MB at 2e6).
 
     The result is a maximum over samples, so it can read below the
     supremum; it is the tests' cross-check of slope_bound, which it also
@@ -564,7 +545,10 @@ def verify(poly: BootstrapPolynomial, samples: int) -> float:
             m = np.concatenate([np.linspace(-half_msg, half_msg, samples // 2),
                                 rng.uniform(-half_msg, half_msg, samples - samples // 2)])
             m = m[np.abs(m) > 1e-9 * spec.q]
-            err = (np.abs(evaluate(poly, m - r * spec.q) - m) / np.abs(m)).max(initial=0.0)
+            if not m.size:
+                raise ValueError(f"epsilon {spec.epsilon} leaves verify no sample "
+                                 f"farther than 1e-9 q from m mod q = 0")
+            err = (np.abs(evaluate(poly, m - r * spec.q) - m) / np.abs(m)).max()
             if not err < np.inf:
                 return np.inf
             worst = max(worst, float(err))

@@ -33,8 +33,8 @@ from .bootpoly import (BootstrapSpec, FitError, centered_mod, evaluate, fit,
 from .crypto_sim import SchemeError, load_scheme, required_offset_range
 from .fixtures import demo_scheme, demo_system
 from .simulator import SimulationConfig, run_closed_loop
-from .statespace import (check_count, check_real, interconnect, lift, load_system,
-                         simulate, write_json)
+from .statespace import (check_count, interconnect, lift, load_system, simulate,
+                         write_json)
 
 __all__ = ["main"]
 
@@ -116,7 +116,7 @@ def cmd_fit_poly(args, out) -> int:
         if args.scheme:
             # the manifest records the K that the scheme's wrap bound gives
             scheme = _load(load_scheme, "--scheme", args.scheme)
-            args.K = required_offset_range(scheme, check_real(args.epsilon, "epsilon"))
+            args.K = required_offset_range(scheme, args.epsilon)
         poly = fit(BootstrapSpec(q=args.q, epsilon=args.epsilon, K=args.K,
                                  d=args.degree),
                    samples_per_interval=args.samples)

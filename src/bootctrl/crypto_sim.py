@@ -64,6 +64,7 @@ __all__ = [
     "NoLevelsLeftError",
     "RangeViolationError",
     "AssumptionViolationError",
+    "LedgerViolationError",
     "keygen",
     "encrypt",
     "decrypt",
@@ -114,6 +115,12 @@ class AssumptionViolationError(SchemeError):
     """Bootstrap raw phase needed a wrap count beyond the fitted K."""
 
     code = "ASSUMPTION_VIOLATION"
+
+
+class LedgerViolationError(SchemeError):
+    """A decrypted error exceeded the noise bound its ciphertext carries."""
+
+    code = "LEDGER_VIOLATION"
 
 
 @dataclass(frozen=True)
@@ -263,8 +270,11 @@ def required_offset_range(params: SchemeParams, epsilon: float) -> int:
 
     |b + <a, s>| <= (h + 1) q / 2 for centered residues, so with the
     payload inside |m + e| <= eps*q/2 the wrap count satisfies
-    |r| <= floor((h + 1 + eps) / 2).
+    |r| <= floor((h + 1 + eps) / 2).  epsilon must be a real number in
+    (0, 1), as in bootpoly.BootstrapSpec, or ValueError is raised.
     """
+    if not 0 < check_real(epsilon, "epsilon") < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     return math.floor((params.hamming_weight + 1 + epsilon) / 2.0)
 
 

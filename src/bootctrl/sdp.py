@@ -361,8 +361,8 @@ def _strictly_positive(M):
 
 def _range_basis(coeffs):
     """(V, G) with V (m x R) an orthonormal basis of the shared range of the
-    symmetric stack coeffs and G_k = V^T F_k V, or (None, coeffs), meaning
-    V = I, when R > m/2 or when some V G_k V^T misses its F_k.
+    symmetric stack coeffs and G_k = V^T F_k V, or (I, coeffs), R = m,
+    when R > m/2 or when some V G_k V^T misses its F_k.
 
     The range of sum_k F_k^T F_k / ||F_k||_F^2 is the sum of the ranges of
     the F_k, so one eigh of that m x m Gram gives it; eigenvalues below
@@ -378,11 +378,11 @@ def _range_basis(coeffs):
     lam, vecs = np.linalg.eigh(flat.T @ flat)
     V = vecs[:, lam > 1e-12 * lam[-1]]
     if 2 * V.shape[1] > m:
-        return None, coeffs
+        return np.eye(m), coeffs
     G = V.T @ coeffs @ V
     for F, Gk, norm in zip(coeffs, G, norms):
         if np.linalg.norm(F - V @ Gk @ V.T) > 1e-13 * norm:
-            return None, coeffs
+            return np.eye(m), coeffs
     return V, G
 
 
@@ -398,20 +398,20 @@ class _BarrierData:
     diag(C) being the diagonal g^2 coefficient of constraint j, so M =
     -G(v) - g^2 C - _DELTA I: in both, the raw margin above _DELTA.
 
-    V is an orthonormal basis of the coefficients' shared range
-    (_range_basis; None means V = I, so WV = W and G = coeffs) and G_k =
-    V^T F_k V, F_k = coeffs[k], kept only where F_k = V G_k V^T holds to
-    1e-13 of ||F_k||_F.  With W = M^-1 and W^ = V^T W V (R x R), grad_hess
-    takes g_k = tr(W^ G_k) and H_kl = tr(W^ G_k W^ G_l): one batched matmul
-    U_k = -W^ G_k and one GEMM of the flattened U by the flattened U_k^T.
-    The slope S = diag(slope) lies outside that range and enters every term
-    the same way, through its diagonal: g_o = -sum_i W_ii S_ii, H_oo =
-    sum_ij S_ii W_ij^2 S_jj, and H_ko = -tr(G_k Z) with Z = (WV)^T S WV, so
-    the objective's column contracts the term's own coefficients against
-    one R x R matrix, at O(m^2 R).  The lifted LMI's coefficients lie in
-    the ranges of T_sta^T and T_unc^T, so R <= 2 n_xi + n_wu + n_zu
-    whatever T_BS (R = 10 of 11 coefficients for the demo loop), and there
-    only the inverse stays cubic in m.
+    V is an orthonormal basis of the coefficients' shared range and G_k =
+    V^T F_k V, F_k = coeffs[k]; V = I and G = coeffs where the range is
+    over half the rows or misses some F_k (_range_basis).  With W = M^-1 and
+    W^ = V^T W V (R x R), grad_hess takes g_k = tr(W^ G_k) and H_kl =
+    tr(W^ G_k W^ G_l): one batched matmul U_k = -W^ G_k and one GEMM of the
+    flattened U by the flattened U_k^T.  The slope S = diag(slope) lies
+    outside that range and enters every term the same way, through its
+    diagonal: g_o = -sum_i W_ii S_ii, H_oo = sum_ij S_ii W_ij^2 S_jj, and
+    H_ko = -tr(G_k Z) with Z = (WV)^T S WV, so the objective's column
+    contracts the term's own coefficients against one R x R matrix, at
+    O(m^2 R).  The lifted LMI's coefficients lie in the ranges of T_sta^T
+    and T_unc^T, so R <= 2 n_xi + n_wu + n_zu whatever T_BS (R = 10 of 11
+    coefficients for the demo loop), and there only the inverse stays cubic
+    in m.
 
     Every slope-free block shares one block-diagonal term, block_const +
     sum_k v_k block_coeffs[k]: each strict-positive constraint as G(v) -
@@ -505,8 +505,8 @@ class _BarrierData:
         for (_, _, slope, V, G), M in zip(self.terms, mats):
             W = np.linalg.inv(M)
             W = 0.5 * (W + W.T)
-            WV = W if V is None else W @ V
-            U = np.matmul(-(WV if V is None else V.T @ WV), G)
+            WV = W @ V
+            U = -(V.T @ WV) @ G
             Z = WV.T @ (slope[:, None] * WV)
             cross = G.reshape(p, -1) @ Z.ravel()
             H[:p, -1] -= cross

@@ -142,8 +142,9 @@ def run_closed_loop(plant: Plant, controller: Controller,
 
     An ENCRYPTED run refuses, before it encrypts anything, a poly whose
     wrap count K is below crypto_sim.required_offset_range of the scheme.
-    A scheme failure in any step is re-raised as its own SchemeError type
-    with "at step t: " in front of its message.
+    A scheme failure in any step, a failed ledger check
+    (cs.LedgerViolationError) included, is re-raised as its own
+    SchemeError type with "at step t: " in front of its message.
     """
     cl = interconnect(plant, controller)  # refuses an incompatible pair
     steps = config.steps
@@ -234,7 +235,7 @@ def run_closed_loop(plant: Plant, controller: Controller,
             if ct.noise_bound > 0:
                 max_fid = max(max_fid, err / ct.noise_bound)
             if err > ct.noise_bound:
-                raise AssertionError(
+                raise cs.LedgerViolationError(
                     f"noise ledger violated: error {err} > bound {ct.noise_bound}"
                 )
             decoded.append(phase / scale)

@@ -279,6 +279,20 @@ def test_verify_rejects_small_sample_count(fitted_poly):
         verify(fitted_poly, 99_999)
 
 
+def test_verify_refuses_an_epsilon_that_leaves_no_sample():
+    """At eps = 1e-15 every sample lies within 1e-9 q of m mod q = 0:
+    verify, which read 0.0 for p = x - x^3 (slope 3 there), refuses by
+    name; slope_bound proves nothing there (inf)."""
+    spec = BootstrapSpec(q=1.0, epsilon=1e-15, K=1, d=3)
+    H = spec.half_range
+    poly = BootstrapPolynomial(spec=spec, coefficients=[0, H - 0.75 * H ** 3, 0,
+                                                        -0.25 * H ** 3],
+                               gamma_certified=0.5)
+    assert slope_bound(poly) == np.inf
+    with pytest.raises(ValueError, match="^epsilon 1e-15 leaves verify no sample "):
+        verify(poly, 100_000)
+
+
 def test_identity_fit_without_wraps():
     """K = 0, degree 1: the target is m itself, so the slope is ~0."""
     poly = fit(BootstrapSpec(q=1.0, epsilon=0.5, K=0, d=1))
@@ -350,15 +364,23 @@ def test_rescaled_preserves_relative_error(fitted_poly):
 
 @pytest.mark.parametrize("q_new", [2.0 ** 42, 2.0 ** -30, 2.0 ** -1010],
                          ids=["2^42", "2^-30", "2^-1010"])
-def test_rescale_by_a_power_of_two_keeps_a_proven_slope(monkeypatch, fitted_poly, q_new):
+def test_rescale_by_a_power_of_two_keeps_a_proven_slope(fitted_poly, q_new):
     """A power-of-two factor scales the coefficients and every step of the
-    bound exactly: the kept slope is the rescaled polynomial's bound, bit
-    for bit, and no bound is computed (at the demo scheme's q0 = 2^42 the
-    encrypted runs' set-up does no extra work)."""
-    calls = _spy_slope_bound(monkeypatch)
+    bound exactly: the rescaled polynomial's proven slope is the stored
+    one, bit for bit."""
     scaled = fitted_poly.rescaled(q_new)
-    assert calls == []
+    assert scaled.gamma_certified.hex() == fitted_poly.gamma_certified.hex()
     assert slope_bound(scaled).hex() == fitted_poly.gamma_certified.hex()
+
+
+def test_rescale_replaces_a_wrong_stored_slope(fitted_poly):
+    """rescaled proves the slope of its own coefficients, whatever slope
+    the polynomial carried: an exact power-of-two rescale of a fit stored
+    with gamma_certified = 0.01 gets slope_bound's value."""
+    wrong = replace(fitted_poly, gamma_certified=0.01)
+    scaled = wrong.rescaled(2.0 ** 42)
+    assert scaled.gamma_certified.hex() == slope_bound(scaled).hex()
+    assert scaled.gamma_certified.hex() == fitted_poly.gamma_certified.hex()
 
 
 @pytest.mark.parametrize("q_new", [3.0, 0.1, 7.7e12, 2.0 ** -1020],
@@ -524,9 +546,9 @@ def test_evaluate_scalar_zero_d_and_list_inputs(d):
                          ids=["odd-25-2", "odd-15-1", "even-16-1", "even-2-0"])
 def test_evaluate_fitted_polynomial_matches_chebval(d, K, fitted_poly):
     """Fitted polynomials have exact zero coefficients (every even index,
-    and the leading one at even d), whose steps the block kernel folds:
-    the values are chebval's bit for bit wherever they are nonzero, and
-    equal everywhere (an exact zero may differ in sign)."""
+    and the leading one at even d), and the block kernel takes their
+    steps as chebval does: the values are chebval's bit for bit, signs of
+    zero included."""
     spec = BootstrapSpec(q=1.0, epsilon=0.5, K=K, d=d)
     poly = fitted_poly if spec == fitted_poly.spec else fit(spec)
     assert np.count_nonzero(poly.coefficients == 0) >= d // 2
@@ -537,11 +559,7 @@ def test_evaluate_fitted_polynomial_matches_chebval(d, K, fitted_poly):
         np.arange(-K, K + 1) * poly.spec.q,
     ])
     want = chebval(m / r, poly.coefficients)
-    got = evaluate(poly, m)
-    assert np.array_equal(got, want)
-    nonzero = want != 0
-    assert nonzero.sum() >= m.size - 2 * K - 3
-    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    assert evaluate(poly, m).tobytes() == want.tobytes()
 
 
 def test_scalar_evaluate_runs_on_python_floats(monkeypatch, fitted_poly):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bootctrl import bootpoly, cli, lp
+from bootctrl import bootpoly, cli, crypto_sim, lp
 from bootctrl.bootpoly import BootstrapSpec, fit, load_poly, poly_to_json, save_poly
 from bootctrl.cli import main
 from bootctrl.crypto_sim import SchemeParams, save_scheme
@@ -377,6 +377,22 @@ def test_simulate_reports_scheme_failure(tmp_path, fitted_poly, capsys):
                 "--out-dir", str(tmp_path)])
     assert code == 1
     assert "simulation aborted" in capsys.readouterr().err
+
+
+def test_simulate_reports_a_ledger_violation(monkeypatch, tmp_path, capsys):
+    """A rescale that reports a noise bound of 0 fails the ledger check:
+    simulate exits 1 with one line on stderr naming the step, not a
+    traceback."""
+    rescale = crypto_sim.rescale
+    monkeypatch.setattr(crypto_sim, "rescale",
+                        lambda *a: replace(rescale(*a), noise_bound=0.0))
+    code = run(["simulate", "--mode", "reset", "--tbs", "5", "--steps", "20",
+                "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation aborted: LEDGER_VIOLATION: at step 0: "
+                          "noise ledger violated: error ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_simulate_refuses_a_poly_below_the_wrap_count(tmp_path, capsys):

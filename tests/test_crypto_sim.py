@@ -4,6 +4,7 @@ and parameter serialization."""
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
@@ -369,6 +370,21 @@ def test_required_offset_range(small_scheme):
     assert cs.required_offset_range(small_scheme, 0.5) == 2
     dense = cs.SchemeParams(n=16, hamming_weight=16)
     assert cs.required_offset_range(dense, 0.5) == 8  # dense keys need big K
+
+
+@pytest.mark.parametrize("epsilon, message", [
+    (math.inf, "epsilon must be a finite real number, got inf"),
+    (math.nan, "epsilon must be a finite real number, got nan"),
+    (-7.0, r"epsilon must lie in \(0, 1\), got -7.0"),
+    (0.0, r"epsilon must lie in \(0, 1\), got 0.0"),
+    (1.5, r"epsilon must lie in \(0, 1\), got 1.5"),
+], ids=["inf", "nan", "negative", "zero", "above_one"])
+def test_required_offset_range_refuses_a_bad_epsilon(small_scheme, epsilon, message):
+    """BootstrapSpec's rule and message: before, inf raised OverflowError,
+    nan a ValueError that did not name epsilon, and -7.0, 0.0 and 1.5
+    returned K = -1, 2 and 3."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cs.required_offset_range(small_scheme, epsilon)
 
 
 # --------------------------------------------------------------------------

@@ -181,12 +181,13 @@ def _phase_one_point(problem, D):
 
 # (rows, range dimension R) of each barrier term for the barrier_case
 # problems: the LMI, then the block-diagonal term of X > 0, tau > 0 and the
-# two bounds; None means V = I
+# two bounds; R = rows means V = I (the block-diagonal term has no basis
+# and works on all its rows)
 RANGE_DIMS = {
-    "lifted_T10": [(36, 10), (10, None)],
-    "lifted_T20": [(66, 10), (10, None)],
-    "fir_N5": [(11, None), (18, None)],
-    "fir_N8": [(14, None), (24, None)],
+    "lifted_T10": [(36, 10), (10, 10)],
+    "lifted_T20": [(66, 10), (10, 10)],
+    "fir_N5": [(11, 11), (18, 18)],
+    "fir_N8": [(14, 14), (24, 24)],
 }
 
 
@@ -243,9 +244,11 @@ def test_grad_hess_matches_einsum_reference(barrier_case):
     t = 3.0
     for data, ref, point in ((_BarrierData(problem), terms, z),
                              (_BarrierData(base, slopes), terms2, z2)):
-        layout = [(len(term[0]), None if term[3] is None else term[3].shape[1])
-                  for term in data.terms] + [(len(data.block_const), None)]
+        layout = [(len(term[0]), term[3].shape[1])
+                  for term in data.terms] + [(len(data.block_const),) * 2]
         assert layout == RANGE_DIMS[case]
+        for _, _, _, V, _ in data.terms:
+            assert V.shape[1] < len(V) or np.array_equal(V, np.eye(len(V)))
         g, H = data.grad_hess(point, t)
         g_ref, H_ref = _reference_grad_hess(ref, point, t)
         assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
@@ -259,13 +262,13 @@ def test_grad_hess_on_badly_scaled_lifted_lmis(case, plant, controller,
     x+ = 0.5 x + 1e4 w_p (T_BS=10) spread their coefficients' singular
     values over 1e9, so a range basis from the plain Gram sum_k F_k^T F_k
     cut at 1e-12 (R = 4 and R = 1) drops directions they need.  The first
-    reproduces its F_k only to about 1e-12 and takes V = I, the second
-    keeps its exact R = 3 of 12 rows; both match the reference at a
-    phase-I point."""
+    reproduces its F_k only to about 1e-12 and takes V = I (R = 66), the
+    second keeps its exact R = 3 of 12 rows; both match the reference at
+    a phase-I point."""
     if case == "demo_state_x1000":
         scaled = replace(plant, B=1e3 * plant.B, B1=1e3 * plant.B1,
                          C=plant.C / 1e3, C1=plant.C1 / 1e3)
-        cl, slope, T, R = interconnect(scaled, controller), reference_slope, 20, None
+        cl, slope, T, R = interconnect(scaled, controller), reference_slope, 20, 66
         D = np.diag([1e-3, 1e-3, 1.0, 1.0])
     else:
         cl = ClosedLoop(Acl=[[0.5]], Bp=[[1e4]], Bu=[[0.0]], Cp=[[1.0]],
@@ -279,7 +282,8 @@ def test_grad_hess_on_badly_scaled_lifted_lmis(case, plant, controller,
     assert _reference_interior(terms, z)
     data = _BarrierData(problem)
     [(_, _, _, V, _)] = data.terms
-    assert (None if V is None else V.shape[1]) == R
+    assert V.shape[1] == R
+    assert R < len(V) or np.array_equal(V, np.eye(R))
     g, H = data.grad_hess(z, 3.0)
     g_ref, H_ref = _reference_grad_hess(terms, z, 3.0)
     assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)

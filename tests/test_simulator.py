@@ -230,6 +230,22 @@ def test_scheme_failure_names_its_step(plant, controller, scheme, sim_poly):
                         poly=sim_poly, w_p1=w)
 
 
+def test_ledger_violation_is_a_scheme_error_that_names_its_step(
+        plant, controller, scheme, monkeypatch):
+    """A rescale that reports a noise bound of 0 makes the first ledger
+    check after it fail: LedgerViolationError, a SchemeError, with the
+    step in front of its message."""
+    rescale = cs.rescale
+    monkeypatch.setattr(cs, "rescale",
+                        lambda *a: replace(rescale(*a), noise_bound=0.0))
+    with pytest.raises(cs.LedgerViolationError,
+                       match=r"^LEDGER_VIOLATION: at step 0: noise ledger violated: "
+                             r"error \S+ > bound 0\.0$"):
+        run_closed_loop(plant, controller,
+                        SimulationConfig(mode=RESET, steps=20, T_BS=5), scheme=scheme,
+                        w_p1=np.random.default_rng(0).standard_normal((20, plant.m_w1)))
+
+
 def test_simulation_determinism(plant, controller, scheme, sim_poly):
     steps = 60
     rng = np.random.default_rng(8)
